@@ -4,50 +4,50 @@
  *
  * A simulator is only useful at the scale its own host speed allows
  * (ZSim's core argument), so this driver measures the simulator, not
- * the modeled machine. For every robot it times the same run twice —
- * fast paths on (AddrMap TLB single probe, L1 MRU memo, accessRange
- * segment hoist) and off (the historical code paths) — checks the two
- * runs are observationally identical, and reports host throughput in
- * millions of simulated demand accesses per second plus a per-layer
- * host-time breakdown (translate / cache / prefetch / other) from a
- * profiled run.
+ * the modeled machine. For every robot it times the direct run and
+ * reports host throughput in millions of simulated demand accesses per
+ * second. The per-layer split of that time comes from
+ * `perfbench --trace 1`, which times the walk that actually runs.
  *
  * It also measures the capture-once/replay-many engine: each robot is
  * captured once, then the replay of its op stream is timed against
  * the direct run. The ratio is the host-time win of one additional
  * sweep point once a capture exists (what TARTAN_REPLAY buys per
- * replayed cell), and the replayed result shares the same
- * observational-equivalence gate as the fast/slow pair.
+ * replayed cell), and every replayed result must be observationally
+ * identical to the direct run.
  *
  * Runs are strictly serial (this bench measures host time; concurrent
  * runs would contend for the same cores). Knobs: TARTAN_SELFBENCH_REPS
- * timing repetitions per cell (best-of, default 3),
- * TARTAN_SELFBENCH_SCALE workload scale (default 1.0), and
- * TARTAN_SELFBENCH_FLOOR minimum acceptable geomean speedup (default 0
- * = no gate; CI passes the floor recorded in the committed baseline
- * payload).
+ * timing repetitions per cell (best-of, default 3) and
+ * TARTAN_SELFBENCH_SCALE workload scale (default 1.0).
  *
- * Exits non-zero if any fast/slow pair diverges — making the
- * observational-equivalence guarantee CI-enforceable — or if the
- * measured geomean speedup falls below the configured floor.
+ * Exits non-zero if any replay diverges from its direct run, making the
+ * replay equivalence guarantee CI-enforceable.
  */
 
-#include <cinttypes>
+#include <chrono>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "sim/capture.hh"
 #include "sim/env.hh"
-#include "sim/hostprof.hh"
 #include "workloads/replay.hh"
 
 using namespace tartan::bench;
 using namespace tartan::workloads;
-using tartan::sim::HostProfiler;
 using tartan::sim::RunEnv;
 
 namespace {
+
+/** Host seconds elapsed since @p t0. */
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
 
 /** One timed cell: best-of-reps host seconds plus the run's result. */
 struct TimedRun {
@@ -60,9 +60,9 @@ void
 timeRobotOnce(const RobotEntry &robot, const MachineSpec &spec,
               const WorkloadOptions &opt, unsigned rep, TimedRun *timed)
 {
-    const std::uint64_t t0 = HostProfiler::now();
+    const auto t0 = std::chrono::steady_clock::now();
     RunResult res = robot.run(spec, opt);
-    const double sec = double(HostProfiler::now() - t0) * 1e-9;
+    const double sec = secondsSince(t0);
     if (rep == 0 || sec < timed->bestSeconds)
         timed->bestSeconds = sec;
     timed->result = std::move(res);
@@ -71,7 +71,7 @@ timeRobotOnce(const RobotEntry &robot, const MachineSpec &spec,
 /**
  * Compare every simulated observable of two runs. Host-time fields do
  * not exist in RunResult, so field-for-field equality is exactly the
- * observational-equivalence contract of the fast paths.
+ * observational-equivalence contract of replay.
  */
 std::string
 diffResults(const RunResult &a, const RunResult &b)
@@ -116,8 +116,8 @@ diffResults(const RunResult &a, const RunResult &b)
                 diff += "  kernel " + ka.name + "/" + kb.name +
                         " counters differ\n";
             }
-            // The CPI decomposition is an observable too: the fast and
-            // slow miss walks must charge identical categories.
+            // The CPI decomposition is an observable too: replay must
+            // charge identical categories.
             if (!(ka.cpi == kb.cpi))
                 diff += "  kernel " + ka.name + " CPI stack differs\n";
         }
@@ -135,91 +135,51 @@ main()
     const RunEnv &env = RunEnv::get();
     const unsigned reps = env.selfbenchReps;
     const double scale = env.selfbenchScale;
-    const double floor = env.selfbenchFloor;
 
     BenchReporter rep("selfbench",
-                      "simulator host throughput; fast paths "
-                      "observationally identical to slow paths, "
-                      "geomean speedup tracked across PRs");
+                      "simulator host throughput in M acc/s; replay "
+                      "observationally identical to direct runs");
     rep.config("machine", "tartan");
     rep.config("tier", "optimized");
     rep.config("reps", double(reps));
     rep.config("scale", scale);
 
     const MachineSpec spec = MachineSpec::tartan();
-    WorkloadOptions fast_opt = options(SoftwareTier::Optimized, scale);
-    WorkloadOptions slow_opt = fast_opt;
-    slow_opt.fastAccessPath = false;
+    const WorkloadOptions opt = options(SoftwareTier::Optimized, scale);
 
-    std::printf("%-10s %12s %6s %9s %9s %8s | %s\n", "robot",
-                "accesses", "miss", "fast M/s", "slow M/s", "speedup",
-                "host-time breakdown (slow path)");
+    std::printf("%-10s %12s %6s %9s %9s %9s %9s\n", "robot", "accesses",
+                "miss", "M acc/s", "capture", "direct", "replay");
 
-    std::vector<double> fast_tp, slow_tp, ratios, replay_ratios;
+    std::vector<double> throughput, replay_ratios;
     bool all_equivalent = true;
     for (const auto &robot : robotSuite()) {
-        // Interleave fast/slow repetitions so slow ambient drift of the
-        // host (frequency, co-tenants) biases the two columns equally
-        // rather than whichever ran second.
-        TimedRun fast, slow;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            timeRobotOnce(robot, spec, fast_opt, rep, &fast);
-            timeRobotOnce(robot, spec, slow_opt, rep, &slow);
-        }
-
-        const std::string diff = diffResults(fast.result, slow.result);
-        if (!diff.empty()) {
-            all_equivalent = false;
-            std::fprintf(stderr,
-                         "selfbench: %s fast/slow runs diverge:\n%s",
-                         robot.name, diff.c_str());
-        }
-
-        // One profiled run for the per-layer breakdown. The profiler
-        // routes accesses through the full (unmemoized) lookup, so the
-        // shares describe where the historical pipeline spends time.
-        HostProfiler prof;
-        WorkloadOptions prof_opt = fast_opt;
-        prof_opt.hostProf = &prof;
-        const std::uint64_t p0 = HostProfiler::now();
-        RunResult prof_res = robot.run(spec, prof_opt);
-        const std::uint64_t prof_wall = HostProfiler::now() - p0;
-        const std::string prof_diff =
-            diffResults(fast.result, prof_res);
-        if (!prof_diff.empty()) {
-            all_equivalent = false;
-            std::fprintf(stderr,
-                         "selfbench: %s profiled run diverges:\n%s",
-                         robot.name, prof_diff.c_str());
-        }
-        // Close the per-layer breakdown: 'other' becomes the explicit
-        // remainder and the five buckets sum to the wall exactly.
-        prof.finalizeWall(prof_wall);
+        TimedRun direct;
+        for (unsigned r = 0; r < reps; ++r)
+            timeRobotOnce(robot, spec, opt, r, &direct);
 
         // Capture once, then time the replay of the op stream: the
         // host cost of one more sweep point once a capture exists.
-        tartan::sim::CaptureSession session(0, fast_opt.seed);
-        WorkloadOptions cap_opt = fast_opt;
+        tartan::sim::CaptureSession session(0, opt.seed);
+        WorkloadOptions cap_opt = opt;
         cap_opt.capture = &session;
-        const std::uint64_t c0 = HostProfiler::now();
+        const auto c0 = std::chrono::steady_clock::now();
         RunResult cap_res = robot.run(spec, cap_opt);
-        const double capture_sec =
-            double(HostProfiler::now() - c0) * 1e-9;
+        const double capture_sec = secondsSince(c0);
         session.setRobot(cap_res.robot);
         for (const auto &[mname, mvalue] : cap_res.metrics)
             session.addMetric(mname, mvalue);
         const tartan::sim::CaptureTrace trace = session.take();
         TimedRun replay;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            const std::uint64_t r0 = HostProfiler::now();
-            RunResult res = replayTrace(trace, spec, fast_opt);
-            const double sec = double(HostProfiler::now() - r0) * 1e-9;
-            if (rep == 0 || sec < replay.bestSeconds)
+        for (unsigned r = 0; r < reps; ++r) {
+            const auto r0 = std::chrono::steady_clock::now();
+            RunResult res = replayTrace(trace, spec, opt);
+            const double sec = secondsSince(r0);
+            if (r == 0 || sec < replay.bestSeconds)
                 replay.bestSeconds = sec;
             replay.result = std::move(res);
         }
         const std::string replay_diff =
-            diffResults(fast.result, replay.result);
+            diffResults(direct.result, replay.result);
         if (!replay_diff.empty()) {
             all_equivalent = false;
             std::fprintf(stderr,
@@ -228,91 +188,47 @@ main()
                          robot.name, replay_diff.c_str());
         }
         const double replay_ratio =
-            speedup(fast.bestSeconds, replay.bestSeconds);
+            speedup(direct.bestSeconds, replay.bestSeconds);
         replay_ratios.push_back(replay_ratio);
 
-        const double accesses = double(fast.result.l1Accesses);
+        const double accesses = double(direct.result.l1Accesses);
         const double miss_pct =
             accesses > 0
-                ? 100.0 * double(fast.result.l1Misses) / accesses
+                ? 100.0 * double(direct.result.l1Misses) / accesses
                 : 0.0;
-        const double fast_macc =
-            fast.bestSeconds > 0 ? accesses / fast.bestSeconds * 1e-6
-                                 : 0.0;
-        const double slow_macc =
-            slow.bestSeconds > 0 ? accesses / slow.bestSeconds * 1e-6
-                                 : 0.0;
-        const double ratio = speedup(slow.bestSeconds, fast.bestSeconds);
-        fast_tp.push_back(fast_macc);
-        slow_tp.push_back(slow_macc);
-        ratios.push_back(ratio);
+        const double macc = direct.bestSeconds > 0
+                                ? accesses / direct.bestSeconds * 1e-6
+                                : 0.0;
+        throughput.push_back(macc);
 
-        const double wall = double(prof.wallNs);
-        const auto pct = [&](std::uint64_t ns) {
-            return wall > 0 ? 100.0 * double(ns) / wall : 0.0;
-        };
-        std::printf("%-10s %12.0f %5.1f%% %9.2f %9.2f %7.2fx | "
-                    "xlat %4.1f%% cache %4.1f%% pf %4.1f%% fill %4.1f%% "
-                    "other %4.1f%%\n",
-                    robot.name, accesses, miss_pct, fast_macc, slow_macc,
-                    ratio, pct(prof.translateNs), pct(prof.cacheNs),
-                    pct(prof.prefetchNs), pct(prof.fillNs),
-                    pct(prof.otherNs));
+        std::printf("%-10s %12.0f %5.1f%% %9.2f %8.3fs %8.3fs %8.3fs "
+                    "(%.2fx per replayed sweep point)\n",
+                    robot.name, accesses, miss_pct, macc, capture_sec,
+                    direct.bestSeconds, replay.bestSeconds, replay_ratio);
 
         const std::string row = robot.name;
         rep.kernelMetric(row, "accesses", accesses);
-        rep.kernelMetric(row, "fastMaccPerSec", fast_macc);
-        rep.kernelMetric(row, "slowMaccPerSec", slow_macc);
-        rep.kernelMetric(row, "speedup", ratio);
-        rep.kernelMetric(row, "translateShare",
-                         pct(prof.translateNs) / 100.0);
-        rep.kernelMetric(row, "cacheShare", pct(prof.cacheNs) / 100.0);
-        rep.kernelMetric(row, "prefetchShare",
-                         pct(prof.prefetchNs) / 100.0);
-        rep.kernelMetric(row, "fillShare", pct(prof.fillNs) / 100.0);
-        rep.kernelMetric(row, "otherShare", pct(prof.otherNs) / 100.0);
-        rep.kernelMetric(row, "equivalent", diff.empty() ? 1.0 : 0.0);
+        rep.kernelMetric(row, "maccPerSec", macc);
         rep.kernelMetric(row, "captureSeconds", capture_sec);
-        rep.kernelMetric(row, "directSeconds", fast.bestSeconds);
+        rep.kernelMetric(row, "directSeconds", direct.bestSeconds);
         rep.kernelMetric(row, "replaySeconds", replay.bestSeconds);
         rep.kernelMetric(row, "replaySpeedup", replay_ratio);
         rep.kernelMetric(row, "replayEquivalent",
                          replay_diff.empty() ? 1.0 : 0.0);
-        reportCpi(rep, row, fast.result);
-        std::printf("%-10s capture %.3fs direct %.3fs replay %.3fs "
-                    "(%.2fx per replayed sweep point)\n",
-                    robot.name, capture_sec, fast.bestSeconds,
-                    replay.bestSeconds, replay_ratio);
+        reportCpi(rep, row, direct.result);
     }
 
-    const double gm_fast = geomean(fast_tp);
-    const double gm_slow = geomean(slow_tp);
-    const double gm_ratio = geomean(ratios);
+    const double gm_macc = geomean(throughput);
     const double gm_replay = geomean(replay_ratios);
-    rep.metric("gmeanFastMaccPerSec", gm_fast);
-    rep.metric("gmeanSlowMaccPerSec", gm_slow);
-    rep.metric("gmeanSpeedup", gm_ratio);
+    rep.metric("gmeanMaccPerSec", gm_macc);
     rep.metric("gmeanReplaySpeedup", gm_replay);
-    // The floor this run was gated against, recorded machine-readably
-    // so the committed baseline payload *is* the regression threshold
-    // CI re-applies to future runs.
-    rep.metric("speedupFloor", floor);
     rep.metric("allEquivalent", all_equivalent ? 1.0 : 0.0);
-    rep.note("fast/slow stats identical for all robots; geomean "
-             "speedup tracked across PRs");
+    rep.note("replayed stats identical to direct runs for all robots");
 
-    std::printf("\ngeomean: fast %.2f M acc/s, slow %.2f M acc/s, "
-                "speedup %.2fx, replay vs direct %.2fx\n",
-                gm_fast, gm_slow, gm_ratio, gm_replay);
+    std::printf("\ngeomean: %.2f M acc/s, replay vs direct %.2fx\n",
+                gm_macc, gm_replay);
     if (!all_equivalent) {
-        std::fprintf(stderr, "selfbench: FAST/SLOW DIVERGENCE\n");
-        return 1;
-    }
-    if (floor > 0.0 && !(gm_ratio >= floor)) {
-        std::fprintf(stderr,
-                     "selfbench: geomean speedup %.3fx below the "
-                     "committed floor %.3fx\n",
-                     gm_ratio, floor);
+        std::fprintf(stderr, "selfbench: REPLAY DIVERGENCE\n");
         return 1;
     }
     return 0;

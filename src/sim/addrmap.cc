@@ -51,22 +51,8 @@ AddrMap::translateSlow(Addr host)
 {
     const Addr grain = host >> kGrainBits;
 
-    if (!fastTlb) {
-        // Historical probe order: segment scan on every access, TLB
-        // only in front of the first-touch table.
-        for (const Segment &s : segments)
-            if (host >= s.begin && host < s.end)
-                return s.simBase + (host - s.begin);
-        Entry &e = tlb[grain & (kTlbEntries - 1)];
-        if (e.hostGrain != grain) {
-            e.hostGrain = grain;
-            e.simGrain = lookupGrain(grain);
-        }
-        return (e.simGrain << kGrainBits) | (host & (kGrainBytes - 1));
-    }
-
-    // Fast mode: resolve the address, then decide whether the whole
-    // 16-byte grain translates uniformly — only then may the TLB cache
+    // Resolve the address, then decide whether the whole 16-byte grain
+    // translates uniformly — only then may the TLB cache
     // it, because translate() answers grain-granular probes. A grain is
     // non-uniform only when a segment boundary falls strictly inside it
     // (possible for segments whose size is not a multiple of 16).
@@ -104,39 +90,12 @@ AddrMap::translateSlow(Addr host)
 Addr
 AddrMap::lookupGrain(Addr host_grain)
 {
-    if (fastTlb) {
-        // Fast backend: one flat-table probe. Real slot numbers start
-        // at 1<<40, so a default-constructed 0 means "just inserted".
-        Addr &sim = grainsFlat.getOrInsert(host_grain);
-        if (sim == 0)
-            sim = nextGrain++;
-        return sim;
-    }
-    const auto [it, inserted] = grains.try_emplace(host_grain, nextGrain);
-    if (inserted)
-        ++nextGrain;
-    return it->second;
-}
-
-void
-AddrMap::setFastPath(bool on)
-{
-    // Migrate the first-touch table into the backend the new mode
-    // reads. The translation is defined by the (grain -> slot) values,
-    // not by the container, so a migrated table answers every future
-    // lookup exactly as the old backend would have.
-    if (on && !fastTlb) {
-        for (const auto &[host_grain, sim] : grains)
-            grainsFlat.getOrInsert(host_grain) = sim;
-        grains.clear();
-    } else if (!on && fastTlb) {
-        grainsFlat.forEach(
-            [this](std::uint64_t host_grain, const Addr &sim) {
-                grains.emplace(host_grain, sim);
-            });
-        grainsFlat.clear();
-    }
-    fastTlb = on;
+    // Real slot numbers start at 1<<40, so a default-constructed 0
+    // means "just inserted".
+    Addr &sim = grains.getOrInsert(host_grain);
+    if (sim == 0)
+        sim = nextGrain++;
+    return sim;
 }
 
 } // namespace tartan::sim

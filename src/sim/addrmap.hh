@@ -33,10 +33,7 @@
  * fallback — is linear at grain granularity (sim ≡ host mod 16), so
  * one direct-mapped TLB caches both kinds. translate() is a single
  * inline TLB probe; the segment scan and the first-touch table are only
- * reached on a TLB miss (translateSlow). setFastPath(false) restores
- * the historical probe order (segment scan first, TLB only in front of
- * the first-touch table) for A/B measurement; the translation function
- * is identical either way.
+ * reached on a TLB miss (translateSlow).
  */
 
 #ifndef TARTAN_SIM_ADDRMAP_HH
@@ -44,7 +41,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/flat_table.hh"
@@ -71,13 +67,10 @@ class AddrMap
     Addr
     translate(Addr host)
     {
-        if (fastTlb) {
-            const Addr grain = host >> kGrainBits;
-            const Entry &e = tlb[grain & (kTlbEntries - 1)];
-            if (e.hostGrain == grain)
-                return (e.simGrain << kGrainBits) |
-                       (host & (kGrainBytes - 1));
-        }
+        const Addr grain = host >> kGrainBits;
+        const Entry &e = tlb[grain & (kTlbEntries - 1)];
+        if (e.hostGrain == grain)
+            return (e.simGrain << kGrainBits) | (host & (kGrainBytes - 1));
         return translateSlow(host);
     }
 
@@ -123,18 +116,6 @@ class AddrMap
     }
 
     /**
-     * Toggle the single-probe TLB fast path (default on). Off restores
-     * the pre-optimisation probe order and the historical
-     * std::unordered_map grain backend; translations are identical
-     * either way, so this exists purely for self-benchmarking and
-     * equivalence tests. Switching modes migrates the first-touch table
-     * between backends — values (the first-touch slot numbers) are what
-     * define the translation, so which container holds them is not
-     * observable.
-     */
-    void setFastPath(bool on);
-
-    /**
      * Offset this map's entire simulated address space by @p bias
      * (segments land at bias + 1<<40, fallback grains at bias + 1<<44).
      * A multi-core Machine gives core i the bias i << 48, so the
@@ -148,11 +129,7 @@ class AddrMap
 
     std::size_t segmentCount() const { return segments.size(); }
     /** Fallback grains mapped so far (16-byte units). */
-    std::size_t
-    grainCount() const
-    {
-        return fastTlb ? grainsFlat.size() : grains.size();
-    }
+    std::size_t grainCount() const { return grains.size(); }
 
   private:
     static constexpr unsigned kGrainBits = 4;
@@ -183,18 +160,15 @@ class AddrMap
     /** Whole-space offset (setSpaceBias); 0 = historical layout. */
     Addr spaceBias = 0;
     Addr nextSegmentBase = kSegmentSpace;
-    /** Historical first-touch backend (slow mode). */
-    std::unordered_map<Addr, Addr> grains;
     /**
-     * Fast-mode first-touch backend: flat open-addressed, so the
-     * TLB-miss grain lookup is one probe run in a contiguous array
-     * instead of a node chase. Sim grain numbers start at 1<<40, so a
-     * value of 0 unambiguously marks a slot getOrInsert just created.
+     * First-touch table, host grain -> sim grain: flat open-addressed,
+     * so the TLB-miss grain lookup is one probe run in a contiguous
+     * array. Sim grain numbers start at 1<<40, so a value of 0
+     * unambiguously marks a slot getOrInsert just created.
      */
-    FlatTable<Addr> grainsFlat;
+    FlatTable<Addr> grains;
     Addr nextGrain = kFallbackSpace >> kGrainBits;
     std::array<Entry, kTlbEntries> tlb;
-    bool fastTlb = true;
     bool overlapping = false;  //!< any segment overlaps an earlier one
 };
 

@@ -16,13 +16,12 @@ BingoPrefetcher::BingoPrefetcher(std::uint32_t line_bytes,
                                  std::uint32_t history_entries)
     : lineBytes(line_bytes),
       pageBytes(page_bytes),
-      linesPerPage(page_bytes / line_bytes),
       historyCapacity(history_entries)
 {
-    TARTAN_ASSERT(linesPerPage <= 64, "footprint bitmap limited to 64 lines");
+    TARTAN_ASSERT(page_bytes / line_bytes <= 64,
+                  "footprint bitmap limited to 64 lines");
     TARTAN_ASSERT(historyCapacity >= 1, "history capacity must be >= 1");
-    ringSlots = historyCapacity;
-    ringBuf.assign(ringSlots, 0);
+    ringBuf.assign(historyCapacity, 0);
 }
 
 std::uint32_t
@@ -40,61 +39,27 @@ BingoPrefetcher::triggerKey(PcId pc, std::uint32_t offset) const
 void
 BingoPrefetcher::retire(std::uint64_t page)
 {
-    if (fastMode) {
-        retireFast(page);
-        return;
-    }
-    auto it = active.find(page);
-    if (it == active.end())
-        return;
-    if (history.find(it->second.triggerKey) == history.end()) {
-        if (history.size() >= historyCapacity && fifoHead < historyFifo.size()) {
-            history.erase(historyFifo[fifoHead]);
-            ++fifoHead;
-            // The FIFO historically never reclaimed its retired prefix,
-            // so the vector grew with total insertions — a host-memory
-            // leak under history churn. Compact once the dead prefix
-            // dominates: each compaction moves at most the live window
-            // (<= capacity) and is paid for by the fifoHead advances
-            // since the last one, so the cost stays amortised O(1) and
-            // the backing storage bounded.
-            if (fifoHead >= 1024 && fifoHead * 2 >= historyFifo.size()) {
-                historyFifo.erase(historyFifo.begin(),
-                                  historyFifo.begin() +
-                                      static_cast<std::ptrdiff_t>(fifoHead));
-                fifoHead = 0;
-            }
-        }
-        historyFifo.push_back(it->second.triggerKey);
-        TARTAN_ASSERT(historyFifo.size() - fifoHead <= historyCapacity,
-                      "Bingo history FIFO live window exceeds capacity");
-    }
-    history[it->second.triggerKey] = it->second.footprint;
-    active.erase(it);
-}
-
-void
-BingoPrefetcher::retireFast(std::uint64_t page)
-{
-    const ActiveRegion *region = activeFlat.find(page);
+    const ActiveRegion *region = active.find(page);
     if (!region)
         return;
     const std::uint64_t key = region->triggerKey;
     const std::uint64_t footprint = region->footprint;
-    activeFlat.erase(page);
-    if (std::uint64_t *learned = historyFlat.find(key)) {
+    active.erase(page);
+    if (std::uint64_t *learned = history.find(key)) {
+        // Re-learning an existing trigger overwrites in place: no FIFO
+        // slot is consumed and nothing is evicted.
         *learned = footprint;
         return;
     }
-    if (historyFlat.size() >= historyCapacity && ringCount > 0) {
-        historyFlat.erase(ringBuf[ringHead]);
-        ringHead = (ringHead + 1) % ringSlots;
+    if (history.size() >= historyCapacity && ringCount > 0) {
+        history.erase(ringBuf[ringHead]);
+        ringHead = (ringHead + 1) % ringBuf.size();
         --ringCount;
     }
-    ringBuf[(ringHead + ringCount) % ringSlots] = key;
+    ringBuf[(ringHead + ringCount) % ringBuf.size()] = key;
     ++ringCount;
-    historyFlat.getOrInsert(key) = footprint;
-    TARTAN_ASSERT(ringCount == historyFlat.size() &&
+    history.getOrInsert(key) = footprint;
+    TARTAN_ASSERT(ringCount == history.size() &&
                       ringCount <= historyCapacity,
                   "Bingo ring FIFO out of sync with the history table");
 }
@@ -103,61 +68,24 @@ void
 BingoPrefetcher::observe(const PrefetchObservation &obs,
                          std::vector<Addr> &out)
 {
-    if (fastMode) {
-        observeFast(obs, out);
-        return;
-    }
     const std::uint64_t page = pageOf(obs.addr);
     const std::uint32_t offset = lineOffset(obs.addr);
 
-    auto it = active.find(page);
-    if (it != active.end()) {
-        it->second.footprint |= (1ull << offset);
-        return;
-    }
-
-    // Trigger access for this page: replay the learned footprint.
-    const std::uint64_t key = triggerKey(obs.pc, offset);
-    ActiveRegion region;
-    region.triggerKey = key;
-    region.footprint = (1ull << offset);
-    active.emplace(page, region);
-
-    auto hist = history.find(key);
-    if (hist != history.end()) {
-        const Addr page_base = page * pageBytes;
-        for (std::uint32_t line = 0; line < linesPerPage; ++line) {
-            if (line == offset)
-                continue;
-            if (hist->second & (1ull << line))
-                out.push_back(page_base + line * lineBytes);
-        }
-    }
-}
-
-void
-BingoPrefetcher::observeFast(const PrefetchObservation &obs,
-                             std::vector<Addr> &out)
-{
-    const std::uint64_t page = pageOf(obs.addr);
-    const std::uint32_t offset = lineOffset(obs.addr);
-
-    if (ActiveRegion *region = activeFlat.find(page)) {
+    if (ActiveRegion *region = active.find(page)) {
         region->footprint |= (1ull << offset);
         return;
     }
 
     // Trigger access for this page: replay the learned footprint.
     const std::uint64_t key = triggerKey(obs.pc, offset);
-    ActiveRegion &region = activeFlat.getOrInsert(page);
+    ActiveRegion &region = active.getOrInsert(page);
     region.triggerKey = key;
     region.footprint = (1ull << offset);
 
-    if (const std::uint64_t *learned = historyFlat.find(key)) {
-        // Bit iteration replaces the historical 0..linesPerPage scan:
-        // footprints only ever set offsets below linesPerPage, so
-        // walking the set bits in ascending order (masking the trigger
-        // offset out up front) emits the exact same target sequence.
+    if (const std::uint64_t *learned = history.find(key)) {
+        // Footprints only ever set offsets of lines within the page,
+        // so walking the set bits in ascending order (the trigger offset
+        // masked out) emits the targets in line order.
         const Addr page_base = page * pageBytes;
         std::uint64_t fp = *learned & ~(1ull << offset);
         while (fp) {
@@ -175,50 +103,6 @@ BingoPrefetcher::onEviction(Addr line_addr)
     // A page whose lines start leaving the cache has finished its
     // residency; learn its footprint.
     retire(pageOf(line_addr));
-}
-
-void
-BingoPrefetcher::setFastMode(bool on)
-{
-    if (on == fastMode)
-        return;
-    // Migrate every entry into the backend the new mode reads. The
-    // hash tables are keyed lookups (iteration order is irrelevant),
-    // and the FIFO live window is copied oldest-first, so eviction
-    // order — the only order the tables make observable — survives the
-    // switch exactly.
-    if (on) {
-        for (const auto &[page, region] : active)
-            activeFlat.getOrInsert(page) = region;
-        active.clear();
-        for (const auto &[key, footprint] : history)
-            historyFlat.getOrInsert(key) = footprint;
-        history.clear();
-        ringHead = 0;
-        ringCount = 0;
-        for (std::size_t i = fifoHead; i < historyFifo.size(); ++i)
-            ringBuf[ringCount++] = historyFifo[i];
-        historyFifo.clear();
-        fifoHead = 0;
-    } else {
-        activeFlat.forEach(
-            [this](std::uint64_t page, const ActiveRegion &region) {
-                active.emplace(page, region);
-            });
-        activeFlat.clear();
-        historyFlat.forEach(
-            [this](std::uint64_t key, const std::uint64_t &footprint) {
-                history.emplace(key, footprint);
-            });
-        historyFlat.clear();
-        historyFifo.clear();
-        fifoHead = 0;
-        for (std::size_t i = 0; i < ringCount; ++i)
-            historyFifo.push_back(ringBuf[(ringHead + i) % ringSlots]);
-        ringHead = 0;
-        ringCount = 0;
-    }
-    fastMode = on;
 }
 
 std::uint64_t

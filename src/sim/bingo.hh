@@ -10,21 +10,16 @@
  * are deliberately sized like the original (>100 KB per core) so that the
  * area comparison against ANL is meaningful.
  *
- * Host-side storage is dual-backend. Slow mode keeps the historical
- * std::unordered_map active/history tables and insertion-order FIFO
- * vector. Fast mode (Prefetcher::setFastMode) holds the same state in
- * flat open-addressed tables plus a fixed ring buffer for the FIFO, so
- * the per-miss observe/retire path probes one contiguous array instead
- * of chasing map nodes. Both backends produce bit-identical prediction
- * streams; toggling modes migrates every entry (and the FIFO order)
- * between them.
+ * Host-side storage is flat open-addressed tables plus a fixed ring
+ * buffer holding the history's insertion order, so the per-miss
+ * observe/retire path probes one contiguous array. tests/prefetch_test.cc
+ * diffs the prediction stream against a std::map reference model.
  */
 
 #ifndef TARTAN_SIM_BINGO_HH
 #define TARTAN_SIM_BINGO_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/flat_table.hh"
@@ -49,33 +44,19 @@ class BingoPrefetcher : public Prefetcher
     void observe(const PrefetchObservation &obs,
                  std::vector<Addr> &out) override;
     void onEviction(Addr line_addr) override;
-    void setFastMode(bool on) override;
     std::uint64_t storageBits() const override;
     std::string name() const override { return "Bingo"; }
 
     /** Learned footprints currently held (test introspection). */
-    std::size_t
-    historySize() const
-    {
-        return fastMode ? historyFlat.size() : history.size();
-    }
+    std::size_t historySize() const { return history.size(); }
     /** Live FIFO entries — always equals historySize(). */
-    std::size_t
-    fifoLive() const
-    {
-        return fastMode ? ringCount : historyFifo.size() - fifoHead;
-    }
+    std::size_t fifoLive() const { return ringCount; }
     /**
-     * Host slots backing the FIFO (test introspection). The historical
-     * leak left retired slots in the vector forever, so this grew with
-     * total insertions; with compaction (slow) or the ring (fast) it
-     * stays bounded by a small multiple of the capacity.
+     * Host slots backing the FIFO (test introspection): the ring is
+     * sized to the history capacity once, so this never grows with
+     * total insertions.
      */
-    std::size_t
-    fifoBackingSlots() const
-    {
-        return fastMode ? ringSlots : historyFifo.size();
-    }
+    std::size_t fifoBackingSlots() const { return ringBuf.size(); }
 
   private:
     struct ActiveRegion {
@@ -87,38 +68,19 @@ class BingoPrefetcher : public Prefetcher
     std::uint32_t lineOffset(Addr addr) const;
     std::uint64_t triggerKey(PcId pc, std::uint32_t offset) const;
     void retire(std::uint64_t page);
-    void retireFast(std::uint64_t page);
-    void observeFast(const PrefetchObservation &obs,
-                     std::vector<Addr> &out);
 
     std::uint32_t lineBytes;
     std::uint32_t pageBytes;
-    std::uint32_t linesPerPage;
     std::uint32_t historyCapacity;
 
-    /** Regions currently being observed: page -> footprint (slow). */
-    std::unordered_map<std::uint64_t, ActiveRegion> active;
-    /** Trigger (PC+offset) -> learned footprint bitmap (slow). */
-    std::unordered_map<std::uint64_t, std::uint64_t> history;
-    /**
-     * FIFO of history insertion order for capacity eviction (slow).
-     * [fifoHead, size) is the live window; the retired prefix is
-     * compacted away once it dominates, keeping the backing storage
-     * bounded by the window instead of by total insertions.
-     */
-    std::vector<std::uint64_t> historyFifo;
-    std::size_t fifoHead = 0;
-
-    /** Fast-mode backends: same state, flat storage. */
-    FlatTable<ActiveRegion> activeFlat;
-    FlatTable<std::uint64_t> historyFlat;
-    /** Fixed ring buffer holding the live FIFO window (fast). */
+    /** Regions currently being observed: page -> footprint. */
+    FlatTable<ActiveRegion> active;
+    /** Trigger (PC+offset) -> learned footprint bitmap. */
+    FlatTable<std::uint64_t> history;
+    /** Ring buffer of history insertion order (capacity eviction). */
     std::vector<std::uint64_t> ringBuf;
-    std::size_t ringSlots = 0;
-    std::size_t ringHead = 0;
-    std::size_t ringCount = 0;
-
-    bool fastMode = false;
+    std::size_t ringHead = 0;   //!< oldest live entry
+    std::size_t ringCount = 0;  //!< live entries
 };
 
 } // namespace tartan::sim

@@ -40,34 +40,6 @@ Cache::regionOf(std::uint64_t line_number) const
     return line_number >> log2u(config.fcp->regionBytes / config.lineBytes);
 }
 
-Cache::LookupResult
-Cache::access(Addr addr, AccessType type, std::uint32_t size, Cycles now)
-{
-    const std::uint64_t line_number = addr >> lineBits;
-    const std::size_t base = setIndex(line_number) * config.assoc;
-
-    for (std::uint32_t way = 0; way < config.assoc; ++way) {
-        if (tags[base + way] != line_number)
-            continue;
-        const std::size_t idx = base + way;
-        ++statsData.hits;
-        LookupResult res{true, (flags[idx] & kPrefetched) != 0, 0};
-        if (flags[idx] & kPrefetched) {
-            ++statsData.prefetchHits;
-            if (readyAt[idx] > now)
-                res.latePenalty = readyAt[idx] - now;
-            flags[idx] &= static_cast<std::uint8_t>(~kPrefetched);
-        }
-        if (type == AccessType::Store)
-            flags[idx] |= kDirty;
-        touch(idx, addr, size);
-        promote(base, way);
-        return res;
-    }
-    ++statsData.misses;
-    return LookupResult{false, false};
-}
-
 bool
 Cache::probe(Addr addr) const
 {
@@ -77,25 +49,6 @@ Cache::probe(Addr addr) const
         if (tags[base + way] == line_number)
             return true;
     return false;
-}
-
-std::uint32_t
-Cache::victimWay(std::size_t set_base) const
-{
-    std::uint32_t victim = 0;
-    std::uint32_t best = 0;
-    bool found = false;
-    for (std::uint32_t way = 0; way < config.assoc; ++way) {
-        const std::size_t idx = set_base + way;
-        if (!(flags[idx] & kValid))
-            return way;
-        if (!found || recency[idx] > best) {
-            best = recency[idx];
-            victim = way;
-            found = true;
-        }
-    }
-    return victim;
 }
 
 void
@@ -126,79 +79,38 @@ Cache::fill(Addr addr, bool prefetch, bool dirty, Cycles ready_at)
     const std::uint64_t line_number = addr >> lineBits;
     const std::size_t base = setIndex(line_number) * config.assoc;
 
-    // Refilling a resident line is a no-op apart from flag updates.
-    for (std::uint32_t way = 0; way < config.assoc; ++way) {
-        if (tags[base + way] != line_number)
-            continue;
-        if (dirty)
-            flags[base + way] |= kDirty;
-        promote(base, way);
-        return Eviction{};
-    }
-
-    return fillAbsent(base, line_number, prefetch, dirty, ready_at);
-}
-
-Cache::Eviction
-Cache::fillKnownAbsent(Addr addr, bool prefetch, bool dirty,
-                       Cycles ready_at)
-{
-    TARTAN_DCHECK(!probe(addr),
-                  "fillKnownAbsent called on a resident line");
-    const std::uint64_t line_number = addr >> lineBits;
-    const std::size_t base = setIndex(line_number) * config.assoc;
-
-    // Fused fill: one scan selects the victim exactly as victimWay()
-    // would (first invalid way, else the earliest way of strictly
-    // maximal recency), then one write pass retires the eviction, the
-    // insertion aging and the FCP manipulation together. Element for
-    // element this is the fillAbsent() sequence — aging and m(x) touch
-    // disjoint state per way, so pass order cannot change the result.
+    // One scan finds a resident line or, failing that, the victim: the
+    // first invalid way (invalid <=> tag kInvalidTag), otherwise the
+    // earliest way of strictly maximal recency. The scan cannot stop at
+    // an invalid way, because a later way might still hold the line.
     std::uint32_t victim = 0;
     std::uint32_t best = 0;
     bool found = false;
+    bool have_invalid = false;
     for (std::uint32_t way = 0; way < config.assoc; ++way) {
         const std::size_t idx = base + way;
-        if (!(flags[idx] & kValid)) {
-            victim = way;
-            found = false;
-            break;
+        const std::uint64_t tag = tags[idx];
+        if (tag == line_number) {
+            // Refilling a resident line is a no-op apart from flags.
+            if (dirty)
+                flags[idx] |= kDirty;
+            promote(base, way);
+            return Eviction{};
         }
-        if (!found || recency[idx] > best) {
+        if (have_invalid)
+            continue;
+        if (tag == kInvalidTag) {
+            victim = way;
+            have_invalid = true;
+        } else if (!found || recency[idx] > best) {
             best = recency[idx];
             victim = way;
             found = true;
         }
     }
 
-    return finishFill(base, line_number, victim, prefetch, dirty,
-                      ready_at);
-}
-
-Cache::Eviction
-Cache::fillAtWay(Addr addr, std::uint32_t victim_way, bool prefetch,
-                 bool dirty, Cycles ready_at)
-{
-    TARTAN_DCHECK(!probe(addr), "fillAtWay called on a resident line");
-    const std::uint64_t line_number = addr >> lineBits;
-    const std::size_t base = setIndex(line_number) * config.assoc;
-    TARTAN_DCHECK(victim_way == victimWay(base),
-                  "fillAtWay victim is stale (set modified since the "
-                  "selecting scan)");
-    return finishFill(base, line_number, victim_way, prefetch, dirty,
-                      ready_at);
-}
-
-/**
- * Shared fill tail: eviction, insertion aging, FCP manipulation and
- * installation, with the victim already chosen. One write pass; element
- * for element the fillAbsent() sequence.
- */
-Cache::Eviction
-Cache::finishFill(std::size_t base, std::uint64_t line_number,
-                  std::uint32_t victim, bool prefetch, bool dirty,
-                  Cycles ready_at)
-{
+    // One write pass retires the eviction, the insertion aging and the
+    // FCP manipulation together (they touch disjoint state per way).
     const std::size_t vidx = base + victim;
     Eviction ev;
     if (flags[vidx] & kValid) {
@@ -219,6 +131,13 @@ Cache::finishFill(std::size_t base, std::uint64_t line_number,
             recency[idx] += recency[idx] < maxRecency ? 1u : 0u;
         }
     } else {
+        // FCP: age every resident line (saturating at the natural LRU
+        // maximum), then pass every same-region line through m(x),
+        // making regions that already occupy much of the set evict
+        // sooner. The manipulated recency may exceed the natural LRU
+        // maximum (up to manipCeiling) so that an over-occupying
+        // region's lines outrank naturally old lines of other regions
+        // at eviction time.
         const std::uint32_t ceiling = manipCeiling();
         const std::uint64_t region = regionOf(line_number);
         for (std::uint32_t w = 0; w < config.assoc; ++w) {
@@ -239,11 +158,9 @@ Cache::finishFill(std::size_t base, std::uint64_t line_number,
     tags[vidx] = line_number;
     flags[vidx] = static_cast<std::uint8_t>(
         kValid | (dirty ? kDirty : 0) | (prefetch ? kPrefetched : 0));
-    // Dead-store elimination the historical install skips: touched is
-    // only ever read under trackUdm, and readyAt only under the
-    // kPrefetched flag (which every prefetch fill rewrites before
-    // setting), so the unconditional clears would drag two more host
-    // cache lines into every fill for nothing.
+    // touched is only ever read under trackUdm, and readyAt only under
+    // the kPrefetched flag (which every prefetch fill rewrites before
+    // setting), so neither needs clearing otherwise.
     if (config.trackUdm)
         touched[vidx] = 0;
     recency[vidx] = 0;
@@ -252,60 +169,6 @@ Cache::finishFill(std::size_t base, std::uint64_t line_number,
         ++statsData.prefetchFills;
     }
     memoIdx = vidx;
-    return ev;
-}
-
-/** Victim selection + installation tail of the historical fill path. */
-Cache::Eviction
-Cache::fillAbsent(std::size_t base, std::uint64_t line_number,
-                  bool prefetch, bool dirty, Cycles ready_at)
-{
-    const std::uint32_t way = victimWay(base);
-    const std::size_t vidx = base + way;
-    Eviction ev;
-    if (flags[vidx] & kValid) {
-        ev.valid = true;
-        ev.lineAddr = tags[vidx] << lineBits;
-        ev.dirty = (flags[vidx] & kDirty) != 0;
-        evictLine(vidx);
-    }
-    // Insertion: age every resident line (saturating at the natural LRU
-    // maximum) and install the new line at MRU.
-    for (std::uint32_t w = 0; w < config.assoc; ++w) {
-        const std::size_t idx = base + w;
-        if ((flags[idx] & kValid) && recency[idx] < maxRecency)
-            ++recency[idx];
-    }
-    tags[vidx] = line_number;
-    flags[vidx] = static_cast<std::uint8_t>(
-        kValid | (dirty ? kDirty : 0) | (prefetch ? kPrefetched : 0));
-    touched[vidx] = 0;
-    recency[vidx] = 0;
-    readyAt[vidx] = prefetch ? ready_at : 0;
-    memoIdx = vidx;
-    if (prefetch)
-        ++statsData.prefetchFills;
-
-    // FCP: age every same-region line in this set through m(x), making
-    // regions that already occupy much of the set evict sooner. The
-    // manipulated recency may exceed the natural LRU maximum (up to
-    // manipCeiling) so that an over-occupying region's lines outrank
-    // naturally old lines of other regions at eviction time.
-    if (config.fcp) {
-        const std::uint32_t ceiling = manipCeiling();
-        const std::uint64_t region = regionOf(line_number);
-        for (std::uint32_t w = 0; w < config.assoc; ++w) {
-            const std::size_t idx = base + w;
-            if (w == way || !(flags[idx] & kValid))
-                continue;
-            if (regionOf(tags[idx]) == region) {
-                const std::uint32_t manipulated =
-                    config.fcp->apply(recency[idx]);
-                recency[idx] =
-                    manipulated > ceiling ? ceiling : manipulated;
-            }
-        }
-    }
     return ev;
 }
 

@@ -9,14 +9,12 @@
  * the per-access protocol (hit scan, victim scan, LRU aging) streams
  * through one dense row per set instead of striding across fat line
  * records. The default power-of-two and FCP indexing policies are
- * devirtualised, an inline lookup (lookupFast, fronted by a one-entry
- * MRU memo) lets the owning MemPath resolve any demand hit — and prove
- * any miss — without an out-of-line call, and fillKnownAbsent collapses
- * victim selection, eviction, LRU aging and FCP manipulation into one
- * fused pass over the set. All of that is mechanical speedup: the
- * observable behaviour — every stat, every eviction, every replacement
- * decision — is identical to the straightforward set-of-vectors
- * implementation it replaced.
+ * devirtualised. The one lookup (lookup(), fronted by a one-entry MRU
+ * memo) is inline, so the owning MemPath resolves a demand hit without
+ * an out-of-line call, and the one fill retires the residency check,
+ * victim selection, eviction, LRU aging and FCP manipulation in one
+ * scan plus one write pass over the set. tests/golden_cache_test.cc
+ * diffs both against a naive map-of-sets reference model.
  */
 
 #ifndef TARTAN_SIM_CACHE_HH
@@ -124,7 +122,7 @@ struct CacheStats {
 class Cache
 {
   public:
-    /** Result of a demand lookup. */
+    /** Result of a lookup. */
     struct LookupResult {
         bool hit = false;
         bool prefetched = false;  //!< line had been prefetched and unused
@@ -144,189 +142,62 @@ class Cache
     explicit Cache(const CacheParams &params);
 
     /**
-     * Demand access. On a hit the line is promoted to MRU and (for
-     * stores) marked dirty; the caller handles the miss path.
+     * Demand access: lookup() that counts a miss. The caller handles
+     * the miss path.
+     */
+    LookupResult
+    access(Addr addr, AccessType type, std::uint32_t size, Cycles now = 0)
+    {
+        return lookup(addr, type, size, now, true);
+    }
+
+    /**
+     * Look @p addr up. On a hit the line is promoted to MRU, marked
+     * dirty by a store, and its touched bytes recorded (UDM); a hit on
+     * a prefetched-unused line is counted as a prefetch hit and pays
+     * the residual latency of a prefetch still in flight at @p now. A
+     * memo hit skips the set scan and the promotion, because the
+     * memoised line is by construction already at MRU.
      *
      * @param addr byte address
      * @param type load or store
      * @param size access footprint in bytes (UDM accounting)
      * @param now current core cycle (for prefetch-timeliness accounting)
+     * @param count_miss bump the miss counter on a miss. Demand
+     *        accesses count misses; write-backs and write-through
+     *        updates pass false, because they are not demand accesses.
      */
-    LookupResult access(Addr addr, AccessType type, std::uint32_t size,
-                        Cycles now = 0);
-
-    /** Outcome of the inline fast-path lookup (lookupFast). */
-    enum class FastLookup {
-        Hit,    //!< hit resolved in full (stats, dirty, UDM, LRU)
-        Miss,   //!< miss proven and counted; caller skips the L1 lookup
-        Defer,  //!< not handled at all; caller takes the access() path
-    };
-
-    /**
-     * Inline demand-access fast path. A Hit performs exactly what
-     * access() would — the hit counter, dirty marking, UDM accounting
-     * and LRU promotion all happen here; the one-entry MRU memo
-     * short-circuits the common repeat-hit case without even a set
-     * scan (promotion is skipped there only because the memoised line
-     * is by construction already at MRU). A Miss means the set scan
-     * proved the line absent and the miss counter was bumped, so the
-     * caller continues directly with the fill path without calling
-     * access() again. Defer (fast lookup disabled, or a hit on a
-     * prefetched line whose timeliness accounting needs the current
-     * cycle) leaves all state untouched.
-     *
-     * @param count_miss bump the miss counter on a Miss outcome. Demand
-     *        accesses count misses; write-back lookups pass false
-     *        because the historical write-back path (probe + fill)
-     *        never counted one.
-     */
-    FastLookup
-    lookupFast(Addr addr, AccessType type, std::uint32_t size,
-               bool count_miss = true)
+    LookupResult
+    lookup(Addr addr, AccessType type, std::uint32_t size, Cycles now,
+           bool count_miss)
     {
-        if (!fastLookup)
-            return FastLookup::Defer;
         const std::uint64_t line_number = addr >> lineBits;
         // A memo tag match implies same set, same line and a valid way
         // for any indexing policy (the set is a pure function of the
         // line, and invalid ways carry kInvalidTag).
-        const std::size_t m = memoIdx;
-        if (m != kNoMemo && tags[m] == line_number &&
-            !(flags[m] & kPrefetched)) {
-            ++statsData.hits;
-            if (type == AccessType::Store)
-                flags[m] |= kDirty;
-            touchFast(m, addr, size);
-            return FastLookup::Hit;
-        }
+        if (memoIdx != kNoMemo && tags[memoIdx] == line_number)
+            return hitAt(memoIdx, addr, type, size, now);
         const std::size_t base = setIndex(line_number) * config.assoc;
         for (std::uint32_t way = 0; way < config.assoc; ++way) {
             if (tags[base + way] != line_number)
                 continue;
-            const std::size_t idx = base + way;
-            if (flags[idx] & kPrefetched)
-                return FastLookup::Defer;
-            ++statsData.hits;
-            if (type == AccessType::Store)
-                flags[idx] |= kDirty;
-            touchFast(idx, addr, size);
-            promoteFast(base, way);
-            return FastLookup::Hit;
+            const LookupResult res =
+                hitAt(base + way, addr, type, size, now);
+            promote(base, way);
+            return res;
         }
         if (count_miss)
             ++statsData.misses;
-        return FastLookup::Miss;
-    }
-
-    /**
-     * lookupFast() that additionally selects the fill victim during the
-     * same set scan. On a Miss, @p victim_way receives exactly what
-     * victimWay() would return for this set, so the caller can retire
-     * the fill through fillAtWay() without rescanning — valid only
-     * while the set is not modified in between (the caller's contract;
-     * fillAtWay() re-derives the victim in debug builds to check it).
-     * On Hit or Defer @p victim_way is left untouched. Behaviour is
-     * otherwise identical to lookupFast(): the victim bookkeeping reads
-     * only state the miss scan already has in cache.
-     */
-    FastLookup
-    lookupForFill(Addr addr, AccessType type, std::uint32_t size,
-                  bool count_miss, std::uint32_t *victim_way)
-    {
-        if (!fastLookup)
-            return FastLookup::Defer;
-        const std::uint64_t line_number = addr >> lineBits;
-        const std::size_t m = memoIdx;
-        if (m != kNoMemo && tags[m] == line_number &&
-            !(flags[m] & kPrefetched)) {
-            ++statsData.hits;
-            if (type == AccessType::Store)
-                flags[m] |= kDirty;
-            touchFast(m, addr, size);
-            return FastLookup::Hit;
-        }
-        const std::size_t base = setIndex(line_number) * config.assoc;
-        // Victim tracking mirrors victimWay(): the first invalid way
-        // wins outright (invalid ⟺ tag kInvalidTag), otherwise the
-        // earliest way of strictly maximal recency. Unlike victimWay()
-        // the scan cannot stop at an invalid way — a later way might
-        // still hold the line — but when no way does, the choice made
-        // here is exactly victimWay()'s.
-        std::uint32_t victim = 0;
-        std::uint32_t best = 0;
-        bool found = false;
-        bool have_invalid = false;
-        for (std::uint32_t way = 0; way < config.assoc; ++way) {
-            const std::size_t idx = base + way;
-            const std::uint64_t tag = tags[idx];
-            if (tag == line_number) {
-                if (flags[idx] & kPrefetched)
-                    return FastLookup::Defer;
-                ++statsData.hits;
-                if (type == AccessType::Store)
-                    flags[idx] |= kDirty;
-                touchFast(idx, addr, size);
-                promoteFast(base, way);
-                return FastLookup::Hit;
-            }
-            if (have_invalid)
-                continue;
-            if (tag == kInvalidTag) {
-                victim = way;
-                have_invalid = true;
-            } else if (!found || recency[idx] > best) {
-                best = recency[idx];
-                victim = way;
-                found = true;
-            }
-        }
-        if (count_miss)
-            ++statsData.misses;
-        *victim_way = victim;
-        return FastLookup::Miss;
+        return LookupResult{};
     }
 
     /** Check residency without perturbing any state. */
     bool probe(Addr addr) const;
 
     /**
-     * probe() that additionally selects the fill victim during the same
-     * set scan: when the line is absent, @p victim_way receives what
-     * victimWay() would return, under the same unmodified-set contract
-     * as lookupForFill(). Used by the fast prefetch-issue path, whose
-     * historical shape is probe-then-fill. No state is perturbed.
-     */
-    bool
-    probeForFill(Addr addr, std::uint32_t *victim_way) const
-    {
-        const std::uint64_t line_number = addr >> lineBits;
-        const std::size_t base = setIndex(line_number) * config.assoc;
-        std::uint32_t victim = 0;
-        std::uint32_t best = 0;
-        bool found = false;
-        bool have_invalid = false;
-        for (std::uint32_t way = 0; way < config.assoc; ++way) {
-            const std::size_t idx = base + way;
-            const std::uint64_t tag = tags[idx];
-            if (tag == line_number)
-                return true;
-            if (have_invalid)
-                continue;
-            if (tag == kInvalidTag) {
-                victim = way;
-                have_invalid = true;
-            } else if (!found || recency[idx] > best) {
-                best = recency[idx];
-                victim = way;
-                found = true;
-            }
-        }
-        *victim_way = victim;
-        return false;
-    }
-
-    /**
      * Install a line (after fetching it from below). Returns the victim.
+     * Refilling a resident line only promotes it (and marks it dirty
+     * when @p dirty); nothing is evicted.
      *
      * @param prefetch the fill was triggered by a prefetcher
      * @param dirty install in modified state
@@ -334,28 +205,6 @@ class Cache
      */
     Eviction fill(Addr addr, bool prefetch = false, bool dirty = false,
                   Cycles ready_at = 0);
-
-    /**
-     * fill() for a line the caller has proven absent (a lookup or probe
-     * of @p addr just missed and nothing can have installed it since):
-     * skips fill()'s redundant residency scan and retires victim
-     * selection, eviction, LRU aging and FCP manipulation in one fused
-     * pass over the set. Asserted in debug builds; behaviour is
-     * otherwise identical to fill(). Used by the MemPath fast path.
-     */
-    Eviction fillKnownAbsent(Addr addr, bool prefetch = false,
-                             bool dirty = false, Cycles ready_at = 0);
-
-    /**
-     * fillKnownAbsent() with the victim scan already done: @p
-     * victim_way is the way a lookupForFill()/probeForFill() miss on
-     * @p addr selected, and the set has not been modified since, so
-     * this retires the fill in a single write pass. Debug builds
-     * re-derive the victim and assert it matches.
-     */
-    Eviction fillAtWay(Addr addr, std::uint32_t victim_way,
-                       bool prefetch = false, bool dirty = false,
-                       Cycles ready_at = 0);
 
     /** Invalidate a line if present (used by write-through stores). */
     void invalidate(Addr addr);
@@ -406,18 +255,6 @@ class Cache
     /** Register an eviction listener (e.g. ANL region termination). */
     void setEvictionListener(EvictionListener listener);
 
-    /**
-     * Toggle the MRU memo (default on). Off forces every access through
-     * the full lookup; behaviour is identical either way, so this exists
-     * purely for self-benchmarking and equivalence tests.
-     */
-    void
-    setFastLookup(bool on)
-    {
-        fastLookup = on;
-        memoIdx = kNoMemo;
-    }
-
     const CacheParams &params() const { return config; }
     const CacheStats &stats() const { return statsData; }
     CacheStats &stats() { return statsData; }
@@ -453,45 +290,45 @@ class Cache
         // modulus, and setCount is asserted to be a power of two.
         if (stdIndexing)
             return line_number & (setCount - 1);
-        // Fast mode also devirtualises the FCP permutation (a qualified
-        // call inlines the XOR fold); slow mode keeps the historical
-        // virtual dispatch so A/B host timings stay faithful.
-        if (fastLookup && fcpIndex)
+        // The FCP permutation is devirtualised too (a qualified call
+        // inlines the XOR fold).
+        if (fcpIndex)
             return fcpIndex->FcpIndexing::index(line_number, setCount);
         return indexing->index(line_number, setCount);
     }
 
     /** Upper bound on FCP-manipulated recency values. */
     std::uint32_t manipCeiling() const { return 4 * maxRecency + 1; }
-    Eviction fillAbsent(std::size_t base, std::uint64_t line_number,
-                        bool prefetch, bool dirty, Cycles ready_at);
 
-    /** True LRU promotion: lines younger than @p way's age by one.
-     *  Inline so lookupFast hits resolve without an out-of-line call. */
-    void
-    promote(std::size_t set_base, std::uint32_t way)
+    /** Hit bookkeeping of lookup() on flat way @p idx (no promotion). */
+    LookupResult
+    hitAt(std::size_t idx, Addr addr, AccessType type, std::uint32_t size,
+          Cycles now)
     {
-        const std::uint32_t old_rec = recency[set_base + way];
-        for (std::uint32_t w = 0; w < config.assoc; ++w) {
-            const std::size_t idx = set_base + w;
-            if ((flags[idx] & kValid) && recency[idx] < old_rec)
-                ++recency[idx];
+        ++statsData.hits;
+        LookupResult res;
+        res.hit = true;
+        if (flags[idx] & kPrefetched) {
+            res.prefetched = true;
+            ++statsData.prefetchHits;
+            if (readyAt[idx] > now)
+                res.latePenalty = readyAt[idx] - now;
+            flags[idx] &= static_cast<std::uint8_t>(~kPrefetched);
         }
-        recency[set_base + way] = 0;
-        memoIdx = set_base + way;
+        if (type == AccessType::Store)
+            flags[idx] |= kDirty;
+        touch(idx, addr, size);
+        return res;
     }
 
     /**
-     * promote() with the per-way validity branch dropped: an invalid
-     * way's recency is dead state — every reader checks validity before
-     * looking at it — so ageing it is unobservable and the loop becomes
-     * a branchless compare-and-add the compiler can vectorise. The
-     * increment saturates at @p way's old recency exactly as promote()'s
-     * does. Fast-path only; the historical paths keep promote() so slow
-     * -mode host timings stay faithful.
+     * True LRU promotion: lines younger than @p way's age by one. An
+     * invalid way's recency is dead state (every reader checks
+     * validity before looking at it), so it is aged too and the loop
+     * is a branchless compare-and-add the compiler can vectorise.
      */
     void
-    promoteFast(std::size_t set_base, std::uint32_t way)
+    promote(std::size_t set_base, std::uint32_t way)
     {
         const std::uint32_t old_rec = recency[set_base + way];
         for (std::uint32_t w = 0; w < config.assoc; ++w) {
@@ -502,38 +339,11 @@ class Cache
         memoIdx = set_base + way;
     }
 
-    std::uint32_t victimWay(std::size_t set_base) const;
     void evictLine(std::size_t idx);
-    Eviction finishFill(std::size_t base, std::uint64_t line_number,
-                        std::uint32_t victim, bool prefetch, bool dirty,
-                        Cycles ready_at);
 
     /** UDM accounting: mark the 4-byte granules an access covers. */
     void
     touch(std::size_t idx, Addr addr, std::uint32_t size)
-    {
-        if (!config.trackUdm)
-            return;
-        const std::uint32_t off = static_cast<std::uint32_t>(
-            addr & (config.lineBytes - 1));
-        const std::uint32_t first = off / 4;
-        const std::uint32_t last =
-            (off + (size ? size - 1 : 0)) >= config.lineBytes
-                ? (config.lineBytes - 1) / 4
-                : (off + (size ? size - 1 : 0)) / 4;
-        for (std::uint32_t chunk = first; chunk <= last; ++chunk)
-            touched[idx] |= (1ull << chunk);
-    }
-
-    /**
-     * touch() with the granule loop collapsed into one mask OR
-     * (identical resulting bitmap). A full-line access — the common
-     * case when accessRange streams whole lines — otherwise pays a
-     * 16-iteration loop per hit. Fast-path only, so slow-mode host
-     * timings keep the historical per-granule loop.
-     */
-    void
-    touchFast(std::size_t idx, Addr addr, std::uint32_t size)
     {
         if (!config.trackUdm)
             return;
@@ -556,8 +366,8 @@ class Cache
     StandardIndexing defaultIndexing;
     const IndexingPolicy *indexing;
     bool stdIndexing;  //!< default indexing in use: skip the vcall
-    /** Non-null when the policy is FcpIndexing: fast-mode setIndex
-     *  inlines the permutation instead of dispatching virtually. */
+    /** Non-null when the policy is FcpIndexing: setIndex inlines the
+     *  permutation instead of dispatching virtually. */
     const FcpIndexing *fcpIndex = nullptr;
     std::uint32_t setCount;
     std::uint32_t lineBits;
@@ -584,7 +394,6 @@ class Cache
      * memo tag match proves the line is still at recency 0.
      */
     std::size_t memoIdx = kNoMemo;
-    bool fastLookup = true;
     CacheStats statsData;
     EvictionListener evictionListener;
 };

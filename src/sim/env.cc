@@ -54,15 +54,6 @@ RunEnv::parse()
                  "(want > 0)",
                  scale);
     }
-    if (const char *floor = std::getenv("TARTAN_SELFBENCH_FLOOR")) {
-        const double v = std::atof(floor);
-        if (v >= 0)
-            env.selfbenchFloor = v;
-        else
-            warn("env: ignoring invalid TARTAN_SELFBENCH_FLOOR '%s' "
-                 "(want >= 0)",
-                 floor);
-    }
     if (const char *cpi = std::getenv("TARTAN_CPISTACK")) {
         const std::string v = cpi;
         env.cpiStack = !(v == "0" || v == "off" || v == "false");

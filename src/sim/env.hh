@@ -38,14 +38,6 @@ struct RunEnv {
     /** $TARTAN_SELFBENCH_SCALE: workload scale override for selfbench. */
     double selfbenchScale = 1.0;
     /**
-     * $TARTAN_SELFBENCH_FLOOR: minimum acceptable fast/slow geomean
-     * speedup (0 = no gate). When set, selfbench exits non-zero if the
-     * measured geomean falls below it; CI passes the floor recorded in
-     * the committed bench/baselines/BENCH_selfbench.json, turning host
-     * performance regressions of the fast paths into test failures.
-     */
-    double selfbenchFloor = 0.0;
-    /**
      * $TARTAN_CPISTACK: surface per-kernel CPI stacks in BENCH
      * payloads and per-epoch cpi.* trace probes (default on; "0",
      * "off" or "false" disables). The attribution itself is always

@@ -2,23 +2,18 @@
  * @file
  * Flat open-addressed hash table for the per-access hot paths.
  *
- * The miss-path metadata structures (Bingo's active/history tables, the
- * AddrMap first-touch grain table) were std::unordered_map, whose
- * node-per-entry layout costs an allocation per insert and a dependent
- * pointer chase per probe. FlatTable stores entries in one contiguous
- * power-of-two array probed linearly, so the common hit resolves within
- * the cache line the hash lands on and inserts never allocate until the
- * table grows.
+ * Backs the miss-path metadata structures (Bingo's active/history
+ * tables, the AddrMap first-touch grain table). Entries live in one
+ * contiguous power-of-two array probed linearly, so the common hit
+ * resolves within the cache line the hash lands on and inserts never
+ * allocate until the table grows (a node-based std::unordered_map costs
+ * an allocation per insert and a dependent pointer chase per probe).
  *
  * Keys are 64-bit with ~0 reserved as the empty sentinel (asserted on
  * insert; every simulator key — trigger keys, page numbers, grain
  * numbers — is far below it). Deletion uses backward-shift compaction
  * instead of tombstones, so probe chains never accumulate dead slots and
  * lookup cost stays bounded by cluster length at any churn rate.
- *
- * This is a host-side container only: which backend holds the entries is
- * not simulator-observable, which is what lets fast mode swap it in
- * under the fast/slow equivalence harness.
  */
 
 #ifndef TARTAN_SIM_FLAT_TABLE_HH
@@ -52,14 +47,6 @@ class FlatTable
     /** Number of live entries. */
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
-
-    /** Drop every entry, keeping the current capacity. */
-    void
-    clear()
-    {
-        std::fill(keys.begin(), keys.end(), kEmpty);
-        count = 0;
-    }
 
     /** Pointer to the value under @p key, or null when absent. */
     V *
@@ -148,16 +135,6 @@ class FlatTable
         keys[hole] = kEmpty;
         --count;
         return true;
-    }
-
-    /** Invoke fn(key, value) for every live entry (unspecified order). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            if (keys[i] != kEmpty)
-                fn(keys[i], values[i]);
     }
 
   private:

@@ -4,20 +4,13 @@
  * an L2-attached prefetcher, write-through (MTRR-style) ranges, and
  * selective-caching (no-allocate) ranges.
  *
- * Hot path: access() is inline. With no fault injector, trace session
- * or host profiler attached it resolves an L1 hit with one TLB probe
- * (AddrMap::translate) plus one inline lookup (Cache::lookupFast) and
- * no out-of-line call, and routes a proven L1 miss into a batched miss
- * transaction (accessMissFast): inline L2/L3 lookups, fused
- * known-absent fills, and an L2->L3 victim write-back chain collected
- * into a per-miss scratch record and retired through a coalesced
- * write-back queue once the fills are done, instead of interleaving a
- * probe/fill ping-pong per victim. Everything else falls through to
- * the full hierarchy walk in accessHooked(). The fast paths are
- * observationally equivalent: every stats counter, trace event and
- * latency they produce is bit-identical to the slow path
- * (setFastPath(false) forces the historical code for A/B runs and
- * equivalence tests).
+ * One hierarchy walk serves every access. access() is inline: it
+ * translates through the AddrMap TLB and resolves an L1 hit with one
+ * inline Cache::lookup and no out-of-line call. An L1 miss continues
+ * in accessMiss(): L2 lookup, prefetch issue, L3 fetch, fills and the
+ * victim write-back chain, in that order. The fault, trace and uncore
+ * hooks are null-checked branches at the points where they act, so a
+ * path with none attached pays one predictable branch per hook.
  */
 
 #ifndef TARTAN_SIM_MEMSYSTEM_HH
@@ -29,17 +22,16 @@
 
 #include "sim/addrmap.hh"
 #include "sim/cache.hh"
+#include "sim/fault.hh"
 #include "sim/prefetcher.hh"
+#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
 
 class CaptureSession;
-class FaultInjector;
 class StatsGroup;
-class TraceSession;
 class Uncore;
-struct HostProfiler;
 
 /** Configuration of one core's memory path. */
 struct MemPathParams {
@@ -91,43 +83,14 @@ class MemPath
     /**
      * Perform a demand access and return the observed latency.
      *
-     * Inline fast path: translate through the AddrMap TLB, then resolve
-     * an L1 memo hit in place. Falls back to the full hierarchy walk
-     * whenever the memo misses, a WT range might match a store, or an
-     * observer (faults / trace / host profiler) is attached.
-     *
      * @param now current core cycle (prefetch timeliness)
      */
     AccessResult
     access(Addr addr, AccessType type, std::uint32_t size, PcId pc,
            Cycles now)
     {
-        if (hostProf)
-            return accessProfiled(addr, type, size, pc, now);
         const Addr sim = addrMap ? addrMap->translate(addr) : addr;
-        if (fastPath && !faults && !trace && !uncoreHook &&
-            (type != AccessType::Store || wtRanges.empty() ||
-             !inRange(wtRanges, addr))) {
-            std::uint32_t l1_victim = 0;
-            const auto looked =
-                l1Cache.lookupForFill(sim, type, size, true, &l1_victim);
-            if (looked == Cache::FastLookup::Hit) {
-                AccessResult result;
-                result.latency = config.l1.latency;
-                result.level = MemLevel::L1;
-                return result;
-            }
-            if (looked == Cache::FastLookup::Miss) {
-                // The inline lookup already proved and counted the L1
-                // miss — and selected the fill victim; continue with
-                // the walk below it.
-                AccessResult result;
-                result.latency = config.l1.latency;
-                return accessMissFast(addr, sim, type, size, pc, now,
-                                      result, l1_victim);
-            }
-        }
-        return accessHooked(addr, sim, type, size, pc, now);
+        return accessAt(addr, sim, type, size, pc, now);
     }
 
     /**
@@ -187,11 +150,10 @@ class MemPath
 
     /**
      * Attach this path to a shared uncore as core @p core_id (must
-     * match the id the uncore's attach() returned for this path). A
-     * coherent path takes the hooked hierarchy walk on every access —
-     * store upgrades, miss snoops, crossbar hops and banked DRAM
-     * timing all resolve through the uncore — while a path with no
-     * uncore runs the exact pre-multi-core code, fast paths included.
+     * match the id the uncore's attach() returned for this path). On a
+     * coherent path store upgrades, miss snoops, crossbar hops and
+     * banked DRAM timing all resolve through the uncore; a path with no
+     * uncore has the exact pre-multi-core timing.
      */
     void
     attachUncore(Uncore *uncore, std::uint32_t core_id)
@@ -202,37 +164,6 @@ class MemPath
 
     /** The attached uncore, or null on a single-core path. */
     Uncore *uncore() { return uncoreHook; }
-
-    /**
-     * Attach (or detach, with nullptr) a host-time profiler: every
-     * demand access is timed per pipeline layer (translate / cache /
-     * prefetch). Purely observational on the modeled state; profiled
-     * accesses take the full lookup path, so the breakdown reflects
-     * the unmemoized pipeline.
-     */
-    void setHostProfiler(HostProfiler *prof) { hostProf = prof; }
-
-    /**
-     * Toggle the whole fast-path stack (default on): the inline
-     * L1/L2/L3 lookups, the cache-side MRU memos, the merged miss walk
-     * (accessMissFast), the AddrMap single-probe TLB and the
-     * accessRange segment hoist. Off restores the historical code paths
-     * bit-for-bit; behaviour is identical either way, so this exists
-     * purely for self-benchmarking and equivalence tests. The shared L3
-     * is toggled too, so configure every path of a system identically.
-     */
-    void
-    setFastPath(bool on)
-    {
-        fastPath = on;
-        l1Cache.setFastLookup(on);
-        l2Cache.setFastLookup(on);
-        l3Cache->setFastLookup(on);
-        if (addrMap)
-            addrMap->setFastPath(on);
-        if (pf)
-            pf->setFastMode(on);
-    }
 
     /** Declare a write-through (MTRR WT) range [base, base+bytes). */
     void addWriteThroughRange(Addr base, std::size_t bytes);
@@ -283,65 +214,74 @@ class MemPath
         return false;
     }
 
-    /** access() after translation: @p host drives the range checks,
-     *  @p sim is what the caches see. */
-    AccessResult accessHooked(Addr host, Addr sim, AccessType type,
-                              std::uint32_t size, PcId pc, Cycles now);
-    AccessResult accessImpl(Addr host, Addr sim, AccessType type,
-                            std::uint32_t size, PcId pc, Cycles now);
-    /** accessImpl after an L1 miss: L2 lookup, prefetch, fills.
-     *  @p result carries the latency accumulated so far. */
-    AccessResult accessBelowL1(Addr host, Addr sim, AccessType type,
-                               std::uint32_t size, PcId pc, Cycles now,
-                               AccessResult result);
     /**
-     * Fast-path twin of accessBelowL1, reachable only after the inline
-     * L1 lookup proved (and counted) the miss with no fault injector,
-     * trace session or host profiler attached. Runs the miss as one
-     * batched transaction over the `txn` scratch record: inline L2/L3
-     * lookups, fused known-absent fills, and every L3 write-back the
-     * demand fill chain produces coalesced into txn.l3Writebacks and
-     * retired FIFO by flushL3Writebacks once the fills are done. The
-     * queue holds only write-backs ordered *after* every inline L3
-     * operation of the transaction (the prefetch fetches and the
-     * demand fetch), so the L3 observes exactly the historical
-     * per-cache operation sequence. Observable state is bit-identical
-     * to accessBelowL1.
-     *
-     * @param l1_victim the L1 victim way the caller's lookupForFill
-     *        miss selected; still current at the L1 fill because the
-     *        transaction touches only the L2/L3 before it.
+     * access() after translation: @p host drives the range checks,
+     * @p sim is what the caches see. The one hierarchy walk; every
+     * hook acts here or in accessMiss() at the point it models.
      */
-    AccessResult accessMissFast(Addr host, Addr sim, AccessType type,
-                                std::uint32_t size, PcId pc, Cycles now,
-                                AccessResult result,
-                                std::uint32_t l1_victim);
-    /** fetchThroughL3 with an inline L3 lookup and known-absent fill. */
-    Cycles fetchThroughL3Fast(Addr addr, Cycles now);
-    /** issuePrefetches with known-absent L2 fills (fast path only). */
-    void issuePrefetchesFast(const std::vector<Addr> &targets,
-                             Cycles now);
-    /** Retire txn.l3Writebacks in FIFO order via the fused L3 path. */
-    void flushL3Writebacks(Cycles now);
-    /** access() with per-layer host timing (hostProf attached). */
-    AccessResult accessProfiled(Addr addr, AccessType type,
-                                std::uint32_t size, PcId pc, Cycles now);
+    AccessResult
+    accessAt(Addr host, Addr sim, AccessType type, std::uint32_t size,
+             PcId pc, Cycles now)
+    {
+        if (faults) {
+            // Cell-layer faults first: an injected crash/hang models
+            // the whole run dying *at* this access, so no further state
+            // of this access should be mutated when it fires.
+            faults->cellFault();
+        }
+        AccessResult result;
+        if (type == AccessType::Store && !wtRanges.empty() &&
+            inRange(wtRanges, host)) {
+            writeThroughStore(sim, size, now, result);
+        } else {
+            result.latency = config.l1.latency;
+            if (uncoreHook && type == AccessType::Store)
+                upgradeShared(sim, result);
+            if (l1Cache.access(sim, type, size, now).hit)
+                result.level = MemLevel::L1;
+            else
+                accessMiss(host, sim, type, size, pc, now, result);
+        }
+        if (faults) {
+            // Tagged as well as added: the CPI stack must charge
+            // injected spikes to the fault category, not to the
+            // hierarchy level the access happened to be serviced from.
+            const Cycles penalty = faults->memPenalty();
+            result.latency += penalty;
+            result.faultCycles += penalty;
+        }
+        if (trace)
+            trace->pcAccess(pc, result.level, type);
+        return result;
+    }
+
+    /**
+     * Write-through store: update resident copies without dirtying,
+     * stream the store to memory, and never allocate.
+     */
+    void writeThroughStore(Addr sim, std::uint32_t size, Cycles now,
+                           AccessResult &result);
+    /**
+     * Store on a coherent path: a line this hierarchy holds in Shared
+     * state must acquire ownership before the store can dirty it.
+     */
+    void upgradeShared(Addr sim, AccessResult &result);
+    /**
+     * The walk below a proven L1 miss: L2 lookup, prefetch issue, the
+     * uncore snoop, the L3 fetch, the fills and their write-back chain.
+     * @p result carries the latency accumulated so far.
+     */
+    void accessMiss(Addr host, Addr sim, AccessType type,
+                    std::uint32_t size, PcId pc, Cycles now,
+                    AccessResult &result);
+    /** Issue the prefetch candidates collected in pfTargets. */
+    void issuePrefetches(Cycles now);
+    /** Write a dirty L1 victim back into the L2. */
     void writebackToL2(Addr line_addr, Cycles now);
+    /** Write a dirty L2 victim back into the L3. */
     void writebackToL3(Addr line_addr, Cycles now);
-    /**
-     * writebackToL2 with one inline lookup replacing the probe +
-     * access/fill pair (fast path only). An L3 write-back produced by
-     * the L2 victim is appended to txn.l3Writebacks instead of being
-     * performed inline; the owning miss transaction flushes the queue.
-     */
-    void writebackToL2Fast(Addr line_addr, Cycles now);
-    /** writebackToL3 with one inline lookup replacing the probe +
-     *  access/fill pair (fast path only). Flushes any queued
-     *  write-backs first so the L3 operation order stays historical. */
-    void writebackToL3Fast(Addr line_addr, Cycles now);
     /** Fetch a line into L3 if absent; returns latency beyond L2. */
     Cycles fetchThroughL3(Addr addr, Cycles now);
-    void issuePrefetches(const std::vector<Addr> &targets, Cycles now);
     /** Largest beyond-L2 latency an L3 hit can cost (level split). */
     Cycles l3HitCeiling() const;
 
@@ -351,29 +291,19 @@ class MemPath
     Cache *l3Cache;
     TraceSession *trace = nullptr;  //!< observability hook (not owned)
     FaultInjector *faults = nullptr;  //!< fault-injection hook (not owned)
-    HostProfiler *hostProf = nullptr; //!< self-profiling hook (not owned)
     CaptureSession *capture = nullptr; //!< capture hook (not owned)
     Uncore *uncoreHook = nullptr;  //!< shared uncore (not owned)
     std::uint32_t pathId = 0;      //!< this path's core id at the uncore
-    bool fastPath = true;  //!< inline memo + TLB + span hoist enabled
     std::unique_ptr<Prefetcher> pf;
     std::unique_ptr<AddrMap> addrMap;  //!< null = host addresses pass through
     std::vector<Range> wtRanges;
     std::vector<Range> noAllocRanges;
-    std::vector<Addr> pfQueue;  //!< reused scratch buffer (slow path)
-
     /**
-     * Per-miss transaction scratch of the fast path: the prefetch
-     * candidates the L2 observation produced and the L3 write-backs
-     * coalesced out of the demand fill chain. Member state (not locals)
-     * so the buffers' capacity persists across misses and the hot path
-     * stays allocation-free after warm-up.
+     * Prefetch candidates of the current miss. A member, not a local,
+     * so its capacity persists and the walk stays allocation-free
+     * after warm-up.
      */
-    struct MissTxn {
-        std::vector<Addr> pfTargets;     //!< prefetcher proposals
-        std::vector<Addr> l3Writebacks;  //!< coalesced write-back queue
-    };
-    MissTxn txn;
+    std::vector<Addr> pfTargets;
     bool drainAccounted = false;  //!< drainDirty already ran (idempotence)
 };
 

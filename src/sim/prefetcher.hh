@@ -53,15 +53,6 @@ class Prefetcher
     /** A valid line was evicted from the cache being prefetched into. */
     virtual void onEviction(Addr line_addr) { (void)line_addr; }
 
-    /**
-     * Fast-path toggle, propagated from MemPath::setFastPath.
-     * Implementations may swap their metadata tables onto a faster
-     * host-side representation (e.g. Bingo's flat open-addressed
-     * backend); the prediction stream must stay bit-identical in either
-     * mode, so the default is a no-op.
-     */
-    virtual void setFastMode(bool on) { (void)on; }
-
     /** Metadata storage footprint in bits (for overhead tables). */
     virtual std::uint64_t storageBits() const = 0;
 

@@ -365,15 +365,13 @@ describeCell(std::string_view robot, const MachineSpec &spec,
        << spec.npuCfg.macDrainLatency << "/" << spec.npuCfg.commLatency
        << "/" << spec.npuCfg.coprocCommLatency << "/"
        << int(spec.npuCfg.placement) << ";wt=" << spec.wtQueues
-       // Workload options (observational hooks excluded: trace and
-       // hostProf never change results; fastAccessPath is proven
-       // equivalent but included for strictness).
+       // Workload options (observational hooks excluded: trace never
+       // changes results).
        << ";tier=" << int(opt.tier)
        << ";scale=" << encodeDouble(opt.scale) << ";seed=" << opt.seed
        << ";nns=" << int(opt.nns) << "/" << opt.nnsExplicit
        << ";oriented=" << int(opt.oriented)
-       << ";swnn=" << opt.softwareNeural
-       << ";fast=" << opt.fastAccessPath;
+       << ";swnn=" << opt.softwareNeural;
     if (!salt.empty())
         os << ";salt=" << salt;
     return os.str();

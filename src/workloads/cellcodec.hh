@@ -25,8 +25,8 @@
  *
  * describeCell() renders the complete simulated configuration of a
  * cell — every MachineSpec and WorkloadOptions field that can change
- * a result, excluding the observational hooks (trace, host profiler)
- * — into a canonical text whose FNV-1a 64 hash is the cell's content
+ * a result, excluding the observational hook (trace) — into a
+ * canonical text whose FNV-1a 64 hash is the cell's content
  * address.
  */
 

@@ -89,11 +89,6 @@ Machine::Machine(const MachineSpec &spec, tartan::sim::TraceSession *trace,
 Machine::Machine(const MachineSpec &spec, const WorkloadOptions &opt)
     : Machine(spec, opt.trace, opt.faults)
 {
-    // Every path of a system must share one fast-path setting (the L3
-    // toggle is path-driven); observational hooks stay on core 0.
-    for (std::size_t i = 0; i < sys->coreCount(); ++i)
-        sys->mem(i).setFastPath(opt.fastAccessPath);
-    sys->mem().setHostProfiler(opt.hostProf);
     if (opt.capture) {
         sys->core().attachCapture(opt.capture);
         sys->mem().setCapture(opt.capture);

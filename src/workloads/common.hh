@@ -20,7 +20,6 @@
 #include "sim/arena.hh"
 #include "sim/capture.hh"
 #include "sim/fault.hh"
-#include "sim/hostprof.hh"
 #include "sim/system.hh"
 #include "sim/trace.hh"
 
@@ -94,23 +93,6 @@ struct WorkloadOptions {
     tartan::sim::FaultInjector *faults = nullptr;
 
     /**
-     * Host-side per-layer profiler for the access pipeline (not owned;
-     * null = off). Attached to the MemPath by Machine; used by
-     * bench/selfbench for the translate/cache/prefetch breakdown.
-     * Observationally inert: the modeled stats are bit-identical with
-     * and without it.
-     */
-    tartan::sim::HostProfiler *hostProf = nullptr;
-
-    /**
-     * Use the inlined hot path (AddrMap TLB single probe, L1 MRU memo,
-     * accessRange segment hoist). Off forces the historical slow path;
-     * results are bit-identical either way. Exists for selfbench A/B
-     * runs and equivalence tests.
-     */
-    bool fastAccessPath = true;
-
-    /**
      * Capture session recording this run's Core-boundary op stream for
      * later replay (not owned; null = no capture). Wired into the core
      * and memory path by Machine. Purely observational: a captured run
@@ -156,8 +138,8 @@ class Machine
                      tartan::sim::FaultInjector *faults = nullptr);
 
     /**
-     * Convenience: wires the trace, fault and host-profiler hooks and
-     * the fast-path toggle from @p opt.
+     * Convenience: wires the trace, fault and capture hooks from
+     * @p opt.
      */
     Machine(const MachineSpec &spec, const WorkloadOptions &opt);
 

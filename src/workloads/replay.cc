@@ -50,11 +50,10 @@ replayCompatible(const MachineSpec &cap_spec,
         cap_opt.softwareNeural != opt.softwareNeural)
         return false;
     // Observation hooks see events replay does not re-raise (per-PC
-    // timelines, sensor faults, host-layer profiles); a hooked cell
-    // must run directly.
-    if (cap_opt.trace || cap_opt.faults || cap_opt.hostProf)
+    // timelines, sensor faults); a hooked cell must run directly.
+    if (cap_opt.trace || cap_opt.faults)
         return false;
-    if (opt.trace || opt.faults || opt.hostProf)
+    if (opt.trace || opt.faults)
         return false;
     return true;
 }
@@ -215,7 +214,6 @@ replayTrace(const CaptureTrace &trace, const MachineSpec &spec,
     WorkloadOptions ropt = opt;
     ropt.trace = nullptr;
     ropt.faults = nullptr;
-    ropt.hostProf = nullptr;
     ropt.capture = nullptr;
 
     Machine machine(spec, ropt);
@@ -233,7 +231,6 @@ replayFleet(const std::vector<const CaptureTrace *> &traces,
     WorkloadOptions ropt = opt;
     ropt.trace = nullptr;
     ropt.faults = nullptr;
-    ropt.hostProf = nullptr;
     ropt.capture = nullptr;
 
     MachineSpec fspec = spec;

@@ -2,9 +2,9 @@
  * @file
  * CPI-stack accounting tests: the deterministic stall split, the
  * taxonomy name round-trip, the per-kernel and machine-wide
- * sum-to-total invariants on real robot runs, fast/slow category
- * identity, and fault-injection attribution (spikes must land in
- * `fault`, never inflate the DRAM category).
+ * sum-to-total invariants on real robot runs, and fault-injection
+ * attribution (spikes must land in `fault`, never inflate the DRAM
+ * category).
  */
 
 #include <gtest/gtest.h>
@@ -208,23 +208,6 @@ TEST(CpiWorkload, ReservedCategoriesStayStructurallyZero)
         EXPECT_EQ(k.cpi[CpiCat::Tlb], 0u) << "kernel " << k.name;
         EXPECT_EQ(k.cpi[CpiCat::Writeback], 0u) << "kernel " << k.name;
         EXPECT_EQ(k.cpi[CpiCat::Anl], 0u) << "kernel " << k.name;
-    }
-}
-
-TEST(CpiWorkload, FastAndSlowPathsChargeIdenticalCategories)
-{
-    WorkloadOptions fast = smallRun();
-    WorkloadOptions slow = smallRun();
-    slow.fastAccessPath = false;
-
-    const RunResult a = runDeliBot(MachineSpec::baseline(), fast);
-    const RunResult b = runDeliBot(MachineSpec::baseline(), slow);
-    ASSERT_EQ(a.kernels.size(), b.kernels.size());
-    for (std::size_t i = 0; i < a.kernels.size(); ++i) {
-        EXPECT_EQ(a.kernels[i].name, b.kernels[i].name);
-        EXPECT_EQ(a.kernels[i].cycles, b.kernels[i].cycles);
-        EXPECT_TRUE(a.kernels[i].cpi == b.kernels[i].cpi)
-            << "kernel " << a.kernels[i].name;
     }
 }
 

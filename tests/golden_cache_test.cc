@@ -1,16 +1,25 @@
 /**
  * @file
  * Golden-model check: the set-associative cache is driven with long
- * randomized access/fill traces and compared, access by access,
- * against an obviously-correct LRU reference implementation. Run for
- * several geometries (associativity x line size) as a property sweep.
+ * randomized traces and compared, operation by operation, against an
+ * obviously-correct reference implementation. The reference models the
+ * whole Cache contract — LRU replacement, dirty evictions, prefetch
+ * fills with their ready cycle (timely and late hits, prefetched lines
+ * evicted unused), UDM byte accounting, and FCP indexing plus the m(x)
+ * replacement manipulation — with one plain pass per protocol step.
+ * Run for several geometries (associativity x line size) as a property
+ * sweep, and for each FCP manipulation function.
  */
 
 #include <gtest/gtest.h>
 
-#include <list>
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "sim/cache.hh"
 #include "sim/rng.hh"
@@ -19,58 +28,220 @@ namespace {
 
 using namespace tartan::sim;
 
-/** An obviously-correct LRU cache over (set -> list of line numbers). */
+/**
+ * An obviously-correct cache: a map of sets, each a vector of ways
+ * carrying an explicit LRU recency (0 = MRU). No memo, no fused passes,
+ * no flat arrays: every protocol step is its own loop, written straight
+ * from the specification.
+ */
 class ReferenceLru
 {
   public:
-    ReferenceLru(std::uint32_t sets, std::uint32_t assoc,
-                 std::uint32_t line_bytes)
-        : numSets(sets), ways(assoc), lineBytes(line_bytes)
+    /** Outcome of a lookup (mirrors Cache::LookupResult). */
+    struct Result {
+        bool hit = false;
+        bool prefetched = false;
+        Cycles latePenalty = 0;
+    };
+
+    /** The displaced line of a fill (mirrors Cache::Eviction). */
+    struct Victim {
+        bool valid = false;
+        Addr lineAddr = 0;
+        bool dirty = false;
+    };
+
+    explicit ReferenceLru(const CacheParams &params)
+        : config(params),
+          numSets(params.sizeBytes / (params.assoc * params.lineBytes))
     {
     }
 
-    bool
-    access(Addr addr)
+    /** Demand or write-back lookup (count_miss=false for the latter). */
+    Result
+    access(Addr addr, bool store = false, std::uint32_t size = 4,
+           Cycles now = 0, bool count_miss = true)
     {
-        auto &set = data[setOf(addr)];
-        const std::uint64_t line = addr / lineBytes;
-        for (auto it = set.begin(); it != set.end(); ++it) {
-            if (*it == line) {
-                set.erase(it);
-                set.push_front(line);
-                return true;
+        const std::uint64_t line = addr / config.lineBytes;
+        auto &set = setOf(line);
+        for (Way &w : set) {
+            if (!w.valid || w.line != line)
+                continue;
+            ++stats.hits;
+            Result res;
+            res.hit = true;
+            if (w.prefetched) {
+                res.prefetched = true;
+                ++stats.prefetchHits;
+                res.latePenalty = w.readyAt > now ? w.readyAt - now : 0;
+                w.prefetched = false;
+            }
+            if (store)
+                w.dirty = true;
+            touch(w, addr, size);
+            // Promote: every valid line younger than the hit line ages.
+            for (Way &o : set)
+                if (o.valid && o.recency < w.recency)
+                    ++o.recency;
+            w.recency = 0;
+            return res;
+        }
+        if (count_miss)
+            ++stats.misses;
+        return Result{};
+    }
+
+    /** Install a line; a resident line is only promoted (and dirtied). */
+    Victim
+    fill(Addr addr, bool prefetch = false, bool dirty = false,
+         Cycles ready_at = 0)
+    {
+        const std::uint64_t line = addr / config.lineBytes;
+        auto &set = setOf(line);
+        for (Way &w : set) {
+            if (!w.valid || w.line != line)
+                continue;
+            w.dirty = w.dirty || dirty;
+            for (Way &o : set)
+                if (o.valid && o.recency < w.recency)
+                    ++o.recency;
+            w.recency = 0;
+            return Victim{};
+        }
+
+        // Victim: the first invalid way, else the earliest way of
+        // maximal recency.
+        std::size_t victim = set.size();
+        for (std::size_t i = 0; i < set.size() && victim == set.size(); ++i)
+            if (!set[i].valid)
+                victim = i;
+        if (victim == set.size()) {
+            victim = 0;
+            for (std::size_t i = 1; i < set.size(); ++i)
+                if (set[i].recency > set[victim].recency)
+                    victim = i;
+        }
+
+        Victim out;
+        Way &v = set[victim];
+        if (v.valid) {
+            out = Victim{true, v.line * config.lineBytes, v.dirty};
+            ++stats.evictions;
+            stats.dirtyEvictions += v.dirty;
+            stats.prefetchUnused += v.prefetched;
+            if (config.trackUdm) {
+                stats.udmFetchedBytes += config.lineBytes;
+                stats.udmUsedBytes += 4 * v.granules.size();
+            }
+            v = Way{};
+        }
+
+        // Age every resident line, saturating at the natural maximum.
+        for (Way &o : set)
+            if (o.valid && o.recency < config.assoc - 1)
+                ++o.recency;
+        // FCP: pass every same-region line through m(x), clamped.
+        if (config.fcp) {
+            const std::uint32_t ceiling = 4 * (config.assoc - 1) + 1;
+            for (Way &o : set) {
+                if (!o.valid || regionOf(o.line) != regionOf(line))
+                    continue;
+                o.recency = std::min(config.fcp->apply(o.recency), ceiling);
             }
         }
+
+        v.valid = true;
+        v.line = line;
+        v.recency = 0;
+        v.dirty = dirty;
+        v.prefetched = prefetch;
+        v.readyAt = ready_at;
+        if (prefetch)
+            ++stats.prefetchFills;
+        return out;
+    }
+
+    /** Residency check. */
+    bool
+    probe(Addr addr)
+    {
+        const std::uint64_t line = addr / config.lineBytes;
+        for (const Way &w : setOf(line))
+            if (w.valid && w.line == line)
+                return true;
         return false;
     }
 
-    void
-    fill(Addr addr)
+    /** Resident lines matching @p pred. */
+    template <typename Pred>
+    std::uint64_t
+    countLines(Pred pred) const
     {
-        auto &set = data[setOf(addr)];
-        const std::uint64_t line = addr / lineBytes;
-        for (auto it = set.begin(); it != set.end(); ++it)
-            if (*it == line) {
-                set.erase(it);
-                set.push_front(line);
-                return;
-            }
-        set.push_front(line);
-        if (set.size() > ways)
-            set.pop_back();
+        std::uint64_t n = 0;
+        for (const auto &[index, set] : sets)
+            for (const Way &w : set)
+                n += w.valid && pred(w);
+        return n;
     }
+
+    std::uint64_t
+    dirtyLines() const
+    {
+        return countLines([](const Way &w) { return w.dirty; });
+    }
+
+    std::uint64_t
+    prefetchedLines() const
+    {
+        return countLines([](const Way &w) { return w.prefetched; });
+    }
+
+    CacheStats stats;
 
   private:
-    std::uint64_t
-    setOf(Addr addr) const
+    struct Way {
+        bool valid = false;
+        std::uint64_t line = 0;
+        std::uint32_t recency = 0;
+        bool dirty = false;
+        bool prefetched = false;
+        Cycles readyAt = 0;
+        std::set<std::uint32_t> granules;  //!< touched 4-byte granules
+    };
+
+    std::vector<Way> &
+    setOf(std::uint64_t line)
     {
-        return (addr / lineBytes) % numSets;
+        const std::uint64_t index =
+            config.indexing ? config.indexing->index(line, numSets)
+                            : line % numSets;
+        auto &set = sets[index];
+        if (set.empty())
+            set.resize(config.assoc);
+        return set;
     }
 
-    std::uint32_t numSets;
-    std::uint32_t ways;
-    std::uint32_t lineBytes;
-    std::map<std::uint64_t, std::list<std::uint64_t>> data;
+    std::uint64_t
+    regionOf(std::uint64_t line) const
+    {
+        return line / (config.fcp->regionBytes / config.lineBytes);
+    }
+
+    void
+    touch(Way &w, Addr addr, std::uint32_t size)
+    {
+        if (!config.trackUdm)
+            return;
+        const std::uint32_t off = addr % config.lineBytes;
+        const std::uint32_t last =
+            std::min(off + (size ? size - 1 : 0), config.lineBytes - 1);
+        for (std::uint32_t b = off; b <= last; ++b)
+            w.granules.insert(b / 4);
+    }
+
+    CacheParams config;
+    std::uint64_t numSets;
+    std::map<std::uint64_t, std::vector<Way>> sets;
 };
 
 class GoldenCacheSweep
@@ -88,7 +259,7 @@ TEST_P(GoldenCacheSweep, MatchesReferenceOnRandomTrace)
     params.assoc = assoc;
     params.lineBytes = line;
     Cache cache(params);
-    ReferenceLru ref(params.sizeBytes / (assoc * line), assoc, line);
+    ReferenceLru ref(params);
 
     Rng rng(assoc * 1000 + line);
     // A footprint a few times the cache size, with hot/cold skew.
@@ -101,7 +272,7 @@ TEST_P(GoldenCacheSweep, MatchesReferenceOnRandomTrace)
             hot ? rng.uniformInt(hot_span)
                 : hot_span + rng.uniformInt(cold_span);
         const bool got = cache.access(addr, AccessType::Load, 4).hit;
-        const bool want = ref.access(addr);
+        const bool want = ref.access(addr).hit;
         ASSERT_EQ(got, want) << "step " << step << " addr " << addr;
         if (!got) {
             cache.fill(addr);
@@ -154,117 +325,160 @@ TEST(GoldenCache, FillEvictionsMatchReferenceOccupancy)
 }
 
 /**
- * The inline fast path (lookupFast + fillKnownAbsent) must be
- * observationally identical to the historical access() + fill() pair:
- * same per-access outcomes and, at the end of a long randomized trace
- * with stores, prefetch fills and UDM tracking, bit-identical stats.
- * Run once with standard indexing and once with FCP indexing plus
- * replacement manipulation, so the devirtualised index and the
- * mask-based UDM touch are both exercised against their historical
- * counterparts.
+ * Fixture driving one Cache and one ReferenceLru with the same
+ * randomized mix of the operations the memory path issues: demand
+ * loads and stores of varying size, write-back lookups (no miss
+ * counted) with dirty fills, and prefetch fills whose ready cycle lies
+ * in the future, so later demand hits land both timely and late.
  */
-TEST(GoldenCache, FastLookupEquivalentToHistoricalAccess)
+class CacheReference : public ::testing::Test
 {
-    FcpIndexing fcp_index(1024, 64, 1);
-    FcpReplacement fcp;
-    for (int variant = 0; variant < 2; ++variant) {
-        CacheParams params;
+  protected:
+    /** Build both models for @p params (UDM tracking always on). */
+    void
+    build(CacheParams params)
+    {
         params.sizeBytes = 8 * 1024;
         params.assoc = 8;
         params.lineBytes = 64;
         params.trackUdm = true;
-        if (variant == 1) {
-            params.indexing = &fcp_index;
-            params.fcp = &fcp;
-        }
-        Cache fast(params);
-        Cache slow(params);
-        fast.setFastLookup(true);
-        slow.setFastLookup(false);
+        cache = std::make_unique<Cache>(params);
+        ref = std::make_unique<ReferenceLru>(params);
+    }
 
-        Rng rng(7 + variant);
+    /** Run @p steps random operations; every outcome must agree. */
+    void
+    drive(std::uint64_t seed, int steps)
+    {
+        Rng rng(seed);
         Cycles now = 0;
-        for (int step = 0; step < 30000; ++step) {
+        for (int step = 0; step < steps; ++step) {
             now += 4;
-            if (rng.uniform() < 0.1) {
-                // A prefetch fill, so some lookups land on
-                // prefetched-unused lines (the Defer outcome).
-                const Addr pf_addr = rng.uniformInt(64 * 1024);
-                if (!fast.probe(pf_addr)) {
-                    fast.fill(pf_addr, true, false, now + 20);
-                    slow.fill(pf_addr, true, false, now + 20);
+            const Addr addr = rng.uniformInt(kSpan);
+            const double op = rng.uniform();
+            if (op < 0.1) {
+                // Prefetch fill, ready a little later.
+                if (cache->probe(addr) != ref->probe(addr))
+                    FAIL() << "probe diverged at step " << step;
+                if (!cache->probe(addr)) {
+                    const Cycles ready = now + rng.uniformInt(40);
+                    expectSame(cache->fill(addr, true, false, ready),
+                               ref->fill(addr, true, false, ready), step);
                 }
                 continue;
             }
-            const Addr addr = rng.uniformInt(64 * 1024);
-            const bool store = rng.uniform() < 0.3;
+            const bool writeback = op < 0.2;
+            const bool store = writeback || rng.uniform() < 0.3;
             const AccessType type =
                 store ? AccessType::Store : AccessType::Load;
-            const std::uint32_t size = 4u << rng.uniformInt(3);
-
-            // Fast side: the MemPath fast-path protocol.
-            bool fast_hit;
-            switch (fast.lookupFast(addr, type, size)) {
-              case Cache::FastLookup::Hit:
-                fast_hit = true;
-                break;
-              case Cache::FastLookup::Miss:
-                fast_hit = false;
-                fast.fillKnownAbsent(addr, false, store);
-                break;
-              case Cache::FastLookup::Defer:
-              default:
-                fast_hit = fast.access(addr, type, size, now).hit;
-                if (!fast_hit)
-                    fast.fillKnownAbsent(addr, false, store);
-                break;
-            }
-
-            // Slow side: the historical protocol.
-            const bool slow_hit = slow.access(addr, type, size, now).hit;
-            if (!slow_hit)
-                slow.fill(addr, false, store);
-
-            ASSERT_EQ(fast_hit, slow_hit)
-                << "variant " << variant << " step " << step;
+            const std::uint32_t size =
+                writeback ? 0 : 4u << rng.uniformInt(5);
+            const auto got =
+                cache->lookup(addr, type, size, now, !writeback);
+            const auto want = ref->access(addr, store, size, now,
+                                          !writeback);
+            ASSERT_EQ(got.hit, want.hit) << "step " << step;
+            ASSERT_EQ(got.prefetched, want.prefetched) << "step " << step;
+            ASSERT_EQ(got.latePenalty, want.latePenalty)
+                << "step " << step;
+            if (!got.hit)
+                expectSame(cache->fill(addr, false, store),
+                           ref->fill(addr, false, store), step);
         }
+    }
 
-        EXPECT_EQ(fast.stats().hits, slow.stats().hits);
-        EXPECT_EQ(fast.stats().misses, slow.stats().misses);
-        EXPECT_EQ(fast.stats().evictions, slow.stats().evictions);
-        EXPECT_EQ(fast.stats().dirtyEvictions, slow.stats().dirtyEvictions);
-        EXPECT_EQ(fast.stats().prefetchFills, slow.stats().prefetchFills);
-        EXPECT_EQ(fast.stats().prefetchHits, slow.stats().prefetchHits);
-        EXPECT_EQ(fast.stats().prefetchUnused,
-                  slow.stats().prefetchUnused);
-        EXPECT_EQ(fast.stats().udmFetchedBytes,
-                  slow.stats().udmFetchedBytes);
-        EXPECT_EQ(fast.stats().udmUsedBytes, slow.stats().udmUsedBytes);
-        EXPECT_EQ(fast.dirtyLines(), slow.dirtyLines());
-        EXPECT_EQ(fast.prefetchedLines(), slow.prefetchedLines());
-        // The final resident sets must agree line for line.
-        for (Addr a = 0; a < 64 * 1024; a += 64)
-            ASSERT_EQ(fast.probe(a), slow.probe(a)) << "addr " << a;
+    /** Final state: every counter and the resident set agree. */
+    void
+    expectSameState()
+    {
+        const CacheStats &a = cache->stats();
+        const CacheStats &b = ref->stats;
+        EXPECT_EQ(a.hits, b.hits);
+        EXPECT_EQ(a.misses, b.misses);
+        EXPECT_EQ(a.evictions, b.evictions);
+        EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions);
+        EXPECT_EQ(a.prefetchFills, b.prefetchFills);
+        EXPECT_EQ(a.prefetchHits, b.prefetchHits);
+        EXPECT_EQ(a.prefetchUnused, b.prefetchUnused);
+        EXPECT_EQ(a.udmFetchedBytes, b.udmFetchedBytes);
+        EXPECT_EQ(a.udmUsedBytes, b.udmUsedBytes);
+        EXPECT_EQ(cache->dirtyLines(), ref->dirtyLines());
+        EXPECT_EQ(cache->prefetchedLines(), ref->prefetchedLines());
+        for (Addr a_line = 0; a_line < kSpan; a_line += 64)
+            ASSERT_EQ(cache->probe(a_line), ref->probe(a_line))
+                << "addr " << a_line;
+        // The trace must have exercised every modelled behaviour.
+        EXPECT_GT(a.dirtyEvictions, 0u);
+        EXPECT_GT(a.prefetchHits, 0u);
+        EXPECT_GT(a.prefetchUnused, 0u);
+        EXPECT_GT(a.udmUsedBytes, 0u);
+    }
+
+    static constexpr Addr kSpan = 64 * 1024;
+    std::unique_ptr<Cache> cache;
+    std::unique_ptr<ReferenceLru> ref;
+
+  private:
+    static void
+    expectSame(const Cache::Eviction &got, const ReferenceLru::Victim &want,
+               int step)
+    {
+        ASSERT_EQ(got.valid, want.valid) << "step " << step;
+        if (!got.valid)
+            return;
+        ASSERT_EQ(got.lineAddr, want.lineAddr) << "step " << step;
+        ASSERT_EQ(got.dirty, want.dirty) << "step " << step;
+    }
+};
+
+TEST_F(CacheReference, StandardIndexingMatchesOnRandomTrace)
+{
+    build(CacheParams{});
+    drive(7, 30000);
+    expectSameState();
+}
+
+TEST_F(CacheReference, FcpIndexingAndReplacementMatchOnRandomTrace)
+{
+    // FCP indexing folds l region-offset bits, so 2^l lines of a
+    // region share each set, and m(x) pushes same-region lines towards
+    // eviction on every fill. Each manipulation function must agree
+    // with the reference's plain age-then-manipulate pass, ties and
+    // clamping at the ceiling included (l = 3 drives recencies into
+    // the clamp).
+    for (const std::uint32_t fold : {1u, 3u}) {
+        const FcpIndexing fcp_index(1024, 64, fold);
+        for (const auto func :
+             {FcpReplacement::Func::XPlus1, FcpReplacement::Func::TwoX,
+              FcpReplacement::Func::XSquared}) {
+            FcpReplacement fcp;
+            fcp.func = func;
+            CacheParams params;
+            params.indexing = &fcp_index;
+            params.fcp = &fcp;
+            SCOPED_TRACE("l=" + std::to_string(fold) +
+                         " m=" + std::to_string(int(func)));
+            build(params);
+            drive(8 + fold + int(func), 30000);
+            expectSameState();
+        }
     }
 }
 
 TEST(GoldenCache, WritebackLookupDoesNotCountMisses)
 {
-    // The historical write-back path is probe + fill and never counts
-    // a miss; lookupFast(count_miss=false) must match that.
+    // A write-back is not a demand access: its lookup counts a hit on a
+    // resident copy but never a miss.
     CacheParams params;
     Cache cache(params);
-    EXPECT_EQ(cache.lookupFast(0x1000, AccessType::Store, 0, false),
-              Cache::FastLookup::Miss);
+    EXPECT_FALSE(cache.lookup(0x1000, AccessType::Store, 0, 0, false).hit);
     EXPECT_EQ(cache.stats().misses, 0u);
-    cache.fillKnownAbsent(0x1000, false, true);
-    EXPECT_EQ(cache.lookupFast(0x1000, AccessType::Store, 0, false),
-              Cache::FastLookup::Hit);
+    cache.fill(0x1000, false, true);
+    EXPECT_TRUE(cache.lookup(0x1000, AccessType::Store, 0, 0, false).hit);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 0u);
     // A demand lookup counts the miss exactly once.
-    EXPECT_EQ(cache.lookupFast(0x2000, AccessType::Load, 4),
-              Cache::FastLookup::Miss);
+    EXPECT_FALSE(cache.access(0x2000, AccessType::Load, 4).hit);
     EXPECT_EQ(cache.stats().misses, 1u);
 }
 

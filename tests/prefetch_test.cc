@@ -2,11 +2,15 @@
  * @file
  * Dedicated Bingo prefetcher tests: trigger/footprint replay, retire on
  * eviction, FIFO eviction at capacity, triggerKey packing, the
- * historyFifo churn regression, and flat-vs-map backend equivalence.
+ * historyFifo churn regression, and a diff against a std::map
+ * reference model.
  */
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,6 +45,55 @@ learnFootprint(BingoPrefetcher &bingo, std::uint64_t page, PcId pc,
     bingo.onEviction(lineAddr(page, 0));
 }
 
+/**
+ * Minimal Bingo reference: std::map tables and a std::deque holding the
+ * history's insertion order, written straight from the algorithm.
+ */
+struct ReferenceBingo {
+    explicit ReferenceBingo(std::size_t capacity) : capacity(capacity) {}
+
+    void
+    observe(const PrefetchObservation &obs, std::vector<Addr> &out)
+    {
+        const std::uint64_t page = obs.addr / kPage;
+        const std::uint32_t offset = (obs.addr % kPage) / kLine;
+        if (auto it = active.find(page); it != active.end()) {
+            it->second.second |= 1ull << offset;
+            return;
+        }
+        const std::uint64_t key = (std::uint64_t(obs.pc) << 6) | offset;
+        active[page] = {key, 1ull << offset};
+        if (auto h = history.find(key); h != history.end())
+            for (std::uint32_t line = 0; line < kLinesPerPage; ++line)
+                if (line != offset && (h->second >> line & 1))
+                    out.push_back(lineAddr(page, line));
+    }
+
+    void
+    retire(std::uint64_t page)
+    {
+        auto it = active.find(page);
+        if (it == active.end())
+            return;
+        const auto [key, footprint] = it->second;
+        active.erase(it);
+        if (!history.count(key)) {
+            if (history.size() >= capacity) {
+                history.erase(fifo.front());
+                fifo.pop_front();
+            }
+            fifo.push_back(key);
+        }
+        history[key] = footprint;
+    }
+
+    std::size_t capacity;
+    /** page -> (trigger key, footprint) */
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> active;
+    std::map<std::uint64_t, std::uint64_t> history;
+    std::deque<std::uint64_t> fifo;
+};
+
 /** Replay targets from a fresh trigger access on @p page. */
 std::vector<Addr>
 replay(BingoPrefetcher &bingo, std::uint64_t page, PcId pc,
@@ -55,108 +108,93 @@ replay(BingoPrefetcher &bingo, std::uint64_t page, PcId pc,
 
 TEST(Prefetch, TriggerReplaysLearnedFootprintInLineOrder)
 {
-    for (const bool fast : {false, true}) {
-        BingoPrefetcher bingo(kLine, kPage, 1024);
-        bingo.setFastMode(fast);
+    BingoPrefetcher bingo(kLine, kPage, 1024);
 
-        // Learn lines {2, 7, 5, 31} on page 3; the trigger line itself
-        // must not be replayed, and targets come out in ascending line
-        // order regardless of observation order.
-        learnFootprint(bingo, 3, 42, 2, {7, 5, 31});
-        const auto out = replay(bingo, 9, 42, 2);
-        ASSERT_EQ(out.size(), 3u) << "fast=" << fast;
-        EXPECT_EQ(out[0], lineAddr(9, 5));
-        EXPECT_EQ(out[1], lineAddr(9, 7));
-        EXPECT_EQ(out[2], lineAddr(9, 31));
-    }
+    // Learn lines {2, 7, 5, 31} on page 3; the trigger line itself
+    // must not be replayed, and targets come out in ascending line
+    // order regardless of observation order.
+    learnFootprint(bingo, 3, 42, 2, {7, 5, 31});
+    const auto out = replay(bingo, 9, 42, 2);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0], lineAddr(9, 5));
+    EXPECT_EQ(out[1], lineAddr(9, 7));
+    EXPECT_EQ(out[2], lineAddr(9, 31));
 }
 
 TEST(Prefetch, NoReplayBeforeRetire)
 {
-    for (const bool fast : {false, true}) {
-        BingoPrefetcher bingo(kLine, kPage, 1024);
-        bingo.setFastMode(fast);
+    BingoPrefetcher bingo(kLine, kPage, 1024);
 
-        std::vector<Addr> out;
-        bingo.observe({lineAddr(0, 2), 42, true}, out);
-        bingo.observe({lineAddr(0, 6), 42, true}, out);
-        EXPECT_TRUE(out.empty());
+    std::vector<Addr> out;
+    bingo.observe({lineAddr(0, 2), 42, true}, out);
+    bingo.observe({lineAddr(0, 6), 42, true}, out);
+    EXPECT_TRUE(out.empty());
 
-        // The footprint is still active — a second page with the same
-        // trigger has nothing to replay until the first page retires.
-        bingo.observe({lineAddr(1, 2), 42, true}, out);
-        EXPECT_TRUE(out.empty());
-        EXPECT_EQ(bingo.historySize(), 0u) << "fast=" << fast;
+    // The footprint is still active — a second page with the same
+    // trigger has nothing to replay until the first page retires.
+    bingo.observe({lineAddr(1, 2), 42, true}, out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(bingo.historySize(), 0u);
 
-        bingo.onEviction(lineAddr(0, 0));
-        EXPECT_EQ(bingo.historySize(), 1u);
-        EXPECT_FALSE(replay(bingo, 5, 42, 2).empty());
-    }
+    bingo.onEviction(lineAddr(0, 0));
+    EXPECT_EQ(bingo.historySize(), 1u);
+    EXPECT_FALSE(replay(bingo, 5, 42, 2).empty());
 }
 
 TEST(Prefetch, EvictionOfUntrackedPageIsIgnored)
 {
-    for (const bool fast : {false, true}) {
-        BingoPrefetcher bingo(kLine, kPage, 1024);
-        bingo.setFastMode(fast);
-        bingo.onEviction(lineAddr(17, 3));
-        EXPECT_EQ(bingo.historySize(), 0u) << "fast=" << fast;
-    }
+    BingoPrefetcher bingo(kLine, kPage, 1024);
+    bingo.onEviction(lineAddr(17, 3));
+    EXPECT_EQ(bingo.historySize(), 0u);
 }
 
 TEST(Prefetch, TriggerKeyPacksPcAndOffsetWithoutAliasing)
 {
-    for (const bool fast : {false, true}) {
-        BingoPrefetcher bingo(kLine, kPage, 1024);
-        bingo.setFastMode(fast);
+    BingoPrefetcher bingo(kLine, kPage, 1024);
 
-        // key = (pc << 6) | offset. With a naive pc+offset or pc|offset
-        // packing, (pc=1, off=1) and (pc=2, off=0) or (pc=1, off=0) and
-        // (pc=1, off=1) could alias; each (pc, offset) pair must learn
-        // its own footprint.
-        learnFootprint(bingo, 0, 1, 1, {4});
-        learnFootprint(bingo, 1, 2, 0, {9});
-        learnFootprint(bingo, 2, 1, 0, {13});
+    // key = (pc << 6) | offset. With a naive pc+offset or pc|offset
+    // packing, (pc=1, off=1) and (pc=2, off=0) or (pc=1, off=0) and
+    // (pc=1, off=1) could alias; each (pc, offset) pair must learn
+    // its own footprint.
+    learnFootprint(bingo, 0, 1, 1, {4});
+    learnFootprint(bingo, 1, 2, 0, {9});
+    learnFootprint(bingo, 2, 1, 0, {13});
 
-        const auto a = replay(bingo, 10, 1, 1);
-        ASSERT_EQ(a.size(), 1u) << "fast=" << fast;
-        EXPECT_EQ(a[0], lineAddr(10, 4));
+    const auto a = replay(bingo, 10, 1, 1);
+    ASSERT_EQ(a.size(), 1u);
+    EXPECT_EQ(a[0], lineAddr(10, 4));
 
-        const auto b = replay(bingo, 11, 2, 0);
-        ASSERT_EQ(b.size(), 1u);
-        EXPECT_EQ(b[0], lineAddr(11, 9));
+    const auto b = replay(bingo, 11, 2, 0);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(b[0], lineAddr(11, 9));
 
-        const auto c = replay(bingo, 12, 1, 0);
-        ASSERT_EQ(c.size(), 1u);
-        EXPECT_EQ(c[0], lineAddr(12, 13));
-    }
+    const auto c = replay(bingo, 12, 1, 0);
+    ASSERT_EQ(c.size(), 1u);
+    EXPECT_EQ(c[0], lineAddr(12, 13));
 }
 
 TEST(Prefetch, HistoryEvictsOldestTriggerAtCapacity)
 {
-    for (const bool fast : {false, true}) {
-        BingoPrefetcher bingo(kLine, kPage, 2);
-        bingo.setFastMode(fast);
+    BingoPrefetcher bingo(kLine, kPage, 2);
 
-        learnFootprint(bingo, 0, 100, 0, {1});
-        learnFootprint(bingo, 1, 200, 0, {2});
-        EXPECT_EQ(bingo.historySize(), 2u) << "fast=" << fast;
+    learnFootprint(bingo, 0, 100, 0, {1});
+    learnFootprint(bingo, 1, 200, 0, {2});
+    EXPECT_EQ(bingo.historySize(), 2u);
 
-        // Re-learning an existing trigger overwrites in place — no FIFO
-        // slot is consumed and nothing is evicted.
-        learnFootprint(bingo, 2, 200, 0, {3});
-        EXPECT_EQ(bingo.historySize(), 2u);
-        EXPECT_EQ(bingo.fifoLive(), 2u);
+    // Re-learning an existing trigger overwrites in place — no FIFO
+    // slot is consumed and nothing is evicted.
+    learnFootprint(bingo, 2, 200, 0, {3});
+    EXPECT_EQ(bingo.historySize(), 2u);
+    EXPECT_EQ(bingo.fifoLive(), 2u);
 
-        // A third distinct trigger evicts the oldest (pc 100).
-        learnFootprint(bingo, 3, 300, 0, {4});
-        EXPECT_EQ(bingo.historySize(), 2u);
-        EXPECT_TRUE(replay(bingo, 10, 100, 0).empty());
-        const auto b = replay(bingo, 11, 200, 0);
-        ASSERT_EQ(b.size(), 1u);
-        EXPECT_EQ(b[0], lineAddr(11, 3));
-        EXPECT_FALSE(replay(bingo, 12, 300, 0).empty());
-    }
+    // A third distinct trigger evicts the oldest (pc 100).
+    learnFootprint(bingo, 3, 300, 0, {4});
+    EXPECT_EQ(bingo.historySize(), 2u);
+    EXPECT_TRUE(replay(bingo, 10, 100, 0).empty());
+    const auto b = replay(bingo, 11, 200, 0);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(b[0], lineAddr(11, 3));
+    EXPECT_FALSE(replay(bingo, 12, 300, 0).empty());
 }
 
 TEST(Prefetch, FifoBackingStaysBoundedUnderChurn)
@@ -165,98 +203,55 @@ TEST(Prefetch, FifoBackingStaysBoundedUnderChurn)
     // every capacity eviction while the vector kept its retired prefix
     // forever, so backing slots grew linearly with history churn. Drive
     // far more distinct triggers than the capacity holds and check the
-    // backing storage stays bounded (compaction in slow mode, the fixed
-    // ring in fast mode) while the live window tracks the table exactly.
-    for (const bool fast : {false, true}) {
-        constexpr std::uint32_t kCapacity = 64;
-        BingoPrefetcher bingo(kLine, kPage, kCapacity);
-        bingo.setFastMode(fast);
+    // backing storage stays bounded (the ring is sized to the capacity
+    // once) while the live window tracks the table exactly.
+    constexpr std::uint32_t kCapacity = 64;
+    BingoPrefetcher bingo(kLine, kPage, kCapacity);
 
-        constexpr std::uint64_t kChurn = 20000;
-        for (std::uint64_t i = 0; i < kChurn; ++i)
-            learnFootprint(bingo, i, static_cast<PcId>(1000 + i), 0, {1});
+    constexpr std::uint64_t kChurn = 20000;
+    for (std::uint64_t i = 0; i < kChurn; ++i)
+        learnFootprint(bingo, i, static_cast<PcId>(1000 + i), 0, {1});
 
-        EXPECT_EQ(bingo.historySize(), kCapacity) << "fast=" << fast;
-        EXPECT_EQ(bingo.fifoLive(), kCapacity);
-        // Compaction triggers once the dead prefix reaches 1024 and
-        // dominates, so slow-mode backing never exceeds ~2x that
-        // threshold plus the live window; the fast ring is exact.
-        EXPECT_LE(bingo.fifoBackingSlots(), fast ? std::size_t(kCapacity)
-                                                 : std::size_t(2048 + kCapacity))
-            << "fifo backing grew with churn (leak regressed)";
+    EXPECT_EQ(bingo.historySize(), kCapacity);
+    EXPECT_EQ(bingo.fifoLive(), kCapacity);
+    EXPECT_EQ(bingo.fifoBackingSlots(), std::size_t(kCapacity))
+        << "fifo backing grew with churn (leak regressed)";
 
-        // The survivors are exactly the most recent kCapacity triggers.
-        EXPECT_TRUE(replay(bingo, kChurn + 1, 1000, 0).empty());
-        EXPECT_FALSE(
-            replay(bingo, kChurn + 2,
-                   static_cast<PcId>(1000 + kChurn - 1), 0)
-                .empty());
-    }
+    // The survivors are exactly the most recent kCapacity triggers.
+    EXPECT_TRUE(replay(bingo, kChurn + 1, 1000, 0).empty());
+    EXPECT_FALSE(
+        replay(bingo, kChurn + 2,
+               static_cast<PcId>(1000 + kChurn - 1), 0)
+            .empty());
 }
 
-TEST(Prefetch, FlatBackendMatchesMapBackendOnRandomStream)
+TEST(Prefetch, BingoMatchesMapReferenceOnRandomStream)
 {
-    // Two instances, one per backend, fed the identical random stream of
-    // observations and evictions must emit identical prediction streams
-    // and agree on every introspection count.
-    BingoPrefetcher slow(kLine, kPage, 32);
-    BingoPrefetcher fast(kLine, kPage, 32);
-    fast.setFastMode(true);
+    // The flat-table Bingo and the std::map reference, fed the identical
+    // random stream of observations and evictions, must emit identical
+    // prediction streams and agree on the history occupancy.
+    BingoPrefetcher bingo(kLine, kPage, 32);
+    ReferenceBingo ref(32);
 
     std::mt19937_64 rng(12345);
-    std::vector<Addr> out_slow, out_fast;
+    std::vector<Addr> got, want;
     for (int i = 0; i < 50000; ++i) {
         const std::uint64_t page = rng() % 64;
         if (rng() % 8 == 0) {
-            slow.onEviction(lineAddr(page, 0));
-            fast.onEviction(lineAddr(page, 0));
+            bingo.onEviction(lineAddr(page, 0));
+            ref.retire(page);
         } else {
             const PrefetchObservation obs{
                 lineAddr(page, static_cast<std::uint32_t>(
                                    rng() % kLinesPerPage)),
                 static_cast<PcId>(rng() % 16), true};
-            out_slow.clear();
-            out_fast.clear();
-            slow.observe(obs, out_slow);
-            fast.observe(obs, out_fast);
-            ASSERT_EQ(out_slow, out_fast) << "diverged at step " << i;
+            got.clear();
+            want.clear();
+            bingo.observe(obs, got);
+            ref.observe(obs, want);
+            ASSERT_EQ(got, want) << "diverged at step " << i;
         }
-        ASSERT_EQ(slow.historySize(), fast.historySize());
-        ASSERT_EQ(slow.fifoLive(), fast.fifoLive());
-    }
-}
-
-TEST(Prefetch, ModeToggleMigratesStateAndFifoOrder)
-{
-    // Toggling backends mid-stream must be unobservable, including the
-    // FIFO eviction order carried across the switch.
-    BingoPrefetcher ref(kLine, kPage, 16);
-    BingoPrefetcher toggled(kLine, kPage, 16);
-
-    std::mt19937_64 rng(99);
-    std::vector<Addr> out_ref, out_tog;
-    bool mode = false;
-    for (int i = 0; i < 20000; ++i) {
-        if (i % 251 == 0) {
-            mode = !mode;
-            toggled.setFastMode(mode);
-        }
-        const std::uint64_t page = rng() % 48;
-        if (rng() % 6 == 0) {
-            ref.onEviction(lineAddr(page, 0));
-            toggled.onEviction(lineAddr(page, 0));
-        } else {
-            const PrefetchObservation obs{
-                lineAddr(page, static_cast<std::uint32_t>(
-                                   rng() % kLinesPerPage)),
-                static_cast<PcId>(rng() % 12), true};
-            out_ref.clear();
-            out_tog.clear();
-            ref.observe(obs, out_ref);
-            toggled.observe(obs, out_tog);
-            ASSERT_EQ(out_ref, out_tog) << "diverged at step " << i;
-        }
-        ASSERT_EQ(ref.historySize(), toggled.historySize());
-        ASSERT_EQ(ref.fifoLive(), toggled.fifoLive());
+        ASSERT_EQ(bingo.historySize(), ref.history.size());
+        ASSERT_EQ(bingo.fifoLive(), ref.fifo.size());
     }
 }

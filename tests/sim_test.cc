@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "sim/addrmap.hh"
 #include "sim/arena.hh"
@@ -716,21 +719,68 @@ TEST(AddrMap, SegmentRegistrationWinsOverStaleFallbackCaching)
     EXPECT_EQ(map.translate(base + 100), after + 100);
 }
 
-TEST(AddrMap, FastAndSlowProbeOrdersTranslateIdentically)
-{
-    // The single-probe TLB fast path and the historical probe order
-    // (segment scan first) are the same translation function.
-    AddrMap fast, slow;
-    slow.setFastPath(false);
-    const Addr seg = 0x7f00'0000'0000ull;
-    fast.addSegment(seg, 1 << 16);
-    slow.addSegment(seg, 1 << 16);
-    const Addr heap = 0x5600'1234'0000ull;
-    const Addr offsets[] = {0, 8, 16, 64, 8, 0, 4096, 72, 64, 1000};
-    for (Addr off : offsets) {
-        EXPECT_EQ(fast.translate(seg + off), slow.translate(seg + off));
-        EXPECT_EQ(fast.translate(heap + off), slow.translate(heap + off));
+/**
+ * Minimal AddrMap reference: a segment scan in registration order,
+ * then a std::map first-touch table of 16-byte grains.
+ */
+struct ReferenceAddrMap {
+    void
+    addSegment(Addr base, std::size_t bytes)
+    {
+        const Addr tile = Addr(1) << 21;
+        const Addr offset = base % tile;
+        segments.push_back({base, base + bytes, nextSegment + offset});
+        nextSegment += (offset + bytes + 2 * tile - 1) / tile * tile;
     }
+
+    Addr
+    translate(Addr host)
+    {
+        for (const auto &[begin, end, sim] : segments)
+            if (host >= begin && host < end)
+                return sim + (host - begin);
+        const auto [it, inserted] = grains.try_emplace(host / 16, nextGrain);
+        if (inserted)
+            ++nextGrain;
+        return it->second * 16 + host % 16;
+    }
+
+    std::vector<std::tuple<Addr, Addr, Addr>> segments;
+    Addr nextSegment = Addr(1) << 40;
+    std::map<Addr, Addr> grains;
+    Addr nextGrain = (Addr(1) << 44) / 16;
+};
+
+TEST(AddrMap, TranslationMatchesMapReference)
+{
+    // Random accesses over three arenas and a heap, with segments
+    // registered mid-stream (so cached fallback translations must be
+    // shadowed), one overlapping an earlier segment (earlier wins), and
+    // sizes that are not multiples of the 16-byte grain (so a segment
+    // boundary falls inside a grain).
+    AddrMap map;
+    ReferenceAddrMap ref;
+    const Addr arenas[] = {0x7f00'0000'0000ull, 0x7f10'0000'0123ull,
+                           0x7f00'0000'8000ull};
+    const std::size_t sizes[] = {1 << 16, 4099, 1 << 15};
+    const Addr heap = 0x5600'1234'0000ull;
+    Rng rng(31);
+    std::size_t registered = 0;
+    for (int step = 0; step < 20000; ++step) {
+        if (step % 5000 == 0 && registered < 3) {
+            map.addSegment(arenas[registered], sizes[registered]);
+            ref.addSegment(arenas[registered], sizes[registered]);
+            ++registered;
+        }
+        const std::size_t which = rng.uniformInt(4);
+        const Addr host = which == 3
+                              ? heap + rng.uniformInt(1 << 14)
+                              : arenas[which] +
+                                    rng.uniformInt(sizes[which] + 64);
+        ASSERT_EQ(map.translate(host), ref.translate(host))
+            << "step " << step << " host " << host;
+    }
+    EXPECT_EQ(map.grainCount(), ref.grains.size());
 }
 
 TEST(AddrMap, LinearSpanMatchesPerAddressTranslation)
