@@ -19,37 +19,43 @@ AnlPrefetcher::AnlPrefetcher(const AnlConfig &config)
 {
     TARTAN_ASSERT(cfg.regionBytes % cfg.lineBytes == 0,
                   "region must be a multiple of the line size");
+    // victim() packs the entry index into the low byte of its key.
+    TARTAN_ASSERT(cfg.entries >= 1 && cfg.entries <= 256,
+                  "ANL table must have 1..256 entries");
 }
 
 std::int32_t
 AnlPrefetcher::find(std::uint32_t pc_tag, std::uint64_t region) const
 {
-    for (std::uint32_t i = 0; i < cfg.entries; ++i) {
+    // Select over every entry, last to first, so the first match
+    // survives; '&' (not '&&') keeps the match test branch-free.
+    std::int32_t found = -1;
+    for (std::uint32_t i = cfg.entries; i-- > 0;) {
         const Entry &e = table[i];
-        if (e.valid && e.pcTag == pc_tag && e.region == region)
-            return static_cast<std::int32_t>(i);
+        const bool match =
+            e.valid & (e.pcTag == pc_tag) & (e.region == region);
+        found = match ? static_cast<std::int32_t>(i) : found;
     }
-    return -1;
+    return found;
 }
 
 std::uint32_t
 AnlPrefetcher::victim() const
 {
-    std::uint32_t best = 0;
-    std::uint32_t best_score = ~0u;
+    // The entry of minimal key: an invalid entry's key is its index
+    // alone, a valid one's is ((max(CD, LD) + 1) << 8) | index. So the
+    // first invalid entry wins, else the lowest score, earliest first.
+    // Keeping high-degree entries retains the dense regions, which
+    // produce most of the useful prefetches.
+    std::uint64_t best = ~std::uint64_t(0);
     for (std::uint32_t i = 0; i < cfg.entries; ++i) {
         const Entry &e = table[i];
-        if (!e.valid)
-            return i;
-        const std::uint32_t score = std::max(e.cd, e.ld);
-        // Keep high-degree entries: they produce most of the useful
-        // prefetches (dense regions matter more than sparse ones).
-        if (score < best_score) {
-            best_score = score;
-            best = i;
-        }
+        const std::uint64_t score = std::max(e.cd, e.ld);
+        const std::uint64_t key =
+            (e.valid ? (score + 1) << 8 : 0) | i;
+        best = std::min(best, key);
     }
-    return best;
+    return static_cast<std::uint32_t>(best & 0xffu);
 }
 
 void
@@ -68,9 +74,11 @@ AnlPrefetcher::observe(const PrefetchObservation &obs,
         // one); with it, the degree adapts per PC and refines per
         // region exactly as §VI-D intends.
         std::uint32_t inherited = 0;
-        for (const Entry &e : table)
-            if (e.valid && e.pcTag == pc_tag)
-                inherited = std::max(inherited, std::max(e.ld, e.cd));
+        for (const Entry &e : table) {
+            const bool same_site = e.valid & (e.pcTag == pc_tag);
+            inherited = std::max(
+                inherited, same_site ? std::max(e.ld, e.cd) : 0u);
+        }
         // A site whose history shows no streaming (degree < 2) stays
         // quiet: degree-1 inheritance would waste one line per region
         // on sparse strided streams.
@@ -112,12 +120,12 @@ AnlPrefetcher::onEviction(Addr line_addr)
 {
     const std::uint64_t region = regionOf(line_addr);
     for (Entry &e : table) {
-        if (e.valid && e.region == region && e.cd > 0) {
-            // Each residency terminates once: later evictions of the
-            // same region (CD already drained) must not wipe LD.
-            e.ld = e.cd;
-            e.cd = 0;
-        }
+        // Each residency terminates once: later evictions of the same
+        // region (CD already drained) must not wipe LD.
+        const bool ends =
+            e.valid & (e.region == region) & (e.cd > 0);
+        e.ld = ends ? e.cd : e.ld;
+        e.cd = ends ? 0 : e.cd;
     }
 }
 

@@ -13,8 +13,14 @@
  * memo) is inline, so the owning MemPath resolves a demand hit without
  * an out-of-line call, and the one fill retires the residency check,
  * victim selection, eviction, LRU aging and FCP manipulation in one
- * scan plus one write pass over the set. tests/golden_cache_test.cc
- * diffs both against a naive map-of-sets reference model.
+ * scan plus one write pass over the set. Both scans are selects over
+ * all ways with one branch on the outcome, never a data-dependent
+ * early exit or running compare: the ways of a set are few, and a
+ * mispredicted branch costs more than scanning them all. (findWay, the
+ * residency query of probe and the coherence hooks, keeps its early
+ * exit; see cache.cc.)
+ * tests/golden_cache_test.cc diffs both against a naive map-of-sets
+ * reference model.
  */
 
 #ifndef TARTAN_SIM_CACHE_HH
@@ -178,17 +184,19 @@ class Cache
         if (memoIdx != kNoMemo && tags[memoIdx] == line_number)
             return hitAt(memoIdx, addr, type, size, now);
         const std::size_t base = setIndex(line_number) * config.assoc;
-        for (std::uint32_t way = 0; way < config.assoc; ++way) {
-            if (tags[base + way] != line_number)
-                continue;
-            const LookupResult res =
-                hitAt(base + way, addr, type, size, now);
-            promote(base, way);
-            return res;
+        // Tag match as a select over every way (at most one matches):
+        // no data-dependent early exit, one branch on the outcome.
+        std::uint32_t hit_way = kNoWay;
+        for (std::uint32_t way = 0; way < config.assoc; ++way)
+            hit_way = tags[base + way] == line_number ? way : hit_way;
+        if (hit_way == kNoWay) {
+            statsData.misses += count_miss ? 1 : 0;
+            return LookupResult{};
         }
-        if (count_miss)
-            ++statsData.misses;
-        return LookupResult{};
+        const LookupResult res =
+            hitAt(base + hit_way, addr, type, size, now);
+        promote(base, hit_way);
+        return res;
     }
 
     /** Check residency without perturbing any state. */
@@ -283,6 +291,12 @@ class Cache
     /** memoIdx value meaning "no line memoised". */
     static constexpr std::size_t kNoMemo = ~std::size_t(0);
 
+    /** Way number meaning "no way of the set matched". */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t(0);
+
+    /** Victim-key rank of an invalid way: above every valid way's. */
+    static constexpr std::uint32_t kInvalidRank = 1u << 31;
+
     std::uint64_t
     setIndex(std::uint64_t line_number) const
     {
@@ -360,8 +374,6 @@ class Cache
         touched[idx] |= mask << first;
     }
 
-    std::uint64_t regionOf(std::uint64_t line_number) const;
-
     CacheParams config;
     StandardIndexing defaultIndexing;
     const IndexingPolicy *indexing;
@@ -372,6 +384,8 @@ class Cache
     std::uint32_t setCount;
     std::uint32_t lineBits;
     std::uint32_t maxRecency;
+    /** Line number >> fcpRegionShift is the FCP region (FCP only). */
+    std::uint32_t fcpRegionShift = 0;
     /**
      * Way state as struct-of-arrays, flat: way w of set s lives at
      * index [s * assoc + w] of every row. The tag row doubles as the

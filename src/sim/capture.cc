@@ -66,23 +66,28 @@ CaptureTrace::validate(std::string *err) const
                               ": unknown op tag " + std::to_string(r.op));
             return false;
         }
-        std::uint64_t need = 0;
+        // Bytes the record references at aux offset d. The bound is
+        // checked as len <= aux.size() - d, never as d + len <=
+        // aux.size(): a crafted d near 2^64 would wrap the sum.
+        std::uint64_t len = 0;
+        bool refs_aux = true;
         switch (CapOp(r.op)) {
           case CapOp::RegisterKernel:
           case CapOp::Metric:
           case CapOp::RobotName:
-            need = r.d + r.a32;
+            len = r.a32;
             break;
           case CapOp::DeviceLoadLanes:
           case CapOp::VecLoadLanes:
           case CapOp::NpuInfer:
           case CapOp::Discount:
-            need = r.d + 8 * std::uint64_t(r.a32);
+            len = 8 * std::uint64_t(r.a32);
             break;
           default:
+            refs_aux = false;
             break;
         }
-        if (need > aux.size()) {
+        if (refs_aux && (r.d > aux.size() || len > aux.size() - r.d)) {
             setError(err, "record " + std::to_string(i) +
                               ": aux reference beyond the aux stream");
             return false;

@@ -38,10 +38,9 @@
  * the file invalid as a whole and force a re-capture — a capture is a
  * cache entry, never a source of truth.
  *
- * Record buffers use the MmapAlloc substrate from sim/trace: capture
- * runs read host pointers as simulated addresses, so buffers growing
- * inside the malloc arena would perturb the very workload allocations
- * being captured.
+ * Record buffers are MmapVecs (sim/mmapvec): capture runs read host
+ * pointers as simulated addresses, so buffers growing inside the malloc
+ * arena would perturb the very workload allocations being captured.
  */
 
 #ifndef TARTAN_SIM_CAPTURE_HH
@@ -53,9 +52,8 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "sim/trace.hh"
+#include "sim/mmapvec.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
@@ -112,10 +110,6 @@ struct CapRecord {
 
 static_assert(sizeof(CapRecord) == 32, "capture records are 32-byte POD");
 
-/** Vector on the mmap substrate (workload-heap neutrality). */
-template <typename T>
-using CapVec = std::vector<T, MmapAlloc<T>>;
-
 /**
  * One finished capture: the op stream, its aux bytes, and the identity
  * of the (robot, machine, options) cell it was recorded from. The
@@ -126,8 +120,8 @@ using CapVec = std::vector<T, MmapAlloc<T>>;
 struct CaptureTrace {
     std::uint64_t configHash = 0; //!< capture-cell content hash
     std::uint64_t seed = 0;       //!< workload seed
-    CapVec<CapRecord> records;    //!< op stream in record order
-    CapVec<std::uint8_t> aux;     //!< variable payloads (names, ids)
+    MmapVec<CapRecord> records;   //!< op stream in record order
+    MmapVec<std::uint8_t> aux;    //!< variable payloads (names, ids)
 
     /** A string stored at aux offset @p off with length @p len. */
     std::string_view

@@ -129,6 +129,14 @@ System::System(const SysConfig &config) : cfg(config)
         path->setFaultInjector(cfg.faults);
 }
 
+System::~System()
+{
+    // Take the final partial-epoch sample while the probed counters
+    // still exist; finalize() then finds the epoch already flushed.
+    if (cfg.trace)
+        cfg.trace->detachProbes();
+}
+
 namespace {
 
 const char *

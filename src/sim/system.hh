@@ -90,7 +90,8 @@ struct SysConfig {
      * set, the core's kernel timeline, the epoch sampler probes and the
      * memory path's per-PC attribution are wired into the session at
      * construction. Observational only: timing is bit-identical with
-     * and without a session.
+     * and without a session. The session must outlive the System,
+     * whose destructor detaches the probes.
      */
     TraceSession *trace = nullptr;
 
@@ -113,6 +114,15 @@ class System
 {
   public:
     explicit System(const SysConfig &config);
+    /**
+     * Takes the trace session's final partial-epoch sample and detaches
+     * its probes: the session usually finalizes after the machine is
+     * gone, and its probes point into this machine's caches and core.
+     */
+    ~System();
+
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
 
     /** Core @p i (default: core 0, the historical single core). */
     Core &core(std::size_t i = 0) { return *cores[i]; }

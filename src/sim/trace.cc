@@ -92,15 +92,13 @@ setName(char (&dst)[N], const char *src)
 void *
 TraceSession::operator new(std::size_t size)
 {
-    MmapAlloc<std::byte> alloc;
-    return alloc.allocate(size);
+    return mapPages(size);
 }
 
 void
 TraceSession::operator delete(void *ptr, std::size_t size) noexcept
 {
-    MmapAlloc<std::byte> alloc;
-    alloc.deallocate(static_cast<std::byte *>(ptr), size);
+    unmapPages(ptr, size);
 }
 
 TraceSession::TraceSession(TraceConfig cfg, const PcTable *pc_table)
@@ -210,6 +208,23 @@ TraceSession::setInstructionProbe(const std::uint64_t *counter)
     TARTAN_ASSERT(counter, "setInstructionProbe requires a counter");
     instrProbe = counter;
     instrLast = *counter;
+    ipcColumn = true;
+}
+
+void
+TraceSession::detachProbes()
+{
+    flushEpoch(lastCycle);
+    for (std::size_t i = 0; i < probeCount; ++i)
+        probes[i].counter = nullptr;
+    instrProbe = nullptr;
+}
+
+void
+TraceSession::flushEpoch(Cycles now)
+{
+    if (now > epochStart && (probeCount > 0 || ipcColumn))
+        sample(now);
 }
 
 void
@@ -222,7 +237,7 @@ TraceSession::sample(Cycles now)
     row.end = now;
     for (std::size_t i = 0; i < probeCount; ++i) {
         Probe &p = probes[i];
-        const std::uint64_t cur = *p.counter;
+        const std::uint64_t cur = p.counter ? *p.counter : p.last;
         row.deltas[i] = cur - p.last;
         p.last = cur;
     }
@@ -266,8 +281,7 @@ TraceSession::closeOpen(Cycles now)
     while (phaseDepth > 0)
         phaseEnd(now);
     // Flush the partial last epoch so no tail activity is dropped.
-    if (now > epochStart && (probeCount > 0 || instrProbe))
-        sample(now);
+    flushEpoch(now);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,7 +426,7 @@ TraceSession::writeTraceJson(std::ostream &os)
             json::writeString(os, probes[p].name);
             os << ", \"args\": {\"delta\": " << row.deltas[p] << "}}";
         }
-        if (instrProbe) {
+        if (ipcColumn) {
             sep();
             eventHead(os, "C", row.end, 0);
             os << ", \"name\": \"ipc\", \"args\": {\"value\": ";

@@ -37,77 +37,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#if !defined(_WIN32)
-#include <sys/mman.h>
-#endif
-
 #include "sim/env.hh"
+#include "sim/mmapvec.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
 
 class StatsGroup;
-
-/**
- * Allocator drawing pages straight from mmap, bypassing malloc.
- *
- * The simulator uses host pointers as simulated addresses, so a trace
- * buffer growing inside the malloc arena would shift the workload's own
- * allocations and perturb the cache behaviour being observed. Event
- * buffers therefore live in their own anonymous mappings (page
- * granularity, no interaction with the workload heap).
- */
-template <typename T>
-struct MmapAlloc {
-    using value_type = T;
-
-    MmapAlloc() = default;
-    template <typename U>
-    MmapAlloc(const MmapAlloc<U> &)
-    {
-    }
-
-    T *
-    allocate(std::size_t n)
-    {
-#if defined(_WIN32)
-        return static_cast<T *>(::operator new(n * sizeof(T)));
-#else
-        void *mem = ::mmap(nullptr, n * sizeof(T),
-                           PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (mem == MAP_FAILED)
-            throw std::bad_alloc();
-        return static_cast<T *>(mem);
-#endif
-    }
-
-    void
-    deallocate(T *p, std::size_t n) noexcept
-    {
-#if defined(_WIN32)
-        ::operator delete(p);
-        (void)n;
-#else
-        ::munmap(p, n * sizeof(T));
-#endif
-    }
-
-    friend bool operator==(const MmapAlloc &, const MmapAlloc &)
-    {
-        return true;
-    }
-    friend bool operator!=(const MmapAlloc &, const MmapAlloc &)
-    {
-        return false;
-    }
-};
 
 /**
  * Registry of symbolic names for PcId load/store sites.
@@ -174,7 +115,7 @@ class TraceSession
 
     /**
      * Sessions are allocated off the malloc arena (same rationale as
-     * MmapAlloc): the object embeds multi-KB fixed buffers whose
+     * MmapVec): the object embeds multi-KB fixed buffers whose
      * presence on the heap would shift workload addresses.
      */
     static void *operator new(std::size_t size);
@@ -201,6 +142,14 @@ class TraceSession
     void addProbe(const std::string &name, const std::uint64_t *counter);
     /** The probe whose per-epoch delta is the IPC numerator. */
     void setInstructionProbe(const std::uint64_t *counter);
+    /**
+     * Take the final partial-epoch sample and stop reading every probe
+     * and the instruction probe. The owner of the probed counters calls
+     * this before they die (System's destructor does), because
+     * finalize() may run later; the detached probes keep their columns
+     * but contribute nothing after this point.
+     */
+    void detachProbes();
     /** Advance simulated time; samples an epoch when one elapses. */
     void
     tick(Cycles now)
@@ -286,7 +235,7 @@ class TraceSession
 
     struct Probe {
         char name[kNameBytes];
-        const std::uint64_t *counter;
+        const std::uint64_t *counter;  //!< null once detached
         std::uint64_t last = 0;
     };
 
@@ -318,6 +267,8 @@ class TraceSession
     };
 
     void sample(Cycles now);
+    /** Sample the partial epoch ending at @p now, if any probe exists. */
+    void flushEpoch(Cycles now);
     void closeOpen(Cycles now);
     std::string filePath(const std::string &suffix) const;
     /** Top-N (pc, counters) rows ordered by misses beyond L1. */
@@ -330,8 +281,8 @@ class TraceSession
     const PcTable *pcTable;
 
     // Timeline state.
-    std::vector<Span, MmapAlloc<Span>> spans;
-    std::vector<Instant, MmapAlloc<Instant>> instants;
+    MmapVec<Span> spans;
+    MmapVec<Instant> instants;
     char openKernel[kNameBytes] = {};
     Cycles openKernelSince = 0;
     bool kernelOpen = false;
@@ -342,10 +293,11 @@ class TraceSession
     // Epoch state.
     Probe probes[kMaxProbes];
     std::size_t probeCount = 0;
-    const std::uint64_t *instrProbe = nullptr;
+    const std::uint64_t *instrProbe = nullptr;  //!< null once detached
     std::uint64_t instrLast = 0;
+    bool ipcColumn = false;  //!< an instruction probe was ever set
     Cycles epochStart = 0;
-    std::vector<EpochRow, MmapAlloc<EpochRow>> epochRows;
+    MmapVec<EpochRow> epochRows;
 
     // Per-PC state (direct-indexed by PcId; sites above the cap share
     // the last slot, which registered sites never reach).

@@ -316,6 +316,35 @@ TEST(CaptureFile, ImplausibleRecordCountRejectedBeforeAllocation)
         << err;
 }
 
+TEST(CaptureFile, WrappingAuxOffsetRejectedDespiteValidCrc)
+{
+    // An aux offset chosen so that offset + length wraps past 2^64 to a
+    // small number. save() recomputes the CRC, so only the structural
+    // check stands between the record and an out-of-bounds aux read.
+    const fs::path dir = scratchDir("auxwrap");
+    const fs::path path = dir / "t.tcap";
+    for (const CapOp op : {CapOp::RegisterKernel, CapOp::VecLoadLanes}) {
+        CaptureTrace trace = sampleTrace();
+        CapRecord *target = nullptr;
+        for (CapRecord &r : trace.records)
+            if (CapOp(r.op) == op && !target)
+                target = &r;
+        ASSERT_NE(target, nullptr);
+        const std::uint64_t len = op == CapOp::RegisterKernel
+                                      ? target->a32
+                                      : 8 * std::uint64_t(target->a32);
+        ASSERT_GT(len, 0u);
+        target->d = ~std::uint64_t(0) - len + 2;  // d + len == 1
+        std::string err;
+        ASSERT_TRUE(trace.save(path.string(), &err)) << err;
+
+        CaptureTrace out;
+        EXPECT_FALSE(CaptureTrace::load(path.string(), out, &err))
+            << "op " << int(op);
+        EXPECT_NE(err.find("aux"), std::string::npos) << err;
+    }
+}
+
 TEST(CaptureTrace, ValidateRejectsBadOpsAndAuxOverruns)
 {
     CaptureTrace trace = sampleTrace();

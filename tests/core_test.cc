@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "core/anl.hh"
 #include "core/area.hh"
@@ -313,6 +317,152 @@ TEST(Anl, EndToEndCoversBucketScans)
     const auto &st = sys.mem().stats;
     EXPECT_GT(st.pfIssued, 100u);
     EXPECT_GT(st.pfHitsTimely + st.pfHitsLate, st.pfIssued / 4);
+}
+
+/**
+ * An obviously-correct ANL table: the same policy as AnlPrefetcher,
+ * written with early exits and short-circuit tests straight from the
+ * specification (find the first match; victim = the first invalid
+ * entry, else the earliest entry of lowest max(CD, LD)).
+ */
+class NaiveAnl
+{
+  public:
+    explicit NaiveAnl(const AnlConfig &config)
+        : cfg(config), table(config.entries)
+    {
+    }
+
+    void
+    observe(const sim::PrefetchObservation &obs, std::vector<Addr> &out)
+    {
+        const std::uint32_t pc_tag = obs.pc & 0xfffu;
+        const std::uint64_t region = obs.addr / cfg.regionBytes;
+        Entry *hit = nullptr;
+        for (Entry &e : table) {
+            if (e.valid && e.pcTag == pc_tag && e.region == region) {
+                hit = &e;
+                break;
+            }
+        }
+        std::uint32_t degree = 0;
+        if (!hit) {
+            for (const Entry &e : table)
+                if (e.valid && e.pcTag == pc_tag)
+                    degree = std::max({degree, e.ld, e.cd});
+            if (degree < 2)
+                degree = 0;
+            degree = std::min(degree, 16u);
+            hit = &table[victim()];
+            *hit = Entry{true, pc_tag, region, 1, degree};
+        } else {
+            if (hit->cd < cfg.maxDegree)
+                ++hit->cd;
+            degree = hit->ld;
+        }
+        if (obs.miss && degree > 0) {
+            const Addr region_end = (region + 1) * cfg.regionBytes;
+            Addr next = (obs.addr / cfg.lineBytes + 1) * cfg.lineBytes;
+            for (std::uint32_t i = 0; i < degree && next < region_end;
+                 ++i, next += cfg.lineBytes)
+                out.push_back(next);
+            hit->ld = 0;
+        }
+    }
+
+    void
+    onEviction(Addr line_addr)
+    {
+        const std::uint64_t region = line_addr / cfg.regionBytes;
+        for (Entry &e : table) {
+            if (e.valid && e.region == region && e.cd > 0) {
+                e.ld = e.cd;
+                e.cd = 0;
+            }
+        }
+    }
+
+    AnlPrefetcher::EntryView
+    entry(std::uint32_t idx) const
+    {
+        const Entry &e = table[idx];
+        return {e.valid, e.cd, e.ld, e.region, e.pcTag};
+    }
+
+  private:
+    struct Entry {
+        bool valid = false;
+        std::uint32_t pcTag = 0;
+        std::uint64_t region = 0;
+        std::uint32_t cd = 0;
+        std::uint32_t ld = 0;
+    };
+
+    std::size_t
+    victim() const
+    {
+        std::size_t best = 0;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            if (!table[i].valid)
+                return i;
+            if (std::max(table[i].cd, table[i].ld) <
+                std::max(table[best].cd, table[best].ld))
+                best = i;
+        }
+        return best;
+    }
+
+    AnlConfig cfg;
+    std::vector<Entry> table;
+};
+
+/** Every field of an entry, comparable and printable. */
+auto
+fields(const AnlPrefetcher::EntryView &e)
+{
+    return std::make_tuple(e.valid, e.cd, e.ld, e.region, e.pc);
+}
+
+TEST(Anl, MatchesNaiveTableOnRandomStream)
+{
+    // Few load sites and few regions keep the table churning: entries
+    // are found, inherit degrees, terminate and get displaced, and many
+    // share one max(CD, LD), so the victim tie-break decides often.
+    for (const std::uint32_t entries : {4u, 16u}) {
+        SCOPED_TRACE("entries=" + std::to_string(entries));
+        AnlConfig cfg;
+        cfg.entries = entries;
+        cfg.lineBytes = 64;
+        AnlPrefetcher anl(cfg);
+        NaiveAnl ref(cfg);
+        Rng rng(entries);
+        std::vector<Addr> got, want;
+        std::uint64_t prefetched = 0;
+        for (int step = 0; step < 40000; ++step) {
+            const Addr addr = 0x40000 + rng.uniformInt(24 * 1024);
+            if (rng.uniform() < 0.25) {
+                anl.onEviction(addr & ~Addr(63));
+                ref.onEviction(addr & ~Addr(63));
+            } else {
+                // PCs 0x1003 and 0x3 share a 12-bit tag.
+                const sim::PcId pc =
+                    std::array<sim::PcId, 4>{3, 5, 9, 0x1003}
+                        [rng.uniformInt(4)];
+                const sim::PrefetchObservation obs{addr, pc,
+                                                   rng.uniform() < 0.7};
+                got.clear();
+                want.clear();
+                anl.observe(obs, got);
+                ref.observe(obs, want);
+                ASSERT_EQ(got, want) << "step " << step;
+                prefetched += got.size();
+            }
+            for (std::uint32_t i = 0; i < entries; ++i)
+                ASSERT_EQ(fields(anl.entry(i)), fields(ref.entry(i)))
+                    << "step " << step << " entry " << i;
+        }
+        EXPECT_GT(prefetched, 1000u);
+    }
 }
 
 // ----------------------------------------------------------------- NPU

@@ -120,6 +120,11 @@ class ReferenceLru
             for (std::size_t i = 1; i < set.size(); ++i)
                 if (set[i].recency > set[victim].recency)
                     victim = i;
+            for (std::size_t i = victim + 1; i < set.size(); ++i)
+                if (set[i].recency == set[victim].recency) {
+                    ++victimTies;
+                    break;
+                }
         }
 
         Victim out;
@@ -197,6 +202,8 @@ class ReferenceLru
     }
 
     CacheStats stats;
+    /** Victim choices among several ways of equal maximal recency. */
+    std::uint64_t victimTies = 0;
 
   private:
     struct Way {
@@ -336,10 +343,10 @@ class CacheReference : public ::testing::Test
   protected:
     /** Build both models for @p params (UDM tracking always on). */
     void
-    build(CacheParams params)
+    build(CacheParams params, std::uint32_t assoc = 8)
     {
         params.sizeBytes = 8 * 1024;
-        params.assoc = 8;
+        params.assoc = assoc;
         params.lineBytes = 64;
         params.trackUdm = true;
         cache = std::make_unique<Cache>(params);
@@ -463,6 +470,27 @@ TEST_F(CacheReference, FcpIndexingAndReplacementMatchOnRandomTrace)
             expectSameState();
         }
     }
+}
+
+TEST_F(CacheReference, FcpTiesAtLowAssociativityPickTheEarliestWay)
+{
+    // x+1 grows same-region recencies slowly, so several lines of one
+    // region sit at equal (often clamped) recency together, and four
+    // ways leave the victim scan few candidates: the earliest way of
+    // equal maximal recency must be the one evicted, as in the
+    // reference. (Two ways never tie: after any fill or hit one way is
+    // at 0 and the other above it.)
+    const FcpIndexing fcp_index(1024, 64, 3);
+    FcpReplacement fcp;
+    fcp.func = FcpReplacement::Func::XPlus1;
+    CacheParams params;
+    params.indexing = &fcp_index;
+    params.fcp = &fcp;
+    build(params, 4);
+    drive(24, 30000);
+    expectSameState();
+    EXPECT_GT(ref->victimTies, 1000u)
+        << "the trace never exercised the victim tie-break";
 }
 
 TEST(GoldenCache, WritebackLookupDoesNotCountMisses)
