@@ -19,8 +19,7 @@
  * and a baseline file missing from the candidate is itself a failure
  * (a bench silently disappearing must not pass). --tol sets the
  * relative tolerance for plain metrics, --tol-cpi for CPI-stack cycle
- * categories; both default from $TARTAN_DIFF_TOL / $TARTAN_DIFF_TOL_CPI
- * (0 = exact).
+ * categories; both default to 0 (exact).
  */
 
 #include <algorithm>
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "sim/cpistack.hh"
-#include "sim/env.hh"
 #include "sim/json.hh"
 #include "sim/report.hh"
 
@@ -302,10 +300,7 @@ loadBench(const std::string &path, Value &out)
 int
 main(int argc, char **argv)
 {
-    const tartan::sim::RunEnv &env = tartan::sim::RunEnv::get();
     DiffState st;
-    st.tol = env.diffTol;
-    st.tolCpi = env.diffTolCpi;
 
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {

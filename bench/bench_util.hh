@@ -17,12 +17,12 @@
  * are byte-identical whatever TARTAN_JOBS is.
  *
  * The campaign-aware runAll(rep, pool, cells) overload routes every
- * cell through sim::CampaignRunner: journal replay under
+ * cell through sim::CampaignRunner: resume-store hits under
  * TARTAN_RESUME, verified result-cache hits under TARTAN_CACHE_DIR,
  * watchdog deadlines under TARTAN_TIMEOUT with TARTAN_RETRIES
  * re-attempts, and quarantine (placeholder result + manifest failure
  * row) instead of sweep abort. Result types round-trip through
- * CellCodec so a replayed payload is byte-identical to a fresh one.
+ * CellCodec so a stored payload is byte-identical to a fresh one.
  */
 
 #ifndef TARTAN_BENCH_UTIL_HH
@@ -34,7 +34,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,9 +138,9 @@ traced(WorkloadOptions opt,
 
 /**
  * One campaign cell: a labelled, content-addressed run closure. The
- * label is the human identity (journal rows, failure reports); the
- * (configHash, seed) pair is the machine identity that keys the
- * journal and the result cache. Everything inside fn is captured by
+ * label is the human identity (failure reports); the (configHash,
+ * seed) pair is the machine identity that keys the resume store and
+ * the result cache. Everything inside fn is captured by
  * value, so the closure owns its whole configuration and shares
  * nothing with its siblings — which is also what makes a retry or a
  * replay reproduce the identical payload.
@@ -155,31 +154,18 @@ struct Cell {
 };
 
 /**
- * Exact payload codec for a cell-result type. The primary template is
- * the "no codec" marker: such cells still get watchdog / retry /
- * quarantine hardening, but are never journaled or cached (their
- * results travel through an in-memory side channel instead), so
- * resume and cache hits re-simulate them. Specialisations must
+ * Exact payload codec for a cell-result type. Specialisations must
  * round-trip exactly — decode(encode(x)) == x bit for bit — and
- * expose a schema() that changes whenever the encoding does.
+ * expose a schema() that changes whenever the encoding does. The
+ * primary template is left undefined, so runAll over a result type
+ * without a codec does not compile.
  */
 template <typename R>
-struct CellCodec {
-    static constexpr bool available = false;
-    /** Schema tag (keys journals/caches); 0 for the no-codec marker. */
-    static std::uint64_t schema() { return 0; }
-    static std::string encode(const R &) { return {}; }
-    static bool
-    decode(const std::string &, R &, std::string * = nullptr)
-    {
-        return false;
-    }
-};
+struct CellCodec;
 
 /** RunResult codec: the exact encoder from workloads/cellcodec. */
 template <>
 struct CellCodec<RunResult> {
-    static constexpr bool available = true;
     static std::uint64_t schema() { return workloads::cellSchemaVersion(); }
     static std::string
     encode(const RunResult &res)
@@ -200,12 +186,11 @@ struct CellCodec<RunResult> {
  */
 template <>
 struct CellCodec<std::vector<double>> {
-    static constexpr bool available = true;
     static std::uint64_t
     schema()
     {
         // Distinct schema space from the RunResult codec so the two
-        // payload families never share a journal file or cache entry.
+        // payload families never share a stored entry.
         return sim::fnv1a64("tartan-vecd-codec-v1");
     }
     static std::string
@@ -309,7 +294,7 @@ cell(BenchReporter &rep, std::string label, RobotFn run, MachineSpec spec,
  * `capture_<confighash16>_<seed>.tcap` files: a matching file is
  * loaded instead of executing the robot, and any invalid file
  * (truncated, bit-flipped, foreign version/identity) is ignored with a
- * warning and re-captured — same policy as the run journal.
+ * warning and re-captured — same policy as the result cache.
  */
 class CaptureSource
 {
@@ -399,8 +384,8 @@ class CaptureSource
  * TARTAN_REPLAY is on and (@p spec, @p opt) is replay-compatible with
  * the capture cell, and falls back to a direct run otherwise. Label,
  * content address and seed are constructed exactly like cell()'s, so a
- * replayed cell is indistinguishable in the journal, the result cache
- * and the BENCH payload — byte-identical results are the contract the
+ * replayed cell is indistinguishable in the resume store, the result
+ * cache and the BENCH payload — byte-identical results are the contract the
  * capture-replay CI job enforces. @p src must outlive the sweep.
  */
 inline Cell<RunResult>
@@ -447,8 +432,8 @@ reportCaptureStats(BenchReporter &rep)
  * output byte-identical to serial output: workers may finish in any
  * order, but consumers only ever see the in-order gather.
  *
- * Codec-backed result types always travel encode → decode — for fresh
- * runs too, not only replays — so every source (simulation, journal,
+ * Results always travel encode → decode — for fresh runs too, not
+ * only stored ones — so every source (simulation, resume store,
  * cache) flows through the identical decode path and resume
  * byte-identity cannot be broken by an asymmetric codec bug.
  *
@@ -465,29 +450,12 @@ runAll(BenchReporter &rep, RunPool &pool, std::vector<Cell<R>> cells)
     sim::CampaignRunner runner(rep.name(), pool,
                                sim::CampaignConfig::fromEnv(),
                                Codec::schema());
-    // Side channel for codec-less result types: the closure parks the
-    // value here and returns an empty payload.
-    auto boxes = std::make_shared<std::vector<std::optional<R>>>(
-        Codec::available ? 0 : cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        sim::CellSpec spec;
-        spec.label = std::move(cells[i].label);
-        spec.configHash = cells[i].configHash;
-        spec.seed = cells[i].seed;
-        spec.cacheable = Codec::available;
-        if constexpr (Codec::available) {
-            runner.submit(std::move(spec),
-                          [fn = std::move(cells[i].fn)]() {
-                              return Codec::encode(fn());
-                          });
-        } else {
-            runner.submit(std::move(spec),
-                          [fn = std::move(cells[i].fn), boxes, i]() {
-                              (*boxes)[i] = fn();
-                              return std::string();
-                          });
-        }
-    }
+    for (Cell<R> &c : cells)
+        runner.submit(sim::CellSpec{std::move(c.label), c.configHash,
+                                    c.seed},
+                      [fn = std::move(c.fn)]() {
+                          return Codec::encode(fn());
+                      });
     const std::vector<sim::CellOutcome> outcomes = runner.gather();
     const sim::CampaignStats &st = runner.stats();
     rep.campaignStats(st.simulated, st.journalHits, st.cacheHits,
@@ -500,20 +468,16 @@ runAll(BenchReporter &rep, RunPool &pool, std::vector<Cell<R>> cells)
         const sim::CellOutcome &out = outcomes[i];
         if (out.status != sim::CellOutcome::Status::Ok)
             continue;  // quarantined: default-constructed placeholder
-        if constexpr (Codec::available) {
-            std::string err;
-            if (!Codec::decode(out.payload, results[i], &err)) {
-                // Journal rows and cache entries are CRC- and
-                // schema-checked before they get here, so this is a
-                // codec bug, not expected operation — but degrade to a
-                // quarantine-style placeholder rather than aborting.
-                sim::warn("bench: cell '%s' payload failed to decode "
-                          "(%s); treating as failed",
-                          out.label.c_str(), err.c_str());
-                rep.cellFailure(out.label, "decode", err, out.attempts);
-            }
-        } else if ((*boxes)[i]) {
-            results[i] = std::move(*(*boxes)[i]);
+        std::string err;
+        if (!Codec::decode(out.payload, results[i], &err)) {
+            // Stored entries are CRC- and schema-checked before they
+            // get here, so this is a codec bug, not expected
+            // operation — but degrade to a quarantine-style
+            // placeholder rather than aborting.
+            sim::warn("bench: cell '%s' payload failed to decode "
+                      "(%s); treating as failed",
+                      out.label.c_str(), err.c_str());
+            rep.cellFailure(out.label, "decode", err, out.attempts);
         }
     }
     return results;
@@ -530,7 +494,7 @@ campaignExit(const BenchReporter &rep)
 
 /**
  * Execute @p jobs through @p pool and return their results in
- * submission order (the raw, reporter-less path: no journal, no
+ * submission order (the raw, reporter-less path: no resume, no
  * cache, no retry). Worker exceptions do not abort the gather at the
  * first victim: every future is drained, and the failures — each with
  * its submission index and error class — surface together as one
@@ -595,16 +559,12 @@ reportRun(BenchReporter &rep, const std::string &row, const RunResult &res)
 
 /**
  * Record per-kernel CPI stacks of run @p run (one cpi row per kernel
- * that accumulated cycles) into @p rep. No-op when TARTAN_CPISTACK is
- * off — attribution is still computed inside the core, the knob only
- * gates the surfaces.
+ * that accumulated cycles) into @p rep.
  */
 inline void
 reportCpi(BenchReporter &rep, const std::string &run,
           const std::vector<sim::KernelCounters> &kernels)
 {
-    if (!sim::RunEnv::get().cpiStack)
-        return;
     for (const auto &k : kernels) {
         if (!k.cycles)
             continue;

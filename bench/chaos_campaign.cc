@@ -169,7 +169,7 @@ main(int argc, char **argv)
         c.label = label;
         // The fault spec is invisible to the machine/options hash, so
         // it rides in as salt: two classes over the same machine must
-        // never share a journal row or cache entry.
+        // never share a resume or cache entry.
         c.configHash = cellConfigHash(
             label, spec, options(SoftwareTier::Approximate, 0.5),
             fault_spec);

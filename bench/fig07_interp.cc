@@ -34,13 +34,12 @@ struct RayRun {
 namespace tartan::bench {
 
 /**
- * Exact RayRun codec so fig07's cells journal/cache like everyone
+ * Exact RayRun codec so fig07's cells resume and cache like everyone
  * else's: cycles as a %a hexfloat, kernels through the shared
  * kernel-counter encoder.
  */
 template <>
 struct CellCodec<RayRun> {
-    static constexpr bool available = true;
     static std::uint64_t
     schema()
     {

@@ -4,8 +4,9 @@
  * no prefetcher, ANL, plain Next-Line, and a Bingo-like spatial
  * prefetcher. Reports normalised execution time, miss coverage and
  * prefetch accuracy, plus the metadata storage of ANL vs Bingo. The
- * 30 runs (6 robots x {base, 4 prefetchers}) execute through a
- * RunPool.
+ * 24 runs (6 robots x 4 prefetchers) execute through a RunPool; the
+ * no-prefetcher run is the baseline machine unchanged, so it is also
+ * the normalisation base.
  */
 
 #include "bench_util.hh"
@@ -78,7 +79,7 @@ main()
     const char *labels[] = {"No", "ANL", "NL", "Bi"};
     RunPool pool;
     // One capture per robot: under TARTAN_REPLAY the robot executes
-    // once and the 5 per-robot configs replay its op stream (the
+    // once and the 4 per-robot configs replay its op stream (the
     // prefetcher variants differ only in timing knobs).
     std::vector<std::unique_ptr<CaptureSource>> sources;
     std::vector<Cell<RunResult>> jobs;
@@ -86,9 +87,6 @@ main()
         auto &src = *sources.emplace_back(std::make_unique<CaptureSource>(
             robot.name, robot.run, MachineSpec::baseline(),
             options(SoftwareTier::Optimized)));
-        jobs.push_back(replayCell(src, std::string(robot.name) + "/base",
-                                  robot.run, MachineSpec::baseline(),
-                                  options(SoftwareTier::Optimized)));
         for (int pf = 0; pf < 4; ++pf)
             jobs.push_back(replayCell(src,
                                       std::string(robot.name) + "/" +
@@ -107,7 +105,8 @@ main()
     std::vector<double> anl_gain, bingo_gain;
     std::size_t idx = 0;
     for (const auto &robot : robotSuite()) {
-        const double base_cycles = double(results[idx++].wallCycles);
+        // pfSpec(0) is MachineSpec::baseline(): "No" is the base run.
+        const double base_cycles = double(results[idx].wallCycles);
         std::printf("%-10s", robot.name);
         for (int pf = 0; pf < 4; ++pf) {
             const RunResult &res = results[idx++];

@@ -202,7 +202,7 @@ main()
     // plan cost), so those two execute as RunResult cells — which also
     // makes their per-kernel CPI stacks available to the report. The
     // two error evaluations are a second campaign with its own payload
-    // schema (plain double vectors), hence its own journal file.
+    // schema (plain double vectors), which keys its stored entries.
     std::vector<Cell<RunResult>> fly_jobs;
     fly_jobs.push_back(cell("FlyBot/exact", runFlyBot,
                             MachineSpec::tartan(),

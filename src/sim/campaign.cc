@@ -5,36 +5,15 @@
 
 #include "sim/campaign.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "sim/env.hh"
 #include "sim/logging.hh"
 #include "sim/watchdog.hh"
 
 namespace tartan::sim {
-
-namespace {
-
-/** Journal/cache payloads must stay single-line; reject raw newlines. */
-bool
-payloadPersistable(const std::string &payload)
-{
-    return payload.find('\n') == std::string::npos;
-}
-
-/** Strip record-framing characters from a label. */
-std::string
-sanitizeLabel(std::string label)
-{
-    for (char &c : label)
-        if (c == '\t' || c == '\n' || c == '\r')
-            c = ' ';
-    return label;
-}
-
-} // namespace
 
 CampaignConfig
 CampaignConfig::fromEnv()
@@ -77,19 +56,8 @@ CampaignRunner::CampaignRunner(std::string driver, RunPool &pool_,
         std::string dir = cfg.journalDir;
         if (!dir.empty() && dir.back() != '/')
             dir += '/';
-        // The schema version is part of the file name, not only the
-        // header: a driver sweeping two payload types (two runners,
-        // two schemas) gets two journals instead of the second runner
-        // treating the first one's file as foreign and resetting it.
-        journalPtr = std::make_unique<RunJournal>(
-            dir + "JOURNAL_" + driverName + "_s" +
-                std::to_string(schemaVersion) + ".tjl",
-            driverName, schemaVersion);
-        if (!journalPtr->ok()) {
-            warn("campaign: journal unavailable; resume disabled for %s",
-                 driverName.c_str());
-            journalPtr.reset();
-        }
+        resumePtr = std::make_unique<ResultCache>(
+            dir + "RESUME_" + driverName, schemaVersion);
     }
     if (!cfg.cacheDir.empty())
         cachePtr = std::make_unique<ResultCache>(cfg.cacheDir,
@@ -148,37 +116,27 @@ CampaignRunner::runAttempts(const CellSpec &spec, std::uint64_t index,
 void
 CampaignRunner::submit(CellSpec spec, std::function<std::string()> run)
 {
-    spec.label = sanitizeLabel(std::move(spec.label));
     const std::uint64_t index = pending.size();
-
-    if (journalPtr && spec.cacheable) {
-        if (const JournalRecord *rec = journalPtr->find(
-                index, spec.configHash, spec.seed, spec.label)) {
-            CellOutcome out;
-            out.status = CellOutcome::Status::Ok;
-            out.source = CellOutcome::Source::Journal;
-            out.index = index;
-            out.label = spec.label;
-            out.payload = rec->payload;
-            PendingCell cell;
-            cell.spec = std::move(spec);
-            cell.ready = std::move(out);
-            pending.push_back(std::move(cell));
-            return;
-        }
-    }
-
     auto task = [this, spec, index, run = std::move(run)]() -> CellOutcome {
-        if (cachePtr && spec.cacheable) {
-            if (auto hit = cachePtr->load(spec.configHash, spec.seed,
-                                          spec.label)) {
-                CellOutcome out;
-                out.status = CellOutcome::Status::Ok;
-                out.source = CellOutcome::Source::Cache;
-                out.index = index;
-                out.label = spec.label;
-                out.payload = std::move(*hit);
-                return out;
+        if (spec.cacheable) {
+            // One lookup path: the resume store, then the shared
+            // cache, then the simulation.
+            const std::pair<const ResultCache *, CellOutcome::Source>
+                stores[] = {{resumePtr.get(), CellOutcome::Source::Journal},
+                            {cachePtr.get(), CellOutcome::Source::Cache}};
+            for (const auto &[store, source] : stores) {
+                if (!store)
+                    continue;
+                if (auto hit = store->load(spec.configHash, spec.seed,
+                                           spec.label)) {
+                    CellOutcome out;
+                    out.status = CellOutcome::Status::Ok;
+                    out.source = source;
+                    out.index = index;
+                    out.label = spec.label;
+                    out.payload = std::move(*hit);
+                    return out;
+                }
             }
         }
         return runAttempts(spec, index, run);
@@ -199,8 +157,7 @@ CampaignRunner::gather()
     std::vector<CellOutcome> outcomes;
     outcomes.reserve(pending.size());
     for (PendingCell &cell : pending) {
-        CellOutcome out =
-            cell.ready ? std::move(*cell.ready) : cell.fut.get();
+        CellOutcome out = cell.fut.get();
 
         if (out.status == CellOutcome::Status::Ok) {
             switch (out.source) {
@@ -214,21 +171,15 @@ CampaignRunner::gather()
                 ++statsData.cacheHits;
                 break;
             }
-            if (cell.spec.cacheable && !payloadPersistable(out.payload)) {
-                warn("campaign: cell '%s' payload is not single-line; "
-                     "not persisting it",
-                     out.label.c_str());
-            } else if (cell.spec.cacheable) {
-                // Journal every completed cell (fresh or cache-loaded)
+            if (cell.spec.cacheable) {
+                // Store every completed cell (fresh or cache-loaded)
                 // the moment it is consumed: a kill between two cells
-                // preserves the whole prefix. Replays are already on
-                // disk and are not re-appended, so a resumed journal
-                // never grows unboundedly.
-                if (journalPtr &&
+                // leaves the whole prefix in the resume store. Its own
+                // hits are already there and are not rewritten.
+                if (resumePtr &&
                     out.source != CellOutcome::Source::Journal)
-                    journalPtr->append(JournalRecord{
-                        out.index, cell.spec.configHash, cell.spec.seed,
-                        out.label, out.payload});
+                    resumePtr->store(cell.spec.configHash, cell.spec.seed,
+                                     out.label, out.payload);
                 if (cachePtr && out.source == CellOutcome::Source::Run)
                     cachePtr->store(cell.spec.configHash, cell.spec.seed,
                                     out.label, out.payload);

@@ -9,9 +9,9 @@
  * CampaignRunner executes them through a RunPool with three layers of
  * protection stacked in lookup order:
  *
- *   submit(cell) ──► journal hit? ──► replay row (no simulation)
- *                │
- *                └► worker: cache hit? ──► verified payload
+ *   submit(cell) ──► worker: resume-store hit? ──► verified payload
+ *                            │
+ *                            ├► shared-cache hit? ──► verified payload
  *                            │
  *                            └► run under ScopedCellWatch
  *                                 │ CellTimeoutError / CellCrashError /
@@ -19,12 +19,19 @@
  *                                 └► retry with exponential backoff,
  *                                    then quarantine (Status::Failed)
  *
+ * Both stores are ResultCache instances, so a completed cell has one
+ * on-disk format (a CRC-verified, content-addressed JSON envelope).
+ * The *resume store* (TARTAN_RESUME) lives in
+ * `<journalDir>/RESUME_<driver>/` and belongs to one driver; the
+ * *shared cache* (TARTAN_CACHE_DIR) may serve any campaign.
+ *
  * gather() consumes outcomes in submission order — the same ordering
  * discipline that keeps parallel BENCH payloads byte-identical to
- * serial ones — appending each newly completed cell to the journal
- * (fsynced, so a SIGKILL preserves every finished cell) and storing
- * fresh simulations into the result cache. Failed cells are *not*
- * journaled or cached: a resumed or re-run campaign retries them.
+ * serial ones. It stores every completed cell the resume store did not
+ * serve into the resume store (durable atomic rename, so a SIGKILL
+ * preserves every finished cell) and every fresh simulation into the
+ * shared cache. Failed cells are stored in neither: a resumed or
+ * re-run campaign retries them.
  *
  * Quarantined cells never abort the sweep. They surface as
  * Status::Failed outcomes with an error class ("timeout", "crash",
@@ -39,12 +46,10 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "sim/journal.hh"
 #include "sim/result_cache.hh"
 #include "sim/runpool.hh"
 
@@ -58,9 +63,9 @@ struct CampaignConfig {
     unsigned retries = 1;
     /** Base backoff between attempts; doubles per retry. */
     unsigned backoffMs = 100;
-    /** Replay completed cells from the journal (TARTAN_RESUME). */
+    /** Serve completed cells from the resume store (TARTAN_RESUME). */
     bool resume = false;
-    /** Journal directory (the BENCH output directory by default). */
+    /** Parent directory of the resume store (default: BENCH dir). */
     std::string journalDir;
     /** Result-cache directory ("" = caching off, TARTAN_CACHE_DIR). */
     std::string cacheDir;
@@ -75,9 +80,9 @@ struct CellSpec {
     std::uint64_t configHash = 0; //!< content hash of the configuration
     std::uint64_t seed = 0;       //!< workload seed
     /**
-     * Whether the cell's payload may be journaled and cached. False
-     * for result types without an exact codec: such cells still get
-     * watchdog/retry/quarantine hardening, but always re-simulate.
+     * Whether the cell's payload may be stored for resume and caching.
+     * False cells still get watchdog/retry/quarantine hardening, but
+     * always re-simulate.
      */
     bool cacheable = true;
 };
@@ -114,7 +119,10 @@ class RunPoolError : public std::runtime_error
 struct CellOutcome {
     /** Completed (payload valid) vs quarantined (failure fields valid). */
     enum class Status { Ok, Failed };
-    /** Where an Ok payload came from. */
+    /**
+     * Where an Ok payload came from: a simulation, the resume store
+     * (Journal, counted as journalHits) or the shared cache.
+     */
     enum class Source { Run, Journal, Cache };
 
     Status status = Status::Failed; //!< completed vs quarantined
@@ -130,21 +138,20 @@ struct CellOutcome {
 /** Per-campaign accounting, surfaced in the BENCH manifest. */
 struct CampaignStats {
     std::uint64_t simulated = 0;    //!< cells actually run
-    std::uint64_t journalHits = 0;  //!< cells replayed from the journal
+    std::uint64_t journalHits = 0;  //!< cells served by the resume store
     std::uint64_t cacheHits = 0;    //!< cells loaded from the cache
     std::uint64_t failed = 0;       //!< cells quarantined
     std::vector<CellFailure> failures; //!< identity of every failure
 };
 
-/** Executes one driver's cells with journal/cache/watchdog/retry. */
+/** Executes one driver's cells with resume/cache/watchdog/retry. */
 class CampaignRunner
 {
   public:
     /**
      * A runner for @p driver over @p pool. @p schema_version
-     * identifies the payload encoding (codec x CPI taxonomy); journal
-     * rows and cache entries from any other schema are stale and
-     * ignored. Opens the journal immediately when cfg.resume is set.
+     * identifies the payload encoding (codec x CPI taxonomy); stored
+     * entries from any other schema are stale and ignored.
      */
     CampaignRunner(std::string driver, RunPool &pool, CampaignConfig cfg,
                    std::uint64_t schema_version);
@@ -158,29 +165,24 @@ class CampaignRunner
      * Submit one cell. @p run executes on a pool worker and returns
      * the encoded payload; it must be self-contained (own its spec /
      * options / injectors) and deterministic, so a retry or a replay
-     * reproduces the identical payload. Journal hits short-circuit
-     * here, on the calling thread, without touching the pool.
+     * reproduces the identical payload.
      */
     void submit(CellSpec spec, std::function<std::string()> run);
 
     /**
-     * Wait for every submitted cell, in submission order; append
-     * newly completed cells to the journal (fsync per append) and
-     * store fresh simulations into the cache. Call exactly once.
+     * Wait for every submitted cell, in submission order; store
+     * completed cells the resume store did not serve into it and
+     * fresh simulations into the shared cache. Call exactly once.
      */
     std::vector<CellOutcome> gather();
 
     /** Accounting; complete once gather() returned. */
     const CampaignStats &stats() const { return statsData; }
 
-    /** The journal in use (null unless resume is on); for tests. */
-    const RunJournal *journal() const { return journalPtr.get(); }
-
   private:
     struct PendingCell {
         CellSpec spec;
-        std::optional<CellOutcome> ready;  //!< journal replay
-        std::future<CellOutcome> fut;      //!< live execution
+        std::future<CellOutcome> fut;
     };
 
     CellOutcome runAttempts(const CellSpec &spec, std::uint64_t index,
@@ -190,8 +192,8 @@ class CampaignRunner
     RunPool &pool;
     CampaignConfig cfg;
     std::uint64_t schemaVersion;
-    std::unique_ptr<RunJournal> journalPtr;
-    std::unique_ptr<ResultCache> cachePtr;
+    std::unique_ptr<ResultCache> resumePtr;  //!< null unless cfg.resume
+    std::unique_ptr<ResultCache> cachePtr;   //!< null unless cfg.cacheDir
     std::vector<PendingCell> pending;
     CampaignStats statsData;
     bool gathered = false;

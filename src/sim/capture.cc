@@ -5,11 +5,12 @@
 
 #include "sim/capture.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 
 #include "sim/checksum.hh"
+#include "sim/json.hh"
 
 namespace tartan::sim {
 
@@ -108,34 +109,26 @@ CaptureTrace::save(const std::string &path, std::string *err) const
     hdr.recordCount = records.size();
     hdr.auxBytes = aux.size();
 
-    // Write to a temp sibling and rename into place: the content-
-    // addressed name must never point at a torn file.
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        setError(err, "cannot open '" + tmp + "': " +
-                          std::strerror(errno));
-        return false;
-    }
-    bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1;
-    if (ok && !records.empty())
-        ok = std::fwrite(records.data(), sizeof(CapRecord),
-                         records.size(), f) == records.size();
-    if (ok && !aux.empty())
-        ok = std::fwrite(aux.data(), 1, aux.size(), f) == aux.size();
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
-        setError(err, "short write to '" + tmp + "'");
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        setError(err, "cannot rename '" + tmp + "' into place: " +
-                          std::strerror(errno));
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    // The durable writer renames an fsynced, process-unique temp
+    // sibling into place: the content-addressed name never points at a
+    // torn file, and processes sharing a capture directory never write
+    // into each other's temporaries.
+    const bool ok = json::writeFileDurable(
+        path,
+        [&](std::ostream &os) {
+            os.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
+            if (!records.empty())
+                os.write(reinterpret_cast<const char *>(records.data()),
+                         std::streamsize(records.size() *
+                                         sizeof(CapRecord)));
+            if (!aux.empty())
+                os.write(reinterpret_cast<const char *>(aux.data()),
+                         std::streamsize(aux.size()));
+        },
+        "capture");
+    if (!ok)
+        setError(err, "cannot write '" + path + "'");
+    return ok;
 }
 
 bool

@@ -33,7 +33,7 @@
  * File format (`capture_<confighash16>_<seed>.tcap`): a fixed 64-byte
  * header (magic, format version, CRC-32 of the body via checksum.hh,
  * config hash, seed, record/aux counts) followed by the record array
- * and the aux bytes. Corruption policy mirrors the run journal: a
+ * and the aux bytes. Corruption policy mirrors the result cache: a
  * truncated tail, a bit-flipped body, or a foreign-version header make
  * the file invalid as a whole and force a re-capture — a capture is a
  * cache entry, never a source of truth.
@@ -144,9 +144,11 @@ struct CaptureTrace {
     }
 
     /**
-     * Write header + records + aux to @p path (atomically: a temp file
+     * Write header + records + aux to @p path through
+     * json::writeFileDurable (an fsynced, process-unique temp file
      * renamed into place, so a crashed save never leaves a torn file
-     * under the content address). Returns false with @p err on failure.
+     * under the content address and concurrent savers never collide).
+     * Returns false with @p err on failure.
      */
     bool save(const std::string &path, std::string *err = nullptr) const;
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Checksum primitives for the campaign-resilience layer: CRC-32
- * (IEEE reflected polynomial) guarding journal records and cache
+ * (IEEE reflected polynomial) guarding result-cache and resume-store
  * payloads against torn writes and bit rot, and FNV-1a 64 hashing
  * configuration descriptions into stable content-address keys. Both
  * are pure functions of their input bytes — no host state, no

@@ -54,28 +54,6 @@ RunEnv::parse()
                  "(want > 0)",
                  scale);
     }
-    if (const char *cpi = std::getenv("TARTAN_CPISTACK")) {
-        const std::string v = cpi;
-        env.cpiStack = !(v == "0" || v == "off" || v == "false");
-    }
-    if (const char *tol = std::getenv("TARTAN_DIFF_TOL")) {
-        const double v = std::atof(tol);
-        if (v >= 0)
-            env.diffTol = v;
-        else
-            warn("env: ignoring invalid TARTAN_DIFF_TOL '%s' "
-                 "(want >= 0)",
-                 tol);
-    }
-    if (const char *tol = std::getenv("TARTAN_DIFF_TOL_CPI")) {
-        const double v = std::atof(tol);
-        if (v >= 0)
-            env.diffTolCpi = v;
-        else
-            warn("env: ignoring invalid TARTAN_DIFF_TOL_CPI '%s' "
-                 "(want >= 0)",
-                 tol);
-    }
     if (const char *timeout = std::getenv("TARTAN_TIMEOUT")) {
         const double v = std::atof(timeout);
         if (v >= 0)

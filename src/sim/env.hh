@@ -38,26 +38,6 @@ struct RunEnv {
     /** $TARTAN_SELFBENCH_SCALE: workload scale override for selfbench. */
     double selfbenchScale = 1.0;
     /**
-     * $TARTAN_CPISTACK: surface per-kernel CPI stacks in BENCH
-     * payloads and per-epoch cpi.* trace probes (default on; "0",
-     * "off" or "false" disables). The attribution itself is always
-     * computed — the knob only gates the surfaces, so turning it off
-     * never changes simulated timing or non-cpi output.
-     */
-    bool cpiStack = true;
-    /**
-     * $TARTAN_DIFF_TOL: default relative tolerance of bench_diff for
-     * plain metrics (0 = exact). The --tol flag overrides it.
-     */
-    double diffTol = 0.0;
-    /**
-     * $TARTAN_DIFF_TOL_CPI: default relative tolerance of bench_diff
-     * for CPI-stack categories (0 = exact; simulated cycle counts are
-     * deterministic, so exact is the sane default). The --tol-cpi flag
-     * overrides it.
-     */
-    double diffTolCpi = 0.0;
-    /**
      * $TARTAN_TIMEOUT: per-cell wall-clock deadline in seconds for
      * campaign runs (0 = no watchdog). A cell exceeding it is unwound
      * via the heartbeat, retried with backoff and — still failing —
@@ -75,10 +55,10 @@ struct RunEnv {
      */
     unsigned backoffMs = 100;
     /**
-     * $TARTAN_RESUME: when truthy ("1"/"on"/"true"), campaigns keep a
-     * durable run journal next to their BENCH output and replay
-     * completed cells from it — a killed sweep resumes where it died,
-     * with a byte-identical final payload.
+     * $TARTAN_RESUME: when truthy ("1"/"on"/"true"), campaigns store
+     * every completed cell in a resume store (`RESUME_<driver>/` next
+     * to their BENCH output) and serve stored cells from it — a killed
+     * sweep resumes where it died, with a byte-identical final payload.
      */
     bool resume = false;
     /**

@@ -22,6 +22,13 @@
 
 namespace tartan::sim::json {
 
+namespace {
+
+/**
+ * Flush the directory entry of @p path: fsync its parent directory so
+ * a rename into it is durable. No-op (returns true) on platforms
+ * without directory fsync.
+ */
 bool
 syncParentDir(const std::string &path)
 {
@@ -40,6 +47,8 @@ syncParentDir(const std::string &path)
     return ok;
 #endif
 }
+
+} // namespace
 
 bool
 writeFileDurable(const std::string &path,
@@ -64,7 +73,7 @@ writeFileDurable(const std::string &path,
                             std::to_string(serial.fetch_add(1));
 
     {
-        std::ofstream out(tmp);
+        std::ofstream out(tmp, std::ios::binary);
         if (!out) {
             warn("%s: cannot write %s", what, tmp.c_str());
             return false;

@@ -37,20 +37,15 @@ void writeNumber(std::ostream &os, double v);
  * interleave bytes or expose a half-written file, and once the call
  * returns true the bytes are on disk — a kill -9 (or power cut)
  * immediately after leaves either the old file or the complete new
- * one, never a torn mix. Creates missing parent directories; on
- * failure removes the temporary and reports through warn(), tagged
- * with @p what ("trace", "bench", "cache").
+ * one, never a torn mix. The temporary is opened in binary mode, so
+ * binary documents (capture files) are written byte for byte. Creates
+ * missing parent directories; on failure removes the temporary and
+ * reports through warn(), tagged with @p what ("trace", "bench",
+ * "cache", "capture").
  */
 bool writeFileDurable(const std::string &path,
                       const std::function<void(std::ostream &)> &emit,
                       const char *what);
-
-/**
- * Flush the directory entry of @p path: fsync its parent directory so
- * a rename into it is durable. Shared by writeFileDurable and the run
- * journal. No-op (returns true) on platforms without directory fsync.
- */
-bool syncParentDir(const std::string &path);
 
 /** A parsed JSON value (tree-owning). */
 struct Value {

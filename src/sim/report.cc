@@ -170,7 +170,7 @@ BenchReporter::writeJson(std::ostream &os) const
     }
     // Campaign accounting lives in the manifest on purpose: bench_diff
     // compares config/metrics/kernels/cpi only, so where a result came
-    // from (fresh, journal, cache) never perturbs payload comparison.
+    // from (fresh, resume store, cache) never perturbs payload comparison.
     if (campaignTotals.recorded) {
         os << ",\n    \"campaign\": {\"simulated\": "
            << campaignTotals.simulated

@@ -101,7 +101,7 @@ class BenchReporter
     /**
      * Accumulate campaign counters (multiple runAll sweeps per driver
      * add up) into the manifest.campaign block: cells simulated fresh,
-     * replayed from the journal, served from the result cache, failed.
+     * served by the resume store, served from the result cache, failed.
      */
     void campaignStats(std::uint64_t simulated, std::uint64_t journal_hits,
                        std::uint64_t cache_hits, std::uint64_t failed);

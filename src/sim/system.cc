@@ -9,7 +9,6 @@
 
 #include "sim/bingo.hh"
 #include "sim/cpistack.hh"
-#include "sim/env.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -113,14 +112,9 @@ System::System(const SysConfig &config) : cfg(config)
         cfg.trace->addProbe("pfHitsLate", &path->stats.pfHitsLate);
         // Per-epoch CPI-stack deltas: one probe per category, sampling
         // the same stable storage the stats registry references.
-        // TARTAN_CPISTACK=0 suppresses the columns (attribution is
-        // still computed — it is free at this layer).
-        if (RunEnv::get().cpiStack) {
-            for (std::size_t i = 0; i < kNumCpiCats; ++i)
-                cfg.trace->addProbe(
-                    std::string("cpi.") + cpiCatName(CpiCat(i)),
-                    &coreModel->cpiTotals().cat[i]);
-        }
+        for (std::size_t i = 0; i < kNumCpiCats; ++i)
+            cfg.trace->addProbe(std::string("cpi.") + cpiCatName(CpiCat(i)),
+                                &coreModel->cpiTotals().cat[i]);
         path->setTrace(cfg.trace);
         coreModel->attachTrace(cfg.trace);
     }

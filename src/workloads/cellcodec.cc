@@ -97,7 +97,7 @@ encodeDouble(double v)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%a", v);
     // %a is locale-dependent in exactly one place: the radix character
-    // (e.g. ',' under de_DE). Journals and caches must be portable
+    // (e.g. ',' under de_DE). Stored payloads must be portable
     // across processes with different LC_NUMERIC, so normalise to '.'
     // — a byte-identity no-op under the "C" locale the baselines were
     // recorded with.
@@ -112,14 +112,14 @@ bool
 decodeDouble(const std::string &text, double &out)
 {
     // std::from_chars, unlike the historical strtod here, is locale-
-    // independent: a journal written under the "C" locale decodes
+    // independent: a payload written under the "C" locale decodes
     // identically in a process running under de_DE (where strtod would
     // stop at the '.' radix and reject the payload). from_chars does
     // not accept a sign or a "0x" prefix itself, so strip them first.
     // Normalise a ','-radix spelling first: payloads written by the
     // pre-fix encoder under a comma-decimal LC_NUMERIC carry e.g.
     // "0x1,8p+1", and rejecting them would invalidate otherwise-good
-    // journals recorded on such hosts.
+    // entries recorded on such hosts.
     std::string normalized;
     if (text.find(',') != std::string::npos) {
         normalized = text;

@@ -3,7 +3,7 @@
  * Exact serialisation of campaign cell results.
  *
  * The campaign-resilience layer (sim/campaign) persists cell results
- * in the run journal and the result cache, then feeds *decoded*
+ * in the resume store and the result cache, then feeds *decoded*
  * payloads back into the bench drivers. The resume guarantee — a
  * killed-and-resumed sweep emits BENCH JSON byte-identical to an
  * uninterrupted one — therefore hinges on this codec being exact:
@@ -20,7 +20,7 @@
  *
  * The payload embeds the codec version and the CPI taxonomy version;
  * decode rejects foreign versions, and both are folded into the
- * schema version that keys journal files and cache entries — bumping
+ * schema version that keys resume and cache entries — bumping
  * either invalidates persisted state instead of misreading it.
  *
  * describeCell() renders the complete simulated configuration of a
@@ -49,7 +49,7 @@ constexpr std::uint64_t kCellCodecVersion = 1;
 
 /**
  * The persisted-payload schema version: codec layout x CPI taxonomy.
- * Keys journal files and cache entries, so entries written by any
+ * Keys resume and cache entries, so entries written by any
  * other codec or taxonomy are stale by construction.
  */
 std::uint64_t cellSchemaVersion();

@@ -3,14 +3,14 @@
  * Campaign-resilience layer: the crash-tolerance guarantees the bench
  * drivers rely on. The tests pin down (1) the cell codec's exactness —
  * decode(encode(x)) bit-identical, including nan/inf metrics and
- * full-width uint64 counters; (2) the run journal's corruption policy —
- * truncated tails, bit-flipped payloads and foreign schema versions
- * never resurrect bad rows, and the valid prefix always replays;
- * (3) the result cache's verify-on-load — corrupt entries are evicted
- * and re-simulated, hits skip simulation and return identical bytes;
- * (4) the retry/quarantine machinery's determinism — identical
- * outcomes with a serial and a parallel pool, timeouts classified by
- * the watchdog, all failures of a sweep collected with cell identity.
+ * full-width uint64 counters; (2) the result cache's verify-on-load —
+ * corrupt and truncated entries are evicted and re-simulated, a
+ * foreign schema is never served, hits skip simulation and return
+ * identical bytes (the resume store is a second result cache, so the
+ * same policy covers resumed sweeps); (3) the retry/quarantine
+ * machinery's determinism — identical outcomes with a serial and a
+ * parallel pool, timeouts classified by the watchdog, all failures of
+ * a sweep collected with cell identity.
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +33,6 @@
 
 #include "sim/campaign.hh"
 #include "sim/capture.hh"
-#include "sim/journal.hh"
 #include "sim/json.hh"
 #include "sim/result_cache.hh"
 #include "sim/runpool.hh"
@@ -48,9 +47,7 @@ using tartan::sim::CampaignConfig;
 using tartan::sim::CampaignRunner;
 using tartan::sim::CellOutcome;
 using tartan::sim::CellSpec;
-using tartan::sim::JournalRecord;
 using tartan::sim::ResultCache;
-using tartan::sim::RunJournal;
 using tartan::sim::RunPool;
 using tartan::workloads::MachineSpec;
 using tartan::workloads::RunResult;
@@ -179,7 +176,7 @@ expectIdentical(const RunResult &a, const RunResult &b)
     }
 }
 
-/** Resilience config pointed at a scratch journal dir, fast backoff. */
+/** Resilience config with resume in a scratch dir, fast backoff. */
 CampaignConfig
 testConfig(const fs::path &dir)
 {
@@ -250,7 +247,7 @@ TEST(CellCodec, DoubleCodecIsLocaleIndependent)
 
     // Comma-decimal locales (de_DE, fr_FR) make printf("%a") emit
     // "0x1,8p+1" and make strtod reject "0x1.8p+1" — which silently
-    // corrupted journals written on one machine and read on another.
+    // corrupted payloads written on one machine and read on another.
     // The codec must round-trip bit-exactly regardless of LC_NUMERIC.
     const char *current = std::setlocale(LC_NUMERIC, nullptr);
     const std::string saved = current ? current : "C";
@@ -298,7 +295,7 @@ TEST(CellCodec, RunResultRoundTripsBitExactly)
 {
     const RunResult res = sampleResult();
     const std::string payload = tartan::workloads::encodeRunResult(res);
-    // The journal and cache require single-line payloads.
+    // Payloads are single-line JSON.
     EXPECT_EQ(payload.find('\n'), std::string::npos);
 
     RunResult back;
@@ -389,140 +386,11 @@ TEST(DurableWrite, WritesAtomicallyAndCreatesParents)
     EXPECT_EQ(entries, 1u);
 }
 
-// ---------------------------------------------------------------------------
-// Run journal: replay and corruption policy
-// ---------------------------------------------------------------------------
-
 namespace {
 
 const std::uint64_t kSchema = 1001;
 
-fs::path
-journalPath(const fs::path &dir)
-{
-    return dir / "JOURNAL_test.tjl";
-}
-
-/** Write @p n records through the real journal, then close it. */
-void
-writeJournal(const fs::path &dir, std::size_t n,
-             std::uint64_t schema = kSchema)
-{
-    RunJournal j(journalPath(dir).string(), "test", schema);
-    ASSERT_TRUE(j.ok());
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_TRUE(j.append(JournalRecord{
-            i, 0x1000 + i, 42 + i, "cell" + std::to_string(i),
-            "{\"v\":\"1\",\"row\":\"" + std::to_string(i) + "\"}"}));
-}
-
 } // namespace
-
-TEST(RunJournal, AppendsReplayAndLatestDuplicateWins)
-{
-    const fs::path dir = scratchDir("journal_replay");
-    writeJournal(dir, 3);
-
-    RunJournal j(journalPath(dir).string(), "test", kSchema);
-    ASSERT_TRUE(j.ok());
-    ASSERT_EQ(j.records().size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-        const JournalRecord *rec =
-            j.find(i, 0x1000 + i, 42 + i, "cell" + std::to_string(i));
-        ASSERT_NE(rec, nullptr) << i;
-        EXPECT_EQ(rec->payload, "{\"v\":\"1\",\"row\":\"" +
-                                    std::to_string(i) + "\"}");
-    }
-    // Any key component mismatch is a miss, never a near-match replay.
-    EXPECT_EQ(j.find(0, 0x1000, 42, "cellX"), nullptr);
-    EXPECT_EQ(j.find(0, 0x1001, 42, "cell0"), nullptr);
-    EXPECT_EQ(j.find(0, 0x1000, 43, "cell0"), nullptr);
-    EXPECT_EQ(j.find(1, 0x1000, 42, "cell0"), nullptr);
-
-    // A re-run overwriting a row (same key, new payload): latest wins.
-    ASSERT_TRUE(j.append(
-        JournalRecord{0, 0x1000, 42, "cell0", "{\"v\":\"1\",\"row\":\"0b\"}"}));
-    const JournalRecord *latest = j.find(0, 0x1000, 42, "cell0");
-    ASSERT_NE(latest, nullptr);
-    EXPECT_EQ(latest->payload, "{\"v\":\"1\",\"row\":\"0b\"}");
-}
-
-TEST(RunJournal, TruncatedTailKeepsTheValidPrefix)
-{
-    const fs::path dir = scratchDir("journal_trunc");
-    writeJournal(dir, 3);
-
-    // SIGKILL mid-append: chop the last record in half.
-    std::string bytes = slurp(journalPath(dir));
-    const auto last = bytes.rfind("\nR ");
-    ASSERT_NE(last, std::string::npos);
-    spit(journalPath(dir), bytes.substr(0, last + 10));
-
-    RunJournal j(journalPath(dir).string(), "test", kSchema);
-    ASSERT_TRUE(j.ok());
-    ASSERT_EQ(j.records().size(), 2u);
-    EXPECT_NE(j.find(0, 0x1000, 42, "cell0"), nullptr);
-    EXPECT_NE(j.find(1, 0x1001, 43, "cell1"), nullptr);
-    EXPECT_EQ(j.find(2, 0x1002, 44, "cell2"), nullptr);
-
-    // The truncated suffix was cut away, so new appends extend a
-    // clean file that replays whole on the next open.
-    ASSERT_TRUE(j.append(
-        JournalRecord{2, 0x1002, 44, "cell2", "{\"v\":\"1\",\"row\":\"2\"}"}));
-    RunJournal j2(journalPath(dir).string(), "test", kSchema);
-    EXPECT_EQ(j2.records().size(), 3u);
-}
-
-TEST(RunJournal, CorruptPayloadEndsTheReplayablePrefix)
-{
-    const fs::path dir = scratchDir("journal_crc");
-    writeJournal(dir, 3);
-
-    // Bit rot inside record 1's payload: its CRC no longer matches, so
-    // replay must stop *before* it even though record 2 is intact —
-    // trusting anything after a corrupt row would reorder the resume.
-    std::string bytes = slurp(journalPath(dir));
-    const auto pos = bytes.find("\"row\":\"1\"");
-    ASSERT_NE(pos, std::string::npos);
-    bytes[pos + 8] = '9';
-    spit(journalPath(dir), bytes);
-
-    RunJournal j(journalPath(dir).string(), "test", kSchema);
-    ASSERT_TRUE(j.ok());
-    ASSERT_EQ(j.records().size(), 1u);
-    EXPECT_NE(j.find(0, 0x1000, 42, "cell0"), nullptr);
-    EXPECT_EQ(j.find(1, 0x1001, 43, "cell1"), nullptr);
-    EXPECT_EQ(j.find(2, 0x1002, 44, "cell2"), nullptr);
-}
-
-TEST(RunJournal, ForeignSchemaVersionDiscardsTheWholeFile)
-{
-    const fs::path dir = scratchDir("journal_schema");
-    writeJournal(dir, 2, kSchema);
-
-    // A journal written by an older codec/taxonomy must re-simulate:
-    // its rows decode differently, replaying them would be corruption.
-    RunJournal j(journalPath(dir).string(), "test", kSchema + 1);
-    ASSERT_TRUE(j.ok());
-    EXPECT_TRUE(j.records().empty());
-    ASSERT_TRUE(j.append(
-        JournalRecord{0, 1, 2, "fresh", "{\"v\":\"2\"}"}));
-
-    // The restart rewrote the header, so the new schema's rows replay.
-    RunJournal j2(journalPath(dir).string(), "test", kSchema + 1);
-    ASSERT_EQ(j2.records().size(), 1u);
-    EXPECT_NE(j2.find(0, 1, 2, "fresh"), nullptr);
-}
-
-TEST(RunJournal, ForeignDriverDiscardsTheWholeFile)
-{
-    const fs::path dir = scratchDir("journal_driver");
-    writeJournal(dir, 2);
-
-    RunJournal j(journalPath(dir).string(), "other_driver", kSchema);
-    ASSERT_TRUE(j.ok());
-    EXPECT_TRUE(j.records().empty());
-}
 
 // ---------------------------------------------------------------------------
 // Result cache: verified load, eviction
@@ -783,7 +651,7 @@ TEST(CampaignRunner, ResumeReplaysJournaledCellsWithoutSimulating)
     const fs::path dir = scratchDir("runner_resume");
     const CampaignConfig cfg = testConfig(dir);
 
-    // First sweep: everything simulates and lands in the journal.
+    // First sweep: everything simulates and lands in the resume store.
     std::vector<std::string> payloads;
     {
         RunPool pool(1);
@@ -838,7 +706,7 @@ TEST(CampaignRunner, InterruptedSweepResumesOnlyTheRemainder)
     const fs::path dir = scratchDir("runner_partial");
     const CampaignConfig cfg = testConfig(dir);
 
-    // Model a sweep killed after two of three cells: journal only the
+    // Model a sweep killed after two of three cells: store only the
     // completed prefix (what a real kill -9 leaves behind).
     {
         RunPool pool(1);
@@ -936,6 +804,64 @@ TEST(CampaignRunner, CacheHitsSkipSimulationAndSurviveCorruption)
     EXPECT_TRUE(cache.load(100, 5, "x").has_value());
 }
 
+TEST(CampaignRunner, ResumeStoreAndSharedCacheCompose)
+{
+    const fs::path dir = scratchDir("runner_compose");
+    CampaignConfig cfg = testConfig(dir);
+    cfg.cacheDir = (dir / "cache").string();
+
+    // Another campaign already filled the shared cache with two cells.
+    const ResultCache shared(cfg.cacheDir, kSchema);
+    ASSERT_TRUE(shared.store(10, 1, "a", "{\"r\":\"a\"}"));
+    ASSERT_TRUE(shared.store(20, 2, "b", "{\"r\":\"b\"}"));
+    const auto never = []() -> std::string {
+        ADD_FAILURE() << "a stored cell re-simulated";
+        return "{}";
+    };
+
+    // First sweep: the shared cache serves two cells, one simulates,
+    // and gather() writes all three into the resume store.
+    {
+        RunPool pool(1);
+        CampaignRunner runner("compose", pool, cfg, kSchema);
+        runner.submit(CellSpec{"a", 10, 1, true}, never);
+        runner.submit(CellSpec{"b", 20, 2, true}, never);
+        runner.submit(CellSpec{"c", 30, 3, true},
+                      []() { return std::string("{\"r\":\"c\"}"); });
+        const auto outcomes = runner.gather();
+        EXPECT_EQ(runner.stats().cacheHits, 2u);
+        EXPECT_EQ(runner.stats().simulated, 1u);
+        EXPECT_EQ(runner.stats().journalHits, 0u);
+        ASSERT_EQ(outcomes.size(), 3u);
+        EXPECT_EQ(outcomes[0].source, CellOutcome::Source::Cache);
+        EXPECT_EQ(outcomes[2].source, CellOutcome::Source::Run);
+    }
+    const ResultCache resume((dir / "RESUME_compose").string(), kSchema);
+    EXPECT_TRUE(resume.load(10, 1, "a").has_value());
+    EXPECT_TRUE(resume.load(30, 3, "c").has_value());
+    // The fresh cell also reached the shared cache.
+    EXPECT_TRUE(shared.load(30, 3, "c").has_value());
+
+    // Rerun: the resume store is looked up before the shared cache, so
+    // every cell is a resume hit and no closure runs.
+    {
+        RunPool pool(1);
+        CampaignRunner runner("compose", pool, cfg, kSchema);
+        runner.submit(CellSpec{"a", 10, 1, true}, never);
+        runner.submit(CellSpec{"b", 20, 2, true}, never);
+        runner.submit(CellSpec{"c", 30, 3, true}, never);
+        const auto outcomes = runner.gather();
+        EXPECT_EQ(runner.stats().journalHits, 3u);
+        EXPECT_EQ(runner.stats().cacheHits, 0u);
+        EXPECT_EQ(runner.stats().simulated, 0u);
+        ASSERT_EQ(outcomes.size(), 3u);
+        EXPECT_EQ(outcomes[0].payload, "{\"r\":\"a\"}");
+        EXPECT_EQ(outcomes[1].payload, "{\"r\":\"b\"}");
+        EXPECT_EQ(outcomes[2].payload, "{\"r\":\"c\"}");
+        EXPECT_EQ(outcomes[1].source, CellOutcome::Source::Journal);
+    }
+}
+
 TEST(CampaignRunner, NonCacheableCellsAlwaysResimulate)
 {
     const fs::path dir = scratchDir("runner_nocodec");
@@ -976,7 +902,7 @@ TEST(CampaignRunner, FailedCellsAreNeverJournaledOrCached)
         EXPECT_EQ(runner.stats().failed, 1u);
     }
 
-    // The rerun must retry the cell (no journal row, no cache entry
+    // The rerun must retry the cell (no resume entry, no cache entry
     // poisoned by the failure) and can now succeed.
     {
         RunPool pool(1);

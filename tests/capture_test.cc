@@ -4,13 +4,13 @@
  * converted sweep drivers rely on. The tests pin down (1) the capture
  * file's corruption policy — truncated tails, bit-flipped bodies,
  * foreign format versions and implausible headers never load, mirroring
- * the run journal; (2) replay-vs-direct equivalence — for every robot
+ * the result cache; (2) replay-vs-direct equivalence — for every robot
  * in the suite, a replayed capture reproduces the direct run's counters
  * and per-kernel CPI stacks exactly, both at the capture configuration
  * and across timing-only machine changes; (3) the capture accounting —
  * one robot execution serves N replays, with persisted captures
  * reloaded (and re-captured when corrupt) on later runs; (4) the
- * resume-mode mix — journaled replayed cells resume byte-identically.
+ * resume-mode mix — stored replayed cells resume byte-identically.
  *
  * The static initializer below pins TARTAN_REPLAY / TARTAN_CAPTURE_DIR
  * for this whole binary: RunEnv snapshots the environment on first use,
@@ -594,7 +594,7 @@ TEST(CaptureAccounting, CorruptPersistedCaptureIsRecaptured)
 }
 
 // ---------------------------------------------------------------------------
-// Resume mix: replayed cells journal and resume byte-identically
+// Resume mix: replayed cells are stored and resume byte-identically
 // ---------------------------------------------------------------------------
 
 TEST(ReplayEquivalence, ResumeMixReplaysJournaledCellsByteIdentically)
@@ -644,12 +644,12 @@ TEST(ReplayEquivalence, ResumeMixReplaysJournaledCellsByteIdentically)
     }
 
     // The replayed cell's payload must equal the direct run at the
-    // same machine config — replay is invisible to the journal.
+    // same machine config — replay is invisible to the resume store.
     EXPECT_EQ(payloads[1],
               tartan::workloads::encodeRunResult(
                   tartan::workloads::runCarriBot(anl, opt)));
 
-    // Resume: both cells replay from the journal, closures never run.
+    // Resume: the resume store serves both cells, closures never run.
     {
         tartan::sim::RunPool pool(1);
         tartan::sim::CampaignRunner runner("mix", pool, cfg, schema);
