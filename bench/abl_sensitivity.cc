@@ -13,7 +13,8 @@
  *
  * Each sweep submits its runs (baseline included) to a shared RunPool
  * and prints only after the gather, so the tables are identical under
- * any TARTAN_JOBS.
+ * any TARTAN_JOBS. Sweeps replay captures because replay is measured
+ * faster than direct runs for this driver (EXPERIMENTS.md).
  */
 
 #include "bench_util.hh"
@@ -29,7 +30,7 @@ void
 anlGeometry(BenchReporter &rep, RunPool &pool)
 {
     // One MoveBot execution serves the whole 13-cell geometry sweep
-    // under TARTAN_REPLAY (ANL geometry is a timing-only knob).
+    // (ANL geometry is a timing-only knob).
     CaptureSource src("MoveBot", runMoveBot, MachineSpec::baseline(),
                       options(SoftwareTier::Optimized, 1.0, 123));
     std::vector<Cell<RunResult>> jobs;
@@ -98,8 +99,7 @@ fcpLevel(BenchReporter &rep, RunPool &pool)
                               {"L2", true, false},
                               {"L2+L3", true, true}};
 
-    // One CarriBot execution serves all four FCP-level cells under
-    // TARTAN_REPLAY.
+    // One CarriBot execution serves all four FCP-level cells.
     CaptureSource src("CarriBot", runCarriBot, MachineSpec::baseline(),
                       options(SoftwareTier::Optimized, 0.6));
     std::vector<Cell<RunResult>> jobs;

@@ -381,12 +381,12 @@ class CaptureSource
 
 /**
  * Build one robot-run cell that replays @p src's capture when
- * TARTAN_REPLAY is on and (@p spec, @p opt) is replay-compatible with
- * the capture cell, and falls back to a direct run otherwise. Label,
- * content address and seed are constructed exactly like cell()'s, so a
- * replayed cell is indistinguishable in the resume store, the result
- * cache and the BENCH payload — byte-identical results are the contract the
- * capture-replay CI job enforces. @p src must outlive the sweep.
+ * (@p spec, @p opt) is replay-compatible with the capture cell, and
+ * runs directly otherwise. Label, content address and seed are
+ * constructed exactly like cell()'s, so a replayed cell is
+ * indistinguishable in the resume store, the result cache and the
+ * BENCH payload — byte-identical results are the contract the tol-0
+ * baseline gate enforces. @p src must outlive the sweep.
  */
 inline Cell<RunResult>
 replayCell(CaptureSource &src, std::string label, RobotFn run,
@@ -398,8 +398,7 @@ replayCell(CaptureSource &src, std::string label, RobotFn run,
     c.label = std::move(label);
     CaptureSource *source = &src;
     c.fn = [source, run, spec = std::move(spec), opt]() {
-        if (!sim::RunEnv::get().replay ||
-            !workloads::replayCompatible(source->spec(), source->opt(),
+        if (!workloads::replayCompatible(source->spec(), source->opt(),
                                          spec, opt))
             return run(spec, opt);
         auto trace = source->acquire();
@@ -411,9 +410,9 @@ replayCell(CaptureSource &src, std::string label, RobotFn run,
 
 /**
  * Surface the process-wide capture/replay accounting in @p rep's
- * manifest. A no-op while all counters are zero (TARTAN_REPLAY off, or
- * a driver without replayCell conversions), so existing BENCH payloads
- * are unchanged byte for byte.
+ * manifest. A no-op while all counters are zero (a driver without
+ * replayCell conversions), so its BENCH payload carries no capture
+ * block.
  */
 inline void
 reportCaptureStats(BenchReporter &rep)

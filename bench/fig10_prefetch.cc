@@ -78,22 +78,12 @@ main()
 
     const char *labels[] = {"No", "ANL", "NL", "Bi"};
     RunPool pool;
-    // One capture per robot: under TARTAN_REPLAY the robot executes
-    // once and the 4 per-robot configs replay its op stream (the
-    // prefetcher variants differ only in timing knobs).
-    std::vector<std::unique_ptr<CaptureSource>> sources;
     std::vector<Cell<RunResult>> jobs;
-    for (const auto &robot : robotSuite()) {
-        auto &src = *sources.emplace_back(std::make_unique<CaptureSource>(
-            robot.name, robot.run, MachineSpec::baseline(),
-            options(SoftwareTier::Optimized)));
+    for (const auto &robot : robotSuite())
         for (int pf = 0; pf < 4; ++pf)
-            jobs.push_back(replayCell(src,
-                                      std::string(robot.name) + "/" +
-                                          labels[pf],
-                                      robot.run, pfSpec(pf),
-                                      options(SoftwareTier::Optimized)));
-    }
+            jobs.push_back(cell(std::string(robot.name) + "/" + labels[pf],
+                                robot.run, pfSpec(pf),
+                                options(SoftwareTier::Optimized)));
     const std::vector<RunResult> results =
         runAll(rep, pool, std::move(jobs));
 
@@ -148,6 +138,5 @@ main()
     rep.metric("bingoMetadataBytes", double(bingo.storageBits() / 8));
     rep.note("paper: ANL ~85% of Bingo's gain; 120 B vs >100 KB "
              "metadata per core");
-    reportCaptureStats(rep);
     return campaignExit(rep);
 }

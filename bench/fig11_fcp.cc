@@ -32,18 +32,11 @@ main()
     const double scale = 0.5;
 
     RunPool pool;
-    // One capture per robot: under TARTAN_REPLAY the 13-config FCP
-    // sweep costs one robot execution plus 13 replays (FCP knobs are
-    // timing-only).
-    std::vector<std::unique_ptr<CaptureSource>> sources;
     std::vector<Cell<RunResult>> jobs;
     for (const auto &robot : robotSuite()) {
-        auto &src = *sources.emplace_back(std::make_unique<CaptureSource>(
-            robot.name, robot.run, MachineSpec::baseline(),
-            options(SoftwareTier::Optimized, scale)));
-        jobs.push_back(replayCell(src, std::string(robot.name) + "/base",
-                                  robot.run, MachineSpec::baseline(),
-                                  options(SoftwareTier::Optimized, scale)));
+        jobs.push_back(cell(std::string(robot.name) + "/base", robot.run,
+                            MachineSpec::baseline(),
+                            options(SoftwareTier::Optimized, scale)));
         for (int f = 0; f < 3; ++f) {
             for (std::uint32_t region : {512u, 1024u}) {
                 for (std::uint32_t l : {2u, 3u}) {
@@ -52,8 +45,7 @@ main()
                     spec.sys.fcpRegionBytes = region;
                     spec.sys.fcpXorBits = l;
                     spec.sys.fcpFunc = funcs[f];
-                    jobs.push_back(replayCell(
-                        src,
+                    jobs.push_back(cell(
                         std::string(robot.name) + "/" + func_names[f] +
                             "/" + std::to_string(region) + "B-" +
                             std::to_string(l) + "b",
@@ -108,7 +100,6 @@ main()
     }
     rep.metric("gmeanBestSpeedup", geomean(best_gains));
     rep.note("paper: up to 8% perf on single robots");
-    reportCaptureStats(rep);
     std::printf("\nBest-config GMean speedup over no-FCP: %.3fx "
                 "(paper: up to 8%% on single robots)\n",
                 geomean(best_gains));

@@ -4,7 +4,8 @@
  * SRAM footprint, silicon area, and the geometric-mean speedup of the
  * three approximable robots over their exact (non-NPU) runs. The 12
  * runs (3 exact baselines + 3 robots x 3 PE configs) execute through
- * a RunPool.
+ * a RunPool. The PE sweep replays captures because replay is measured
+ * faster than direct runs for this driver (EXPERIMENTS.md).
  */
 
 #include "bench_util.hh"

@@ -36,24 +36,6 @@ RunEnv::parse()
             warn("env: ignoring invalid TARTAN_JOBS '%s' (want >= 1)",
                  jobs);
     }
-    if (const char *reps = std::getenv("TARTAN_SELFBENCH_REPS")) {
-        const long long v = std::atoll(reps);
-        if (v >= 1)
-            env.selfbenchReps = unsigned(v);
-        else
-            warn("env: ignoring invalid TARTAN_SELFBENCH_REPS '%s' "
-                 "(want >= 1)",
-                 reps);
-    }
-    if (const char *scale = std::getenv("TARTAN_SELFBENCH_SCALE")) {
-        const double v = std::atof(scale);
-        if (v > 0)
-            env.selfbenchScale = v;
-        else
-            warn("env: ignoring invalid TARTAN_SELFBENCH_SCALE '%s' "
-                 "(want > 0)",
-                 scale);
-    }
     if (const char *timeout = std::getenv("TARTAN_TIMEOUT")) {
         const double v = std::atof(timeout);
         if (v >= 0)
@@ -86,10 +68,6 @@ RunEnv::parse()
     }
     if (const char *dir = std::getenv("TARTAN_CACHE_DIR"))
         env.cacheDir = dir;
-    if (const char *replay = std::getenv("TARTAN_REPLAY")) {
-        const std::string v = replay;
-        env.replay = v == "1" || v == "on" || v == "true";
-    }
     if (const char *dir = std::getenv("TARTAN_CAPTURE_DIR"))
         env.captureDir = dir;
     if (const char *cores = std::getenv("TARTAN_CORES")) {

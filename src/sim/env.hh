@@ -33,10 +33,6 @@ struct RunEnv {
     std::string faultSpec;
     /** $TARTAN_JOBS: worker count for RunPool (0 = unset). */
     unsigned jobs = 0;
-    /** $TARTAN_SELFBENCH_REPS: timing repetitions per selfbench cell. */
-    unsigned selfbenchReps = 3;
-    /** $TARTAN_SELFBENCH_SCALE: workload scale override for selfbench. */
-    double selfbenchScale = 1.0;
     /**
      * $TARTAN_TIMEOUT: per-cell wall-clock deadline in seconds for
      * campaign runs (0 = no watchdog). A cell exceeding it is unwound
@@ -67,15 +63,6 @@ struct RunEnv {
      * already have a verified entry load it instead of re-simulating.
      */
     std::string cacheDir;
-    /**
-     * $TARTAN_REPLAY: when truthy ("1"/"on"/"true"), sweep drivers
-     * built on replayCell() run each robot once to capture its
-     * Core-boundary op stream and replay that capture through the
-     * remaining configurations instead of re-executing the robot.
-     * Results are byte-identical either way (the CI capture-replay job
-     * enforces it); off by default so a plain build changes nothing.
-     */
-    bool replay = false;
     /**
      * $TARTAN_CAPTURE_DIR: directory for persisted capture traces
      * ("" = keep captures in memory only). Files are content-addressed

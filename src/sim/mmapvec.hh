@@ -11,7 +11,10 @@
  * with mremap(MREMAP_MAYMOVE): the kernel moves page-table entries
  * instead of copying records, and the buffer never briefly exists
  * twice. Where mremap is missing, growth maps a fresh region, copies
- * the elements over and unmaps the old one.
+ * the elements over and unmaps the old one. ThreadSanitizer builds take
+ * that path too: TSan does not intercept mremap, so a moved mapping
+ * landing on addresses another thread used keeps that thread's stale
+ * shadow state and reports a false race.
  *
  * Only trivially copyable element types are supported: elements are
  * relocated by the kernel or by memcpy, never by constructors.
@@ -33,6 +36,14 @@
 #endif
 
 #include "sim/logging.hh"
+
+#if defined(__SANITIZE_THREAD__)
+#define TARTAN_SIM_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define TARTAN_SIM_TSAN 1
+#endif
+#endif
 
 namespace tartan::sim {
 
@@ -73,7 +84,7 @@ unmapPages(void *mem, std::size_t bytes) noexcept
 inline void *
 remapPages(void *mem, std::size_t old_bytes, std::size_t new_bytes)
 {
-#if defined(MREMAP_MAYMOVE)
+#if defined(MREMAP_MAYMOVE) && !defined(TARTAN_SIM_TSAN)
     void *moved = ::mremap(mem, old_bytes, new_bytes, MREMAP_MAYMOVE);
     if (moved == MAP_FAILED)
         throw std::bad_alloc();

@@ -13,8 +13,7 @@
  * deadline passes; the next heartbeat then throws CellTimeoutError,
  * unwinding the cell cleanly through the campaign's retry/quarantine
  * machinery. With no watch armed the heartbeat is one thread-local
- * pointer test — cheap enough to live on the hot path (the selfbench
- * floor gate enforces it).
+ * pointer test — cheap enough to live on the hot path.
  *
  * The watchdog thread is started lazily on the first armed watch and
  * scans registered watches every ~20 ms; deadlines are therefore

@@ -12,9 +12,9 @@
  * reloaded (and re-captured when corrupt) on later runs; (4) the
  * resume-mode mix — stored replayed cells resume byte-identically.
  *
- * The static initializer below pins TARTAN_REPLAY / TARTAN_CAPTURE_DIR
- * for this whole binary: RunEnv snapshots the environment on first use,
- * so the variables must be set before any simulator code runs.
+ * The static initializer below pins TARTAN_CAPTURE_DIR for this whole
+ * binary: RunEnv snapshots the environment on first use, so the
+ * variable must be set before any simulator code runs.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../bench/bench_util.hh"
@@ -63,11 +64,10 @@ captureRoot()
 
 /**
  * RunEnv::get() snapshots the environment exactly once; pin the
- * replay configuration before any test (or static simulator state)
- * can trigger that parse.
+ * capture directory before any test (or static simulator state) can
+ * trigger that parse.
  */
 const bool envPinned = [] {
-    ::setenv("TARTAN_REPLAY", "1", 1);
     ::setenv("TARTAN_CAPTURE_DIR", captureRoot().c_str(), 1);
     fs::remove_all(captureRoot());
     fs::create_directories(captureRoot());
@@ -394,29 +394,36 @@ captureRun(tartan::workloads::RobotFn run, const MachineSpec &spec,
 TEST(ReplayEquivalence, EveryRobotReplaysExactlyAtTheCaptureConfig)
 {
     // Randomised (but reproducible) workload seeds: equivalence must
-    // hold for arbitrary seeds, not just the suite default.
+    // hold for arbitrary seeds, not just the suite default. Both
+    // machines: the Tartan one enables ANL, OVEC, FCP and the NPU,
+    // which the baseline leaves off.
     std::mt19937_64 rng(20260809);
-    for (const auto &robot : tartan::workloads::robotSuite()) {
-        WorkloadOptions opt;
-        opt.tier = SoftwareTier::Optimized;
-        opt.scale = 0.25;
-        opt.seed = rng() % 10000;
-        const MachineSpec spec = MachineSpec::baseline();
+    const std::pair<const char *, MachineSpec> machines[] = {
+        {"baseline", MachineSpec::baseline()},
+        {"tartan", MachineSpec::tartan()}};
+    for (const auto &[machine, spec] : machines) {
+        for (const auto &robot : tartan::workloads::robotSuite()) {
+            WorkloadOptions opt;
+            opt.tier = SoftwareTier::Optimized;
+            opt.scale = 0.25;
+            opt.seed = rng() % 10000;
 
-        const RunResult direct = robot.run(spec, opt);
-        const CaptureTrace trace = captureRun(robot.run, spec, opt);
-        ASSERT_TRUE(trace.validate());
-        const RunResult replayed =
-            tartan::workloads::replayTrace(trace, spec, opt);
+            const RunResult direct = robot.run(spec, opt);
+            const CaptureTrace trace = captureRun(robot.run, spec, opt);
+            ASSERT_TRUE(trace.validate());
+            const RunResult replayed =
+                tartan::workloads::replayTrace(trace, spec, opt);
 
-        SCOPED_TRACE(std::string(robot.name) + " seed " +
-                     std::to_string(opt.seed));
-        expectIdentical(direct, replayed);
+            SCOPED_TRACE(std::string(robot.name) + " on " + machine +
+                         " seed " + std::to_string(opt.seed));
+            expectIdentical(direct, replayed);
 
-        // Payload byte-identity is the CI contract, so assert exactly
-        // that — the encoded cell payloads must match bit for bit.
-        EXPECT_EQ(tartan::workloads::encodeRunResult(replayed),
-                  tartan::workloads::encodeRunResult(direct));
+            // Payload byte-identity is the CI contract, so assert
+            // exactly that — the encoded cell payloads must match bit
+            // for bit.
+            EXPECT_EQ(tartan::workloads::encodeRunResult(replayed),
+                      tartan::workloads::encodeRunResult(direct));
+        }
     }
 }
 
@@ -513,7 +520,6 @@ TEST(ReplayEquivalence, SequenceShapingChangesAreIncompatible)
 TEST(CaptureAccounting, OneExecutionServesManyReplays)
 {
     ASSERT_TRUE(envPinned);
-    ASSERT_TRUE(tartan::sim::RunEnv::get().replay);
 
     WorkloadOptions opt;
     opt.tier = SoftwareTier::Optimized;
@@ -591,6 +597,45 @@ TEST(CaptureAccounting, CorruptPersistedCaptureIsRecaptured)
     const RunResult direct = tartan::workloads::runFlyBot(base, opt);
     expectIdentical(direct, tartan::workloads::replayTrace(*trace, base,
                                                            opt));
+}
+
+TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRunsOthersDirectly)
+{
+    ASSERT_TRUE(envPinned);
+    WorkloadOptions opt;
+    opt.tier = SoftwareTier::Optimized;
+    opt.scale = 0.25;
+    opt.seed = 5150;
+    const MachineSpec base = MachineSpec::baseline();
+    MachineSpec anl = base;
+    anl.useAnl = true;
+    anl.anlCfg.lineBytes = anl.sys.lineBytes;
+    MachineSpec ovec = base;
+    ovec.ovec = true;
+
+    auto &stats = tartan::sim::captureStats();
+    CaptureSource src("MoveBot", tartan::workloads::runMoveBot, base,
+                      opt);
+
+    // A timing-only change replays: one capture, one replay, and the
+    // direct run's result.
+    const std::uint64_t captures0 = stats.captures.load();
+    const std::uint64_t replays0 = stats.replays.load();
+    const auto replayed = tartan::bench::replayCell(
+        src, "anl", tartan::workloads::runMoveBot, anl, opt);
+    expectIdentical(tartan::workloads::runMoveBot(anl, opt),
+                    replayed.fn());
+    EXPECT_EQ(stats.captures.load(), captures0 + 1);
+    EXPECT_EQ(stats.replays.load(), replays0 + 1);
+
+    // OVEC runs different kernels: the cell runs directly and leaves
+    // the capture accounting alone.
+    const auto direct = tartan::bench::replayCell(
+        src, "ovec", tartan::workloads::runMoveBot, ovec, opt);
+    expectIdentical(tartan::workloads::runMoveBot(ovec, opt),
+                    direct.fn());
+    EXPECT_EQ(stats.captures.load(), captures0 + 1);
+    EXPECT_EQ(stats.replays.load(), replays0 + 1);
 }
 
 // ---------------------------------------------------------------------------
