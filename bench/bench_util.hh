@@ -402,7 +402,6 @@ replayCell(CaptureSource &src, std::string label, RobotFn run,
                                          spec, opt))
             return run(spec, opt);
         auto trace = source->acquire();
-        ++sim::captureStats().replays;
         return workloads::replayTrace(*trace, spec, opt);
     };
     return c;

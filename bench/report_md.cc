@@ -127,7 +127,7 @@ emitBench(std::ostream &os, const BenchDoc &bench)
                << formatNumber(hits ? hits->number : 0)
                << " loaded from file, "
                << formatNumber(replays ? replays->number : 0)
-               << " cells replayed without robot execution.\n\n";
+               << " op streams replayed without robot execution.\n\n";
         }
     }
 

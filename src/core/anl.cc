@@ -142,21 +142,4 @@ AnlPrefetcher::entry(std::uint32_t idx) const
     return EntryView{e.valid, e.cd, e.ld, e.region, e.pcTag};
 }
 
-void
-AnlPrefetcher::registerStats(tartan::sim::StatsGroup &group)
-{
-    Prefetcher::registerStats(group);
-    group.set("entries", double(cfg.entries));
-    group.set("regionBytes", double(cfg.regionBytes));
-    group.addDerived(
-        "validEntries",
-        [this] {
-            std::uint64_t valid = 0;
-            for (const Entry &e : table)
-                valid += e.valid ? 1 : 0;
-            return double(valid);
-        },
-        "table entries currently tracking a (PC, region)");
-}
-
 } // namespace tartan::core

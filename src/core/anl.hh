@@ -45,7 +45,6 @@ class AnlPrefetcher : public tartan::sim::Prefetcher
     void onEviction(tartan::sim::Addr line_addr) override;
     std::uint64_t storageBits() const override;
     std::string name() const override { return "ANL"; }
-    void registerStats(tartan::sim::StatsGroup &group) override;
 
     /** Table introspection for tests. */
     struct EntryView {

@@ -9,7 +9,6 @@
 
 #include "sim/capture.hh"
 #include "sim/fault.hh"
-#include "sim/stats.hh"
 
 namespace tartan::core {
 
@@ -126,24 +125,6 @@ NpuModel::areaUm2() const
     // Linear fit of the paper's Table III (14 nm data from [78],[154]):
     // 2 PEs -> 920, 4 -> 1661, 8 -> 3144 um^2.
     return 179.0 + 370.5 * cfg.pes;
-}
-
-void
-NpuModel::registerStats(tartan::sim::StatsGroup &group) const
-{
-    group.set("placement", std::string(cfg.placement ==
-                                               NpuPlacement::Integrated
-                                           ? "integrated"
-                                           : "coprocessor"));
-    group.set("pes", double(cfg.pes));
-    group.addCounter("invocations", &statsData.invocations,
-                     "inferences executed");
-    group.addCounter("configUploads", &statsData.configUploads,
-                     "weight/topology uploads");
-    group.addCounter("inferenceCycles", &statsData.inferenceCycles,
-                     "PE-array execution cycles");
-    group.addCounter("commCycles", &statsData.commCycles,
-                     "CPU<->NPU message cycles");
 }
 
 } // namespace tartan::core

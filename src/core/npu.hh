@@ -106,9 +106,6 @@ class NpuModel
     const NpuConfig &config() const { return cfg; }
     const NpuStats &stats() const { return statsData; }
 
-    /** Register the NPU's counters (by reference) into @p group. */
-    void registerStats(tartan::sim::StatsGroup &group) const;
-
     /**
      * Attach (or detach, with nullptr) a fault injector: inference
      * outputs may be corrupted per the surrogate layer of its plan

@@ -5,7 +5,6 @@
 
 #include "core/ovec.hh"
 
-#include "sim/stats.hh"
 
 namespace tartan::core {
 
@@ -38,8 +37,6 @@ OvecEngine::load(Mem &mem, const float *data, std::size_t size,
     for (std::uint32_t i = 0; i < lanes; ++i)
         out[i] = *cells[i];
 
-    ++statsData.batches;
-    statsData.lanesLoaded += lanes;
     if (!mem.attached())
         return;
     Addr addrs[64];
@@ -56,24 +53,11 @@ void
 OvecEngine::chargeCheck(Mem &mem, std::uint32_t lanes)
 {
     (void)lanes;
-    ++statsData.checks;
     if (!mem.attached())
         return;
     // Vector compare against the occupancy threshold plus a mask test.
     mem.core()->vecOp(1);
     mem.exec(1);
-}
-
-void
-OvecEngine::registerStats(tartan::sim::StatsGroup &group) const
-{
-    group.set("lanes", double(vectorLanes));
-    group.addCounter("batches", &statsData.batches,
-                     "O_MOVE instructions executed");
-    group.addCounter("lanesLoaded", &statsData.lanesLoaded,
-                     "lanes loaded across all batches");
-    group.addCounter("checks", &statsData.checks,
-                     "vector occupancy checks");
 }
 
 void

@@ -23,21 +23,10 @@
 
 #include "robotics/oriented.hh"
 
-namespace tartan::sim {
-class StatsGroup;
-}
-
 namespace tartan::core {
 
 using robotics::Mem;
 using robotics::OrientedEngine;
-
-/** Event counters of one OVEC unit. */
-struct OvecStats {
-    std::uint64_t batches = 0;   //!< O_MOVE instructions executed
-    std::uint64_t lanesLoaded = 0;
-    std::uint64_t checks = 0;    //!< vector occupancy checks
-};
 
 /** Tartan's oriented vector load unit. */
 class OvecEngine : public OrientedEngine
@@ -63,15 +52,9 @@ class OvecEngine : public OrientedEngine
     /** Area of one OVEC address generator in um^2 (overhead table). */
     static double unitAreaUm2() { return 64.5; }
 
-    const OvecStats &stats() const { return statsData; }
-
-    /** Register the unit's counters (by reference) into @p group. */
-    void registerStats(tartan::sim::StatsGroup &group) const;
-
   private:
     std::uint32_t vectorLanes;
     tartan::sim::Cycles agLatency;
-    OvecStats statsData;
 };
 
 /** Software gather reference (VGATHERDPS). */

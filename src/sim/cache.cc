@@ -9,7 +9,6 @@
 #include <bit>
 
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 
 namespace tartan::sim {
 
@@ -252,36 +251,6 @@ Cache::prefetchedLines() const
         if ((f & (kValid | kPrefetched)) == (kValid | kPrefetched))
             ++count;
     return count;
-}
-
-void
-Cache::registerStats(StatsGroup &group) const
-{
-    group.addCounter("hits", &statsData.hits, "demand hits");
-    group.addCounter("misses", &statsData.misses, "demand misses");
-    group.addCounter("evictions", &statsData.evictions,
-                     "valid lines displaced");
-    group.addCounter("dirtyEvictions", &statsData.dirtyEvictions,
-                     "displaced lines that were dirty");
-    group.addCounter("prefetchFills", &statsData.prefetchFills,
-                     "fills triggered by a prefetcher");
-    group.addCounter("prefetchHits", &statsData.prefetchHits,
-                     "hits on prefetched-unused lines");
-    group.addCounter("prefetchUnused", &statsData.prefetchUnused,
-                     "prefetched lines evicted unused");
-    group.addCounter("udmFetchedBytes", &statsData.udmFetchedBytes,
-                     "bytes brought in (UDM tracking)");
-    group.addCounter("udmUsedBytes", &statsData.udmUsedBytes,
-                     "bytes actually referenced");
-    group.addDerived(
-        "missRatio", [this] { return statsData.missRatio(); },
-        "misses / accesses");
-    group.addDerived(
-        "residentDirty", [this] { return double(dirtyLines()); },
-        "dirty lines currently resident");
-    group.addDerived(
-        "residentPrefetched", [this] { return double(prefetchedLines()); },
-        "prefetched-unused lines currently resident");
 }
 
 void

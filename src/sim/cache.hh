@@ -37,8 +37,6 @@
 
 namespace tartan::sim {
 
-class StatsGroup;
-
 /**
  * MESI coherence state of one cache line, derived from the per-way
  * flag bits: Invalid = not resident, Modified = valid+dirty, Shared =
@@ -110,12 +108,6 @@ struct CacheStats {
 
     /** Demand accesses (hits + misses). */
     std::uint64_t accesses() const { return hits + misses; }
-    double
-    missRatio() const
-    {
-        const std::uint64_t a = accesses();
-        return a ? static_cast<double>(misses) / static_cast<double>(a) : 0.0;
-    }
 };
 
 /**
@@ -256,9 +248,6 @@ class Cache
 
     /** Number of resident prefetched lines not yet demanded. */
     std::uint64_t prefetchedLines() const;
-
-    /** Register this cache's counters (by reference) into @p group. */
-    void registerStats(StatsGroup &group) const;
 
     /** Register an eviction listener (e.g. ANL region termination). */
     void setEvictionListener(EvictionListener listener);

@@ -494,7 +494,9 @@ class CaptureSuppress
 struct CaptureStats {
     std::atomic<std::uint64_t> captures{0}; //!< robot runs recorded
     std::atomic<std::uint64_t> fileHits{0}; //!< captures loaded from disk
-    std::atomic<std::uint64_t> replays{0};  //!< replayed cells
+    /** Op streams replayed: one per replayTrace(), one per replayFleet()
+     *  core. */
+    std::atomic<std::uint64_t> replays{0};
 };
 
 /** The process-wide capture counters. */

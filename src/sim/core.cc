@@ -9,7 +9,6 @@
 
 #include "sim/capture.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/watchdog.hh"
 
@@ -25,66 +24,33 @@ Core::Core(const CoreParams &params, MemPath *mem_path)
 }
 
 void
-Core::registerStats(StatsGroup &group)
+Core::checkInvariants() const
 {
-    group.addCounter("cycles", &totalCycles, "total core cycles");
-    group.addCounter("memStallCycles", &totalMemStall,
-                     "cycles stalled beyond the L1");
-    group.addCounter("instructions", &totalInstructions,
-                     "dynamic instructions");
-    group.addDerived(
-        "ipc",
-        [this] {
-            return totalCycles ? double(totalInstructions) /
-                                     double(totalCycles)
-                               : 0.0;
-        },
-        "instructions per cycle");
-    StatsGroup &cpi = group.child("cpi");
-    for (std::size_t i = 0; i < kNumCpiCats; ++i)
-        cpi.addCounter(cpiCatName(CpiCat(i)), &cpiTotal.cat[i],
-                       "machine-wide cycles in this CPI category");
-    group.child("kernels").setProvider([this](StatsGroup &kernels) {
-        for (const KernelCounters &k : kernelData) {
-            StatsGroup &one = kernels.child(k.name);
-            one.set("cycles", double(k.cycles));
-            one.set("memStallCycles", double(k.memStallCycles));
-            one.set("instructions", double(k.instructions));
-            StatsGroup &kcpi = one.child("cpi");
-            for (std::size_t i = 0; i < kNumCpiCats; ++i)
-                kcpi.set(cpiCatName(CpiCat(i)), double(k.cpi.cat[i]));
-        }
-    });
+    Cycles cycles = 0;
+    Cycles mem_stall = 0;
+    std::uint64_t instructions = 0;
+    CpiStack all;
+    bool kernel_stacks_sum = true;
+    for (const KernelCounters &k : kernelData) {
+        cycles += k.cycles;
+        mem_stall += k.memStallCycles;
+        instructions += k.instructions;
+        kernel_stacks_sum = kernel_stacks_sum && k.cpi.sum() == k.cycles;
+        all.add(k.cpi);
+    }
     // Kernel attribution is exhaustive: with the sub-issue-width
     // remainder flushed on every switch, the per-kernel rows partition
     // the core totals exactly.
-    group.addInvariant("kernel attributions sum to core totals", [this] {
-        Cycles cycles = 0;
-        Cycles mem_stall = 0;
-        std::uint64_t instructions = 0;
-        for (const KernelCounters &k : kernelData) {
-            cycles += k.cycles;
-            mem_stall += k.memStallCycles;
-            instructions += k.instructions;
-        }
-        return cycles == totalCycles && mem_stall == totalMemStall &&
-               instructions == totalInstructions;
-    });
+    TARTAN_ASSERT(cycles == totalCycles && mem_stall == totalMemStall &&
+                      instructions == totalInstructions,
+                  "kernel attributions sum to core totals");
     // Cycle accounting is exhaustive and exclusive: every charged
     // cycle flows through addCycles/addMemStall with exactly one
     // category, so the CPI stacks partition the cycle totals.
-    group.addInvariant("cpi categories sum to total cycles", [this] {
-        return cpiTotal.sum() == totalCycles;
-    });
-    group.addInvariant("kernel cpi stacks sum to kernel cycles", [this] {
-        CpiStack all;
-        for (const KernelCounters &k : kernelData) {
-            if (k.cpi.sum() != k.cycles)
-                return false;
-            all.add(k.cpi);
-        }
-        return all == cpiTotal;
-    });
+    TARTAN_ASSERT(cpiTotal.sum() == totalCycles,
+                  "cpi categories sum to total cycles");
+    TARTAN_ASSERT(kernel_stacks_sum && all == cpiTotal,
+                  "kernel cpi stacks sum to kernel cycles");
 }
 
 std::uint32_t

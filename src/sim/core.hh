@@ -49,8 +49,8 @@ struct KernelCounters {
     /**
      * CPI stack of this kernel: cycles per CpiCat category. The
      * categories partition `cycles` exactly (sum-to-total invariant,
-     * checked at every stats dump and by TARTAN_DCHECK on kernel
-     * switches).
+     * checked by Core::checkInvariants at the end of every run and by
+     * TARTAN_DCHECK on kernel switches).
      */
     CpiStack cpi;
 };
@@ -152,7 +152,7 @@ class Core
      * Machine-wide CPI stack: every simulated cycle attributed to one
      * CpiCat category. Categories partition cycles() exactly; the
      * per-category counters are stable storage, so the epoch sampler
-     * and stats registry reference them directly.
+     * references them directly.
      */
     const CpiStack &cpiTotals() const { return cpiTotal; }
 
@@ -161,12 +161,10 @@ class Core
     const CoreParams &params() const { return config; }
 
     /**
-     * Register the core's totals (by reference) plus a per-kernel
-     * provider under @p group: kernel attributions live in a growable
-     * table, so they are snapshotted into owned values at dump time
-     * rather than referenced.
+     * Panic unless the kernel rows and CPI stacks partition the core
+     * totals exactly (3 checks). A violation is a simulator bug.
      */
-    void registerStats(StatsGroup &group);
+    void checkInvariants() const;
 
   private:
     /** The single chokepoint every charged cycle flows through: adds

@@ -115,19 +115,6 @@ cpiCatFromName(const std::string &name)
     return CpiCat::NumCats;
 }
 
-/** Comma-separated canonical category list (manifest echo). */
-inline std::string
-cpiCategoryList()
-{
-    std::string out;
-    for (std::size_t i = 0; i < kNumCpiCats; ++i) {
-        if (i)
-            out += ',';
-        out += cpiCatName(CpiCat(i));
-    }
-    return out;
-}
-
 /** Fixed-size per-category cycle accumulator. */
 struct CpiStack {
     /** Cycles per category, indexed by CpiCat (enum order). */

@@ -8,7 +8,6 @@
 
 #include "sim/capture.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 #include "sim/uncore.hh"
 
 namespace tartan::sim {
@@ -62,9 +61,9 @@ MemPath::addNoAllocateRange(Addr base, std::size_t bytes)
 void
 MemPath::drainDirty()
 {
-    // Latched rather than clearing dirty bits: the caches' residentDirty
-    // derived stat must keep reporting the true resident state in any
-    // dump taken after the drain.
+    // Latched rather than clearing dirty bits: the caches keep their
+    // true resident state after the drain, and a second drain counts
+    // nothing.
     if (drainAccounted)
         return;
     drainAccounted = true;
@@ -274,69 +273,30 @@ MemPath::l3HitCeiling() const
 }
 
 void
-MemPath::registerStats(StatsGroup &group)
+MemPath::checkInvariants() const
 {
-    group.addCounter("l3Accesses", &stats.l3Accesses,
-                     "demand + prefetch L3 lookups");
-    group.addCounter("l3Writebacks", &stats.l3Writebacks,
-                     "dirty L2 victims written to L3");
-    group.addCounter("dramReads", &stats.dramReads, "L3 miss fetches");
-    group.addCounter("dramWrites", &stats.dramWrites,
-                     "dirty L3 victims and WT stores to DRAM");
-    group.addCounter("wtStores", &stats.wtStores,
-                     "stores absorbed by WT ranges");
-    group.addCounter("pfIssued", &stats.pfIssued,
-                     "prefetch fills issued to the L2");
-    group.addCounter("pfDropped", &stats.pfDropped,
-                     "prefetch candidates dropped (resident)");
-    group.addCounter("pfHitsTimely", &stats.pfHitsTimely,
-                     "demand hits fully hidden by a prefetch");
-    group.addCounter("pfHitsLate", &stats.pfHitsLate,
-                     "demand hits on in-flight prefetches");
-    group.addCounter("pfLateCycles", &stats.pfLateCycles,
-                     "residual cycles paid on late hits");
-    group.addCounter("pfHitsOther", &stats.pfHitsOther,
-                     "prefetched lines consumed off the demand path");
-    group.addDerived(
-        "l3Traffic", [this] { return double(stats.l3Traffic()); },
-        "L3 lookups plus writebacks");
-
-    l1Cache.registerStats(group.child("l1"));
-    l2Cache.registerStats(group.child("l2"));
-    if (pf)
-        pf->registerStats(group.child("pf"));
-
     // Late-prefetch accounting, end to end: every prefetch the
     // prefetcher proposed is either dropped or filled into the L2, and
     // every filled line is eventually consumed by a demand access
     // (timely or late), consumed off the demand path, evicted unused,
     // or still resident. Cache::access clears line.prefetched on first
     // hit, so each fill is counted exactly once.
-    group.addInvariant(
-        "pf proposals == MemPath issued + dropped", [this] {
-            return !pf || (pf->stats.issued ==
-                           stats.pfIssued + stats.pfDropped &&
-                           pf->stats.dropped == stats.pfDropped);
-        });
-    group.addInvariant("pf issues == L2 prefetch fills", [this] {
-        return stats.pfIssued == l2Cache.stats().prefetchFills;
-    });
-    group.addInvariant(
-        "L2 prefetch hits == timely + late + off-demand-path", [this] {
-            return l2Cache.stats().prefetchHits ==
-                   stats.pfHitsTimely + stats.pfHitsLate +
-                       stats.pfHitsOther;
-        });
-    group.addInvariant(
-        "prefetch fills == hits + unused + still-resident", [this] {
-            return l2Cache.stats().prefetchFills ==
-                   l2Cache.stats().prefetchHits +
-                       l2Cache.stats().prefetchUnused +
-                       l2Cache.prefetchedLines();
-        });
-    group.addInvariant("late cycles imply late hits", [this] {
-        return stats.pfHitsLate > 0 || stats.pfLateCycles == 0;
-    });
+    TARTAN_ASSERT(!pf || (pf->stats.issued ==
+                              stats.pfIssued + stats.pfDropped &&
+                          pf->stats.dropped == stats.pfDropped),
+                  "pf proposals == MemPath issued + dropped");
+    const CacheStats &l2 = l2Cache.stats();
+    TARTAN_ASSERT(stats.pfIssued == l2.prefetchFills,
+                  "pf issues == L2 prefetch fills");
+    TARTAN_ASSERT(l2.prefetchHits == stats.pfHitsTimely +
+                                         stats.pfHitsLate +
+                                         stats.pfHitsOther,
+                  "L2 prefetch hits == timely + late + off-demand-path");
+    TARTAN_ASSERT(l2.prefetchFills == l2.prefetchHits + l2.prefetchUnused +
+                                          l2Cache.prefetchedLines(),
+                  "prefetch fills == hits + unused + still-resident");
+    TARTAN_ASSERT(stats.pfHitsLate > 0 || stats.pfLateCycles == 0,
+                  "late cycles imply late hits");
 }
 
 AccessResult

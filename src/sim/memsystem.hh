@@ -30,7 +30,6 @@
 namespace tartan::sim {
 
 class CaptureSession;
-class StatsGroup;
 class Uncore;
 
 /** Configuration of one core's memory path. */
@@ -185,13 +184,11 @@ class MemPath
     Cache &l3() { return *l3Cache; }
 
     /**
-     * Register path counters, the private caches (children "l1"/"l2"),
-     * the attached prefetcher (child "pf"), and the end-to-end
-     * prefetch-accounting invariants into @p group. Attach the
-     * prefetcher before registering: a later setPrefetcher() is not
-     * reflected in an already-registered tree.
+     * Panic unless the end-to-end prefetch accounting balances across
+     * the prefetcher, this path and its L2 (5 checks). A violation is
+     * a simulator bug.
      */
-    void registerStats(StatsGroup &group);
+    void checkInvariants() const;
 
     /** Path-level traffic and prefetch counters. */
     MemPathStats stats;

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
@@ -57,23 +56,6 @@ class Prefetcher
     virtual std::uint64_t storageBits() const = 0;
 
     virtual std::string name() const = 0;
-
-    /**
-     * Register this prefetcher's counters into @p group. Overrides
-     * should call the base implementation and add their own state.
-     */
-    virtual void
-    registerStats(StatsGroup &group)
-    {
-        group.set("name", name());
-        group.addCounter("issued", &stats.issued,
-                         "prefetch candidates proposed");
-        group.addCounter("dropped", &stats.dropped,
-                         "candidates dropped (target already resident)");
-        group.addDerived(
-            "storageBits", [this] { return double(storageBits()); },
-            "metadata footprint in bits");
-    }
 
     PrefetcherStats stats;
 };

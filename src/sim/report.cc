@@ -5,9 +5,12 @@
 
 #include "sim/report.hh"
 
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 
@@ -15,10 +18,54 @@
 #include "sim/fault.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 #include "sim/trace.hh"
 
 namespace tartan::sim {
+
+namespace {
+
+/** ISO-8601 UTC wall-clock timestamp of "now". */
+std::string
+isoTimestamp()
+{
+    const auto now = std::chrono::system_clock::now();
+    const std::time_t t = std::chrono::system_clock::to_time_t(now);
+    std::tm tm{};
+#if defined(_WIN32)
+    gmtime_s(&tm, &t);
+#else
+    gmtime_r(&t, &tm);
+#endif
+    char buf[32];
+    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
+    return buf;
+}
+
+/** `git describe --always --dirty` of the CWD repo, or "unknown". */
+std::string
+gitDescribe()
+{
+#if defined(_WIN32)
+    return "unknown";
+#else
+    FILE *pipe =
+        popen("git describe --always --dirty --tags 2>/dev/null", "r");
+    if (!pipe)
+        return "unknown";
+    std::array<char, 128> buf{};
+    std::string out;
+    while (fgets(buf.data(), static_cast<int>(buf.size()), pipe))
+        out += buf.data();
+    const int rc = pclose(pipe);
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+        out.pop_back();
+    if (rc != 0 || out.empty())
+        return "unknown";
+    return out;
+#endif
+}
+
+} // namespace
 
 BenchReporter::BenchReporter(std::string bench_name, std::string paper_note)
     : benchName(std::move(bench_name)), paperNote(std::move(paper_note))

@@ -100,9 +100,9 @@ System::System(const SysConfig &config) : cfg(config)
     Core *coreModel = cores[0].get();
 
     if (cfg.trace) {
-        // Epoch-sampler probes reference the same live storage the
-        // StatsRegistry registers, so samples and end-of-run dumps are
-        // consistent by construction.
+        // Epoch-sampler probes reference the components' live
+        // counters, so per-epoch deltas sum to the end-of-run totals
+        // by construction.
         cfg.trace->addProbe("l1Misses", &path->l1().stats().misses);
         cfg.trace->addProbe("l2Misses", &path->l2().stats().misses);
         cfg.trace->addProbe("l3Misses", &l3Cache->stats().misses);
@@ -111,7 +111,7 @@ System::System(const SysConfig &config) : cfg(config)
         cfg.trace->addProbe("pfHitsTimely", &path->stats.pfHitsTimely);
         cfg.trace->addProbe("pfHitsLate", &path->stats.pfHitsLate);
         // Per-epoch CPI-stack deltas: one probe per category, sampling
-        // the same stable storage the stats registry references.
+        // the core's stable per-category storage.
         for (std::size_t i = 0; i < kNumCpiCats; ++i)
             cfg.trace->addProbe(std::string("cpi.") + cpiCatName(CpiCat(i)),
                                 &coreModel->cpiTotals().cat[i]);
@@ -131,98 +131,15 @@ System::~System()
         cfg.trace->detachProbes();
 }
 
-namespace {
-
-const char *
-prefetcherName(PrefetcherKind kind)
-{
-    switch (kind) {
-      case PrefetcherKind::None:
-        return "none";
-      case PrefetcherKind::NextLine:
-        return "nextline";
-      case PrefetcherKind::Bingo:
-        return "bingo";
-    }
-    return "unknown";
-}
-
-const char *
-fcpFuncName(FcpReplacement::Func func)
-{
-    switch (func) {
-      case FcpReplacement::Func::XPlus1:
-        return "x+1";
-      case FcpReplacement::Func::TwoX:
-        return "2x";
-      case FcpReplacement::Func::XSquared:
-        return "x^2";
-    }
-    return "unknown";
-}
-
-} // namespace
-
 void
-System::registerStats(StatsRegistry &registry)
+System::checkInvariants() const
 {
-    StatsGroup &config = registry.group("config");
-    config.set("lineBytes", double(cfg.lineBytes));
-    config.set("l1Size", double(cfg.l1Size));
-    config.set("l1Assoc", double(cfg.l1Assoc));
-    config.set("l1Latency", double(cfg.l1Latency));
-    config.set("l2Size", double(cfg.l2Size));
-    config.set("l2Assoc", double(cfg.l2Assoc));
-    config.set("l2Latency", double(cfg.l2Latency));
-    config.set("l3Size", double(cfg.l3Size));
-    config.set("l3Assoc", double(cfg.l3Assoc));
-    config.set("l3Latency", double(cfg.l3Latency));
-    config.set("dramLatency", double(cfg.dramLatency));
-    config.set("numCores", double(cfg.numCores));
-    config.set("issueWidth", double(cfg.core.issueWidth));
-    config.set("missOverlap", double(cfg.core.missOverlap));
-    config.set("vectorLanes", double(cfg.core.vectorLanes));
-    config.set("prefetcher", std::string(prefetcherName(cfg.prefetcher)));
-    config.set("fcpEnabled", double(cfg.fcpEnabled));
-    if (cfg.fcpEnabled) {
-        config.set("fcpRegionBytes", double(cfg.fcpRegionBytes));
-        config.set("fcpXorBits", double(cfg.fcpXorBits));
-        config.set("fcpFunc", std::string(fcpFuncName(cfg.fcpFunc)));
-        config.set("fcpAtL3", double(cfg.fcpAtL3));
-    }
-    config.set("trackUdm", double(cfg.trackUdm));
-    config.set("traceEnabled", double(cfg.trace != nullptr));
-    config.set("faultsEnabled", double(cfg.faults != nullptr));
-    if (cores.size() > 1) {
-        // Uncore knobs are echoed only on a multi-core machine so
-        // single-core stats dumps stay byte-identical.
-        config.set("simCores", double(cores.size()));
-        config.set("l3Slices", double(cfg.uncore.l3Slices));
-        config.set("xbarHopLatency", double(cfg.uncore.xbarHopLatency));
-        config.set("dramBanks", double(cfg.uncore.dramBanks));
-        config.set("dramRowBytes", double(cfg.uncore.dramRowBytes));
-        config.set("coherenceLatency",
-                   double(cfg.uncore.coherenceLatency));
-    }
-
-    // The CPI taxonomy is part of every manifest so a stats dump is
-    // self-describing about which category schema its cpi groups use.
-    registry.setMeta("cpiTaxonomyVersion", double(kCpiTaxonomyVersion));
-    registry.setMeta("cpiCategories", cpiCategoryList());
-
-    // Core 0 keeps the historical group names; extra cores and the
-    // coherence fabric get their own groups only when they exist.
-    cores[0]->registerStats(registry.group("core"));
-    paths[0]->registerStats(registry.group("mem"));
-    l3Cache->registerStats(registry.group("l3"));
-    for (std::size_t i = 1; i < cores.size(); ++i) {
-        cores[i]->registerStats(
-            registry.group("core" + std::to_string(i)));
-        paths[i]->registerStats(
-            registry.group("mem" + std::to_string(i)));
-    }
+    for (const auto &c : cores)
+        c->checkInvariants();
+    for (const auto &p : paths)
+        p->checkInvariants();
     if (uncoreModel)
-        uncoreModel->registerStats(registry.group("uncore"));
+        uncoreModel->checkInvariants();
 }
 
 } // namespace tartan::sim

@@ -20,7 +20,6 @@
 #include "sim/cache.hh"
 #include "sim/core.hh"
 #include "sim/memsystem.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 #include "sim/uncore.hh"
 
@@ -136,14 +135,12 @@ class System
     const SysConfig &config() const { return cfg; }  //!< as constructed
 
     /**
-     * Register the whole machine into @p registry: a "config" group
-     * echoing this SysConfig, plus "core", "mem" (l1/l2/prefetcher and
-     * the prefetch-accounting invariants) and "l3" subtrees. Extra
-     * cores land under "core1"/"mem1", ..., and the coherence fabric
-     * under "uncore" — those groups exist only when simCores > 1, so
-     * single-core dumps are unchanged.
+     * Check every cross-counter invariant of the machine: each core's
+     * kernel and CPI partitions, each path's prefetch accounting, and
+     * the uncore's DRAM row accounting. Panics on a violation, which
+     * is a simulator bug, never bad input.
      */
-    void registerStats(StatsRegistry &registry);
+    void checkInvariants() const;
 
   private:
     SysConfig cfg;

@@ -19,7 +19,6 @@
 #include "sim/env.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 
 namespace tartan::sim {
 
@@ -305,29 +304,6 @@ TraceSession::topSites() const
     if (rows.size() > config.pcTopN)
         rows.resize(config.pcTopN);
     return rows;
-}
-
-void
-TraceSession::registerStats(StatsGroup &group)
-{
-    group.setProvider([this](StatsGroup &g) {
-        std::uint32_t rank = 0;
-        for (const auto &[pc, counters] : topSites()) {
-            StatsGroup &one = g.child(pcTable->name(pc));
-            one.set("rank", double(rank++));
-            one.set("pc", double(pc));
-            const std::string structure = pcTable->structure(pc);
-            if (!structure.empty())
-                one.set("structure", structure);
-            one.set("loads", double(counters->loads));
-            one.set("stores", double(counters->stores));
-            one.set("l1Hits", double(counters->byLevel[0]));
-            one.set("l2Hits", double(counters->byLevel[1]));
-            one.set("l3Hits", double(counters->byLevel[2]));
-            one.set("dram", double(counters->byLevel[3]));
-            one.set("missesBeyondL1", double(counters->missesBeyondL1()));
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------

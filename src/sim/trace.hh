@@ -13,15 +13,15 @@
  *     a Chrome trace-event JSON file loadable in Perfetto or
  *     chrome://tracing (one simulated cycle is rendered as one
  *     microsecond);
- *  2. an epoch sampler — registered live counters (the same storage the
- *     StatsRegistry references) are snapshotted every epochCycles of
- *     simulated time; per-epoch deltas (misses per level, prefetch
+ *  2. an epoch sampler — registered live counters (the component
+ *     counters themselves, by reference) are snapshotted every
+ *     epochCycles of simulated time; per-epoch deltas (misses per level, prefetch
  *     timeliness, IPC) become counter tracks in the trace plus a
  *     TRACE_<bench>_epochs.json document;
  *  3. a per-PC profile — MemPath attributes every demand access to its
  *     static PcId site and servicing level; the PcTable names the data
  *     structure behind each site, and a top-N table is embedded in the
- *     trace file and exposed as a stats provider.
+ *     trace file.
  *
  * Sessions are created per simulated machine (one Core per session) and
  * write their files on finalize()/destruction. BenchReporter::makeTrace
@@ -47,8 +47,6 @@
 #include "sim/types.hh"
 
 namespace tartan::sim {
-
-class StatsGroup;
 
 /**
  * Registry of symbolic names for PcId load/store sites.
@@ -136,8 +134,9 @@ class TraceSession
     /** @name Epoch sampling. */
     ///@{
     /**
-     * Register a live counter to sample (by reference; the same storage
-     * a StatsRegistry references). Register before the run starts.
+     * Register a live counter to sample (by reference, so sampling
+     * costs the counted component nothing). Register before the run
+     * starts.
      */
     void addProbe(const std::string &name, const std::uint64_t *counter);
     /** The probe whose per-epoch delta is the IPC numerator. */
@@ -162,12 +161,6 @@ class TraceSession
 
     /** Per-PC attribution of one demand access (driven by MemPath). */
     void pcAccess(PcId pc, MemLevel level, AccessType type);
-
-    /**
-     * Register the per-PC top-N miss table as a dump-time provider
-     * under @p group (rows keyed by site name).
-     */
-    void registerStats(StatsGroup &group);
 
     /** Chrome trace-event output path. */
     std::string tracePath() const;

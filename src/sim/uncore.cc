@@ -9,7 +9,6 @@
 #include "sim/cache.hh"
 #include "sim/logging.hh"
 #include "sim/memsystem.hh"
-#include "sim/stats.hh"
 
 namespace tartan::sim {
 
@@ -169,55 +168,14 @@ Uncore::storeUpgrade(std::uint32_t core, Addr line_addr)
 }
 
 void
-Uncore::registerStats(StatsGroup &group)
+Uncore::checkInvariants() const
 {
-    StatsGroup &co = group.child("coherence");
-    co.addCounter("snoops", &coherenceData.snoops,
-                  "miss/upgrade snoop rounds issued");
-    co.addCounter("invalidations", &coherenceData.invalidations,
-                  "remote lines invalidated");
-    co.addCounter("downgrades", &coherenceData.downgrades,
-                  "remote lines demoted to Shared");
-    co.addCounter("dirtyForwards", &coherenceData.dirtyForwards,
-                  "modified lines forwarded through the L3");
-    co.addCounter("upgrades", &coherenceData.upgrades,
-                  "local S->M store upgrades");
-    co.addCounter("sharedFills", &coherenceData.sharedFills,
-                  "fills installed in Shared state");
-
-    StatsGroup &xb = group.child("xbar");
-    xb.addCounter("traversals", &xbarData.traversals,
-                  "core <-> slice crossings");
-    xb.addCounter("hops", &xbarData.hops,
-                  "total hops across all traversals");
-    xb.addDerived(
-        "avgHops",
-        [this] {
-            return xbarData.traversals
-                       ? double(xbarData.hops) / double(xbarData.traversals)
-                       : 0.0;
-        },
-        "mean hops per traversal");
-
-    StatsGroup &mc = group.child("memctrl");
-    mc.addCounter("reads", &memctrlData.reads, "DRAM line fetches");
-    mc.addCounter("writes", &memctrlData.writes, "DRAM line write-backs");
-    mc.addCounter("rowHits", &memctrlData.rowHits,
-                  "requests hitting the open row");
-    mc.addCounter("rowMisses", &memctrlData.rowMisses,
-                  "requests opening a new row");
-    mc.addCounter("bankConflicts", &memctrlData.bankConflicts,
-                  "reads that found their bank busy");
-    mc.addCounter("conflictCycles", &memctrlData.conflictCycles,
-                  "total cycles spent waiting on busy banks");
-    mc.addInvariant("row hits + misses == reads + writes", [this] {
-        return memctrlData.rowHits + memctrlData.rowMisses ==
-               memctrlData.reads + memctrlData.writes;
-    });
-    mc.addInvariant("conflict cycles imply conflicts", [this] {
-        return memctrlData.bankConflicts > 0 ||
-               memctrlData.conflictCycles == 0;
-    });
+    TARTAN_ASSERT(memctrlData.rowHits + memctrlData.rowMisses ==
+                      memctrlData.reads + memctrlData.writes,
+                  "row hits + misses == reads + writes");
+    TARTAN_ASSERT(memctrlData.bankConflicts > 0 ||
+                      memctrlData.conflictCycles == 0,
+                  "conflict cycles imply conflicts");
 }
 
 } // namespace tartan::sim

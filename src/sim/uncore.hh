@@ -35,7 +35,6 @@ namespace tartan::sim {
 
 class Cache;
 class MemPath;
-class StatsGroup;
 
 /** Static configuration of the shared uncore. */
 struct UncoreParams {
@@ -156,8 +155,11 @@ class Uncore
      */
     void dramWrite(Addr line_addr, Cycles now);
 
-    /** Register uncore counters (children coherence/xbar/memctrl). */
-    void registerStats(StatsGroup &group);
+    /**
+     * Panic unless the DRAM row and bank-conflict accounting balances
+     * (2 checks). A violation is a simulator bug.
+     */
+    void checkInvariants() const;
 
     /** The configuration this uncore was built from. */
     const UncoreParams &params() const { return config; }

@@ -124,58 +124,11 @@ Machine::orientedEngine(SoftwareTier tier, OrientedKind kind)
 }
 
 void
-Machine::registerStats(tartan::sim::StatsRegistry &registry)
-{
-    sys->registerStats(registry);
-    tartan::sim::StatsGroup &config = registry.group("config");
-    config.set("useAnl", double(specData.useAnl));
-    config.set("ovec", double(specData.ovec));
-    config.set("npu", double(specData.npu));
-    config.set("wtQueues", double(specData.wtQueues));
-    if (npuModel)
-        npuModel->registerStats(registry.group("npu"));
-    // The OVEC engine may be instantiated lazily by orientedEngine(),
-    // so its counters are snapshotted at dump time instead of being
-    // registered by reference.
-    registry.group("ovec").setProvider([this](tartan::sim::StatsGroup &g) {
-        if (!ovecEngine)
-            return;
-        const core::OvecStats &s = ovecEngine->stats();
-        g.set("batches", double(s.batches));
-        g.set("lanesLoaded", double(s.lanesLoaded));
-        g.set("checks", double(s.checks));
-    });
-    if (specData.sys.trace)
-        specData.sys.trace->registerStats(registry.group("pcProfile"));
-    // Injection counters grow while the run executes, so snapshot them
-    // at dump time.
-    if (specData.sys.faults) {
-        registry.group("faults").setProvider(
-            [this](tartan::sim::StatsGroup &g) {
-                const tartan::sim::FaultInjector &inj =
-                    *specData.sys.faults;
-                g.set("spec", inj.plan().spec());
-                g.set("seed", double(inj.plan().seed()));
-                const tartan::sim::FaultStats &s = inj.stats();
-                g.set("sensorDrops", double(s.sensorDrops));
-                g.set("sensorStuck", double(s.sensorStuck));
-                g.set("sensorNoise", double(s.sensorNoise));
-                g.set("sensorSpikes", double(s.sensorSpikes));
-                g.set("sensorNans", double(s.sensorNans));
-                g.set("surrogateGarbage", double(s.surrogateGarbage));
-                g.set("surrogateInflated", double(s.surrogateInflated));
-                g.set("memSpikes", double(s.memSpikes));
-                g.set("memBlackouts", double(s.memBlackouts));
-                g.set("total", double(s.total()));
-            });
-    }
-}
-
-void
 Machine::finish(RunResult &result, std::size_t core_idx)
 {
     auto &mem_path = sys->mem(core_idx);
     mem_path.drainDirty();
+    sys->checkInvariants();
     result.l1Accesses = mem_path.l1().stats().accesses();
     result.l1Misses = mem_path.l1().stats().misses;
     result.l2Misses = mem_path.l2().stats().misses;

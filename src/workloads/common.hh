@@ -173,13 +173,9 @@ class Machine
     core::NpuModel *npu() { return npuModel.get(); }
 
     /**
-     * Register the whole machine into @p registry: the simulated
-     * system's tree plus the Tartan units ("npu", "ovec") and a spec
-     * echo extending the "config" group.
+     * Snapshot core @p core_idx's memory-system stats into @p result,
+     * after checking every counter invariant of the machine.
      */
-    void registerStats(tartan::sim::StatsRegistry &registry);
-
-    /** Snapshot core @p core_idx's memory-system stats into @p result. */
     void finish(RunResult &result, std::size_t core_idx = 0);
 
   private:

@@ -215,6 +215,7 @@ replayTrace(const CaptureTrace &trace, const MachineSpec &spec,
     ropt.trace = nullptr;
     ropt.faults = nullptr;
     ropt.capture = nullptr;
+    ++tartan::sim::captureStats().replays;
 
     Machine machine(spec, ropt);
     ReplayStream stream(trace, machine);
@@ -232,6 +233,7 @@ replayFleet(const std::vector<const CaptureTrace *> &traces,
     ropt.trace = nullptr;
     ropt.faults = nullptr;
     ropt.capture = nullptr;
+    tartan::sim::captureStats().replays += traces.size();
 
     MachineSpec fspec = spec;
     fspec.sys.simCores = std::uint32_t(traces.size());

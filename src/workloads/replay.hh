@@ -59,7 +59,7 @@ bool replayCompatible(const MachineSpec &cap_spec,
  * the watchdog heartbeat once per record, so a replayed cell under a
  * TARTAN_TIMEOUT campaign stays live-monitored exactly like a direct
  * run (replay issues no robot code, hence no cycle-sink heartbeats of
- * its own between memory ops).
+ * its own between memory ops). Counts one replay in captureStats().
  */
 RunResult replayTrace(const tartan::sim::CaptureTrace &trace,
                       const MachineSpec &spec,
@@ -129,7 +129,8 @@ class ReplayStream
  * the interleave order is a pure function of the traces and the
  * configuration (ties break toward the lower core index). When
  * @p uncore is non-null it receives the shared fabric's end-of-run
- * counters (coherence, crossbar, memory controller).
+ * counters (coherence, crossbar, memory controller). Each trace counts
+ * as one replay in captureStats(), as a replayTrace() call does.
  */
 std::vector<RunResult>
 replayFleet(const std::vector<const tartan::sim::CaptureTrace *> &traces,

@@ -638,6 +638,30 @@ TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRunsOthersDirectly)
     EXPECT_EQ(stats.replays.load(), replays0 + 1);
 }
 
+TEST(CaptureAccounting, ReplaysAreCountedPerReplayedStream)
+{
+    ASSERT_TRUE(envPinned);
+    WorkloadOptions opt;
+    opt.tier = SoftwareTier::Optimized;
+    opt.scale = 0.25;
+    opt.seed = 5150;
+    const MachineSpec base = MachineSpec::baseline();
+    CaptureSource src("MoveBot", tartan::workloads::runMoveBot, base,
+                      opt);
+    const auto trace = src.acquire();
+
+    // Replays are counted where they happen, not by the sweep helper
+    // that schedules them: a fleet run replays one stream per core.
+    auto &stats = tartan::sim::captureStats();
+    const std::uint64_t replays0 = stats.replays.load();
+    tartan::workloads::replayTrace(*trace, base, opt);
+    EXPECT_EQ(stats.replays.load(), replays0 + 1);
+    const auto fleet = tartan::workloads::replayFleet(
+        {trace.get(), trace.get()}, base, opt);
+    ASSERT_EQ(fleet.size(), 2u);
+    EXPECT_EQ(stats.replays.load(), replays0 + 3);
+}
+
 // ---------------------------------------------------------------------------
 // Resume mix: replayed cells are stored and resume byte-identically
 // ---------------------------------------------------------------------------

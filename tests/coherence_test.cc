@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/cache.hh"
+#include "sim/rng.hh"
 #include "sim/runpool.hh"
 #include "sim/system.hh"
 #include "sim/uncore.hh"
@@ -187,6 +188,49 @@ TEST(Coherence, DependentLoadChargesTheCoherenceCpiCategory)
     EXPECT_EQ(cpi[CpiCat::Coherence],
               sys.config().uncore.coherenceLatency);
     EXPECT_EQ(cpi.sum(), sys.core(1).cycles());
+}
+
+TEST(Coherence, RandomTrueSharingKeepsCounterInvariants)
+{
+    // Every core walks one shared 2 MB range: half the accesses extend
+    // the core's own sequential run (prefetcher food), half jump to a
+    // random line, and 30% are stores. Remote copies are snooped,
+    // invalidated and forwarded dirty all the time, including lines a
+    // prefetcher filled and nobody has read yet.
+    constexpr Addr kBase = 0x4000000;
+    constexpr std::uint64_t kLines = (2u << 20) / 64;
+    constexpr int kAccesses = 60000;
+    for (const PrefetcherKind pf : {PrefetcherKind::None,
+                                    PrefetcherKind::NextLine,
+                                    PrefetcherKind::Bingo}) {
+        for (const std::uint32_t cores : {2u, 4u}) {
+            SCOPED_TRACE(testing::Message() << "prefetcher "
+                                            << int(pf) << ", " << cores
+                                            << " cores");
+            SysConfig cfg;
+            cfg.simCores = cores;
+            cfg.prefetcher = pf;
+            System sys(cfg);
+            Rng rng(0x5eed + cores);
+            std::vector<std::uint64_t> cursor(cores, 0);
+            for (int i = 0; i < kAccesses; ++i) {
+                const std::size_t c = rng.uniformInt(cores);
+                cursor[c] = rng.uniform() < 0.5 ? (cursor[c] + 1) % kLines
+                                                : rng.uniformInt(kLines);
+                const Addr addr = kBase + cursor[c] * 64;
+                const PcId pc = PcId(1 + c);
+                if (rng.uniform() < 0.3)
+                    sys.core(c).store(addr, pc);
+                else
+                    sys.core(c).load(addr, pc);
+            }
+            const CoherenceStats &cs = sys.uncore()->coherence();
+            EXPECT_GT(cs.snoops, 0u);
+            EXPECT_GT(cs.invalidations, 0u);
+            EXPECT_GT(cs.dirtyForwards, 0u);
+            sys.checkInvariants();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

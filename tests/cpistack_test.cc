@@ -9,10 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "sim/cpistack.hh"
 #include "sim/fault.hh"
 #include "sim/report.hh"
-#include "sim/stats.hh"
 #include "sim/system.hh"
 #include "workloads/robots.hh"
 
@@ -109,9 +110,12 @@ TEST(CpiTaxonomy, NamesRoundTrip)
 
 TEST(CpiTaxonomy, CategoryListMatchesEnumOrder)
 {
-    EXPECT_EQ(cpiCategoryList(),
-              "issue,l1,l2,l3,dram,tlb,pfLate,writeback,fault,npu,"
-              "ovec,anl,coherence");
+    const char *const expected[] = {
+        "issue", "l1", "l2", "l3", "dram", "tlb", "pfLate", "writeback",
+        "fault", "npu", "ovec", "anl", "coherence"};
+    ASSERT_EQ(std::size(expected), kNumCpiCats);
+    for (std::size_t i = 0; i < kNumCpiCats; ++i)
+        EXPECT_STREQ(cpiCatName(CpiCat(i)), expected[i]) << "index " << i;
     EXPECT_EQ(kCpiTaxonomyVersion, 2u);
 }
 
@@ -162,8 +166,6 @@ TEST(CpiCore, StatsInvariantsHoldAfterMixedWork)
 {
     SysConfig cfg;
     System sys(cfg);
-    StatsRegistry registry;
-    sys.registerStats(registry);
 
     Core &core = sys.core();
     const auto knav = core.registerKernel("nav");
@@ -176,9 +178,10 @@ TEST(CpiCore, StatsInvariantsHoldAfterMixedWork)
     core.stall(250, CpiCat::Npu);
     core.setKernel(0);
 
-    // verify() panics if any per-kernel or machine-wide sum-to-total
-    // invariant is broken; reaching the asserts below means they hold.
-    registry.verify();
+    // checkInvariants() panics if any per-kernel or machine-wide
+    // sum-to-total invariant is broken; reaching the asserts below
+    // means they hold.
+    sys.checkInvariants();
     Cycles kernel_sum = 0;
     for (const auto &k : core.kernels()) {
         EXPECT_EQ(k.cpi.sum(), k.cycles) << "kernel " << k.name;

@@ -248,4 +248,24 @@ TEST(Machines, SmallerLinesReduceUdm)
     EXPECT_LT(waste_narrow, waste_wide);
 }
 
+TEST(MachinesDeathTest, FinishChecksCounterInvariants)
+{
+    // Every run ends in summarize() -> Machine::finish, which checks
+    // the machine's counter invariants after the dirty-line drain.
+    const auto run = [](bool corrupt) {
+        Machine machine(MachineSpec::baseline(), WorkloadOptions{});
+        static int data[4096];
+        for (int &x : data)
+            machine.core().load(reinterpret_cast<tartan::sim::Addr>(&x),
+                                1);
+        if (corrupt)
+            machine.system().mem().stats.pfLateCycles = 1;
+        RunResult result;
+        summarize(machine, machine.core().cycles(), result);
+        return result.l1Accesses;
+    };
+    EXPECT_GT(run(false), 0u);
+    EXPECT_DEATH(run(true), "late cycles imply late hits");
+}
+
 } // namespace
