@@ -196,6 +196,5 @@ main()
     anlGeometry(rep, pool);
     fcpLevel(rep, pool);
     npuLinkLatency(rep, pool);
-    reportCaptureStats(rep);
     return campaignExit(rep);
 }

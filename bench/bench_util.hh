@@ -3,37 +3,37 @@
  * Shared helpers for the figure/table reproduction binaries: the
  * BenchReporter every driver routes its results through (human table on
  * stdout plus a machine-readable BENCH_<name>.json), normalisation and
- * geometric means, the standard per-run metric snapshot, and the
- * RunPool plumbing that executes every driver's independent runs
- * concurrently. Every bench prints the paper's expected shape next to
- * the measured values so the output can be diffed against
- * EXPERIMENTS.md.
+ * geometric means, the standard per-run metric snapshot, and the one
+ * cell runner every driver executes its independent runs through.
+ * Every bench prints the paper's expected shape next to the measured
+ * values so the output can be diffed against EXPERIMENTS.md.
  *
  * Parallel-run pattern: a driver builds its complete list of campaign
  * cells (each capturing its own MachineSpec / WorkloadOptions / trace
- * session by value), hands them to runAll(), and only then formats
- * tables from the in-submission-order results. All printing happens on
- * the main thread after the gather, so stdout and the BENCH manifest
- * are byte-identical whatever TARTAN_JOBS is.
+ * session by value), hands them to runAll(rep, pool, cells), and only
+ * then formats tables from the in-submission-order results. All
+ * printing happens on the main thread after the gather, so stdout and
+ * the BENCH manifest are byte-identical whatever TARTAN_JOBS is.
  *
- * The campaign-aware runAll(rep, pool, cells) overload routes every
- * cell through sim::CampaignRunner: resume-store hits under
- * TARTAN_RESUME, verified result-cache hits under TARTAN_CACHE_DIR,
- * watchdog deadlines under TARTAN_TIMEOUT with TARTAN_RETRIES
- * re-attempts, and quarantine (placeholder result + manifest failure
- * row) instead of sweep abort. Result types round-trip through
- * CellCodec so a stored payload is byte-identical to a fresh one.
+ * runAll() routes every cell through sim::CampaignRunner: resume-store
+ * hits under TARTAN_RESUME, verified result-cache hits under
+ * TARTAN_CACHE_DIR, watchdog deadlines under TARTAN_TIMEOUT with
+ * TARTAN_RETRIES re-attempts, and quarantine (placeholder result +
+ * manifest failure row) instead of sweep abort. Result types
+ * round-trip through CellCodec so a stored payload is byte-identical
+ * to a fresh one; there are two: RunResult and FleetOutcome.
  */
 
 #ifndef TARTAN_BENCH_UTIL_HH
 #define TARTAN_BENCH_UTIL_HH
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,22 +121,6 @@ options(SoftwareTier tier, double scale = 1.0, std::uint64_t seed = 42)
 }
 
 /**
- * Attach a trace session (possibly null, i.e. TARTAN_TRACE unset) to a
- * WorkloadOptions value. Keeps per-run instrumentation to one line:
- *
- *   auto t = rep.makeTrace("DeliBot_B");
- *   auto res = robot.run(spec, traced(options(tier), t));
- *   t.reset();  // flush TRACE_*.json before the next run
- */
-inline WorkloadOptions
-traced(WorkloadOptions opt,
-       const std::unique_ptr<sim::TraceSession> &session)
-{
-    opt.trace = session.get();
-    return opt;
-}
-
-/**
  * One campaign cell: a labelled, content-addressed run closure. The
  * label is the human identity (failure reports); the (configHash,
  * seed) pair is the machine identity that keys the resume store and
@@ -180,57 +164,89 @@ struct CellCodec<RunResult> {
     }
 };
 
+/** One fleet run: replayFleet()'s per-core results plus the fabric. */
+struct FleetOutcome {
+    std::vector<RunResult> cores;
+    workloads::FleetUncoreSnapshot uncore;
+};
+
 /**
- * Codec for plain double vectors (tab02's error sweeps): a JSON array
- * of %a hexfloat strings, exact for every value including nan/inf.
+ * FleetOutcome codec, built from the RunResult and u64 codecs only:
+ * each core as an embedded encodeRunResult() payload string, the
+ * fabric as a fixed-order array of encodeU64() counters.
  */
 template <>
-struct CellCodec<std::vector<double>> {
+struct CellCodec<FleetOutcome> {
+    /** Every fabric counter of @p u, in wire order. */
+    static std::array<std::uint64_t *, 14>
+    fabric(workloads::FleetUncoreSnapshot &u)
+    {
+        return {&u.coherence.snoops,      &u.coherence.invalidations,
+                &u.coherence.downgrades,  &u.coherence.dirtyForwards,
+                &u.coherence.upgrades,    &u.coherence.sharedFills,
+                &u.xbar.traversals,       &u.xbar.hops,
+                &u.memctrl.reads,         &u.memctrl.writes,
+                &u.memctrl.rowHits,       &u.memctrl.rowMisses,
+                &u.memctrl.bankConflicts, &u.memctrl.conflictCycles};
+    }
     static std::uint64_t
     schema()
     {
-        // Distinct schema space from the RunResult codec so the two
-        // payload families never share a stored entry.
-        return sim::fnv1a64("tartan-vecd-codec-v1");
+        // Distinct from the RunResult schema, so the two payload
+        // families never share a stored entry.
+        return sim::fnv1a64Mix(sim::fnv1a64("tartan-fleet-codec-v1"),
+                               workloads::cellSchemaVersion());
     }
     static std::string
-    encode(const std::vector<double> &values)
+    encode(const FleetOutcome &out)
     {
-        std::string out = "{\"v\":\"1\",\"d\":[";
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            out += (i ? ",\"" : "\"");
-            out += workloads::encodeDouble(values[i]);
-            out += "\"";
+        std::ostringstream os;
+        os << "{\"v\":\"1\",\"cores\":[";
+        for (std::size_t i = 0; i < out.cores.size(); ++i) {
+            os << (i ? "," : "");
+            sim::json::writeString(os,
+                                   workloads::encodeRunResult(out.cores[i]));
         }
-        out += "]}";
-        return out;
+        os << "],\"fabric\":[";
+        workloads::FleetUncoreSnapshot u = out.uncore;
+        const char *sep = "";
+        for (const std::uint64_t *f : fabric(u)) {
+            os << sep << "\"" << workloads::encodeU64(*f) << "\"";
+            sep = ",";
+        }
+        os << "]}";
+        return os.str();
     }
     static bool
-    decode(const std::string &payload, std::vector<double> &out,
+    decode(const std::string &payload, FleetOutcome &out,
            std::string *err = nullptr)
     {
-        sim::json::Value doc;
-        if (!sim::json::parse(payload, doc, err) || !doc.isObject())
-            return false;
-        const sim::json::Value *version = doc.find("v");
-        const sim::json::Value *data = doc.find("d");
-        if (!version || !version->isString() || version->string != "1" ||
-            !data || !data->isArray()) {
+        const auto fail = [err](const char *why) {
             if (err && err->empty())
-                *err = "bad vector payload envelope";
+                *err = why;
             return false;
-        }
-        out.clear();
-        out.reserve(data->array.size());
-        for (const sim::json::Value &v : data->array) {
-            double d = 0.0;
-            if (!v.isString() || !workloads::decodeDouble(v.string, d)) {
-                if (err && err->empty())
-                    *err = "bad vector payload element";
-                return false;
-            }
-            out.push_back(d);
-        }
+        };
+        sim::json::Value doc;
+        if (!sim::json::parse(payload, doc, err))
+            return fail("bad fleet payload");
+        const sim::json::Value *version = doc.find("v");
+        const sim::json::Value *cores = doc.find("cores");
+        const sim::json::Value *fab = doc.find("fabric");
+        const auto fields = fabric(out.uncore);
+        if (!version || !version->isString() || version->string != "1" ||
+            !cores || !cores->isArray() || !fab || !fab->isArray() ||
+            fab->array.size() != fields.size())
+            return fail("bad fleet payload envelope");
+        out.cores.assign(cores->array.size(), RunResult());
+        for (std::size_t i = 0; i < out.cores.size(); ++i)
+            if (!cores->array[i].isString() ||
+                !workloads::decodeRunResult(cores->array[i].string,
+                                            out.cores[i], err))
+                return fail("bad fleet core payload");
+        for (std::size_t i = 0; i < fields.size(); ++i)
+            if (!fab->array[i].isString() ||
+                !workloads::decodeU64(fab->array[i].string, *fields[i]))
+                return fail("bad fleet fabric counter");
         return true;
     }
 };
@@ -409,9 +425,9 @@ replayCell(CaptureSource &src, std::string label, RobotFn run,
 
 /**
  * Surface the process-wide capture/replay accounting in @p rep's
- * manifest. A no-op while all counters are zero (a driver without
- * replayCell conversions), so its BENCH payload carries no capture
- * block.
+ * manifest; runAll() calls it after every gather. A no-op while all
+ * counters are zero (a driver that never replays), so its BENCH
+ * payload carries no capture block.
  */
 inline void
 reportCaptureStats(BenchReporter &rep)
@@ -437,8 +453,8 @@ reportCaptureStats(BenchReporter &rep)
  *
  * Quarantined cells come back as default-constructed placeholders;
  * their identity, error class and attempt count land in @p rep's
- * manifest (campaign + failures blocks). Drivers decide the exit code
- * via campaignExit().
+ * manifest (campaign + failures blocks), next to the capture
+ * accounting so far. Drivers decide the exit code via campaignExit().
  */
 template <typename R>
 std::vector<R>
@@ -460,6 +476,7 @@ runAll(BenchReporter &rep, RunPool &pool, std::vector<Cell<R>> cells)
                       st.failed);
     for (const sim::CellFailure &f : st.failures)
         rep.cellFailure(f.label, f.errorClass, f.detail, f.attempts);
+    reportCaptureStats(rep);
 
     std::vector<R> results(outcomes.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -488,49 +505,6 @@ inline int
 campaignExit(const BenchReporter &rep)
 {
     return rep.hasFailures() ? 3 : 0;
-}
-
-/**
- * Execute @p jobs through @p pool and return their results in
- * submission order (the raw, reporter-less path: no resume, no
- * cache, no retry). Worker exceptions do not abort the gather at the
- * first victim: every future is drained, and the failures — each with
- * its submission index and error class — surface together as one
- * aggregate sim::RunPoolError.
- */
-template <typename R>
-std::vector<R>
-runAll(RunPool &pool, std::vector<std::function<R()>> jobs)
-{
-    std::vector<std::future<R>> futures;
-    futures.reserve(jobs.size());
-    for (auto &j : jobs)
-        futures.push_back(pool.submit(std::move(j)));
-    std::vector<R> results;
-    results.reserve(futures.size());
-    std::vector<sim::CellFailure> failures;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            results.push_back(futures[i].get());
-        } catch (const std::exception &e) {
-            sim::CellFailure f;
-            f.index = i;
-            f.label = "job[" + std::to_string(i) + "]";
-            f.errorClass =
-                dynamic_cast<const sim::CellTimeoutError *>(&e)
-                    ? "timeout"
-                    : dynamic_cast<const sim::CellCrashError *>(&e)
-                          ? "crash"
-                          : "exception";
-            f.detail = e.what();
-            f.attempts = 1;
-            failures.push_back(std::move(f));
-            results.emplace_back();
-        }
-    }
-    if (!failures.empty())
-        throw sim::RunPoolError(std::move(failures));
-    return results;
 }
 
 /**

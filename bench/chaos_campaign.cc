@@ -111,6 +111,7 @@ main(int argc, char **argv)
     if (auto env_plan = FaultPlan::fromEnv()) {
         env_spec = env_plan->spec();
         classes.push_back(FaultClass{"env", env_spec.c_str()});
+        rep.faultPlan(env_spec, env_plan->seed());
     } else {
         classes.assign(std::begin(kClasses), std::end(kClasses));
     }

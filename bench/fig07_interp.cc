@@ -10,8 +10,6 @@
 
 #include "bench_util.hh"
 
-#include <sstream>
-
 #include "core/ovec.hh"
 #include "robotics/geometry.hh"
 #include "robotics/raycast.hh"
@@ -23,69 +21,11 @@ using robotics::Mem;
 
 namespace {
 
-/** One configuration's outcome: total cycles + per-kernel counters. */
-struct RayRun {
-    double cycles = 0.0;
-    std::vector<sim::KernelCounters> kernels;
-};
-
-} // namespace
-
-namespace tartan::bench {
-
 /**
- * Exact RayRun codec so fig07's cells resume and cache like everyone
- * else's: cycles as a %a hexfloat, kernels through the shared
- * kernel-counter encoder.
+ * Run the DeliBot-style interpolated ray-casting kernel; the outcome
+ * is its total cycles (wallCycles) and per-kernel counters.
  */
-template <>
-struct CellCodec<RayRun> {
-    static std::uint64_t
-    schema()
-    {
-        // Kernel rows embed CPI stacks, so the taxonomy version is
-        // folded in next to the layout tag.
-        return sim::fnv1a64Mix(sim::fnv1a64("tartan-rayrun-codec-v1"),
-                               sim::kCpiTaxonomyVersion);
-    }
-    static std::string
-    encode(const RayRun &run)
-    {
-        std::ostringstream os;
-        os << "{\"v\":\"1\",\"cyc\":\""
-           << workloads::encodeDouble(run.cycles) << "\",\"k\":";
-        workloads::encodeKernels(os, run.kernels);
-        os << "}";
-        return os.str();
-    }
-    static bool
-    decode(const std::string &payload, RayRun &out,
-           std::string *err = nullptr)
-    {
-        sim::json::Value doc;
-        if (!sim::json::parse(payload, doc, err) || !doc.isObject())
-            return false;
-        const sim::json::Value *version = doc.find("v");
-        const sim::json::Value *cycles = doc.find("cyc");
-        const sim::json::Value *kernels = doc.find("k");
-        if (!version || !version->isString() || version->string != "1" ||
-            !cycles || !cycles->isString() ||
-            !workloads::decodeDouble(cycles->string, out.cycles) ||
-            !kernels || !workloads::decodeKernels(*kernels, out.kernels)) {
-            if (err && err->empty())
-                *err = "bad RayRun payload";
-            return false;
-        }
-        return true;
-    }
-};
-
-} // namespace tartan::bench
-
-namespace {
-
-/** Run the DeliBot-style interpolated ray-casting kernel. */
-RayRun
+RunResult
 rayCastingTime(bool use_ovec, bool accel)
 {
     // Engines are stateful (batch statistics), so every run constructs
@@ -123,7 +63,10 @@ rayCastingTime(bool use_ovec, bool accel)
                         accel ? &lvs : nullptr);
         }
     }
-    return RayRun{double(sys.core().cycles()), sys.core().kernels()};
+    RunResult res;
+    res.wallCycles = sys.core().cycles();
+    res.kernels = sys.core().kernels();
+    return res;
 }
 
 } // namespace
@@ -139,14 +82,14 @@ main()
     rep.config("configs", "B=scalar O=ovec I=intel-accel O+I=combined");
 
     RunPool pool;
-    std::vector<Cell<RayRun>> jobs;
+    std::vector<Cell<RunResult>> jobs;
     const struct { const char *cfg; bool ovec; bool accel; } configs[] = {
         {"B", false, false},
         {"O", true, false},
         {"I", false, true},
         {"O+I", true, true}};
     for (const auto &c : configs) {
-        Cell<RayRun> one;
+        Cell<RunResult> one;
         one.label = c.cfg;
         // Content address: every knob rayCastingTime() bakes into the
         // run, so a kernel change shows up as a config change only if
@@ -161,9 +104,12 @@ main()
         };
         jobs.push_back(std::move(one));
     }
-    const std::vector<RayRun> runs = runAll(rep, pool, std::move(jobs));
-    const double b = runs[0].cycles, o = runs[1].cycles,
-                 i = runs[2].cycles, oi = runs[3].cycles;
+    const std::vector<RunResult> runs = runAll(rep, pool, std::move(jobs));
+    const auto cycles = [&runs](std::size_t c) {
+        return double(runs[c].wallCycles);
+    };
+    const double b = cycles(0), o = cycles(1), i = cycles(2),
+                 oi = cycles(3);
 
     std::printf("%-4s %14s %10s %9s\n", "cfg", "cycles", "norm", "speedup");
     std::printf("%-4s %14.0f %10.3f %8.2fx\n", "B", b, 1.0, 1.0);
@@ -174,10 +120,10 @@ main()
                 "(paper: 1.33x)\n", i / oi);
 
     for (std::size_t c = 0; c < 4; ++c) {
-        rep.kernelMetric(configs[c].cfg, "cycles", runs[c].cycles);
-        rep.kernelMetric(configs[c].cfg, "normTime", runs[c].cycles / b);
-        rep.kernelMetric(configs[c].cfg, "speedup", b / runs[c].cycles);
-        reportCpi(rep, configs[c].cfg, runs[c].kernels);
+        rep.kernelMetric(configs[c].cfg, "cycles", cycles(c));
+        rep.kernelMetric(configs[c].cfg, "normTime", cycles(c) / b);
+        rep.kernelMetric(configs[c].cfg, "speedup", b / cycles(c));
+        reportCpi(rep, configs[c].cfg, runs[c]);
     }
     rep.metric("orthogonalityOiOverI", i / oi);
     rep.note("paper: O+I over I alone = 1.33x");

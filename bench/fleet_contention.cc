@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet contention study: N robots sharing one coherent multi-core
- * machine. Each roster slot is captured once (capture-once /
+ * machine. Each roster robot is captured at most once (capture-once /
  * replay-many), then the N op streams replay min-cycle-first
  * interleaved through a machine with N private L1/L2 paths, a shared
  * sliced L3 behind a crossbar, MESI snooping between the private
@@ -11,6 +11,10 @@
  * (including the coherence category), and the shared fabric's
  * crossbar/bank/coherence counters — once with the L3 fully shared and
  * once with FCP partitioning the L3 (paper §VIII-D).
+ *
+ * The solo references and the fleets are campaign cells like every
+ * other driver's, so they resume, cache, time out and quarantine
+ * under the same TARTAN_* knobs.
  *
  * TARTAN_CORES pins the sweep to one fleet size (the CI smoke runs
  * N=4); default sweeps N in {1, 2, 4, 8}. TARTAN_XBAR_HOP,
@@ -47,12 +51,6 @@ fleetSpec(bool fcp_at_l3)
         spec.sys.uncore.coherenceLatency = env.coherenceLat;
     return spec;
 }
-
-/** One fleet configuration's outcome: per-core results + fabric. */
-struct FleetOutcome {
-    std::vector<RunResult> cores;
-    FleetUncoreSnapshot uncore;
-};
 
 } // namespace
 
@@ -93,58 +91,65 @@ main()
         *std::max_element(fleet_sizes.begin(), fleet_sizes.end());
     const std::size_t roster = std::min<std::size_t>(max_n, suite.size());
 
-    // Capture each distinct roster robot once; every solo reference and
-    // every fleet slot replays the same op stream.
+    // Each distinct roster robot is captured at most once, by the
+    // first cell that needs it; every solo reference and every fleet
+    // slot replays the same op stream.
+    const WorkloadOptions opt = options(SoftwareTier::Optimized);
     std::vector<std::unique_ptr<CaptureSource>> sources;
-    std::vector<std::shared_ptr<const CaptureTrace>> traces;
-    for (std::size_t i = 0; i < roster; ++i) {
+    for (std::size_t i = 0; i < roster; ++i)
         sources.push_back(std::make_unique<CaptureSource>(
-            suite[i].name, suite[i].run, MachineSpec::baseline(),
-            options(SoftwareTier::Optimized)));
-        traces.push_back(sources.back()->acquire());
-    }
+            suite[i].name, suite[i].run, MachineSpec::baseline(), opt));
 
     const char *mode_names[] = {"shared", "fcp"};
     RunPool pool;
 
     // Solo references: each roster robot alone on the single-core
     // machine of each mode (simCores=1 -> no uncore, historical path).
-    std::vector<std::function<RunResult()>> solo_jobs;
+    std::vector<Cell<RunResult>> solo_cells;
     for (int mode = 0; mode < 2; ++mode)
-        for (std::size_t i = 0; i < roster; ++i) {
-            const CaptureTrace *trace = traces[i].get();
-            const MachineSpec spec = fleetSpec(mode == 1);
-            solo_jobs.push_back([trace, spec]() {
-                return replayTrace(*trace, spec,
-                                   options(SoftwareTier::Optimized));
-            });
-        }
+        for (std::size_t i = 0; i < roster; ++i)
+            solo_cells.push_back(replayCell(
+                *sources[i],
+                std::string("solo/") + mode_names[mode] + "/" +
+                    suite[i].name,
+                suite[i].run, fleetSpec(mode == 1), opt));
     const std::vector<RunResult> solos =
-        runAll(pool, std::move(solo_jobs));
+        runAll(rep, pool, std::move(solo_cells));
     const auto solo_wall = [&](int mode, std::size_t slot) {
         return double(solos[mode * roster + slot % roster].wallCycles);
     };
 
-    // Fleet configurations: every (mode, N) pair is one job. Slot i of
-    // an N-robot fleet runs roster robot i % roster on core i.
-    std::vector<std::function<FleetOutcome()>> fleet_jobs;
+    // Fleet configurations: every (mode, N) pair is one cell. Slot i of
+    // an N-robot fleet runs roster robot i % roster on core i; the
+    // roster names ride in the salt, since the spec cannot see them.
+    std::vector<Cell<FleetOutcome>> fleet_cells;
     for (int mode = 0; mode < 2; ++mode)
         for (unsigned n : fleet_sizes) {
-            std::vector<const CaptureTrace *> fleet;
-            for (unsigned i = 0; i < n; ++i)
-                fleet.push_back(traces[i % roster].get());
+            std::vector<CaptureSource *> fleet;
+            std::string salt = "fleet:";
+            for (unsigned i = 0; i < n; ++i) {
+                fleet.push_back(sources[i % roster].get());
+                salt += std::string(i ? "," : "") + suite[i % roster].name;
+            }
             const MachineSpec spec = fleetSpec(mode == 1);
-            fleet_jobs.push_back([fleet, spec]() {
+            Cell<FleetOutcome> c;
+            c.label = std::string(mode_names[mode]) + "/N" +
+                      std::to_string(n);
+            c.configHash = cellConfigHash(c.label, spec, opt, salt);
+            c.seed = opt.seed;
+            c.fn = [fleet, spec, opt]() {
+                // Each source keeps its capture alive for the sweep.
+                std::vector<const CaptureTrace *> traces;
+                for (CaptureSource *src : fleet)
+                    traces.push_back(src->acquire().get());
                 FleetOutcome out;
-                out.cores =
-                    replayFleet(fleet, spec,
-                                options(SoftwareTier::Optimized),
-                                &out.uncore);
+                out.cores = replayFleet(traces, spec, opt, &out.uncore);
                 return out;
-            });
+            };
+            fleet_cells.push_back(std::move(c));
         }
     const std::vector<FleetOutcome> outcomes =
-        runAll(pool, std::move(fleet_jobs));
+        runAll(rep, pool, std::move(fleet_cells));
 
     std::printf("%-6s %-7s %-14s %12s %12s %8s %10s\n", "mode", "fleet",
                 "core:robot", "wallCycles", "soloCycles", "interf",
@@ -228,6 +233,5 @@ main()
 
     rep.note("interference = fleet wall cycles / solo wall cycles per "
              "core; fcp mode partitions the shared L3 with FCP");
-    reportCaptureStats(rep);
     return campaignExit(rep);
 }

@@ -10,9 +10,10 @@
  *  - Native / PatrolBot classification (50/1024/512/1 on PCA(50)):
  *    misclassification rate (paper: 1.3%).
  *
- * The three evaluations are independent (each trains its own network
- * from its own RNG streams) and execute through a RunPool; every job
- * returns raw numbers and all printing happens after the gather.
+ * The evaluations are independent (each trains its own network from
+ * its own RNG streams) and execute as one campaign; every cell returns
+ * a RunResult (the error evaluations carry their errors as metrics)
+ * and all printing happens after the gather.
  */
 
 #include "bench_util.hh"
@@ -33,9 +34,9 @@ namespace {
 
 /**
  * Synthetic T-prediction dataset: downsampled cloud pairs -> pose.
- * Returns {relative rotation error %, relative translation error %}.
+ * Metrics: relative rotation and translation errors (%).
  */
-std::vector<double>
+RunResult
 homebotTransformError()
 {
     sim::Rng rng(7);
@@ -122,12 +123,14 @@ homebotTransformError()
             trans_mag += std::fabs(truth[k + 3]);
         }
     }
-    const double rot_rel = 100.0 * rot_err / rot_mag;
-    const double trans_rel = 100.0 * trans_err / trans_mag;
-    return {rot_rel, trans_rel};
+    RunResult res;
+    res.metrics["rotErrPct"] = 100.0 * rot_err / rot_mag;
+    res.metrics["transErrPct"] = 100.0 * trans_err / trans_mag;
+    return res;
 }
 
-std::vector<double>
+/** Metric: misclassification rate (%). */
+RunResult
 patrolbotClassificationError()
 {
     sim::Rng rng(21);
@@ -181,7 +184,9 @@ patrolbotClassificationError()
         if ((score[0] > 0.5f) != label)
             ++wrong;
     }
-    return {100.0 * wrong / tests};
+    RunResult res;
+    res.metrics["errPct"] = 100.0 * wrong / tests;
+    return res;
 }
 
 } // namespace
@@ -199,37 +204,33 @@ main()
 
     RunPool pool;
     // The FlyBot error needs the full simulated runs (exact vs AXAR
-    // plan cost), so those two execute as RunResult cells — which also
-    // makes their per-kernel CPI stacks available to the report. The
-    // two error evaluations are a second campaign with its own payload
-    // schema (plain double vectors), which keys its stored entries.
-    std::vector<Cell<RunResult>> fly_jobs;
-    fly_jobs.push_back(cell("FlyBot/exact", runFlyBot,
-                            MachineSpec::tartan(),
-                            options(SoftwareTier::Optimized)));
-    fly_jobs.push_back(cell("FlyBot/AXAR", runFlyBot,
-                            MachineSpec::tartan(),
-                            options(SoftwareTier::Approximate)));
-    std::vector<Cell<std::vector<double>>> jobs;
-    jobs.push_back(Cell<std::vector<double>>{
+    // plan cost), which also makes their per-kernel CPI stacks
+    // available to the report; the other two cells are the error
+    // evaluations, keyed by their training configuration.
+    std::vector<Cell<RunResult>> jobs;
+    jobs.push_back(cell("FlyBot/exact", runFlyBot, MachineSpec::tartan(),
+                        options(SoftwareTier::Optimized)));
+    jobs.push_back(cell("FlyBot/AXAR", runFlyBot, MachineSpec::tartan(),
+                        options(SoftwareTier::Approximate)));
+    jobs.push_back(Cell<RunResult>{
         "HomeBot/TRAP-error",
         sim::fnv1a64("tab02;homebot;192/32/32/6;train=2500x320"), 7,
         homebotTransformError});
-    jobs.push_back(Cell<std::vector<double>>{
+    jobs.push_back(Cell<RunResult>{
         "PatrolBot/native-error",
         sim::fnv1a64("tab02;patrolbot;50/1024/512/1;pca=50;cal=360"), 21,
         patrolbotClassificationError});
-    const auto fly_results = runAll(rep, pool, std::move(fly_jobs));
     const auto results = runAll(rep, pool, std::move(jobs));
 
-    // Quarantined cells come back as empty placeholders; index into
-    // them defensively so a failing sweep still finishes its manifest.
+    // Quarantined cells come back as empty placeholders; read their
+    // metrics defensively so a failing sweep still finishes its
+    // manifest.
     const auto metric_or = [](const RunResult &res, const char *key) {
         const auto it = res.metrics.find(key);
         return it == res.metrics.end() ? 0.0 : it->second;
     };
-    const RunResult &fly_exact = fly_results[0];
-    const RunResult &fly_axar = fly_results[1];
+    const RunResult &fly_exact = results[0];
+    const RunResult &fly_axar = results[1];
     const double exact_cost = metric_or(fly_exact, "planCost");
     const double axar_cost = metric_or(fly_axar, "planCost");
     std::printf("  FlyBot plan costs: exact %.4f, AXAR %.4f, "
@@ -241,13 +242,13 @@ main()
     reportCpi(rep, "FlyBot/exact", fly_exact);
     reportCpi(rep, "FlyBot/AXAR", fly_axar);
 
-    const double rot_rel = results[0].size() > 1 ? results[0][0] : 0.0;
-    const double trans_rel = results[0].size() > 1 ? results[0][1] : 0.0;
+    const double rot_rel = metric_or(results[2], "rotErrPct");
+    const double trans_rel = metric_or(results[2], "transErrPct");
     std::printf("  HomeBot rotation error %.1f%%, translation error "
                 "%.1f%%\n", rot_rel, trans_rel);
     const double home = std::sqrt(rot_rel * trans_rel);
 
-    const double patrol = results[1].empty() ? 0.0 : results[1][0];
+    const double patrol = metric_or(results[3], "errPct");
 
     std::printf("%-7s %-10s %-14s %-14s %10s\n", "type", "robot",
                 "function", "topology", "error");

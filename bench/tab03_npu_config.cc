@@ -111,6 +111,5 @@ main()
              "4 PEs (the paper picks 4)");
     std::printf("\nShape check: memory/area grow with PEs; speedup "
                 "saturates past 4 PEs (the paper picks 4).\n");
-    reportCaptureStats(rep);
     return campaignExit(rep);
 }

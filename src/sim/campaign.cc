@@ -29,23 +29,6 @@ CampaignConfig::fromEnv()
     return cfg;
 }
 
-std::string
-RunPoolError::describe(const std::vector<CellFailure> &failures)
-{
-    std::string msg = std::to_string(failures.size()) +
-                      " cell(s) failed:";
-    for (const CellFailure &f : failures)
-        msg += "\n  [" + std::to_string(f.index) + "] " + f.label +
-               " (" + f.errorClass + ", " + std::to_string(f.attempts) +
-               " attempts): " + f.detail;
-    return msg;
-}
-
-RunPoolError::RunPoolError(std::vector<CellFailure> failures)
-    : std::runtime_error(describe(failures)), fails(std::move(failures))
-{
-}
-
 CampaignRunner::CampaignRunner(std::string driver, RunPool &pool_,
                                CampaignConfig cfg_,
                                std::uint64_t schema_version)

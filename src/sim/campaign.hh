@@ -46,7 +46,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -94,25 +93,6 @@ struct CellFailure {
     std::string errorClass;   //!< "timeout" | "crash" | "exception"
     std::string detail;       //!< exception what() of the last attempt
     unsigned attempts = 0;    //!< attempts consumed (1 + retries)
-};
-
-/**
- * Aggregate failure report: *every* failed cell of a sweep with its
- * identity, not just the first to surface. Thrown by the strict
- * (reporter-less) runAll once all futures have been drained.
- */
-class RunPoolError : public std::runtime_error
-{
-  public:
-    /** Build the aggregate from @p failures (must be non-empty). */
-    explicit RunPoolError(std::vector<CellFailure> failures);
-
-    /** Every failed cell, in submission order. */
-    const std::vector<CellFailure> &failures() const { return fails; }
-
-  private:
-    static std::string describe(const std::vector<CellFailure> &failures);
-    std::vector<CellFailure> fails;
 };
 
 /** Result of one cell after the resilience layer is done with it. */

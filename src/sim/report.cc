@@ -15,7 +15,6 @@
 #include <fstream>
 
 #include "sim/env.hh"
-#include "sim/fault.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -70,12 +69,6 @@ gitDescribe()
 BenchReporter::BenchReporter(std::string bench_name, std::string paper_note)
     : benchName(std::move(bench_name)), paperNote(std::move(paper_note))
 {
-    // The effective fault plan (or its absence) is part of every
-    // manifest so a BENCH file is self-describing about injection.
-    if (auto plan = FaultPlan::fromEnv()) {
-        faultSpec = plan->spec();
-        faultSeed = plan->seed();
-    }
     std::printf("\n=============================================="
                 "==================\n");
     std::printf("%s\n", benchName.c_str());
@@ -153,6 +146,13 @@ BenchReporter::campaignStats(std::uint64_t simulated,
     campaignTotals.journalHits += journal_hits;
     campaignTotals.cacheHits += cache_hits;
     campaignTotals.failed += failed;
+}
+
+void
+BenchReporter::faultPlan(const std::string &spec, std::uint64_t seed)
+{
+    faultSpec = spec;
+    faultSeed = seed;
 }
 
 void

@@ -116,6 +116,13 @@ class BenchReporter
     void captureStats(std::uint64_t captures, std::uint64_t file_hits,
                       std::uint64_t replays);
 
+    /**
+     * Echo the fault plan this run applied (manifest.faults and
+     * manifest.faultSeed). Without a call the manifest says "none":
+     * only a driver that injects the plan may name it.
+     */
+    void faultPlan(const std::string &spec, std::uint64_t seed);
+
     /** True when any cellFailure() was recorded (exit-code policy). */
     bool hasFailures() const { return !failureRows.empty(); }
 

@@ -357,6 +357,14 @@ describeCell(std::string_view robot, const MachineSpec &spec,
        << "/" << sys.fcpRegionBytes << "/" << sys.fcpXorBits << "/"
        << int(sys.fcpFunc) << "/" << sys.fcpAtL3
        << ";udm=" << sys.trackUdm
+       // Fleet machine: always echoed, because replayFleet() raises
+       // simCores itself, so a fleet cell's spec still says 1.
+       << ";simcores=" << sys.simCores << ";uncore=" << sys.uncore.lineBytes
+       << "/" << sys.uncore.l3Slices << "/" << sys.uncore.xbarHopLatency
+       << "/" << sys.uncore.dramBanks << "/" << sys.uncore.dramRowBytes
+       << "/" << sys.uncore.dramRowHitLatency << "/"
+       << sys.uncore.dramRowMissLatency << "/"
+       << sys.uncore.coherenceLatency
        // Tartan units.
        << ";anl=" << spec.useAnl << "/" << spec.anlCfg.entries << "/"
        << spec.anlCfg.regionBytes << "/" << spec.anlCfg.lineBytes << "/"

@@ -44,8 +44,7 @@ MachineSpec::tartan()
     return spec;
 }
 
-Machine::Machine(const MachineSpec &spec, tartan::sim::TraceSession *trace,
-                 tartan::sim::FaultInjector *faults)
+Machine::Machine(const MachineSpec &spec, const WorkloadOptions &opt)
     : specData(spec)
 {
     // Registered unconditionally (idempotent) so the traced and
@@ -53,8 +52,8 @@ Machine::Machine(const MachineSpec &spec, tartan::sim::TraceSession *trace,
     // reads host pointers as simulated addresses, so asymmetric heap
     // traffic would perturb the measured cache behaviour.
     robotics::registerPcSites();
-    specData.sys.trace = trace;
-    specData.sys.faults = faults;
+    specData.sys.trace = opt.trace;
+    specData.sys.faults = opt.faults;
     sys = std::make_unique<tartan::sim::System>(specData.sys);
     // Workload runs always simulate in the deterministic address
     // space: host pointers are translated before they reach the
@@ -81,14 +80,9 @@ Machine::Machine(const MachineSpec &spec, tartan::sim::TraceSession *trace,
             spec.sys.core.vectorLanes, 5);
     if (spec.npu)
         npuModel = std::make_unique<core::NpuModel>(spec.npuCfg);
-    if (npuModel && faults)
-        npuModel->setFaultInjector(faults);
+    if (npuModel && opt.faults)
+        npuModel->setFaultInjector(opt.faults);
     memHandle = robotics::Mem(&sys->core());
-}
-
-Machine::Machine(const MachineSpec &spec, const WorkloadOptions &opt)
-    : Machine(spec, opt.trace, opt.faults)
-{
     if (opt.capture) {
         sys->core().attachCapture(opt.capture);
         sys->mem().setCapture(opt.capture);

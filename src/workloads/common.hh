@@ -133,14 +133,7 @@ struct RunResult {
 class Machine
 {
   public:
-    explicit Machine(const MachineSpec &spec,
-                     tartan::sim::TraceSession *trace = nullptr,
-                     tartan::sim::FaultInjector *faults = nullptr);
-
-    /**
-     * Convenience: wires the trace, fault and capture hooks from
-     * @p opt.
-     */
+    /** @p spec's machine, with @p opt's trace/fault/capture hooks. */
     Machine(const MachineSpec &spec, const WorkloadOptions &opt);
 
     tartan::sim::System &system() { return *sys; }

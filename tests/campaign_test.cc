@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "../bench/bench_util.hh"
 #include "sim/campaign.hh"
 #include "sim/capture.hh"
 #include "sim/json.hh"
@@ -357,6 +358,89 @@ TEST(CellCodec, ConfigHashSeparatesLabelsMachinesAndSalt)
     WorkloadOptions opt3 = opt;
     opt3.scale = 0.25;
     EXPECT_NE(h, cellConfigHash("A", tartan_spec, opt3));
+
+    // The fleet machine: the core count and every uncore knob.
+    const auto changed = [&](auto mutate) {
+        MachineSpec spec = tartan_spec;
+        mutate(spec.sys);
+        return cellConfigHash("A", spec, opt);
+    };
+    using Sys = tartan::sim::SysConfig;
+    EXPECT_NE(h, changed([](Sys &s) { s.simCores = 4; }));
+    EXPECT_NE(h, changed([](Sys &s) { s.uncore.lineBytes = 32; }));
+    EXPECT_NE(h, changed([](Sys &s) { s.uncore.l3Slices = 8; }));
+    EXPECT_NE(h, changed([](Sys &s) { s.uncore.xbarHopLatency = 5; }));
+    EXPECT_NE(h, changed([](Sys &s) { s.uncore.dramBanks = 16; }));
+    EXPECT_NE(h, changed([](Sys &s) { s.uncore.dramRowBytes = 4096; }));
+    EXPECT_NE(h, changed([](Sys &s) { s.uncore.dramRowHitLatency = 150; }));
+    EXPECT_NE(h,
+              changed([](Sys &s) { s.uncore.dramRowMissLatency = 240; }));
+    EXPECT_NE(h, changed([](Sys &s) { s.uncore.coherenceLatency = 20; }));
+}
+
+TEST(CellCodec, FleetOutcomeRoundTripsAndRejectsDamage)
+{
+    using Codec = tartan::bench::CellCodec<tartan::bench::FleetOutcome>;
+    tartan::bench::FleetOutcome fleet;
+    for (int c = 0; c < 4; ++c) {
+        RunResult res = sampleResult();
+        res.robot += std::to_string(c);
+        res.wallCycles += std::uint64_t(c);
+        fleet.cores.push_back(res);
+    }
+    auto &u = fleet.uncore;
+    u.coherence = {11, 12, 13, 14, 15, 16};
+    u.xbar = {21, std::numeric_limits<std::uint64_t>::max()};
+    u.memctrl = {31, 32, 33, 34, 35, (1ull << 53) + 1};
+
+    const std::string payload = Codec::encode(fleet);
+    EXPECT_EQ(payload.find('\n'), std::string::npos);
+    tartan::bench::FleetOutcome back;
+    std::string err;
+    ASSERT_TRUE(Codec::decode(payload, back, &err)) << err;
+    ASSERT_EQ(back.cores.size(), 4u);
+    for (int c = 0; c < 4; ++c)
+        expectIdentical(fleet.cores[c], back.cores[c]);
+    const auto &b = back.uncore;
+    EXPECT_EQ(b.coherence.snoops, 11u);
+    EXPECT_EQ(b.coherence.invalidations, 12u);
+    EXPECT_EQ(b.coherence.downgrades, 13u);
+    EXPECT_EQ(b.coherence.dirtyForwards, 14u);
+    EXPECT_EQ(b.coherence.upgrades, 15u);
+    EXPECT_EQ(b.coherence.sharedFills, 16u);
+    EXPECT_EQ(b.xbar.traversals, 21u);
+    EXPECT_EQ(b.xbar.hops, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(b.memctrl.reads, 31u);
+    EXPECT_EQ(b.memctrl.writes, 32u);
+    EXPECT_EQ(b.memctrl.rowHits, 33u);
+    EXPECT_EQ(b.memctrl.rowMisses, 34u);
+    EXPECT_EQ(b.memctrl.bankConflicts, 35u);
+    EXPECT_EQ(b.memctrl.conflictCycles, (1ull << 53) + 1);
+    EXPECT_EQ(Codec::encode(back), payload);
+
+    // Truncation at every eighth length, a flipped byte in a core
+    // payload and in the fabric, a foreign version, and garbage.
+    tartan::bench::FleetOutcome out;
+    for (std::size_t len = 0; len < payload.size(); len += 8)
+        EXPECT_FALSE(Codec::decode(payload.substr(0, len), out)) << len;
+    for (const char *anchor : {"\\\"wall\\\":\\\"", "\"fabric\":[\""}) {
+        const auto pos = payload.find(anchor);
+        ASSERT_NE(pos, std::string::npos) << anchor;
+        std::string flipped = payload;
+        flipped[pos + std::strlen(anchor)] ^= 0xff;
+        EXPECT_FALSE(Codec::decode(flipped, out)) << anchor;
+    }
+    std::string foreign = payload;
+    ASSERT_EQ(foreign.compare(0, 9, "{\"v\":\"1\","), 0);
+    foreign[6] = '2';
+    err.clear();
+    EXPECT_FALSE(Codec::decode(foreign, out, &err));
+    EXPECT_FALSE(err.empty());
+    EXPECT_FALSE(Codec::decode("not json", out));
+    EXPECT_FALSE(Codec::decode("{\"v\":\"1\",\"cores\":[],\"fabric\":[]}",
+                               out));
+    EXPECT_FALSE(Codec::decode(
+        tartan::workloads::encodeRunResult(fleet.cores[0]), out));
 }
 
 // ---------------------------------------------------------------------------
@@ -549,13 +633,6 @@ TEST(CampaignRunner, StatsAndFailureReportCoverEveryCell)
     EXPECT_EQ(stats.failures[1].index, 2u);
     EXPECT_EQ(stats.failures[1].label, "bad2");
     EXPECT_EQ(stats.failures[1].errorClass, "crash");
-
-    // The aggregate error the strict runAll throws names every cell.
-    const tartan::sim::RunPoolError err(stats.failures);
-    const std::string what = err.what();
-    EXPECT_NE(what.find("bad1"), std::string::npos);
-    EXPECT_NE(what.find("bad2"), std::string::npos);
-    EXPECT_NE(what.find("2 cell(s) failed"), std::string::npos);
 }
 
 TEST(CampaignRunner, WatchdogTimesOutHungCellsDeterministically)

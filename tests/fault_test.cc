@@ -252,8 +252,8 @@ TEST(FaultWorkload, SurvivesSensorChaos)
 
 TEST(BenchManifest, EchoesFaultPlan)
 {
-    // BENCH manifests always carry the effective fault spec and seed;
-    // unset means the documented "none" / 0 sentinel.
+    // BENCH manifests always carry the applied fault spec and seed;
+    // no plan means the documented "none" / 0 sentinel.
     unsetenv("TARTAN_FAULTS");
     BenchReporter rep("fault_manifest_test", "n/a");
     std::ostringstream os;
@@ -262,6 +262,33 @@ TEST(BenchManifest, EchoesFaultPlan)
     EXPECT_TRUE(validateBenchJson(os.str(), &err)) << err;
     EXPECT_NE(os.str().find("\"faults\": \"none\""), std::string::npos);
     EXPECT_NE(os.str().find("\"faultSeed\": 0"), std::string::npos);
+}
+
+TEST(BenchManifest, NamesOnlyAnAppliedFaultPlan)
+{
+    // TARTAN_FAULTS alone does not reach the manifest: a driver that
+    // never injects the plan must not claim it did.
+    setenv("TARTAN_FAULTS", "seed=7;mem:spike=0.5@400", 1);
+    {
+        BenchReporter rep("fault_manifest_test", "n/a");
+        std::ostringstream os;
+        rep.writeJson(os);
+        EXPECT_NE(os.str().find("\"faults\": \"none\""),
+                  std::string::npos);
+        EXPECT_NE(os.str().find("\"faultSeed\": 0"), std::string::npos);
+    }
+    unsetenv("TARTAN_FAULTS");
+
+    // The driver that applies a plan echoes it through the setter.
+    BenchReporter rep("fault_manifest_test", "n/a");
+    rep.faultPlan("seed=7;sensor:drop=0.2", 7);
+    std::ostringstream os;
+    rep.writeJson(os);
+    std::string err;
+    EXPECT_TRUE(validateBenchJson(os.str(), &err)) << err;
+    EXPECT_NE(os.str().find("\"faults\": \"seed=7;sensor:drop=0.2\""),
+              std::string::npos);
+    EXPECT_NE(os.str().find("\"faultSeed\": 7"), std::string::npos);
 }
 
 TEST(BenchManifest, ValidatorTypesFaultFields)
