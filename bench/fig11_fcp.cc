@@ -10,7 +10,7 @@
 
 using namespace tartan::bench;
 using namespace tartan::workloads;
-using tartan::sim::FcpReplacement;
+using tartan::sim::FcpParams;
 
 int
 main()
@@ -25,9 +25,9 @@ main()
     rep.config("funcs", "x+1 2x x^2");
     rep.config("scale", 0.5);
 
-    const FcpReplacement::Func funcs[] = {FcpReplacement::Func::XPlus1,
-                                          FcpReplacement::Func::TwoX,
-                                          FcpReplacement::Func::XSquared};
+    const FcpParams::Func funcs[] = {FcpParams::Func::XPlus1,
+                                     FcpParams::Func::TwoX,
+                                     FcpParams::Func::XSquared};
     const char *func_names[] = {"x+1", "2x", "x^2"};
     const double scale = 0.5;
 

@@ -154,22 +154,31 @@ main()
     std::printf("%-6s %-7s %-14s %12s %12s %8s %10s\n", "mode", "fleet",
                 "core:robot", "wallCycles", "soloCycles", "interf",
                 "cohCycles");
+    // A quarantined cell reports nothing: a fleet with no cores has no
+    // rows, and interference against a solo reference with no wall
+    // cycles is NaN (null in the JSON). NaNs stay out of every worst
+    // and gmean, so a mode whose fleets all failed reports NaN.
+    const double nan = std::nan("");
     std::size_t out_idx = 0;
     for (int mode = 0; mode < 2; ++mode) {
-        std::vector<double> worst_interf;
+        double mode_worst = nan;
         for (unsigned n : fleet_sizes) {
             const FleetOutcome &out = outcomes[out_idx++];
+            if (out.cores.empty())
+                continue;
             const std::string tag =
                 std::string(mode_names[mode]) + "/N" + std::to_string(n);
-            double worst = 0.0;
+            double worst = nan;
             std::vector<double> interfs;
             for (std::size_t c = 0; c < out.cores.size(); ++c) {
                 const RunResult &res = out.cores[c];
                 const double solo = solo_wall(mode, c);
                 const double interf =
-                    solo > 0 ? double(res.wallCycles) / solo : 1.0;
-                worst = std::max(worst, interf);
-                interfs.push_back(interf);
+                    solo > 0 ? double(res.wallCycles) / solo : nan;
+                if (!std::isnan(interf)) {
+                    worst = std::fmax(worst, interf);
+                    interfs.push_back(interf);
+                }
                 Cycles coh = 0;
                 for (const auto &k : res.kernels)
                     coh += k.cpi[tartan::sim::CpiCat::Coherence];
@@ -224,11 +233,10 @@ main()
             rep.kernelMetric(frow, "gmeanInterference",
                              geomean(interfs));
             rep.kernelMetric(frow, "worstInterference", worst);
-            worst_interf.push_back(worst);
+            mode_worst = std::fmax(mode_worst, worst);
         }
         rep.metric(std::string("worstInterference/") + mode_names[mode],
-                   *std::max_element(worst_interf.begin(),
-                                     worst_interf.end()));
+                   mode_worst);
     }
 
     rep.note("interference = fleet wall cycles / solo wall cycles per "

@@ -32,6 +32,7 @@ namespace {
 
 using tartan::bench::formatMetric;
 using tartan::bench::formatNumber;
+using tartan::bench::formatQuarantine;
 using tartan::sim::json::Value;
 
 std::string
@@ -129,6 +130,7 @@ emitBench(std::ostream &os, const BenchDoc &bench)
                << formatNumber(replays ? replays->number : 0)
                << " op streams replayed without robot execution.\n\n";
         }
+        os << formatQuarantine(*manifest);
     }
 
     const Value *config = bench.doc.find("config");

@@ -12,11 +12,7 @@
 
 namespace tartan::sim {
 
-Cache::Cache(const CacheParams &params)
-    : config(params),
-      indexing(params.indexing ? params.indexing : &defaultIndexing),
-      stdIndexing(params.indexing == nullptr),
-      fcpIndex(dynamic_cast<const FcpIndexing *>(indexing))
+Cache::Cache(const CacheParams &params) : config(params)
 {
     TARTAN_ASSERT(config.sizeBytes % (config.assoc * config.lineBytes) == 0,
                   "cache geometry must divide evenly");
@@ -28,8 +24,15 @@ Cache::Cache(const CacheParams &params)
                   "associativity must be 1..255");
     lineBits = log2u(config.lineBytes);
     maxRecency = config.assoc - 1;
-    if (config.fcp)
+    if (config.fcp) {
+        TARTAN_ASSERT(config.fcp->regionBytes % config.lineBytes == 0,
+                      "FCP region must be a multiple of the line size");
         fcpRegionShift = log2u(config.fcp->regionBytes / config.lineBytes);
+        TARTAN_ASSERT(config.fcp->foldBits <= fcpRegionShift,
+                      "FCP fold width exceeds the region offset field");
+        fcpKeepBits = fcpRegionShift - config.fcp->foldBits;
+        fcpKeepMask = (1ull << fcpKeepBits) - 1;
+    }
     const std::size_t ways = std::size_t(setCount) * config.assoc;
     tags.assign(ways, kInvalidTag);
     recency.assign(ways, 0);

@@ -1,24 +1,25 @@
 /**
  * @file
- * Set-associative cache model with pluggable indexing, LRU replacement,
- * FCP replacement-metadata manipulation, prefetched-line tracking,
- * unnecessary-data-movement (UDM) accounting, and eviction listeners.
+ * Set-associative cache model with power-of-two or FCP set indexing,
+ * LRU replacement, FCP replacement-metadata manipulation,
+ * prefetched-line tracking, unnecessary-data-movement (UDM)
+ * accounting, and eviction listeners.
  *
  * Storage is struct-of-arrays: parallel flat arrays for tags, recency,
  * state flags, UDM bitmaps and prefetch-ready cycles, so each loop of
  * the per-access protocol (hit scan, victim scan, LRU aging) streams
  * through one dense row per set instead of striding across fat line
- * records. The default power-of-two and FCP indexing policies are
- * devirtualised. The one lookup (lookup(), fronted by a one-entry MRU
- * memo) is inline, so the owning MemPath resolves a demand hit without
- * an out-of-line call, and the one fill retires the residency check,
- * victim selection, eviction, LRU aging and FCP manipulation in one
- * scan plus one write pass over the set. Both scans are selects over
- * all ways with one branch on the outcome, never a data-dependent
- * early exit or running compare: the ways of a set are few, and a
- * mispredicted branch costs more than scanning them all. (findWay, the
- * residency query of probe and the coherence hooks, keeps its early
- * exit; see cache.cc.)
+ * records. The set index is one inline branch: the power-of-two mask,
+ * or the FCP permutation. The one lookup (lookup(), fronted by a
+ * one-entry MRU memo) is inline, so the owning MemPath resolves a
+ * demand hit without an out-of-line call, and the one fill retires the
+ * residency check, victim selection, eviction, LRU aging and FCP
+ * manipulation in one scan plus one write pass over the set. Both
+ * scans are selects over all ways with one branch on the outcome,
+ * never a data-dependent early exit or running compare: the ways of a
+ * set are few, and a mispredicted branch costs more than scanning them
+ * all. (findWay, the residency query of probe and the coherence hooks,
+ * keeps its early exit; see cache.cc.)
  * tests/golden_cache_test.cc diffs both against a naive map-of-sets
  * reference model.
  */
@@ -28,11 +29,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "sim/indexing.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
@@ -49,18 +49,30 @@ namespace tartan::sim {
 enum class MesiState : std::uint8_t { Invalid, Shared, Exclusive, Modified };
 
 /**
- * FCP replacement-metadata manipulation (paper §VII-B).
+ * Tartan's fine-grained cache partitioning (FCP, paper §VII-B, Fig. 5.b):
+ * one region size keys both of its halves.
  *
- * On a fill of line X, every resident line in the set that shares X's
- * region has its LRU recency passed through m(x) (clamped to the maximum
- * recency), accelerating its eviction and preventing any single region
- * from monopolising the set.
+ * Indexing. The set index is taken from a permutation of the line
+ * number: the high foldBits bits of the in-region line offset are
+ * dropped from the index window and the region bits slide down into
+ * their place. A region of 2^O lines therefore maps onto 2^(O-foldBits)
+ * sets with 2^foldBits same-region lines per set. The low O-foldBits
+ * offset bits stay in the index verbatim, so consecutive (prefetched)
+ * lines still spread across sets and do not create hotspots. The cache
+ * tags with the full line number, so the dropped bits are never lost
+ * and the tag width is unchanged (paper footnote 4).
+ *
+ * Replacement. On a fill of line X, every resident line in the set that
+ * shares X's region has its LRU recency passed through m(x) (clamped to
+ * the cache's manipulation ceiling), accelerating its eviction and
+ * preventing any single region from monopolising the set.
  */
-struct FcpReplacement {
+struct FcpParams {
     /** Manipulation function family evaluated in the paper (Fig. 11). */
     enum class Func { XPlus1, TwoX, XSquared };
 
     std::uint32_t regionBytes = 1024;  //!< region granularity (bytes)
+    std::uint32_t foldBits = 2;  //!< high offset bits dropped from the index
     Func func = Func::XSquared;  //!< which m(x) to apply
 
     /** Apply m(x) to a recency value. */
@@ -77,6 +89,8 @@ struct FcpReplacement {
         }
         return x;
     }
+
+    bool operator==(const FcpParams &) const = default;
 };
 
 /** Static configuration of one cache. */
@@ -88,10 +102,9 @@ struct CacheParams {
     Cycles latency = 4;  //!< hit latency charged by MemPath
     /** Track per-line touched bytes for UDM accounting (L1 only). */
     bool trackUdm = false;
-    /** Optional non-standard indexing (owned by the caller/system). */
-    const IndexingPolicy *indexing = nullptr;
-    /** Optional FCP replacement manipulation. */
-    const FcpReplacement *fcp = nullptr;
+    /** FCP indexing and replacement manipulation; none = plain LRU
+     *  with power-of-two indexing. */
+    std::optional<FcpParams> fcp;
 };
 
 /** Aggregate statistics of a cache. */
@@ -113,9 +126,9 @@ struct CacheStats {
 /**
  * One level of the cache hierarchy.
  *
- * The cache stores full line numbers as tags, so any one-to-one indexing
- * permutation is trivially correct. Fill/eviction is driven externally by
- * the MemorySystem, which models the hierarchy walk.
+ * The cache stores full line numbers as tags, so the FCP index
+ * permutation needs no tag bits of its own. Fill/eviction is driven
+ * externally by the MemorySystem, which models the hierarchy walk.
  */
 class Cache
 {
@@ -171,7 +184,7 @@ class Cache
     {
         const std::uint64_t line_number = addr >> lineBits;
         // A memo tag match implies same set, same line and a valid way
-        // for any indexing policy (the set is a pure function of the
+        // under either indexing (the set is a pure function of the
         // line, and invalid ways carry kInvalidTag).
         if (memoIdx != kNoMemo && tags[memoIdx] == line_number)
             return hitAt(memoIdx, addr, type, size, now);
@@ -257,6 +270,19 @@ class Cache
     CacheStats &stats() { return statsData; }
     std::uint32_t numSets() const { return setCount; }
 
+    /** Set of the line with number @p line_number (address >> lineBits). */
+    std::uint64_t
+    setIndex(std::uint64_t line_number) const
+    {
+        if (!config.fcp)
+            return line_number & (setCount - 1);
+        // FCP permutation: the kept low offset bits, then the region.
+        const std::uint64_t mixed =
+            (line_number & fcpKeepMask) |
+            ((line_number >> fcpRegionShift) << fcpKeepBits);
+        return mixed & (setCount - 1);
+    }
+
     /** Line-aligned address of @p addr. */
     Addr
     lineAddr(Addr addr) const
@@ -285,20 +311,6 @@ class Cache
 
     /** Victim-key rank of an invalid way: above every valid way's. */
     static constexpr std::uint32_t kInvalidRank = 1u << 31;
-
-    std::uint64_t
-    setIndex(std::uint64_t line_number) const
-    {
-        // Devirtualised default: StandardIndexing is a power-of-two
-        // modulus, and setCount is asserted to be a power of two.
-        if (stdIndexing)
-            return line_number & (setCount - 1);
-        // The FCP permutation is devirtualised too (a qualified call
-        // inlines the XOR fold).
-        if (fcpIndex)
-            return fcpIndex->FcpIndexing::index(line_number, setCount);
-        return indexing->index(line_number, setCount);
-    }
 
     /** Upper bound on FCP-manipulated recency values. */
     std::uint32_t manipCeiling() const { return 4 * maxRecency + 1; }
@@ -364,17 +376,15 @@ class Cache
     }
 
     CacheParams config;
-    StandardIndexing defaultIndexing;
-    const IndexingPolicy *indexing;
-    bool stdIndexing;  //!< default indexing in use: skip the vcall
-    /** Non-null when the policy is FcpIndexing: setIndex inlines the
-     *  permutation instead of dispatching virtually. */
-    const FcpIndexing *fcpIndex = nullptr;
     std::uint32_t setCount;
     std::uint32_t lineBits;
     std::uint32_t maxRecency;
     /** Line number >> fcpRegionShift is the FCP region (FCP only). */
     std::uint32_t fcpRegionShift = 0;
+    /** In-region offset bits FCP keeps in the index (FCP only). */
+    std::uint32_t fcpKeepBits = 0;
+    /** Mask of the kept offset bits, (1 << fcpKeepBits) - 1. */
+    std::uint64_t fcpKeepMask = 0;
     /**
      * Way state as struct-of-arrays, flat: way w of set s lives at
      * index [s * assoc + w] of every row. The tag row doubles as the

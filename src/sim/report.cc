@@ -348,11 +348,12 @@ schemaFail(std::string *err, const std::string &msg)
     return false;
 }
 
+/** Every member a number, or null: the emitters write NaN as null. */
 bool
 allNumbers(const json::Value &obj, std::string *err, const char *where)
 {
     for (const auto &[key, val] : obj.object)
-        if (!val.isNumber())
+        if (!val.isNumber() && !val.isNull())
             return schemaFail(err, std::string(where) + "." + key +
                                        " is not a number");
     return true;

@@ -5,6 +5,7 @@
 
 #include "sim/system.hh"
 
+#include <optional>
 #include <string>
 
 #include "sim/bingo.hh"
@@ -17,13 +18,9 @@ namespace tartan::sim {
 
 System::System(const SysConfig &config) : cfg(config)
 {
-    if (cfg.fcpEnabled) {
-        fcpIndexing = std::make_unique<FcpIndexing>(
-            cfg.fcpRegionBytes, cfg.lineBytes, cfg.fcpXorBits);
-        fcpReplacement = std::make_unique<FcpReplacement>();
-        fcpReplacement->regionBytes = cfg.fcpRegionBytes;
-        fcpReplacement->func = cfg.fcpFunc;
-    }
+    std::optional<FcpParams> fcp;
+    if (cfg.fcpEnabled)
+        fcp = FcpParams{cfg.fcpRegionBytes, cfg.fcpXorBits, cfg.fcpFunc};
 
     CacheParams l3p;
     l3p.name = "l3";
@@ -31,10 +28,8 @@ System::System(const SysConfig &config) : cfg(config)
     l3p.assoc = cfg.l3Assoc;
     l3p.lineBytes = cfg.lineBytes;
     l3p.latency = cfg.l3Latency;
-    if (cfg.fcpEnabled && cfg.fcpAtL3) {
-        l3p.indexing = fcpIndexing.get();
-        l3p.fcp = fcpReplacement.get();
-    }
+    if (cfg.fcpAtL3)
+        l3p.fcp = fcp;
     l3Cache = std::make_unique<Cache>(l3p);
 
     MemPathParams mp;
@@ -50,11 +45,7 @@ System::System(const SysConfig &config) : cfg(config)
     mp.l2.assoc = cfg.l2Assoc;
     mp.l2.lineBytes = cfg.lineBytes;
     mp.l2.latency = cfg.l2Latency;
-
-    if (cfg.fcpEnabled) {
-        mp.l2.indexing = fcpIndexing.get();
-        mp.l2.fcp = fcpReplacement.get();
-    }
+    mp.l2.fcp = fcp;
 
     mp.l3Latency = cfg.l3Latency;
     mp.dramLatency = cfg.dramLatency;

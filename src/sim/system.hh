@@ -49,16 +49,12 @@ struct SysConfig {
 
     Cycles dramLatency = 200;  //!< flat DRAM latency (single-core path)
 
-    /** Modelled platform's core count (config echo; see simCores). */
-    std::uint32_t numCores = 4;
-
     /**
      * Cores actually instantiated. 1 builds the historical single-core
      * machine — byte-identical to pre-multi-core builds (null-hook
      * guarantee). Values > 1 build one private L1/L2 + core per slot
      * behind a shared coherent uncore (MESI snooping, sliced-L3
-     * crossbar, banked DRAM controller). Distinct from numCores, which
-     * only echoes the modelled platform.
+     * crossbar, banked DRAM controller).
      */
     std::uint32_t simCores = 1;
 
@@ -72,9 +68,9 @@ struct SysConfig {
     /** FCP at the private L2 (paper §VII). */
     bool fcpEnabled = false;
     std::uint32_t fcpRegionBytes = 1024;  //!< FCP partition region size
-    std::uint32_t fcpXorBits = 2;         //!< FCP index XOR-fold width
+    std::uint32_t fcpXorBits = 2;  //!< FcpParams::foldBits
     /** FCP insertion-priority decay function (paper Fig. 13). */
-    FcpReplacement::Func fcpFunc = FcpReplacement::Func::XSquared;
+    FcpParams::Func fcpFunc = FcpParams::Func::XSquared;
     /**
      * Also partition the shared L3 (the paper's suggested extension for
      * graph-intensive applications with high L3 miss rates, §VIII-D).
@@ -144,8 +140,6 @@ class System
 
   private:
     SysConfig cfg;
-    std::unique_ptr<FcpIndexing> fcpIndexing;
-    std::unique_ptr<FcpReplacement> fcpReplacement;
     std::unique_ptr<Cache> l3Cache;
     std::unique_ptr<Uncore> uncoreModel;
     std::vector<std::unique_ptr<MemPath>> paths;

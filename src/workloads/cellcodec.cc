@@ -350,7 +350,7 @@ describeCell(std::string_view robot, const MachineSpec &spec,
        << "/" << sys.l2Assoc << "/" << sys.l2Latency
        << ";l3=" << sys.l3Size << "/" << sys.l3Assoc << "/"
        << sys.l3Latency << ";dram=" << sys.dramLatency
-       << ";cores=" << sys.numCores << ";issue=" << sys.core.issueWidth
+       << ";issue=" << sys.core.issueWidth
        << ";overlap=" << sys.core.missOverlap
        << ";lanes=" << sys.core.vectorLanes
        << ";pf=" << int(sys.prefetcher) << ";fcp=" << sys.fcpEnabled

@@ -7,6 +7,9 @@
  * fills with their ready cycle (timely and late hits, prefetched lines
  * evicted unused), UDM byte accounting, and FCP indexing plus the m(x)
  * replacement manipulation — with one plain pass per protocol step.
+ * The reference derives every set index itself, FCP permutation
+ * included, and never calls Cache code to do it, so an indexing bug in
+ * the cache shows up as a divergence.
  * Run for several geometries (associativity x line size) as a property
  * sweep, and for each FCP manipulation function.
  */
@@ -219,13 +222,29 @@ class ReferenceLru
     std::vector<Way> &
     setOf(std::uint64_t line)
     {
-        const std::uint64_t index =
-            config.indexing ? config.indexing->index(line, numSets)
-                            : line % numSets;
-        auto &set = sets[index];
+        auto &set = sets[setNumber(line)];
         if (set.empty())
             set.resize(config.assoc);
         return set;
+    }
+
+    /**
+     * Set of @p line, from the FCP definition rather than Cache code.
+     * In a region of R lines, offsets that differ only in their top
+     * foldBits bits share a set, leaving K = R / 2^foldBits distinct
+     * offsets; region r owns the K set slots from r * K on, taken
+     * modulo the set count.
+     */
+    std::uint64_t
+    setNumber(std::uint64_t line) const
+    {
+        if (!config.fcp)
+            return line % numSets;
+        const std::uint64_t region_lines =
+            config.fcp->regionBytes / config.lineBytes;
+        const std::uint64_t kept = region_lines >> config.fcp->foldBits;
+        const std::uint64_t offset = line % region_lines;
+        return (offset % kept + regionOf(line) * kept) % numSets;
     }
 
     std::uint64_t
@@ -454,15 +473,11 @@ TEST_F(CacheReference, FcpIndexingAndReplacementMatchOnRandomTrace)
     // clamping at the ceiling included (l = 3 drives recencies into
     // the clamp).
     for (const std::uint32_t fold : {1u, 3u}) {
-        const FcpIndexing fcp_index(1024, 64, fold);
         for (const auto func :
-             {FcpReplacement::Func::XPlus1, FcpReplacement::Func::TwoX,
-              FcpReplacement::Func::XSquared}) {
-            FcpReplacement fcp;
-            fcp.func = func;
+             {FcpParams::Func::XPlus1, FcpParams::Func::TwoX,
+              FcpParams::Func::XSquared}) {
             CacheParams params;
-            params.indexing = &fcp_index;
-            params.fcp = &fcp;
+            params.fcp = FcpParams{1024, fold, func};
             SCOPED_TRACE("l=" + std::to_string(fold) +
                          " m=" + std::to_string(int(func)));
             build(params);
@@ -480,12 +495,8 @@ TEST_F(CacheReference, FcpTiesAtLowAssociativityPickTheEarliestWay)
     // equal maximal recency must be the one evicted, as in the
     // reference. (Two ways never tie: after any fill or hit one way is
     // at 0 and the other above it.)
-    const FcpIndexing fcp_index(1024, 64, 3);
-    FcpReplacement fcp;
-    fcp.func = FcpReplacement::Func::XPlus1;
     CacheParams params;
-    params.indexing = &fcp_index;
-    params.fcp = &fcp;
+    params.fcp = FcpParams{1024, 3, FcpParams::Func::XPlus1};
     build(params, 4);
     drive(24, 30000);
     expectSameState();

@@ -74,8 +74,8 @@ TEST(Integration, FcpAtL3Configures)
     cfg.fcpEnabled = true;
     cfg.fcpAtL3 = true;
     System sys(cfg);
-    EXPECT_NE(sys.l3().params().fcp, nullptr);
-    EXPECT_NE(sys.mem().l2().params().fcp, nullptr);
+    ASSERT_TRUE(sys.l3().params().fcp.has_value());
+    EXPECT_EQ(sys.l3().params().fcp, sys.mem().l2().params().fcp);
     // Functionality is unchanged: a miss/fill/hit cycle works.
     sys.core().load(0xabc000, 3);
     sys.core().load(0xabc000, 3);
@@ -87,7 +87,8 @@ TEST(Integration, FcpWithoutL3FlagLeavesL3Standard)
     SysConfig cfg;
     cfg.fcpEnabled = true;
     System sys(cfg);
-    EXPECT_EQ(sys.l3().params().fcp, nullptr);
+    EXPECT_TRUE(sys.mem().l2().params().fcp.has_value());
+    EXPECT_EQ(sys.l3().params().fcp, std::nullopt);
 }
 
 TEST(Integration, AnlCoversRepeatedBucketScansEndToEnd)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the base simulator: caches, indexing, replacement,
+ * Unit tests for the base simulator: caches, FCP indexing and replacement,
  * prefetch plumbing, memory path, and core timing model.
  */
 
@@ -8,6 +8,8 @@
 
 #include <array>
 #include <map>
+#include <optional>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -15,7 +17,6 @@
 #include "sim/arena.hh"
 #include "sim/bingo.hh"
 #include "sim/cache.hh"
-#include "sim/indexing.hh"
 #include "sim/rng.hh"
 #include "sim/system.hh"
 
@@ -127,10 +128,25 @@ TEST(Cache, UdmAccounting)
     EXPECT_EQ(c.stats().udmUsedBytes, 8u);
 }
 
+/**
+ * A direct-mapped cache of @p num_sets sets of @p line-byte lines,
+ * with FCP indexing over 1 KB regions folding @p fold bits when
+ * @p fold is set.
+ */
+Cache
+indexedCache(std::uint32_t num_sets, std::uint32_t line,
+             std::optional<std::uint32_t> fold = std::nullopt)
+{
+    CacheParams p = smallCache(num_sets * line, 1, line);
+    if (fold)
+        p.fcp = FcpParams{1024, *fold, FcpParams::Func::XSquared};
+    return Cache(p);
+}
+
 TEST(Indexing, StandardUsesLowBits)
 {
-    StandardIndexing idx;
-    EXPECT_EQ(idx.index(0x12345, 64), 0x12345u % 64u);
+    const Cache c = indexedCache(64, 64);
+    EXPECT_EQ(c.setIndex(0x12345), 0x12345u % 64u);
 }
 
 TEST(Indexing, FcpFoldsSameRegionLinesTogether)
@@ -138,51 +154,50 @@ TEST(Indexing, FcpFoldsSameRegionLinesTogether)
     // Region = 1 KB, line = 32 B -> 32 lines per region (O = 5).
     // l = 2 -> each region maps onto 2^(5-2) = 8 distinct sets with
     // 4 same-region lines per set.
-    FcpIndexing idx(1024, 32, 2);
-    const std::uint64_t num_sets = 1024;
+    const Cache c = indexedCache(1024, 32, 2);
     std::set<std::uint64_t> distinct;
     for (std::uint64_t line = 0; line < 32; ++line)
-        distinct.insert(idx.index(line, num_sets));
+        distinct.insert(c.setIndex(line));
     EXPECT_EQ(distinct.size(), 8u);
 }
 
 TEST(Indexing, FcpStandardNeverCollidesWithinRegion)
 {
-    StandardIndexing idx;
+    const Cache c = indexedCache(1024, 32);
     std::set<std::uint64_t> distinct;
     for (std::uint64_t line = 0; line < 32; ++line)
-        distinct.insert(idx.index(line, 1024));
+        distinct.insert(c.setIndex(line));
     EXPECT_EQ(distinct.size(), 32u);
 }
 
 TEST(Indexing, FcpConsecutiveLinesSpread)
 {
-    FcpIndexing idx(1024, 32, 2);
+    const Cache c = indexedCache(1024, 32, 2);
     // Consecutive lines must not all land in one set (prefetcher
     // friendliness): lines 0..7 of a region cover all 8 sets.
     std::set<std::uint64_t> sets;
     for (std::uint64_t line = 0; line < 8; ++line)
-        sets.insert(idx.index(line, 1024));
+        sets.insert(c.setIndex(line));
     EXPECT_EQ(sets.size(), 8u);
 }
 
 TEST(Indexing, FcpDifferentRegionsSpread)
 {
-    FcpIndexing idx(1024, 32, 2);
+    const Cache c = indexedCache(1024, 32, 2);
     std::set<std::uint64_t> sets;
     for (std::uint64_t region = 0; region < 64; ++region)
-        sets.insert(idx.index(region * 32, 1024));
+        sets.insert(c.setIndex(region * 32));
     EXPECT_GT(sets.size(), 32u);
 }
 
 TEST(FcpReplacement, ManipulationFunctions)
 {
-    FcpReplacement m;
-    m.func = FcpReplacement::Func::XPlus1;
+    FcpParams m;
+    m.func = FcpParams::Func::XPlus1;
     EXPECT_EQ(m.apply(3), 4u);
-    m.func = FcpReplacement::Func::TwoX;
+    m.func = FcpParams::Func::TwoX;
     EXPECT_EQ(m.apply(3), 6u);
-    m.func = FcpReplacement::Func::XSquared;
+    m.func = FcpParams::Func::XSquared;
     EXPECT_EQ(m.apply(3), 9u);
 }
 
@@ -191,12 +206,8 @@ TEST(FcpReplacement, GreedyRegionEvictedFirst)
     // 4-way single-set cache with FCP: lines of region A get aged by
     // m(x) whenever more of A is filled, so a burst from A cannot evict
     // the (older) line from region B.
-    FcpReplacement fcp;
-    fcp.regionBytes = 1024;
-    fcp.func = FcpReplacement::Func::XSquared;
-
     auto p = smallCache(4 * 64, 4, 64);
-    p.fcp = &fcp;
+    p.fcp = FcpParams{.regionBytes = 1024, .func = FcpParams::Func::XSquared};
     Cache c(p);
 
     const Addr region_b = 1u << 20;
@@ -648,7 +659,9 @@ TEST(SystemConfig, FcpConfigurationApplies)
     cfg.fcpEnabled = true;
     cfg.lineBytes = 32;
     System sys(cfg);
-    EXPECT_EQ(sys.mem().l2().params().fcp->regionBytes, 1024u);
+    const FcpParams want{1024, 2, FcpParams::Func::XSquared};
+    EXPECT_EQ(sys.mem().l2().params().fcp, want);
+    EXPECT_EQ(sys.l3().params().fcp, std::nullopt);
 }
 
 TEST(SystemConfig, LineSizeChangesSetCount)

@@ -91,6 +91,30 @@ TEST(Bench, NonFiniteMetricsRenderAsNa)
     EXPECT_EQ(tartan::bench::formatMetric(v), "1.5");
 }
 
+TEST(Bench, QuarantinedCellsMarkPlaceholders)
+{
+    // A clean sweep renders no note, so RESULTS.md stays as it was.
+    json::Value clean;
+    ASSERT_TRUE(json::parse(
+        "{\"campaign\": {\"simulated\": 4, \"failed\": 0}}", clean));
+    EXPECT_EQ(tartan::bench::formatQuarantine(clean), "");
+
+    json::Value failing;
+    ASSERT_TRUE(json::parse(
+        "{\"campaign\": {\"simulated\": 4, \"failed\": 2},"
+        " \"failures\": ["
+        "{\"cell\": \"shared/N4\", \"class\": \"timeout\","
+        " \"detail\": \"d\", \"attempts\": 1},"
+        "{\"cell\": \"fcp/N4\", \"class\": \"crash\","
+        " \"detail\": \"d\", \"attempts\": 2}]}",
+        failing));
+    EXPECT_EQ(tartan::bench::formatQuarantine(failing),
+              "Quarantined: 2 cell(s) failed; their rows are "
+              "placeholders.\n\n"
+              "- `shared/N4`: timeout, 1 attempt(s)\n"
+              "- `fcp/N4`: crash, 2 attempt(s)\n\n");
+}
+
 TEST(MemPathStats, DrainDirtyIsIdempotent)
 {
     SysConfig cfg;
@@ -226,6 +250,27 @@ TEST(BenchReporter, EmitsSchemaValidJson)
     const json::Value &row = doc.find("kernels")->array[0];
     EXPECT_EQ(row.find("name")->string, "DeliBot");
     EXPECT_EQ(row.find("metrics")->find("speedup")->number, 2.0);
+
+    // Redirect the destructor's file write away from the test cwd.
+    setenv("TARTAN_BENCH_DIR", "/tmp/tartan_stats_test", 1);
+    EXPECT_TRUE(rep.writeFile());
+    unsetenv("TARTAN_BENCH_DIR");
+}
+
+TEST(BenchReporter, NanMetricsPassTheSchema)
+{
+    // A NaN metric is written as null; the document stays valid, so
+    // bench_diff and report_md can read a sweep with no value to give.
+    BenchReporter rep("unit_bench", "paper expectation");
+    rep.metric("worst", std::nan(""));
+    rep.kernelMetric("DeliBot", "interference", std::nan(""));
+    std::ostringstream os;
+    rep.writeJson(os);
+    std::string err;
+    EXPECT_TRUE(validateBenchJson(os.str(), &err)) << err;
+    json::Value doc;
+    ASSERT_TRUE(json::parse(os.str(), doc, &err)) << err;
+    EXPECT_TRUE(doc.find("metrics")->find("worst")->isNull());
 
     // Redirect the destructor's file write away from the test cwd.
     setenv("TARTAN_BENCH_DIR", "/tmp/tartan_stats_test", 1);
