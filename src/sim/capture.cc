@@ -93,6 +93,13 @@ CaptureTrace::validate(std::string *err) const
                               ": aux reference beyond the aux stream");
             return false;
         }
+        // Replay keeps a 1/divisor share of the discounted cycles, as
+        // the live run did; a zero divisor was never recorded by one.
+        if (CapOp(r.op) == CapOp::Discount && r.b == 0) {
+            setError(err, "record " + std::to_string(i) +
+                              ": wall discount by zero");
+            return false;
+        }
     }
     return true;
 }

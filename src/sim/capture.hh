@@ -358,18 +358,14 @@ class CaptureSession
 
     /** Wall discount of the named kernels' cycle totals (same model). */
     void
-    discountKernels(std::span<const std::uint32_t> kernels,
+    discountKernels(std::span<const std::uint64_t> kernels,
                     std::uint64_t divisor)
     {
         CapRecord r = rec(CapOp::Discount);
         r.a8 = 1;
         r.b = divisor;
         r.a32 = std::uint32_t(kernels.size());
-        r.d = data.aux.size();
-        for (std::uint32_t k : kernels) {
-            const std::uint64_t wide = k;
-            auxBytes(&wide, 8);
-        }
+        r.d = auxBytes(kernels.data(), kernels.size_bytes());
         push(r);
     }
     /** @} */

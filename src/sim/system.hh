@@ -1,8 +1,7 @@
 /**
  * @file
  * Top-level simulated system: builds the cache hierarchy, memory path
- * and core from one configuration struct, and provides the multi-thread
- * pipeline-stage timing helper.
+ * and core from one configuration struct.
  *
  * The baseline configuration models the Intel Core i7-10610U of NASA's
  * Valkyrie (paper §III-A): 4 OoO cores, 32 KB L1-D (4 cycles), 256 KB L2
@@ -12,7 +11,6 @@
 #ifndef TARTAN_SIM_SYSTEM_HH
 #define TARTAN_SIM_SYSTEM_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -144,79 +142,6 @@ class System
     std::unique_ptr<Uncore> uncoreModel;
     std::vector<std::unique_ptr<MemPath>> paths;
     std::vector<std::unique_ptr<Core>> cores;
-};
-
-/**
- * Pipeline-stage thread model.
- *
- * Work items of a stage run sequentially on the simulated core while
- * their individual durations are recorded; the stage's wall-clock
- * contribution is the longest-processing-time-first makespan over the
- * effective thread count. This reproduces the paper's observations on
- * uneven work distribution and latency hiding without host threads.
- */
-class StageTimer
-{
-  public:
-    explicit StageTimer(Core &core) : coreRef(core) {}
-
-    /** Begin timing one work item. */
-    void
-    beginItem()
-    {
-        itemStart = coreRef.cycles();
-    }
-
-    /** Finish timing one work item. */
-    void
-    endItem()
-    {
-        durations.push_back(coreRef.cycles() - itemStart);
-    }
-
-    /** Total work cycles across all items. */
-    Cycles
-    totalWork() const
-    {
-        Cycles acc = 0;
-        for (Cycles d : durations)
-            acc += d;
-        return acc;
-    }
-
-    /** LPT makespan over @p workers parallel workers. */
-    Cycles
-    makespan(std::uint32_t workers) const
-    {
-        if (durations.empty() || workers == 0)
-            return 0;
-        std::vector<Cycles> sorted(durations);
-        std::sort(sorted.begin(), sorted.end(),
-                  [](Cycles a, Cycles b) { return a > b; });
-        std::vector<Cycles> bins(std::min<std::size_t>(workers,
-                                                       sorted.size()),
-                                 0);
-        for (Cycles d : sorted) {
-            auto it = std::min_element(bins.begin(), bins.end());
-            *it += d;
-        }
-        return *std::max_element(bins.begin(), bins.end());
-    }
-
-    std::size_t items() const { return durations.size(); }
-
-    /** Forget all recorded items so the timer can time another stage. */
-    void
-    reset()
-    {
-        durations.clear();
-        itemStart = 0;
-    }
-
-  private:
-    Core &coreRef;
-    Cycles itemStart = 0;
-    std::vector<Cycles> durations;
 };
 
 } // namespace tartan::sim

@@ -3,7 +3,9 @@
  * CarriBot: a Boxbot-like factory transporter. Probabilistic occupancy
  * map (POM) perception, A* in (x, y, theta) with precise footprint
  * collision checking (the dominant kernel, ~81% in the paper), DMP
- * control. Pipeline threads: 1 -> 4 -> 1.
+ * control. The paper's pipeline runs 1 -> 4 -> 1 threads; the wall
+ * model charges all three stages as serial sections, with no discount
+ * for planning's four threads.
  */
 
 #include "workloads/robots.hh"
@@ -220,7 +222,8 @@ runCarriBot(const MachineSpec &spec, const WorkloadOptions &opt)
             }
         });
 
-        // --- Planning (4 threads): A* with precise collision --------
+        // --- Planning: A* with precise collision (4 threads in the
+        // paper; charged serially) -----------------------------------
         if (frame == 0) {
             pipeline.serial([&] {
                 ScopedKernel scope(core, k_search);

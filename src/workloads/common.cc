@@ -6,11 +6,15 @@
 #include "workloads/common.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "robotics/pc_names.hh"
+#include "sim/logging.hh"
 
 namespace tartan::workloads {
 
+using tartan::sim::Cycles;
+using tartan::sim::KernelCounters;
 using tartan::sim::SysConfig;
 
 MachineSpec
@@ -118,62 +122,126 @@ Machine::orientedEngine(SoftwareTier tier, OrientedKind kind)
 }
 
 void
-Machine::finish(RunResult &result, std::size_t core_idx)
+Pipeline::stageBegin(std::uint32_t threads)
 {
-    auto &mem_path = sys->mem(core_idx);
-    mem_path.drainDirty();
-    sys->checkInvariants();
-    result.l1Accesses = mem_path.l1().stats().accesses();
-    result.l1Misses = mem_path.l1().stats().misses;
-    result.l2Misses = mem_path.l2().stats().misses;
-    result.l2Accesses = mem_path.l2().stats().accesses();
-    result.l3Traffic = mem_path.stats.l3Traffic();
-    result.pfIssued = mem_path.stats.pfIssued;
-    result.pfHitsTimely = mem_path.stats.pfHitsTimely;
-    result.pfHitsLate = mem_path.stats.pfHitsLate;
-    result.udmFetchedBytes = mem_path.l1().stats().udmFetchedBytes;
-    result.udmUsedBytes = mem_path.l1().stats().udmUsedBytes;
-    if (npuModel) {
-        result.npuInvocations = npuModel->stats().invocations;
-        result.npuCommCycles = npuModel->stats().commCycles;
-    }
+    if (auto *cap = coreRef.captureSession())
+        cap->stageBegin(threads);
+    stageThreads = threads;
+    items.clear();
 }
 
 void
-summarize(Machine &machine, Pipeline &pipeline, RunResult &result)
+Pipeline::itemBegin()
 {
-    summarize(machine, pipeline.wallCycles(), result);
+    if (auto *cap = coreRef.captureSession())
+        cap->itemBegin();
+    itemStart = coreRef.cycles();
 }
 
 void
-discountKernels(tartan::sim::Core &core, RunResult &result,
-                std::initializer_list<std::uint32_t> kernels,
-                tartan::sim::Cycles divisor)
+Pipeline::itemEnd()
 {
-    tartan::sim::Cycles sum = 0;
-    for (std::uint32_t id : kernels)
-        if (id < result.kernels.size())
-            sum += result.kernels[id].cycles;
-    // Sum first, divide once: divide-per-kernel would round differently
-    // and break bit-identity with the historical arithmetic.
-    result.wallCycles -= sum - sum / divisor;
-    if (auto *cap = core.captureSession()) {
-        std::vector<std::uint32_t> ids(kernels);
+    items.push_back(coreRef.cycles() - itemStart);
+    if (auto *cap = coreRef.captureSession())
+        cap->itemEnd();
+}
+
+void
+Pipeline::stageEnd()
+{
+    if (auto *cap = coreRef.captureSession())
+        cap->stageEnd();
+    // LPT makespan: longest item first, each onto the least-loaded of
+    // the stage's model cores.
+    const std::uint32_t workers = std::min(stageThreads, kModelCores);
+    if (items.empty() || workers == 0)
+        return;
+    std::sort(items.begin(), items.end(), std::greater<>());
+    std::vector<Cycles> bins(std::min<std::size_t>(workers, items.size()),
+                             0);
+    for (Cycles d : items)
+        *std::min_element(bins.begin(), bins.end()) += d;
+    wall += *std::max_element(bins.begin(), bins.end());
+}
+
+void
+Pipeline::serialBegin()
+{
+    if (auto *cap = coreRef.captureSession())
+        cap->serialBegin();
+    serialStart = coreRef.cycles();
+}
+
+void
+Pipeline::serialEnd()
+{
+    wall += coreRef.cycles() - serialStart;
+    if (auto *cap = coreRef.captureSession())
+        cap->serialEnd();
+}
+
+void
+Pipeline::overlapBegin()
+{
+    if (auto *cap = coreRef.captureSession())
+        cap->overlapBegin();
+    overlapStart = coreRef.cycles();
+}
+
+void
+Pipeline::overlapEnd()
+{
+    overlapAcc += coreRef.cycles() - overlapStart;
+    if (auto *cap = coreRef.captureSession())
+        cap->overlapEnd();
+}
+
+void
+Pipeline::discountOverlap(Cycles divisor)
+{
+    TARTAN_ASSERT(divisor != 0, "wall discount by zero");
+    discounts.push_back({divisor, overlapAcc, {}});
+    overlapAcc = 0;
+    if (auto *cap = coreRef.captureSession())
+        cap->discountRegion(divisor);
+}
+
+void
+Pipeline::discountKernels(std::vector<std::uint64_t> ids, Cycles divisor)
+{
+    TARTAN_ASSERT(divisor != 0, "wall discount by zero");
+    if (auto *cap = coreRef.captureSession())
         cap->discountKernels(ids, divisor);
+    discounts.push_back({divisor, 0, std::move(ids)});
+}
+
+Cycles
+Pipeline::wallCycles(std::span<const KernelCounters> kernels) const
+{
+    Cycles w = wall;
+    for (const Discount &d : discounts) {
+        // Sum first, divide once: divide-per-kernel would round
+        // differently.
+        Cycles sum = d.regionCycles;
+        for (std::uint64_t id : d.kernelIds)
+            if (id < kernels.size())
+                sum += kernels[id].cycles;
+        w -= sum - sum / d.divisor;
     }
+    return w;
 }
 
 void
-summarize(Machine &machine, tartan::sim::Cycles wall_cycles,
-          RunResult &result, std::size_t core_idx)
+summarize(Machine &machine, const Pipeline &pipeline, RunResult &result,
+          std::size_t core_idx)
 {
     auto &core = machine.core(core_idx);
-    result.wallCycles = wall_cycles;
     result.workCycles = core.cycles();
     result.instructions = core.instructions();
     result.kernels = core.kernels();
+    result.wallCycles = pipeline.wallCycles(result.kernels);
 
-    tartan::sim::Cycles best = 0;
+    Cycles best = 0;
     for (const auto &k : result.kernels) {
         if (k.name != "other" && k.cycles > best) {
             best = k.cycles;
@@ -185,7 +253,24 @@ summarize(Machine &machine, tartan::sim::Cycles wall_cycles,
             ? static_cast<double>(best) /
                   static_cast<double>(result.workCycles)
             : 0.0;
-    machine.finish(result, core_idx);
+
+    auto &mem_path = machine.system().mem(core_idx);
+    mem_path.drainDirty();
+    machine.system().checkInvariants();
+    result.l1Accesses = mem_path.l1().stats().accesses();
+    result.l1Misses = mem_path.l1().stats().misses;
+    result.l2Misses = mem_path.l2().stats().misses;
+    result.l2Accesses = mem_path.l2().stats().accesses();
+    result.l3Traffic = mem_path.stats.l3Traffic();
+    result.pfIssued = mem_path.stats.pfIssued;
+    result.pfHitsTimely = mem_path.stats.pfHitsTimely;
+    result.pfHitsLate = mem_path.stats.pfHitsLate;
+    result.udmFetchedBytes = mem_path.l1().stats().udmFetchedBytes;
+    result.udmUsedBytes = mem_path.l1().stats().udmUsedBytes;
+    if (core::NpuModel *npu = machine.npu()) {
+        result.npuInvocations = npu->stats().invocations;
+        result.npuCommCycles = npu->stats().commCycles;
+    }
 }
 
 } // namespace tartan::workloads

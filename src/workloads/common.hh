@@ -2,7 +2,8 @@
  * @file
  * Shared workload framework: machine specifications (baseline vs
  * Tartan), software tiers (legacy / optimized / approximate, paper
- * Fig. 12), run results, and the pipeline accounting helper.
+ * Fig. 12), run results, and the modelled wall clock of a run
+ * (Pipeline), which summarize() folds into the result.
  */
 
 #ifndef TARTAN_WORKLOADS_COMMON_HH
@@ -10,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -165,12 +167,6 @@ class Machine
     /** NPU (null when the machine has none). */
     core::NpuModel *npu() { return npuModel.get(); }
 
-    /**
-     * Snapshot core @p core_idx's memory-system stats into @p result,
-     * after checking every counter invariant of the machine.
-     */
-    void finish(RunResult &result, std::size_t core_idx = 0);
-
   private:
     MachineSpec specData;
     std::unique_ptr<tartan::sim::System> sys;
@@ -182,33 +178,59 @@ class Machine
     std::unique_ptr<core::NpuModel> npuModel;
 };
 
-/** Wall-clock accumulator across pipeline stages. */
+/**
+ * The modelled wall clock of one run on one core — the only
+ * implementation of the thread model, driven by the robots directly
+ * and by ReplayStream from the captured markers.
+ *
+ * A stage's work items run one after another on the simulated core
+ * while their individual durations are recorded; the stage is charged
+ * the longest-processing-time-first makespan of those items over
+ * min(threads, kModelCores) virtual cores. A serial section is charged
+ * its core cycles. Overlapped regions and data-parallel kernels are
+ * discounted to a 1/divisor share: each discount is recorded as pending
+ * and applied, in record order, when summarize() reads wallCycles().
+ *
+ * Every marker primitive also writes its capture record when the core
+ * has a capture session, so a replay of the run drives the same calls
+ * in the same order on its own clock. Stages do not nest.
+ */
 class Pipeline
 {
   public:
     explicit Pipeline(tartan::sim::Core &core) : coreRef(core) {}
+
+    /** @{ Marker primitives (stage(), serial() are built from them). */
+    void stageBegin(std::uint32_t threads);
+    void itemBegin();
+    void itemEnd();
+    void stageEnd();
+    void serialBegin();
+    void serialEnd();
+    void overlapBegin();
+    void overlapEnd();
+    /**
+     * Keep a 1/@p divisor wall share of the cycles bracketed by
+     * overlapBegin/overlapEnd since the previous discountOverlap().
+     */
+    void discountOverlap(tartan::sim::Cycles divisor);
+    /** Keep a 1/@p divisor wall share of the kernels @p ids' cycles. */
+    void discountKernels(std::vector<std::uint64_t> ids,
+                         tartan::sim::Cycles divisor);
+    /** @} */
 
     /** Run @p items work items with @p fn, modelling @p threads. */
     template <typename Fn>
     void
     stage(std::uint32_t threads, std::uint32_t items, Fn &&fn)
     {
-        tartan::sim::CaptureSession *cap = coreRef.captureSession();
-        if (cap)
-            cap->stageBegin(threads);
-        tartan::sim::StageTimer timer(coreRef);
+        stageBegin(threads);
         for (std::uint32_t i = 0; i < items; ++i) {
-            if (cap)
-                cap->itemBegin();
-            timer.beginItem();
+            itemBegin();
             fn(i);
-            timer.endItem();
-            if (cap)
-                cap->itemEnd();
+            itemEnd();
         }
-        if (cap)
-            cap->stageEnd();
-        wall += timer.makespan(std::min(threads, kModelCores));
+        stageEnd();
     }
 
     /** Run a serial section. */
@@ -216,96 +238,46 @@ class Pipeline
     void
     serial(Fn &&fn)
     {
-        tartan::sim::CaptureSession *cap = coreRef.captureSession();
-        if (cap)
-            cap->serialBegin();
-        const tartan::sim::Cycles before = coreRef.cycles();
+        serialBegin();
         fn();
-        wall += coreRef.cycles() - before;
-        if (cap)
-            cap->serialEnd();
+        serialEnd();
     }
 
     /** Physical cores of the pipeline thread model (paper platform). */
     static constexpr std::uint32_t kModelCores = 4;
 
-    tartan::sim::Cycles wallCycles() const { return wall; }
+    /**
+     * Stage makespans plus serial sections, minus the pending discounts
+     * in record order; kernel discounts sum the cycles of @p kernels.
+     */
+    tartan::sim::Cycles wallCycles(
+        std::span<const tartan::sim::KernelCounters> kernels) const;
 
   private:
+    struct Discount {
+        tartan::sim::Cycles divisor;
+        tartan::sim::Cycles regionCycles;  //!< overlap discount
+        std::vector<std::uint64_t> kernelIds;  //!< kernel discount
+    };
+
     tartan::sim::Core &coreRef;
     tartan::sim::Cycles wall = 0;
+    std::uint32_t stageThreads = 0;
+    tartan::sim::Cycles itemStart = 0;
+    std::vector<tartan::sim::Cycles> items;  //!< current stage
+    tartan::sim::Cycles serialStart = 0;
+    tartan::sim::Cycles overlapStart = 0;
+    tartan::sim::Cycles overlapAcc = 0;
+    std::vector<Discount> discounts;
 };
 
 /**
- * Accumulates the core-cycle footprint of overlapped regions — code
- * the host robot runs on extra threads whose wall-clock share must be
- * discounted after summarize(). Mirrors the historical hand-rolled
- * `work += core.cycles() - before` bookkeeping exactly (same deltas,
- * same single integer division at apply time), and additionally
- * records the region boundaries and the discount as semantic capture
- * events so a replay reproduces the identical wall arithmetic on its
- * own clock. One tracker per robot: the capture stream models a single
- * region accumulator.
+ * End a run on core @p core_idx: fill @p result's kernel table,
+ * bottleneck and totals, take the wall clock from @p pipeline, drain
+ * the dirty lines, check every counter invariant of the machine and
+ * snapshot the memory-system stats.
  */
-class OverlapTracker
-{
-  public:
-    explicit OverlapTracker(tartan::sim::Core &core) : coreRef(core) {}
-
-    void
-    begin()
-    {
-        if (auto *cap = coreRef.captureSession())
-            cap->overlapBegin();
-        start = coreRef.cycles();
-    }
-
-    void
-    end()
-    {
-        acc += coreRef.cycles() - start;
-        if (auto *cap = coreRef.captureSession())
-            cap->overlapEnd();
-    }
-
-    /** Keep only a 1/@p divisor wall share of the accumulated work. */
-    void
-    apply(RunResult &result, tartan::sim::Cycles divisor)
-    {
-        result.wallCycles -= acc - acc / divisor;
-        if (auto *cap = coreRef.captureSession())
-            cap->discountRegion(divisor);
-    }
-
-    tartan::sim::Cycles accumulated() const { return acc; }
-
-  private:
-    tartan::sim::Core &coreRef;
-    tartan::sim::Cycles acc = 0;
-    tartan::sim::Cycles start = 0;
-};
-
-/**
- * Discount the wall-clock share of the named kernels to 1/@p divisor —
- * the post-summarize idiom for robot stages that run data-parallel on
- * extra threads. Call after summarize(); records the discount as a
- * semantic capture event so replay applies the identical arithmetic to
- * its own (bit-identical) kernel cycle totals.
- */
-void discountKernels(tartan::sim::Core &core, RunResult &result,
-                     std::initializer_list<std::uint32_t> kernels,
-                     tartan::sim::Cycles divisor);
-
-/** Fill the kernel table, bottleneck and totals of a result. */
-void summarize(Machine &machine, Pipeline &pipeline, RunResult &result);
-
-/**
- * summarize() with an explicit wall-cycle count instead of a live
- * Pipeline — the replay engine reconstructs the wall clock from
- * captured stage markers and lands here. @p core_idx selects which
- * core of a multi-core machine to summarize (fleet replay).
- */
-void summarize(Machine &machine, tartan::sim::Cycles wall_cycles,
+void summarize(Machine &machine, const Pipeline &pipeline,
                RunResult &result, std::size_t core_idx = 0);
 
 } // namespace tartan::workloads

@@ -330,10 +330,10 @@ runHomeBot(const MachineSpec &spec, const WorkloadOptions &opt)
         });
     }
 
-    summarize(machine, pipeline, result);
     // Perception runs on 8 threads over 4 cores: discount its wall
     // share (T prediction plus fusion are data-parallel over points).
-    discountKernels(core, result, {k_tpred, k_fuse}, 4);
+    pipeline.discountKernels({k_tpred, k_fuse}, 4);
+    summarize(machine, pipeline, result);
 
     result.metrics["meanResidual"] =
         use_surrogate ? 0.0 : residual_acc / frames;

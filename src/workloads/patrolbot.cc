@@ -131,7 +131,6 @@ runPatrolBot(const MachineSpec &spec, const WorkloadOptions &opt)
 
     const std::uint32_t frames = std::max<std::uint32_t>(
         2, static_cast<std::uint32_t>(4 * opt.scale));
-    OverlapTracker inference(core);
     std::uint32_t detections = 0;
 
     // Degradation bookkeeping: camera frames can be dropped or pixel-
@@ -162,7 +161,7 @@ runPatrolBot(const MachineSpec &spec, const WorkloadOptions &opt)
         }
 
         // --- Perception: the detector (4 threads, overlapped) --------
-        inference.begin();
+        pipeline.overlapBegin();
         pipeline.serial([&] {
             ScopedKernel scope(core, k_cnn);
             float score[1];
@@ -195,7 +194,7 @@ runPatrolBot(const MachineSpec &spec, const WorkloadOptions &opt)
             if (score[0] > 0.5f)
                 ++detections;
         });
-        inference.end();
+        pipeline.overlapEnd();
 
         // --- Localisation: EKF predict + landmark corrections -------
         pipeline.serial([&] {
@@ -225,12 +224,11 @@ runPatrolBot(const MachineSpec &spec, const WorkloadOptions &opt)
         });
     }
 
-    summarize(machine, pipeline, result);
-
     // Inference runs on 4 dedicated threads overlapping the pipeline:
     // wall = max(inference / 4, rest) approximated by discounting the
     // inference work to a quarter.
-    inference.apply(result, 4);
+    pipeline.discountOverlap(4);
+    summarize(machine, pipeline, result);
 
     result.metrics["detections"] = detections;
     result.metrics["ekfError"] =

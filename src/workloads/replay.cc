@@ -8,7 +8,6 @@
 
 #include "workloads/replay.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -63,7 +62,7 @@ ReplayStream::ReplayStream(const CaptureTrace &trace, Machine &machine,
     : traceRef(trace),
       machineRef(machine),
       coreIdx(core_idx),
-      timer(machine.core(core_idx))
+      pipeline(machine.core(core_idx))
 {
 }
 
@@ -129,24 +128,22 @@ ReplayStream::step()
         mem.addNoAllocateRange(r.b, r.c);
         break;
       case CapOp::StageBegin:
-        timer.reset();
-        stageThreads = r.a32;
+        pipeline.stageBegin(r.a32);
         break;
       case CapOp::ItemBegin:
-        timer.beginItem();
+        pipeline.itemBegin();
         break;
       case CapOp::ItemEnd:
-        timer.endItem();
+        pipeline.itemEnd();
         break;
       case CapOp::StageEnd:
-        wall += timer.makespan(
-            std::min(stageThreads, Pipeline::kModelCores));
+        pipeline.stageEnd();
         break;
       case CapOp::SerialBegin:
-        serialStart = core.cycles();
+        pipeline.serialBegin();
         break;
       case CapOp::SerialEnd:
-        wall += core.cycles() - serialStart;
+        pipeline.serialEnd();
         break;
       case CapOp::NpuConfigure:
         if (machineRef.npu())
@@ -169,20 +166,17 @@ ReplayStream::step()
         result.robot = std::string(traceRef.auxString(r.d, r.a32));
         break;
       case CapOp::OverlapBegin:
-        overlapStart = core.cycles();
+        pipeline.overlapBegin();
         break;
       case CapOp::OverlapEnd:
-        overlapAcc += core.cycles() - overlapStart;
+        pipeline.overlapEnd();
         break;
       case CapOp::Discount:
-        if (r.b == 0)
-            break;  // defensive: a zero divisor would trap
         if (r.a8 == 0) {
-            discounts.push_back({0, r.b, overlapAcc, {}});
-            overlapAcc = 0;
+            pipeline.discountOverlap(r.b);
         } else {
             traceRef.auxU64s(r.d, r.a32, ids);
-            discounts.push_back({1, r.b, 0, ids});
+            pipeline.discountKernels(ids, r.b);
         }
         break;
       default:
@@ -193,17 +187,7 @@ ReplayStream::step()
 RunResult
 ReplayStream::finalize()
 {
-    // Post-summarize wall discounts (thread-overlap modelling). Region
-    // discounts consume the Overlap* accumulator; kernel discounts read
-    // the final kernel table, so both apply after summarize().
-    summarize(machineRef, wall, result, coreIdx);
-    for (const PendingDiscount &d : discounts) {
-        Cycles sum = d.regionCycles;
-        for (std::uint64_t id : d.kernelIds)
-            if (id < result.kernels.size())
-                sum += result.kernels[id].cycles;
-        result.wallCycles -= sum - sum / d.divisor;
-    }
+    summarize(machineRef, pipeline, result, coreIdx);
     return std::move(result);
 }
 

@@ -15,7 +15,10 @@
  * which the capture preserves exactly; all timing is recomputed by the
  * replay machine, and the only config-dependent op *arguments* (the
  * NPU's stall amounts) are captured as semantic events and re-expanded
- * against the replay-side NpuConfig. replayCompatible() guards the
+ * against the replay-side NpuConfig. The wall clock is recomputed the
+ * same way: each captured stage, serial, overlap and discount marker
+ * becomes the matching call into the stream's own Pipeline, the class
+ * the robot drove when it was captured. replayCompatible() guards the
  * boundary of that argument: knobs that change the op sequence itself
  * (vector lanes, tier, scale, seed, NPU presence, ...) must match the
  * capture; knobs that only change timing (cache geometry, prefetcher,
@@ -89,33 +92,17 @@ class ReplayStream
     /** The bound core's current cycle count (interleave key). */
     tartan::sim::Cycles cycles() const;
 
-    /**
-     * Summarize the bound core into a RunResult and apply the pending
-     * wall discounts. Call once, after done().
-     */
+    /** Summarize the bound core into a RunResult. Call once, after done(). */
     RunResult finalize();
 
   private:
-    struct PendingDiscount {
-        std::uint8_t kind;  //!< 0 = overlap region, 1 = kernel list
-        tartan::sim::Cycles divisor;
-        tartan::sim::Cycles regionCycles;        //!< kind 0
-        std::vector<std::uint64_t> kernelIds;    //!< kind 1
-    };
-
     const tartan::sim::CaptureTrace &traceRef;
     Machine &machineRef;
     std::size_t coreIdx;
     std::size_t next = 0;
-    tartan::sim::StageTimer timer;
-    std::uint32_t stageThreads = 0;
-    tartan::sim::Cycles wall = 0;
-    tartan::sim::Cycles serialStart = 0;
-    tartan::sim::Cycles overlapStart = 0;
-    tartan::sim::Cycles overlapAcc = 0;
+    Pipeline pipeline;  //!< the run's wall clock, driven by the markers
     std::vector<tartan::sim::Addr> lanes;    //!< reused aux scratch
     std::vector<std::uint32_t> layers;       //!< reused aux scratch
-    std::vector<PendingDiscount> discounts;
     std::vector<std::uint64_t> ids;          //!< reused aux scratch
     RunResult result;
 };

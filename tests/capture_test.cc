@@ -27,6 +27,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -122,7 +123,7 @@ sampleTrace()
     session.overlapBegin();
     session.overlapEnd();
     session.discountRegion(4);
-    const std::uint32_t ids[] = {0, 2};
+    const std::uint64_t ids[] = {0, 2};
     session.discountKernels(ids, 4);
     const std::uint32_t layers[] = {50, 256, 1};
     session.npuInfer(50, 1, layers);
@@ -366,6 +367,23 @@ TEST(CaptureTrace, ValidateRejectsBadOpsAndAuxOverruns)
     err.clear();
     EXPECT_FALSE(bad_aux.validate(&err));
     EXPECT_NE(err.find("aux"), std::string::npos) << err;
+
+    // A wall discount by zero, of either kind: a live run never
+    // records one, and replay could not apply it.
+    for (std::uint8_t kind : {0, 1}) {
+        CaptureTrace bad_divisor = sampleTrace();
+        bool found = false;
+        for (CapRecord &r : bad_divisor.records) {
+            if (CapOp(r.op) == CapOp::Discount && r.a8 == kind) {
+                r.b = 0;
+                found = true;
+            }
+        }
+        ASSERT_TRUE(found) << int(kind);
+        err.clear();
+        EXPECT_FALSE(bad_divisor.validate(&err)) << int(kind);
+        EXPECT_NE(err.find("discount by zero"), std::string::npos) << err;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +407,84 @@ captureRun(tartan::workloads::RobotFn run, const MachineSpec &spec,
     return session.take();
 }
 
+/**
+ * A scripted run through every wall-model primitive: a stage of six
+ * uneven items over eight threads (four model cores), a serial section,
+ * an overlap region with its discount and a kernel discount. Its loads
+ * sweep a 256 KB buffer, so the wall depends on the cache geometry.
+ */
+RunResult
+scriptedRun(const MachineSpec &spec, const WorkloadOptions &opt)
+{
+    using tartan::sim::Addr;
+    using tartan::sim::ScopedKernel;
+    tartan::workloads::Machine machine(spec, opt);
+    tartan::sim::Core &core = machine.core();
+    tartan::workloads::Pipeline pipeline(core);
+    const auto k_scan = core.registerKernel("scan");
+    const auto k_mix = core.registerKernel("mix");
+    static std::uint64_t data[1 << 15];
+    const auto sweep = [&](std::size_t first, std::size_t loads) {
+        for (std::size_t i = 0; i < loads; ++i)
+            core.load(reinterpret_cast<Addr>(
+                          &data[(first + 8 * i) % std::size(data)]),
+                      1);
+    };
+
+    pipeline.stage(8, 6, [&](std::uint32_t item) {
+        ScopedKernel scope(core, k_scan);
+        sweep(4096 * item, 300 * (item + 1));
+    });
+    pipeline.serial([&] {
+        ScopedKernel scope(core, k_mix);
+        core.exec(400);
+        sweep(0, 500);
+    });
+    pipeline.overlapBegin();
+    pipeline.serial([&] { sweep(1024, 2000); });
+    pipeline.overlapEnd();
+    pipeline.discountOverlap(4);
+    pipeline.discountKernels({k_mix}, 4);
+
+    RunResult result;
+    result.robot = "ScriptBot";
+    summarize(machine, pipeline, result);
+    return result;
+}
+
 } // namespace
+
+TEST(ReplayEquivalence, ScriptedWallModelReplaysExactly)
+{
+    // The robots exercise stage() (DeliBot) and overlap (PatrolBot)
+    // one each; this run drives every Pipeline primitive through a
+    // capture, then replays it at the capture config and on a machine
+    // with a quarter of the L1 and L2.
+    const WorkloadOptions opt;
+    const MachineSpec spec = MachineSpec::baseline();
+    MachineSpec small = spec;
+    small.sys.l1Size /= 4;
+    small.sys.l2Size /= 4;
+    ASSERT_TRUE(tartan::workloads::replayCompatible(spec, opt, small,
+                                                    opt));
+    const CaptureTrace trace = captureRun(scriptedRun, spec, opt);
+    ASSERT_TRUE(trace.validate());
+
+    const RunResult at_spec = scriptedRun(spec, opt);
+    const RunResult at_small = scriptedRun(small, opt);
+    // The discounts bite, and the geometry moves the wall.
+    EXPECT_LT(at_spec.wallCycles, at_spec.workCycles);
+    EXPECT_NE(at_spec.wallCycles, at_small.wallCycles);
+    for (const auto &[name, machine, direct] :
+         {std::tuple{"capture config", spec, at_spec},
+          std::tuple{"small caches", small, at_small}}) {
+        SCOPED_TRACE(name);
+        const RunResult replayed =
+            tartan::workloads::replayTrace(trace, machine, opt);
+        EXPECT_EQ(replayed.wallCycles, direct.wallCycles);
+        expectIdentical(direct, replayed);
+    }
+}
 
 TEST(ReplayEquivalence, EveryRobotReplaysExactlyAtTheCaptureConfig)
 {

@@ -19,6 +19,7 @@
 #include "sim/cache.hh"
 #include "sim/rng.hh"
 #include "sim/system.hh"
+#include "workloads/common.hh"
 
 namespace {
 
@@ -499,82 +500,113 @@ TEST(Core, KernelAttributionInvariantHoldsOnDump)
     EXPECT_EQ(core.kernels()[k].name, "odd");
 }
 
-TEST(StageTimer, MakespanLpt)
+/**
+ * The wall clock of one stage of @p threads whose items take
+ * @p durations core cycles each, charged by a fresh Pipeline.
+ */
+Cycles
+stageWall(std::uint32_t threads, std::initializer_list<Cycles> durations)
 {
     SysConfig cfg;
     System sys(cfg);
-    StageTimer timer(sys.core());
-    // Fake items by advancing the core clock.
-    for (Cycles d : {40u, 30u, 20u, 10u}) {
-        timer.beginItem();
+    tartan::workloads::Pipeline pipeline(sys.core());
+    pipeline.stageBegin(threads);
+    for (Cycles d : durations) {
+        pipeline.itemBegin();
         sys.core().stall(d);
-        timer.endItem();
+        pipeline.itemEnd();
     }
-    EXPECT_EQ(timer.totalWork(), 100u);
-    EXPECT_EQ(timer.makespan(1), 100u);
-    EXPECT_EQ(timer.makespan(2), 50u);
-    EXPECT_EQ(timer.makespan(4), 40u);
+    pipeline.stageEnd();
+    return pipeline.wallCycles({});
+}
+
+TEST(StageTimer, MakespanLpt)
+{
+    // One thread charges the total work; more threads partition it LPT.
+    EXPECT_EQ(stageWall(1, {40, 30, 20, 10}), 100u);
+    EXPECT_EQ(stageWall(2, {40, 30, 20, 10}), 50u);
+    EXPECT_EQ(stageWall(4, {40, 30, 20, 10}), 40u);
 }
 
 TEST(StageTimer, MoreWorkersThanItems)
 {
-    SysConfig cfg;
-    System sys(cfg);
-    StageTimer timer(sys.core());
-    for (Cycles d : {40u, 30u}) {
-        timer.beginItem();
-        sys.core().stall(d);
-        timer.endItem();
-    }
-    // Extra workers idle; the longest item bounds the makespan.
-    EXPECT_EQ(timer.makespan(8), 40u);
+    // Extra workers idle; the longest item bounds the makespan. Eight
+    // threads are also capped at the model's four cores.
+    EXPECT_EQ(stageWall(8, {40, 30}), 40u);
+    EXPECT_EQ(stageWall(8, {10, 10, 10, 10, 10}), 20u);
 }
 
 TEST(StageTimer, ZeroWorkersAndEmptyStage)
 {
-    SysConfig cfg;
-    System sys(cfg);
-    StageTimer timer(sys.core());
-    EXPECT_EQ(timer.items(), 0u);
-    EXPECT_EQ(timer.totalWork(), 0u);
-    EXPECT_EQ(timer.makespan(4), 0u);  // empty stage costs nothing
-    timer.beginItem();
-    sys.core().stall(10);
-    timer.endItem();
-    EXPECT_EQ(timer.makespan(0), 0u);  // degenerate worker count
+    EXPECT_EQ(stageWall(4, {}), 0u);    // empty stage costs nothing
+    EXPECT_EQ(stageWall(0, {10}), 0u);  // degenerate thread count
 }
 
 TEST(StageTimer, SkewedDurationsBoundedByLongestItem)
 {
-    SysConfig cfg;
-    System sys(cfg);
-    StageTimer timer(sys.core());
-    for (Cycles d : {100u, 1u, 1u, 1u}) {
-        timer.beginItem();
-        sys.core().stall(d);
-        timer.endItem();
-    }
     // LPT puts the giant item alone in one bin: 100 | 1+1+1.
-    EXPECT_EQ(timer.makespan(2), 100u);
-    EXPECT_EQ(timer.makespan(4), 100u);
+    EXPECT_EQ(stageWall(2, {100, 1, 1, 1}), 100u);
+    EXPECT_EQ(stageWall(4, {100, 1, 1, 1}), 100u);
 }
 
 TEST(StageTimer, ResetForgetsRecordedItems)
 {
+    // Each stageBegin starts a fresh item list: the second stage is
+    // charged its own item only, not the first stage's as well.
     SysConfig cfg;
     System sys(cfg);
-    StageTimer timer(sys.core());
-    timer.beginItem();
+    tartan::workloads::Pipeline pipeline(sys.core());
+    pipeline.stageBegin(1);
+    pipeline.itemBegin();
     sys.core().stall(50);
-    timer.endItem();
-    timer.reset();
-    EXPECT_EQ(timer.items(), 0u);
-    EXPECT_EQ(timer.totalWork(), 0u);
-    timer.beginItem();
+    pipeline.itemEnd();
+    pipeline.stageEnd();
+    EXPECT_EQ(pipeline.wallCycles({}), 50u);
+    pipeline.stageBegin(1);
+    pipeline.itemBegin();
     sys.core().stall(20);
-    timer.endItem();
-    EXPECT_EQ(timer.totalWork(), 20u);
-    EXPECT_EQ(timer.makespan(1), 20u);
+    pipeline.itemEnd();
+    pipeline.stageEnd();
+    EXPECT_EQ(pipeline.wallCycles({}), 70u);
+}
+
+TEST(Pipeline, DiscountsApplyInRecordOrder)
+{
+    SysConfig cfg;
+    System sys(cfg);
+    Core &core = sys.core();
+    tartan::workloads::Pipeline pipeline(core);
+    const auto k_a = core.registerKernel("a");
+    const auto k_b = core.registerKernel("b");
+    pipeline.overlapBegin();
+    pipeline.serial([&] { core.stall(100); });
+    pipeline.overlapEnd();
+    pipeline.serial([&] { core.stall(40); });
+    pipeline.discountOverlap(4);  // keeps 25 of the region's 100
+    EXPECT_EQ(pipeline.wallCycles({}), 140u - 75u);
+
+    // A discount consumes the region accumulator: the next one sees
+    // only the cycles overlapped since.
+    pipeline.overlapBegin();
+    pipeline.serial([&] { core.stall(8); });
+    pipeline.overlapEnd();
+    pipeline.discountOverlap(4);  // keeps 2 of 8
+    EXPECT_EQ(pipeline.wallCycles({}), 148u - 75u - 6u);
+
+    // Kernel discounts sum first and divide once: 3 + 3 keeps 1, where
+    // per-kernel division would keep 0 + 0.
+    pipeline.serial([&] {
+        ScopedKernel a(core, k_a);
+        core.stall(3);
+    });
+    pipeline.serial([&] {
+        ScopedKernel b(core, k_b);
+        core.stall(3);
+    });
+    pipeline.discountKernels({k_a, k_b, 99}, 4);  // 99: no such kernel
+    EXPECT_EQ(pipeline.wallCycles(core.kernels()), 154u - 81u - 5u);
+    // Without the kernel table the kernel discount sums nothing.
+    EXPECT_EQ(pipeline.wallCycles({}), 154u - 81u);
 }
 
 TEST(Arena, DeterministicOffsetsAndAlignment)

@@ -250,8 +250,8 @@ TEST(Machines, SmallerLinesReduceUdm)
 
 TEST(MachinesDeathTest, FinishChecksCounterInvariants)
 {
-    // Every run ends in summarize() -> Machine::finish, which checks
-    // the machine's counter invariants after the dirty-line drain.
+    // Every run ends in summarize(), which checks the machine's
+    // counter invariants after the dirty-line drain.
     const auto run = [](bool corrupt) {
         Machine machine(MachineSpec::baseline(), WorkloadOptions{});
         static int data[4096];
@@ -260,8 +260,9 @@ TEST(MachinesDeathTest, FinishChecksCounterInvariants)
                                 1);
         if (corrupt)
             machine.system().mem().stats.pfLateCycles = 1;
+        Pipeline pipeline(machine.core());
         RunResult result;
-        summarize(machine, machine.core().cycles(), result);
+        summarize(machine, pipeline, result);
         return result.l1Accesses;
     };
     EXPECT_GT(run(false), 0u);
