@@ -34,9 +34,7 @@ anlGeometry(BenchReporter &rep, RunPool &pool)
     CaptureSource src("MoveBot", runMoveBot, MachineSpec::baseline(),
                       options(SoftwareTier::Optimized, 1.0, 123));
     std::vector<Cell<RunResult>> jobs;
-    jobs.push_back(replayCell(src, "anl/base", runMoveBot,
-                              MachineSpec::baseline(),
-                              options(SoftwareTier::Optimized, 1.0, 123)));
+    jobs.push_back(replayCell(src, "anl/base", MachineSpec::baseline()));
     for (std::uint32_t entries : {8u, 16u, 32u, 64u}) {
         for (std::uint32_t region : {512u, 1024u, 2048u}) {
             auto spec = MachineSpec::baseline();
@@ -48,8 +46,7 @@ anlGeometry(BenchReporter &rep, RunPool &pool)
                 replayCell(src,
                            "anl/" + std::to_string(entries) + "e-" +
                                std::to_string(region) + "B",
-                           runMoveBot, spec,
-                           options(SoftwareTier::Optimized, 1.0, 123)));
+                           spec));
         }
     }
     const std::vector<RunResult> results =
@@ -103,16 +100,12 @@ fcpLevel(BenchReporter &rep, RunPool &pool)
     CaptureSource src("CarriBot", runCarriBot, MachineSpec::baseline(),
                       options(SoftwareTier::Optimized, 0.6));
     std::vector<Cell<RunResult>> jobs;
-    jobs.push_back(replayCell(src, "fcp/base", runCarriBot,
-                              MachineSpec::baseline(),
-                              options(SoftwareTier::Optimized, 0.6)));
+    jobs.push_back(replayCell(src, "fcp/base", MachineSpec::baseline()));
     for (const Config &c : configs) {
         auto spec = MachineSpec::baseline();
         spec.sys.fcpEnabled = c.l2;
         spec.sys.fcpAtL3 = c.l3;
-        jobs.push_back(replayCell(src, std::string("fcp/") + c.name,
-                                  runCarriBot, spec,
-                                  options(SoftwareTier::Optimized, 0.6)));
+        jobs.push_back(replayCell(src, std::string("fcp/") + c.name, spec));
     }
     const std::vector<RunResult> results =
         runAll(rep, pool, std::move(jobs));
@@ -151,11 +144,8 @@ npuLinkLatency(BenchReporter &rep, RunPool &pool)
     for (tartan::sim::Cycles lat : {1u, 4u, 16u, 48u, 104u}) {
         auto spec = MachineSpec::tartan();
         spec.npuCfg.commLatency = lat;
-        jobs.push_back(replayCell(src,
-                                  "npuLink/" + std::to_string(lat) +
-                                      "cyc",
-                                  runFlyBot, spec,
-                                  options(SoftwareTier::Approximate)));
+        jobs.push_back(replayCell(
+            src, "npuLink/" + std::to_string(lat) + "cyc", spec));
     }
     const std::vector<RunResult> results =
         runAll(rep, pool, std::move(jobs));

@@ -22,6 +22,11 @@
  * manifest failure row) instead of sweep abort. Result types
  * round-trip through CellCodec so a stored payload is byte-identical
  * to a fresh one; there are two: RunResult and FleetOutcome.
+ *
+ * Timing-only sweeps capture once and replay many: a CaptureSource
+ * records one op stream (workloads::capture, keyed by the stream key)
+ * and every replayCell(src, label, spec) replays it on its own timing
+ * config, which must keep the source's stream.
  */
 
 #ifndef TARTAN_BENCH_UTIL_HH
@@ -282,10 +287,7 @@ cell(BenchReporter &rep, std::string label, RobotFn run, MachineSpec spec,
      WorkloadOptions opt, std::string_view salt = {})
 {
     std::shared_ptr<sim::TraceSession> trace = rep.makeTrace(label);
-    Cell<RunResult> c;
-    c.configHash = workloads::cellConfigHash(label, spec, opt, salt);
-    c.seed = opt.seed;
-    c.label = std::move(label);
+    Cell<RunResult> c = cell(std::move(label), run, spec, opt, salt);
     c.fn = [run, spec = std::move(spec), opt,
             trace = std::move(trace)]() {
         WorkloadOptions traced_opt = opt;
@@ -299,16 +301,17 @@ cell(BenchReporter &rep, std::string label, RobotFn run, MachineSpec spec,
 }
 
 /**
- * One shared capture of a (robot, machine, options, seed) cell,
+ * One shared capture of a (robot, machine, options) op stream,
  * recorded at most once per process and handed out to every replayed
  * sibling cell. Thread-safe: the first acquire() runs (or loads) the
  * capture under a mutex while later callers wait — with their cell
  * watchdogs suspended, because queueing behind a sibling's capture is
  * not *their* work and must not eat their TARTAN_TIMEOUT budget.
  *
- * With TARTAN_CAPTURE_DIR set, captures persist as content-addressed
- * `capture_<confighash16>_<seed>.tcap` files: a matching file is
- * loaded instead of executing the robot, and any invalid file
+ * With TARTAN_CAPTURE_DIR set, captures persist as
+ * `capture_<streamhash16>_<seed>.tcap` files keyed by the stream: a
+ * file recorded under any timing config, by any driver, is loaded
+ * instead of executing the robot, and any invalid file
  * (truncated, bit-flipped, foreign version/identity) is ignored with a
  * warning and re-captured — same policy as the result cache.
  */
@@ -318,14 +321,15 @@ class CaptureSource
     CaptureSource(std::string robot, RobotFn run, MachineSpec spec,
                   WorkloadOptions opt)
         : robotName(std::move(robot)), runFn(run),
-          specData(std::move(spec)), optData(opt)
+          specData(std::move(spec)), optData(opt),
+          hash(workloads::streamConfigHash(robotName, specData, optData))
     {
-        hash = workloads::cellConfigHash(robotName, specData, optData,
-                                         "capture");
     }
 
-    const MachineSpec &spec() const { return specData; }
+    const std::string &robot() const { return robotName; }
     const WorkloadOptions &opt() const { return optData; }
+    /** The stream key of the capture. */
+    std::uint64_t streamHash() const { return hash; }
 
     /** The capture, recording/loading it on the first call. */
     std::shared_ptr<const sim::CaptureTrace>
@@ -355,16 +359,8 @@ class CaptureSource
                           "re-capturing",
                           path.c_str(), err.c_str());
         }
-        sim::CaptureSession session(hash, optData.seed);
-        WorkloadOptions copt = optData;
-        copt.capture = &session;
-        const RunResult res = runFn(specData, copt);
-        session.setRobot(res.robot);
-        for (const auto &[name, value] : res.metrics)
-            session.addMetric(name, value);
-        ++sim::captureStats().captures;
-        auto trace =
-            std::make_shared<sim::CaptureTrace>(session.take());
+        auto trace = std::make_shared<sim::CaptureTrace>(
+            workloads::capture(robotName, runFn, specData, optData).trace);
         if (!path.empty()) {
             std::string err;
             if (!trace->save(path, &err))
@@ -390,35 +386,40 @@ class CaptureSource
     RobotFn runFn;
     MachineSpec specData;
     WorkloadOptions optData;
-    std::uint64_t hash = 0;
+    std::uint64_t hash;
     std::mutex mtx;
     std::shared_ptr<const sim::CaptureTrace> cached;
 };
 
 /**
- * Build one robot-run cell that replays @p src's capture when
- * (@p spec, @p opt) is replay-compatible with the capture cell, and
- * runs directly otherwise. Label, content address and seed are
- * constructed exactly like cell()'s, so a replayed cell is
- * indistinguishable in the resume store, the result cache and the
- * BENCH payload — byte-identical results are the contract the tol-0
- * baseline gate enforces. @p src must outlive the sweep.
+ * Build one robot-run cell that replays @p src's capture, with the
+ * source's options, on @p spec, which must keep the capture's stream
+ * (panics otherwise). Label, content address and seed are built like
+ * cell()'s, so a replayed cell is indistinguishable in the resume
+ * store, the result cache and the BENCH payload — byte-identical
+ * results are the contract the tol-0 baseline gate enforces. @p src
+ * must outlive the sweep.
  */
 inline Cell<RunResult>
-replayCell(CaptureSource &src, std::string label, RobotFn run,
-           MachineSpec spec, WorkloadOptions opt, std::string_view salt = {})
+replayCell(CaptureSource &src, std::string label, MachineSpec spec,
+           std::string_view salt = {})
 {
+    const WorkloadOptions &opt = src.opt();
+    TARTAN_ASSERT(!workloads::hasHooks(opt),
+                  "replay cell '%s' with a hook replay cannot honour",
+                  label.c_str());
+    TARTAN_ASSERT(workloads::streamConfigHash(src.robot(), spec, opt) ==
+                      src.streamHash(),
+                  "replay cell '%s' is not on its capture's stream",
+                  label.c_str());
     Cell<RunResult> c;
     c.configHash = workloads::cellConfigHash(label, spec, opt, salt);
     c.seed = opt.seed;
     c.label = std::move(label);
     CaptureSource *source = &src;
-    c.fn = [source, run, spec = std::move(spec), opt]() {
-        if (!workloads::replayCompatible(source->spec(), source->opt(),
-                                         spec, opt))
-            return run(spec, opt);
-        auto trace = source->acquire();
-        return workloads::replayTrace(*trace, spec, opt);
+    c.fn = [source, spec = std::move(spec)]() {
+        return workloads::replayTrace(*source->acquire(), spec,
+                                      source->opt());
     };
     return c;
 }

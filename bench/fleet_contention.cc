@@ -112,7 +112,7 @@ main()
                 *sources[i],
                 std::string("solo/") + mode_names[mode] + "/" +
                     suite[i].name,
-                suite[i].run, fleetSpec(mode == 1), opt));
+                fleetSpec(mode == 1)));
     const std::vector<RunResult> solos =
         runAll(rep, pool, std::move(solo_cells));
     const auto solo_wall = [&](int mode, std::size_t slot) {

@@ -55,8 +55,7 @@ main()
             jobs.push_back(replayCell(*sources[i],
                                       std::string(targets[i].name) + "/" +
                                           std::to_string(pes) + "PE",
-                                      targets[i].run, spec,
-                                      options(SoftwareTier::Approximate)));
+                                      spec));
     }
     const std::vector<RunResult> results =
         runAll(rep, pool, std::move(jobs));

@@ -88,8 +88,6 @@ class Mlp
     float trainEpoch(std::span<const float> inputs,
                      std::span<const float> targets, std::size_t count);
 
-    std::uint32_t inputSize() const { return cfg.layers.front(); }
-    std::uint32_t outputSize() const { return cfg.layers.back(); }
     /** Total weight + bias count. */
     std::size_t parameterCount() const;
     /** Total multiply-accumulate operations of one inference. */

@@ -67,8 +67,6 @@ class PurePursuit
     /** Steering curvature for the current pose. */
     double steer(Mem &mem, const Pose2 &pose);
 
-    std::size_t lastTarget() const { return targetIdx; }
-
   private:
     std::vector<Vec2> waypoints;
     double lookahead;

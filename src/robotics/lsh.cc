@@ -183,7 +183,6 @@ LshNns::nearest(Mem &mem, const float *query)
     if (best < 0 && !indexed.empty()) {
         // All probes empty: exhaustive fallback keeps the index
         // functionally total.
-        ++fallbacks;
         for (std::uint32_t id : indexed) {
             chargeScan(mem, point(id), dimension, nns_pc::lshBucket);
             const float d = hostDistSq(query, point(id));

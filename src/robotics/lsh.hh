@@ -63,8 +63,6 @@ class LshNns : public NnsBackend
     }
 
     std::size_t size() const { return indexed.size(); }
-    /** Queries that fell back to a full scan (all probes empty). */
-    std::uint64_t fallbackScans() const { return fallbacks; }
 
     /** Bucket occupancy histogram (for density-heterogeneity studies). */
     std::vector<std::size_t> bucketSizes() const;
@@ -101,7 +99,6 @@ class LshNns : public NnsBackend
     tartan::sim::ArenaVec<float> offsets;
     std::vector<Table> tableData;
     std::vector<std::uint32_t> indexed;
-    std::uint64_t fallbacks = 0;
 };
 
 } // namespace tartan::robotics

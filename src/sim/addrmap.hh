@@ -127,7 +127,6 @@ class AddrMap
      */
     void setSpaceBias(Addr bias);
 
-    std::size_t segmentCount() const { return segments.size(); }
     /** Fallback grains mapped so far (16-byte units). */
     std::size_t grainCount() const { return grains.size(); }
 

@@ -21,7 +21,7 @@ struct CaptureHeader {
     char magic[8];            //!< "TARTANC\0"
     std::uint32_t version;    //!< kCaptureFormatVersion
     std::uint32_t bodyCrc;    //!< CRC-32 of records + aux bytes
-    std::uint64_t configHash; //!< capture-cell content hash
+    std::uint64_t configHash; //!< stream key of the capture
     std::uint64_t seed;       //!< workload seed
     std::uint64_t recordCount;
     std::uint64_t auxBytes;
@@ -43,16 +43,10 @@ setError(std::string *err, const std::string &message)
 std::uint32_t
 bodyCrc(const CaptureTrace &trace)
 {
-    static constexpr auto table = detail::makeCrc32Table();
-    std::uint32_t c = 0xffffffffu;
-    const auto fold = [&c](const void *bytes, std::size_t n) {
-        const auto *p = static_cast<const unsigned char *>(bytes);
-        for (std::size_t i = 0; i < n; ++i)
-            c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-    };
-    fold(trace.records.data(), trace.records.size() * sizeof(CapRecord));
-    fold(trace.aux.data(), trace.aux.size());
-    return c ^ 0xffffffffu;
+    const auto *records = reinterpret_cast<const char *>(trace.records.data());
+    const auto *aux = reinterpret_cast<const char *>(trace.aux.data());
+    return crc32({aux, trace.aux.size()},
+                 crc32({records, trace.records.size() * sizeof(CapRecord)}));
 }
 
 } // namespace

@@ -30,9 +30,9 @@
  *  - the run's functional outputs (robot name, quality metrics), which
  *    replay cannot recompute and which are timing-independent.
  *
- * File format (`capture_<confighash16>_<seed>.tcap`): a fixed 64-byte
+ * File format (`capture_<streamhash16>_<seed>.tcap`): a fixed 64-byte
  * header (magic, format version, CRC-32 of the body via checksum.hh,
- * config hash, seed, record/aux counts) followed by the record array
+ * stream key, seed, record/aux counts) followed by the record array
  * and the aux bytes. Corruption policy mirrors the result cache: a
  * truncated tail, a bit-flipped body, or a foreign-version header make
  * the file invalid as a whole and force a re-capture — a capture is a
@@ -112,13 +112,13 @@ static_assert(sizeof(CapRecord) == 32, "capture records are 32-byte POD");
 
 /**
  * One finished capture: the op stream, its aux bytes, and the identity
- * of the (robot, machine, options) cell it was recorded from. The
- * configHash content-addresses the capture exactly like a cache entry;
- * a loaded file whose hash or seed differs from the expectation is a
- * foreign capture and must be ignored.
+ * of the stream it records. The configHash is the stream key
+ * (workloads::streamConfigHash), which content-addresses the capture
+ * exactly like a cache entry; a loaded file whose hash or seed differs
+ * from the expectation is a foreign capture and must be ignored.
  */
 struct CaptureTrace {
-    std::uint64_t configHash = 0; //!< capture-cell content hash
+    std::uint64_t configHash = 0; //!< stream key of the capture
     std::uint64_t seed = 0;       //!< workload seed
     MmapVec<CapRecord> records;   //!< op stream in record order
     MmapVec<std::uint8_t> aux;    //!< variable payloads (names, ids)

@@ -38,12 +38,15 @@ makeCrc32Table()
 
 } // namespace detail
 
-/** CRC-32 (IEEE, reflected) of @p data. */
+/**
+ * CRC-32 (IEEE, reflected) of @p data, chained after the CRC @p prev of
+ * the bytes before it: crc32(b, crc32(a)) == crc32(a + b).
+ */
 inline std::uint32_t
-crc32(std::string_view data)
+crc32(std::string_view data, std::uint32_t prev = 0)
 {
     static constexpr auto table = detail::makeCrc32Table();
-    std::uint32_t c = 0xffffffffu;
+    std::uint32_t c = prev ^ 0xffffffffu;
     for (char ch : data)
         c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;

@@ -20,7 +20,7 @@ Core::Core(const CoreParams &params, MemPath *mem_path)
     TARTAN_ASSERT(memPath, "Core requires a memory path");
     TARTAN_ASSERT(config.issueWidth > 0 && config.missOverlap > 0,
                   "core widths must be positive");
-    kernelData.push_back(KernelCounters{"other", 0, 0, 0});
+    kernelData.push_back(KernelCounters{"other", 0, 0, 0, {}});
 }
 
 void
@@ -58,7 +58,7 @@ Core::registerKernel(const std::string &name)
 {
     if (capture)
         capture->registerKernel(name);
-    kernelData.push_back(KernelCounters{name, 0, 0, 0});
+    kernelData.push_back(KernelCounters{name, 0, 0, 0, {}});
     return static_cast<std::uint32_t>(kernelData.size() - 1);
 }
 
@@ -108,13 +108,6 @@ Core::phaseEnd()
 {
     if (trace)
         trace->phaseEnd(totalCycles);
-}
-
-void
-Core::traceInstant(const std::string &name)
-{
-    if (trace)
-        trace->instant(name, totalCycles);
 }
 
 void

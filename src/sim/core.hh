@@ -78,7 +78,6 @@ class Core
      * observational — attaching never changes simulated timing.
      */
     void attachTrace(TraceSession *session);
-    bool traceAttached() const { return trace != nullptr; }
 
     /**
      * Attach (or detach, with nullptr) a capture session: every public
@@ -93,8 +92,6 @@ class Core
     void phaseBegin(const std::string &name);
     /** Close the innermost ROI phase (no-op when untraced). */
     void phaseEnd();
-    /** Mark an instantaneous ROI event (no-op when untraced). */
-    void traceInstant(const std::string &name);
 
     /** Execute @p ops instructions of class @p cls. */
     void exec(std::uint64_t ops, OpClass cls = OpClass::IntAlu);

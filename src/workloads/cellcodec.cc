@@ -337,14 +337,40 @@ decodeRunResult(const std::string &payload, RunResult &out,
 }
 
 std::string
+describeStream(std::string_view robot, const MachineSpec &spec,
+               const WorkloadOptions &opt)
+{
+    std::ostringstream os;
+    os << "robot=" << robot
+       // Machine knobs that select the code the robot runs.
+       << ";lanes=" << spec.sys.core.vectorLanes << ";ovec=" << spec.ovec
+       << ";npu=" << spec.npu << ";wt=" << spec.wtQueues
+       // Workload identity.
+       << ";tier=" << int(opt.tier)
+       << ";scale=" << encodeDouble(opt.scale) << ";seed=" << opt.seed
+       << ";nns=" << int(opt.nns) << "/" << opt.nnsExplicit
+       << ";oriented=" << int(opt.oriented)
+       << ";swnn=" << opt.softwareNeural;
+    return os.str();
+}
+
+std::uint64_t
+streamConfigHash(std::string_view robot, const MachineSpec &spec,
+                 const WorkloadOptions &opt)
+{
+    return sim::fnv1a64(describeStream(robot, spec, opt));
+}
+
+std::string
 describeCell(std::string_view robot, const MachineSpec &spec,
              const WorkloadOptions &opt, std::string_view salt)
 {
     const sim::SysConfig &sys = spec.sys;
     std::ostringstream os;
     os << "codec=" << kCellCodecVersion
-       << ";tax=" << sim::kCpiTaxonomyVersion << ";robot=" << robot
-       // Simulated hardware: every SysConfig field that shapes timing.
+       << ";tax=" << sim::kCpiTaxonomyVersion << ";"
+       << describeStream(robot, spec, opt)
+       // Timing-only knobs: every remaining SysConfig field.
        << ";line=" << sys.lineBytes << ";l1=" << sys.l1Size << "/"
        << sys.l1Assoc << "/" << sys.l1Latency << ";l2=" << sys.l2Size
        << "/" << sys.l2Assoc << "/" << sys.l2Latency
@@ -352,7 +378,6 @@ describeCell(std::string_view robot, const MachineSpec &spec,
        << sys.l3Latency << ";dram=" << sys.dramLatency
        << ";issue=" << sys.core.issueWidth
        << ";overlap=" << sys.core.missOverlap
-       << ";lanes=" << sys.core.vectorLanes
        << ";pf=" << int(sys.prefetcher) << ";fcp=" << sys.fcpEnabled
        << "/" << sys.fcpRegionBytes << "/" << sys.fcpXorBits << "/"
        << int(sys.fcpFunc) << "/" << sys.fcpAtL3
@@ -365,21 +390,13 @@ describeCell(std::string_view robot, const MachineSpec &spec,
        << "/" << sys.uncore.dramRowHitLatency << "/"
        << sys.uncore.dramRowMissLatency << "/"
        << sys.uncore.coherenceLatency
-       // Tartan units.
+       // Tartan unit sizing and placement.
        << ";anl=" << spec.useAnl << "/" << spec.anlCfg.entries << "/"
        << spec.anlCfg.regionBytes << "/" << spec.anlCfg.lineBytes << "/"
-       << spec.anlCfg.maxDegree << ";ovec=" << spec.ovec
-       << ";npu=" << spec.npu << "/" << spec.npuCfg.pes << "/"
+       << spec.anlCfg.maxDegree << ";npucfg=" << spec.npuCfg.pes << "/"
        << spec.npuCfg.macDrainLatency << "/" << spec.npuCfg.commLatency
        << "/" << spec.npuCfg.coprocCommLatency << "/"
-       << int(spec.npuCfg.placement) << ";wt=" << spec.wtQueues
-       // Workload options (observational hooks excluded: trace never
-       // changes results).
-       << ";tier=" << int(opt.tier)
-       << ";scale=" << encodeDouble(opt.scale) << ";seed=" << opt.seed
-       << ";nns=" << int(opt.nns) << "/" << opt.nnsExplicit
-       << ";oriented=" << int(opt.oriented)
-       << ";swnn=" << opt.softwareNeural;
+       << int(spec.npuCfg.placement);
     if (!salt.empty())
         os << ";salt=" << salt;
     return os.str();

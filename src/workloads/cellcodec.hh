@@ -23,11 +23,11 @@
  * schema version that keys resume and cache entries — bumping
  * either invalidates persisted state instead of misreading it.
  *
- * describeCell() renders the complete simulated configuration of a
- * cell — every MachineSpec and WorkloadOptions field that can change
- * a result, excluding the observational hook (trace) — into a
- * canonical text whose FNV-1a 64 hash is the cell's content
- * address.
+ * describeStream() renders the fields that shape a run's op stream;
+ * its FNV-1a 64 hash keys captures. describeCell() renders a cell's
+ * complete simulated configuration — describeStream() plus every
+ * timing-only field, each field once, hooks excluded — into a
+ * canonical text whose FNV-1a 64 hash is the cell's content address.
  */
 
 #ifndef TARTAN_WORKLOADS_CELLCODEC_HH
@@ -85,10 +85,20 @@ std::string encodeRunResult(const RunResult &res);
 bool decodeRunResult(const std::string &payload, RunResult &out,
                      std::string *err = nullptr);
 
+/** Canonical text of @p robot's op stream: the fields that shape it. */
+std::string describeStream(std::string_view robot,
+                           const MachineSpec &spec,
+                           const WorkloadOptions &opt);
+
+/** The stream's key: FNV-1a 64 of describeStream(). */
+std::uint64_t streamConfigHash(std::string_view robot,
+                               const MachineSpec &spec,
+                               const WorkloadOptions &opt);
+
 /**
- * Canonical configuration text of one cell: robot name, every
- * result-relevant MachineSpec / WorkloadOptions field, and @p salt
- * (extra identity for driver-specific dimensions, e.g. a fault spec).
+ * Canonical configuration text of one cell: codec and taxonomy
+ * versions, describeStream(), every timing-only field, and @p salt
+ * (extra identity for driver dimensions, e.g. a fault spec).
  */
 std::string describeCell(std::string_view robot, const MachineSpec &spec,
                          const WorkloadOptions &opt,

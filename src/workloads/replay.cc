@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/watchdog.hh"
+#include "workloads/cellcodec.hh"
 
 namespace tartan::workloads {
 
@@ -28,33 +30,29 @@ using tartan::sim::OpClass;
 using tartan::sim::PcId;
 
 bool
-replayCompatible(const MachineSpec &cap_spec,
-                 const WorkloadOptions &cap_opt, const MachineSpec &spec,
-                 const WorkloadOptions &opt)
+hasHooks(const WorkloadOptions &opt)
 {
-    // Sequence-shaping machine knobs must match the capture.
-    if (cap_spec.sys.core.vectorLanes != spec.sys.core.vectorLanes)
-        return false;
-    if (cap_spec.ovec != spec.ovec || cap_spec.npu != spec.npu ||
-        cap_spec.wtQueues != spec.wtQueues)
-        return false;
-    // Workload identity must match: a different tier/scale/seed runs
-    // different code, a different capture.
-    if (cap_opt.tier != opt.tier || cap_opt.scale != opt.scale ||
-        cap_opt.seed != opt.seed)
-        return false;
-    if (cap_opt.nns != opt.nns || cap_opt.nnsExplicit != opt.nnsExplicit)
-        return false;
-    if (cap_opt.oriented != opt.oriented ||
-        cap_opt.softwareNeural != opt.softwareNeural)
-        return false;
-    // Observation hooks see events replay does not re-raise (per-PC
-    // timelines, sensor faults); a hooked cell must run directly.
-    if (cap_opt.trace || cap_opt.faults)
-        return false;
-    if (opt.trace || opt.faults)
-        return false;
-    return true;
+    return opt.trace || opt.faults || opt.capture;
+}
+
+CapturedRun
+capture(std::string_view robot, RobotFn run, const MachineSpec &spec,
+        const WorkloadOptions &opt)
+{
+    TARTAN_ASSERT(!hasHooks(opt), "capture of %.*s with a hook replay "
+                  "cannot honour", int(robot.size()), robot.data());
+    tartan::sim::CaptureSession session(
+        streamConfigHash(robot, spec, opt), opt.seed);
+    WorkloadOptions copt = opt;
+    copt.capture = &session;
+    CapturedRun out;
+    out.result = run(spec, copt);
+    session.setRobot(out.result.robot);
+    for (const auto &[name, value] : out.result.metrics)
+        session.addMetric(name, value);
+    ++tartan::sim::captureStats().captures;
+    out.trace = session.take();
+    return out;
 }
 
 ReplayStream::ReplayStream(const CaptureTrace &trace, Machine &machine,
@@ -195,13 +193,10 @@ RunResult
 replayTrace(const CaptureTrace &trace, const MachineSpec &spec,
             const WorkloadOptions &opt)
 {
-    WorkloadOptions ropt = opt;
-    ropt.trace = nullptr;
-    ropt.faults = nullptr;
-    ropt.capture = nullptr;
+    TARTAN_ASSERT(!hasHooks(opt), "replay with a hook it cannot honour");
     ++tartan::sim::captureStats().replays;
 
-    Machine machine(spec, ropt);
+    Machine machine(spec, opt);
     ReplayStream stream(trace, machine);
     while (!stream.done())
         stream.step();
@@ -213,16 +208,13 @@ replayFleet(const std::vector<const CaptureTrace *> &traces,
             const MachineSpec &spec, const WorkloadOptions &opt,
             FleetUncoreSnapshot *uncore)
 {
-    WorkloadOptions ropt = opt;
-    ropt.trace = nullptr;
-    ropt.faults = nullptr;
-    ropt.capture = nullptr;
+    TARTAN_ASSERT(!hasHooks(opt), "replay with a hook it cannot honour");
     tartan::sim::captureStats().replays += traces.size();
 
     MachineSpec fspec = spec;
     fspec.sys.simCores = std::uint32_t(traces.size());
 
-    Machine machine(fspec, ropt);
+    Machine machine(fspec, opt);
     std::vector<std::unique_ptr<ReplayStream>> streams;
     streams.reserve(traces.size());
     for (std::size_t i = 0; i < traces.size(); ++i)

@@ -18,11 +18,13 @@
  * against the replay-side NpuConfig. The wall clock is recomputed the
  * same way: each captured stage, serial, overlap and discount marker
  * becomes the matching call into the stream's own Pipeline, the class
- * the robot drove when it was captured. replayCompatible() guards the
- * boundary of that argument: knobs that change the op sequence itself
- * (vector lanes, tier, scale, seed, NPU presence, ...) must match the
+ * the robot drove when it was captured. The stream key
+ * (streamConfigHash(), workloads/cellcodec) marks the boundary of that
+ * argument: knobs that change the op sequence itself (vector lanes,
+ * tier, scale, seed, NPU presence, ...) are in it and must match the
  * capture; knobs that only change timing (cache geometry, prefetcher,
- * FCP, issue width, NPU sizing) may differ freely.
+ * FCP, issue width, NPU sizing) are not and may differ freely.
+ * capture() records a stream under that key.
  */
 
 #ifndef TARTAN_WORKLOADS_REPLAY_HH
@@ -31,6 +33,7 @@
 #include "sim/capture.hh"
 #include "sim/uncore.hh"
 #include "workloads/common.hh"
+#include "workloads/robots.hh"
 
 namespace tartan::workloads {
 
@@ -41,20 +44,25 @@ struct FleetUncoreSnapshot {
     tartan::sim::MemCtrlStats memctrl;
 };
 
+/** True when @p opt wires a trace, fault or capture hook. */
+bool hasHooks(const WorkloadOptions &opt);
+
+/** A captured op stream and the result of the run that recorded it. */
+struct CapturedRun {
+    tartan::sim::CaptureTrace trace;
+    RunResult result;
+};
+
 /**
- * True when a capture recorded under (@p cap_spec, @p cap_opt) can be
- * replayed under (@p spec, @p opt): every knob that shapes the op
- * sequence — vector lanes, OVEC/NPU/WT availability, software tier,
- * scale, seed, NNS and oriented-engine selection, software-neural mode
- * — matches, and neither side wires observation hooks (trace, faults,
- * host profiler) that replay cannot honour. Timing-only knobs (cache
- * geometry, line size, prefetcher, FCP, issue width, miss overlap, NPU
- * sizing/placement) are deliberately not compared.
+ * Run @p run once under (@p spec, @p opt) with a capture session keyed
+ * by streamConfigHash(@p robot, @p spec, @p opt), and append the run's
+ * functional outputs (robot name, metrics) that replay cannot
+ * recompute. @p opt must carry no hook (panics otherwise): replay
+ * re-raises no trace or fault event. Counts one capture in
+ * captureStats().
  */
-bool replayCompatible(const MachineSpec &cap_spec,
-                      const WorkloadOptions &cap_opt,
-                      const MachineSpec &spec,
-                      const WorkloadOptions &opt);
+CapturedRun capture(std::string_view robot, RobotFn run,
+                    const MachineSpec &spec, const WorkloadOptions &opt);
 
 /**
  * Re-issue @p trace against a fresh Machine built from (@p spec,
@@ -62,7 +70,8 @@ bool replayCompatible(const MachineSpec &cap_spec,
  * the watchdog heartbeat once per record, so a replayed cell under a
  * TARTAN_TIMEOUT campaign stays live-monitored exactly like a direct
  * run (replay issues no robot code, hence no cycle-sink heartbeats of
- * its own between memory ops). Counts one replay in captureStats().
+ * its own between memory ops). @p opt must carry no hook (panics
+ * otherwise). Counts one replay in captureStats().
  */
 RunResult replayTrace(const tartan::sim::CaptureTrace &trace,
                       const MachineSpec &spec,
@@ -116,8 +125,9 @@ class ReplayStream
  * the interleave order is a pure function of the traces and the
  * configuration (ties break toward the lower core index). When
  * @p uncore is non-null it receives the shared fabric's end-of-run
- * counters (coherence, crossbar, memory controller). Each trace counts
- * as one replay in captureStats(), as a replayTrace() call does.
+ * counters (coherence, crossbar, memory controller). As for
+ * replayTrace(), @p opt must carry no hook and each trace counts as
+ * one replay in captureStats().
  */
 std::vector<RunResult>
 replayFleet(const std::vector<const tartan::sim::CaptureTrace *> &traces,

@@ -352,30 +352,139 @@ TEST(CellCodec, ConfigHashSeparatesLabelsMachinesAndSalt)
     EXPECT_NE(h, cellConfigHash("B", tartan_spec, opt));
     EXPECT_NE(h, cellConfigHash("A", base_spec, opt));
     EXPECT_NE(h, cellConfigHash("A", tartan_spec, opt, "fault:x"));
-    WorkloadOptions opt2 = opt;
-    opt2.seed = 43;
-    EXPECT_NE(h, cellConfigHash("A", tartan_spec, opt2));
-    WorkloadOptions opt3 = opt;
-    opt3.scale = 0.25;
-    EXPECT_NE(h, cellConfigHash("A", tartan_spec, opt3));
 
-    // The fleet machine: the core count and every uncore knob.
-    const auto changed = [&](auto mutate) {
-        MachineSpec spec = tartan_spec;
-        mutate(spec.sys);
-        return cellConfigHash("A", spec, opt);
+    // The stream/timing partition. Every field is one knob: a knob
+    // that shapes the op stream changes the stream key and the cell
+    // address; a timing-only knob changes the cell address alone. Each
+    // knob changes exactly one term of describeCell(), so no field is
+    // described twice, and the terms past codec, taxonomy and robot
+    // are exactly the knobs below, so none is described without a test.
+    using tartan::workloads::describeCell;
+    using tartan::workloads::streamConfigHash;
+    using Set = std::function<void(MachineSpec &, WorkloadOptions &)>;
+    struct Knob {
+        const char *name;
+        bool stream;  //!< shapes the op stream
+        Set set;
     };
-    using Sys = tartan::sim::SysConfig;
-    EXPECT_NE(h, changed([](Sys &s) { s.simCores = 4; }));
-    EXPECT_NE(h, changed([](Sys &s) { s.uncore.lineBytes = 32; }));
-    EXPECT_NE(h, changed([](Sys &s) { s.uncore.l3Slices = 8; }));
-    EXPECT_NE(h, changed([](Sys &s) { s.uncore.xbarHopLatency = 5; }));
-    EXPECT_NE(h, changed([](Sys &s) { s.uncore.dramBanks = 16; }));
-    EXPECT_NE(h, changed([](Sys &s) { s.uncore.dramRowBytes = 4096; }));
-    EXPECT_NE(h, changed([](Sys &s) { s.uncore.dramRowHitLatency = 150; }));
-    EXPECT_NE(h,
-              changed([](Sys &s) { s.uncore.dramRowMissLatency = 240; }));
-    EXPECT_NE(h, changed([](Sys &s) { s.uncore.coherenceLatency = 20; }));
+    using tartan::core::NpuPlacement;
+    using tartan::sim::FcpParams;
+    using tartan::sim::PrefetcherKind;
+    using tartan::workloads::NnsKind;
+    using tartan::workloads::OrientedKind;
+    using M = MachineSpec;
+    using O = WorkloadOptions;
+    const Knob knobs[] = {
+        // Stream-shaping.
+        {"vectorLanes", true, [](M &m, O &) { m.sys.core.vectorLanes = 8; }},
+        {"ovec", true, [](M &m, O &) { m.ovec = !m.ovec; }},
+        {"npu", true, [](M &m, O &) { m.npu = !m.npu; }},
+        {"wtQueues", true, [](M &m, O &) { m.wtQueues = !m.wtQueues; }},
+        {"tier", true, [](M &, O &o) { o.tier = SoftwareTier::Legacy; }},
+        {"scale", true, [](M &, O &o) { o.scale = 0.25; }},
+        {"seed", true, [](M &, O &o) { o.seed = 43; }},
+        {"nns", true, [](M &, O &o) { o.nns = NnsKind::Brute; }},
+        {"nnsExplicit", true, [](M &, O &o) { o.nnsExplicit = true; }},
+        {"oriented", true,
+         [](M &, O &o) { o.oriented = OrientedKind::Scalar; }},
+        {"softwareNeural", true, [](M &, O &o) { o.softwareNeural = true; }},
+        // Timing-only: cache geometry and line size.
+        {"lineBytes", false, [](M &m, O &) { m.sys.lineBytes = 64; }},
+        {"l1Size", false, [](M &m, O &) { m.sys.l1Size *= 2; }},
+        {"l1Assoc", false, [](M &m, O &) { m.sys.l1Assoc *= 2; }},
+        {"l1Latency", false, [](M &m, O &) { ++m.sys.l1Latency; }},
+        {"l2Size", false, [](M &m, O &) { m.sys.l2Size *= 2; }},
+        {"l2Assoc", false, [](M &m, O &) { m.sys.l2Assoc *= 2; }},
+        {"l2Latency", false, [](M &m, O &) { ++m.sys.l2Latency; }},
+        {"l3Size", false, [](M &m, O &) { m.sys.l3Size *= 2; }},
+        {"l3Assoc", false, [](M &m, O &) { m.sys.l3Assoc *= 2; }},
+        {"l3Latency", false, [](M &m, O &) { ++m.sys.l3Latency; }},
+        {"dramLatency", false, [](M &m, O &) { ++m.sys.dramLatency; }},
+        // Core widths.
+        {"issueWidth", false, [](M &m, O &) { ++m.sys.core.issueWidth; }},
+        {"missOverlap", false, [](M &m, O &) { ++m.sys.core.missOverlap; }},
+        // Prefetcher, FCP, UDM tracking.
+        {"prefetcher", false,
+         [](M &m, O &) { m.sys.prefetcher = PrefetcherKind::Bingo; }},
+        {"fcpEnabled", false,
+         [](M &m, O &) { m.sys.fcpEnabled = !m.sys.fcpEnabled; }},
+        {"fcpRegionBytes", false,
+         [](M &m, O &) { m.sys.fcpRegionBytes *= 2; }},
+        {"fcpXorBits", false, [](M &m, O &) { ++m.sys.fcpXorBits; }},
+        {"fcpFunc", false,
+         [](M &m, O &) { m.sys.fcpFunc = FcpParams::Func::TwoX; }},
+        {"fcpAtL3", false, [](M &m, O &) { m.sys.fcpAtL3 = true; }},
+        {"trackUdm", false, [](M &m, O &) { m.sys.trackUdm = true; }},
+        // The fleet machine: the core count and every uncore knob.
+        {"simCores", false, [](M &m, O &) { m.sys.simCores = 4; }},
+        {"uncore.lineBytes", false,
+         [](M &m, O &) { m.sys.uncore.lineBytes = 32; }},
+        {"uncore.l3Slices", false,
+         [](M &m, O &) { m.sys.uncore.l3Slices = 8; }},
+        {"uncore.xbarHopLatency", false,
+         [](M &m, O &) { m.sys.uncore.xbarHopLatency = 5; }},
+        {"uncore.dramBanks", false,
+         [](M &m, O &) { m.sys.uncore.dramBanks = 16; }},
+        {"uncore.dramRowBytes", false,
+         [](M &m, O &) { m.sys.uncore.dramRowBytes = 4096; }},
+        {"uncore.dramRowHitLatency", false,
+         [](M &m, O &) { m.sys.uncore.dramRowHitLatency = 150; }},
+        {"uncore.dramRowMissLatency", false,
+         [](M &m, O &) { m.sys.uncore.dramRowMissLatency = 240; }},
+        {"uncore.coherenceLatency", false,
+         [](M &m, O &) { m.sys.uncore.coherenceLatency = 20; }},
+        // ANL configuration.
+        {"useAnl", false, [](M &m, O &) { m.useAnl = !m.useAnl; }},
+        {"anl.entries", false, [](M &m, O &) { m.anlCfg.entries *= 2; }},
+        {"anl.regionBytes", false,
+         [](M &m, O &) { m.anlCfg.regionBytes *= 2; }},
+        {"anl.lineBytes", false, [](M &m, O &) { m.anlCfg.lineBytes *= 2; }},
+        {"anl.maxDegree", false, [](M &m, O &) { --m.anlCfg.maxDegree; }},
+        // NPU sizing and placement.
+        {"npu.pes", false, [](M &m, O &) { m.npuCfg.pes *= 2; }},
+        {"npu.macDrainLatency", false,
+         [](M &m, O &) { ++m.npuCfg.macDrainLatency; }},
+        {"npu.commLatency", false, [](M &m, O &) { ++m.npuCfg.commLatency; }},
+        {"npu.coprocCommLatency", false,
+         [](M &m, O &) { ++m.npuCfg.coprocCommLatency; }},
+        {"npu.placement", false,
+         [](M &m, O &) { m.npuCfg.placement = NpuPlacement::Coprocessor; }},
+    };
+    const auto terms = [](const std::string &text) {
+        std::vector<std::string> out(1);
+        for (char ch : text) {
+            if (ch == ';' || ch == '/')
+                out.emplace_back();
+            else
+                out.back() += ch;
+        }
+        return out;
+    };
+    const std::uint64_t stream = streamConfigHash("A", tartan_spec, opt);
+    const std::vector<std::string> base_terms =
+        terms(describeCell("A", tartan_spec, opt));
+    EXPECT_EQ(base_terms.size(), std::size(knobs) + 3);
+    for (const Knob &k : knobs) {
+        SCOPED_TRACE(k.name);
+        MachineSpec spec = tartan_spec;
+        WorkloadOptions o = opt;
+        k.set(spec, o);
+        EXPECT_NE(cellConfigHash("A", spec, o), h);
+        EXPECT_EQ(streamConfigHash("A", spec, o) != stream, k.stream);
+        const std::vector<std::string> t = terms(describeCell("A", spec, o));
+        ASSERT_EQ(t.size(), base_terms.size());
+        std::size_t differ = 0;
+        for (std::size_t i = 0; i < t.size(); ++i)
+            differ += t[i] != base_terms[i];
+        EXPECT_EQ(differ, 1u);
+    }
+
+    // The observation hooks are in neither key.
+    WorkloadOptions hooked = opt;
+    tartan::sim::FaultInjector injector(tartan::sim::FaultPlan{}, 1);
+    hooked.faults = &injector;
+    EXPECT_EQ(cellConfigHash("A", tartan_spec, hooked), h);
+    EXPECT_EQ(streamConfigHash("A", tartan_spec, hooked), stream);
 }
 
 TEST(CellCodec, FleetOutcomeRoundTripsAndRejectsDamage)

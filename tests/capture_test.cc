@@ -34,6 +34,7 @@
 #include "../bench/bench_util.hh"
 #include "sim/campaign.hh"
 #include "sim/capture.hh"
+#include "sim/checksum.hh"
 #include "sim/runpool.hh"
 #include "workloads/cellcodec.hh"
 #include "workloads/common.hh"
@@ -51,6 +52,8 @@ using tartan::workloads::MachineSpec;
 using tartan::workloads::RunResult;
 using tartan::workloads::SoftwareTier;
 using tartan::workloads::WorkloadOptions;
+using tartan::workloads::capture;
+using tartan::workloads::streamConfigHash;
 
 namespace {
 
@@ -207,6 +210,26 @@ TEST(CaptureFile, RoundTripsExactly)
     EXPECT_EQ(std::memcmp(back.aux.data(), trace.aux.data(),
                           trace.aux.size()),
               0);
+}
+
+TEST(CaptureFile, BodyCrcIsOneCrc32OverRecordsThenAux)
+{
+    // The IEEE check value, and chaining equals one pass.
+    using tartan::sim::crc32;
+    EXPECT_EQ(crc32("123456789"), 0xcbf43926u);
+    EXPECT_EQ(crc32("6789", crc32("12345")), crc32("123456789"));
+    EXPECT_EQ(crc32("", crc32("abc")), crc32("abc"));
+
+    // The header's body CRC (bytes 12..15) is the CRC-32 of the record
+    // bytes followed by the aux bytes, so the format is unchanged by how
+    // the CRC is computed.
+    const fs::path path = scratchDir("crc") / "t.tcap";
+    const CaptureTrace trace = sampleTrace();
+    ASSERT_TRUE(trace.save(path.string()));
+    const std::string bytes = slurp(path);
+    std::uint32_t stored = 0;
+    std::memcpy(&stored, bytes.data() + 12, 4);
+    EXPECT_EQ(stored, crc32(std::string_view(bytes).substr(64)));
 }
 
 TEST(CaptureFile, AbsentFileIsAMissNotCorruption)
@@ -392,21 +415,6 @@ TEST(CaptureTrace, ValidateRejectsBadOpsAndAuxOverruns)
 
 namespace {
 
-/** Capture @p run at (@p spec, @p opt) exactly as CaptureSource does. */
-CaptureTrace
-captureRun(tartan::workloads::RobotFn run, const MachineSpec &spec,
-           const WorkloadOptions &opt)
-{
-    CaptureSession session(1, opt.seed);
-    WorkloadOptions copt = opt;
-    copt.capture = &session;
-    const RunResult res = run(spec, copt);
-    session.setRobot(res.robot);
-    for (const auto &[name, value] : res.metrics)
-        session.addMetric(name, value);
-    return session.take();
-}
-
 /**
  * A scripted run through every wall-model primitive: a stage of six
  * uneven items over eight threads (four model cores), a serial section,
@@ -465,9 +473,10 @@ TEST(ReplayEquivalence, ScriptedWallModelReplaysExactly)
     MachineSpec small = spec;
     small.sys.l1Size /= 4;
     small.sys.l2Size /= 4;
-    ASSERT_TRUE(tartan::workloads::replayCompatible(spec, opt, small,
-                                                    opt));
-    const CaptureTrace trace = captureRun(scriptedRun, spec, opt);
+    ASSERT_EQ(streamConfigHash("ScriptBot", spec, opt),
+              streamConfigHash("ScriptBot", small, opt));
+    const CaptureTrace trace =
+        capture("ScriptBot", scriptedRun, spec, opt).trace;
     ASSERT_TRUE(trace.validate());
 
     const RunResult at_spec = scriptedRun(spec, opt);
@@ -504,7 +513,8 @@ TEST(ReplayEquivalence, EveryRobotReplaysExactlyAtTheCaptureConfig)
             opt.seed = rng() % 10000;
 
             const RunResult direct = robot.run(spec, opt);
-            const CaptureTrace trace = captureRun(robot.run, spec, opt);
+            const CaptureTrace trace =
+                capture(robot.name, robot.run, spec, opt).trace;
             ASSERT_TRUE(trace.validate());
             const RunResult replayed =
                 tartan::workloads::replayTrace(trace, spec, opt);
@@ -541,9 +551,10 @@ TEST(ReplayEquivalence, TimingOnlyMachineChangesReplayExactly)
         if (std::string(robot.name) != "MoveBot" &&
             std::string(robot.name) != "CarriBot")
             continue; // two representatives keep the test fast
-        ASSERT_TRUE(tartan::workloads::replayCompatible(base, opt, anl,
-                                                        opt));
-        const CaptureTrace trace = captureRun(robot.run, base, opt);
+        ASSERT_EQ(streamConfigHash(robot.name, base, opt),
+                  streamConfigHash(robot.name, anl, opt));
+        const CaptureTrace trace =
+            capture(robot.name, robot.run, base, opt).trace;
         const RunResult direct = robot.run(anl, opt);
         const RunResult replayed =
             tartan::workloads::replayTrace(trace, anl, opt);
@@ -564,13 +575,14 @@ TEST(ReplayEquivalence, NpuConfigSweepsReplayExactly)
     opt.seed = 99;
     const MachineSpec cap_spec = MachineSpec::tartan();
     const CaptureTrace trace =
-        captureRun(tartan::workloads::runPatrolBot, cap_spec, opt);
+        capture("PatrolBot", tartan::workloads::runPatrolBot, cap_spec, opt)
+            .trace;
 
     for (std::uint32_t pes : {2u, 8u}) {
         MachineSpec swept = cap_spec;
         swept.npuCfg.pes = pes;
-        ASSERT_TRUE(tartan::workloads::replayCompatible(cap_spec, opt,
-                                                        swept, opt));
+        ASSERT_EQ(streamConfigHash("PatrolBot", cap_spec, opt),
+                  streamConfigHash("PatrolBot", swept, opt));
         const RunResult direct =
             tartan::workloads::runPatrolBot(swept, opt);
         const RunResult replayed =
@@ -585,27 +597,31 @@ TEST(ReplayEquivalence, SequenceShapingChangesAreIncompatible)
     const MachineSpec base = MachineSpec::baseline();
     WorkloadOptions opt;
     opt.tier = SoftwareTier::Optimized;
-
-    using tartan::workloads::replayCompatible;
-    EXPECT_TRUE(replayCompatible(base, opt, base, opt));
+    const std::uint64_t key = streamConfigHash("MoveBot", base, opt);
+    EXPECT_EQ(key, streamConfigHash("MoveBot", base, opt));
+    EXPECT_NE(key, streamConfigHash("DeliBot", base, opt));
 
     MachineSpec ovec = base;
     ovec.ovec = true; // different kernels run: different op stream
-    EXPECT_FALSE(replayCompatible(base, opt, ovec, opt));
+    EXPECT_NE(key, streamConfigHash("MoveBot", ovec, opt));
 
     WorkloadOptions other_seed = opt;
     other_seed.seed = opt.seed + 1;
-    EXPECT_FALSE(replayCompatible(base, opt, base, other_seed));
+    EXPECT_NE(key, streamConfigHash("MoveBot", base, other_seed));
 
     WorkloadOptions other_tier = opt;
     other_tier.tier = SoftwareTier::Legacy;
-    EXPECT_FALSE(replayCompatible(base, opt, base, other_tier));
+    EXPECT_NE(key, streamConfigHash("MoveBot", base, other_tier));
 
-    // Observation hooks see events replay does not re-raise.
+    // Observation hooks see events replay does not re-raise: they are
+    // not part of any stream, and a capture with one refuses to run.
     WorkloadOptions faulted = opt;
     tartan::sim::FaultInjector injector(tartan::sim::FaultPlan{}, 1);
     faulted.faults = &injector;
-    EXPECT_FALSE(replayCompatible(base, opt, base, faulted));
+    EXPECT_EQ(key, streamConfigHash("MoveBot", base, faulted));
+    EXPECT_DEATH(capture("MoveBot", tartan::workloads::runMoveBot, base,
+                         faulted),
+                 "hook replay cannot honour");
 }
 
 // ---------------------------------------------------------------------------
@@ -694,7 +710,39 @@ TEST(CaptureAccounting, CorruptPersistedCaptureIsRecaptured)
                                                            opt));
 }
 
-TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRunsOthersDirectly)
+TEST(CaptureAccounting, OtherTimingConfigLoadsTheStreamsCapture)
+{
+    // Captures are keyed by stream, not by timing config: a source
+    // declared on an ANL machine loads the file a baseline source
+    // recorded for the same stream, and its replay is the direct run.
+    ASSERT_TRUE(envPinned);
+    WorkloadOptions opt;
+    opt.tier = SoftwareTier::Optimized;
+    opt.scale = 0.25;
+    opt.seed = 6006;
+    const MachineSpec base = MachineSpec::baseline();
+    MachineSpec anl = base;
+    anl.useAnl = true;
+    anl.anlCfg.lineBytes = anl.sys.lineBytes;
+
+    auto &stats = tartan::sim::captureStats();
+    CaptureSource recorder("MoveBot", tartan::workloads::runMoveBot, base,
+                           opt);
+    (void)recorder.acquire();
+
+    const std::uint64_t captures0 = stats.captures.load();
+    const std::uint64_t hits0 = stats.fileHits.load();
+    CaptureSource on_anl("MoveBot", tartan::workloads::runMoveBot, anl,
+                         opt);
+    EXPECT_EQ(on_anl.streamHash(), recorder.streamHash());
+    const auto trace = on_anl.acquire();
+    EXPECT_EQ(stats.fileHits.load(), hits0 + 1);
+    EXPECT_EQ(stats.captures.load(), captures0);
+    expectIdentical(tartan::workloads::runMoveBot(anl, opt),
+                    tartan::workloads::replayTrace(*trace, anl, opt));
+}
+
+TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRejectsOthers)
 {
     ASSERT_TRUE(envPinned);
     WorkloadOptions opt;
@@ -716,21 +764,16 @@ TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRunsOthersDirectly)
     // direct run's result.
     const std::uint64_t captures0 = stats.captures.load();
     const std::uint64_t replays0 = stats.replays.load();
-    const auto replayed = tartan::bench::replayCell(
-        src, "anl", tartan::workloads::runMoveBot, anl, opt);
+    const auto replayed = tartan::bench::replayCell(src, "anl", anl);
     expectIdentical(tartan::workloads::runMoveBot(anl, opt),
                     replayed.fn());
     EXPECT_EQ(stats.captures.load(), captures0 + 1);
     EXPECT_EQ(stats.replays.load(), replays0 + 1);
 
-    // OVEC runs different kernels: the cell runs directly and leaves
-    // the capture accounting alone.
-    const auto direct = tartan::bench::replayCell(
-        src, "ovec", tartan::workloads::runMoveBot, ovec, opt);
-    expectIdentical(tartan::workloads::runMoveBot(ovec, opt),
-                    direct.fn());
-    EXPECT_EQ(stats.captures.load(), captures0 + 1);
-    EXPECT_EQ(stats.replays.load(), replays0 + 1);
+    // OVEC runs different kernels, another stream: no cell replays
+    // this capture there.
+    EXPECT_DEATH(tartan::bench::replayCell(src, "ovec", ovec),
+                 "not on its capture's stream");
 }
 
 TEST(CaptureAccounting, ReplaysAreCountedPerReplayedStream)

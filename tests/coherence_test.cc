@@ -295,21 +295,7 @@ namespace {
 using tartan::workloads::MachineSpec;
 using tartan::workloads::RunResult;
 using tartan::workloads::WorkloadOptions;
-
-/** Capture one robot exactly as bench's CaptureSource does. */
-CaptureTrace
-captureRobot(tartan::workloads::RobotFn run, const MachineSpec &spec,
-             const WorkloadOptions &opt)
-{
-    CaptureSession session(1, opt.seed);
-    WorkloadOptions copt = opt;
-    copt.capture = &session;
-    const RunResult res = run(spec, copt);
-    session.setRobot(res.robot);
-    for (const auto &[name, value] : res.metrics)
-        session.addMetric(name, value);
-    return session.take();
-}
+using tartan::workloads::capture;
 
 void
 expectSameResult(const RunResult &a, const RunResult &b)
@@ -336,7 +322,7 @@ TEST(FleetReplay, SingleRobotFleetMatchesSingleCoreReplay)
     opt.scale = 0.2;
     const MachineSpec spec = MachineSpec::baseline();
     const CaptureTrace trace =
-        captureRobot(tartan::workloads::runDeliBot, spec, opt);
+        capture("DeliBot", tartan::workloads::runDeliBot, spec, opt).trace;
 
     const RunResult solo =
         tartan::workloads::replayTrace(trace, spec, opt);
@@ -354,9 +340,9 @@ TEST(FleetReplay, FleetIsDeterministicAcrossPoolWidths)
     opt.scale = 0.2;
     const MachineSpec spec = MachineSpec::baseline();
     const CaptureTrace d =
-        captureRobot(tartan::workloads::runDeliBot, spec, opt);
+        capture("DeliBot", tartan::workloads::runDeliBot, spec, opt).trace;
     const CaptureTrace h =
-        captureRobot(tartan::workloads::runHomeBot, spec, opt);
+        capture("HomeBot", tartan::workloads::runHomeBot, spec, opt).trace;
     const std::vector<const CaptureTrace *> fleet = {&d, &h};
 
     // The same two-robot fleet replayed on a serial pool and a wide
