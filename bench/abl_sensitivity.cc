@@ -41,7 +41,6 @@ anlGeometry(BenchReporter &rep, RunPool &pool)
             spec.useAnl = true;
             spec.anlCfg.entries = entries;
             spec.anlCfg.regionBytes = region;
-            spec.anlCfg.lineBytes = spec.sys.lineBytes;
             jobs.push_back(
                 replayCell(src,
                            "anl/" + std::to_string(entries) + "e-" +

@@ -49,7 +49,6 @@ main()
             for (bool anl : {false, true}) {
                 auto spec = MachineSpec::baseline();
                 spec.useAnl = anl;
-                spec.anlCfg.lineBytes = spec.sys.lineBytes;
                 const double scale =
                     std::string(target.name) == "HomeBot" ? 2.0 : 1.0;
                 auto opt = options(SoftwareTier::Optimized, scale,

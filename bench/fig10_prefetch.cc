@@ -29,7 +29,6 @@ pfSpec(int pf_kind)
         break;
       case 1:  // ANL
         spec.useAnl = true;
-        spec.anlCfg.lineBytes = spec.sys.lineBytes;
         break;
       case 2:  // Next-Line
         spec.sys.prefetcher = tartan::sim::PrefetcherKind::NextLine;

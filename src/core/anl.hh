@@ -30,8 +30,9 @@ namespace tartan::core {
 struct AnlConfig {
     std::uint32_t entries = 16;
     std::uint32_t regionBytes = 1024;
+    /** Cache-line size; workloads::Machine sets the system's own. */
     std::uint32_t lineBytes = 64;
-    std::uint32_t maxDegree = 31;  //!< 5-bit CD/LD counters
+    static constexpr std::uint32_t maxDegree = 31;  //!< 5-bit CD/LD counters
 };
 
 /** The ANL prefetcher. */

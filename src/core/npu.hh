@@ -38,9 +38,11 @@ enum class NpuPlacement { Integrated, Coprocessor };
 /** NPU configuration. */
 struct NpuConfig {
     std::uint32_t pes = 4;
-    tartan::sim::Cycles macDrainLatency = 8;  //!< per-layer pipeline drain
+    /** Per-layer pipeline drain. */
+    static constexpr tartan::sim::Cycles macDrainLatency = 8;
     tartan::sim::Cycles commLatency = 4;      //!< integrated message cost
-    tartan::sim::Cycles coprocCommLatency = 104;
+    /** Off-die (coprocessor) message cost. */
+    static constexpr tartan::sim::Cycles coprocCommLatency = 104;
     NpuPlacement placement = NpuPlacement::Integrated;
 };
 

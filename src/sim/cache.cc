@@ -161,14 +161,6 @@ Cache::fill(Addr addr, bool prefetch, bool dirty, Cycles ready_at)
     return ev;
 }
 
-void
-Cache::invalidate(Addr addr)
-{
-    const std::size_t idx = findWay(addr);
-    if (idx != kNoMemo)
-        evictLine(idx);
-}
-
 std::size_t
 Cache::findWay(Addr addr) const
 {

@@ -219,9 +219,6 @@ class Cache
     Eviction fill(Addr addr, bool prefetch = false, bool dirty = false,
                   Cycles ready_at = 0);
 
-    /** Invalidate a line if present (used by write-through stores). */
-    void invalidate(Addr addr);
-
     /** @name MESI coherence hooks (driven by sim/uncore). */
     ///@{
 

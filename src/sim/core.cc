@@ -18,8 +18,6 @@ Core::Core(const CoreParams &params, MemPath *mem_path)
     : config(params), memPath(mem_path)
 {
     TARTAN_ASSERT(memPath, "Core requires a memory path");
-    TARTAN_ASSERT(config.issueWidth > 0 && config.missOverlap > 0,
-                  "core widths must be positive");
     kernelData.push_back(KernelCounters{"other", 0, 0, 0, {}});
 }
 

@@ -33,19 +33,20 @@ class TraceSession;
 
 /** Core configuration. */
 struct CoreParams {
-    std::uint32_t issueWidth = 4;
+    /** Ops issued per cycle (a constant of the modelled core). */
+    static constexpr std::uint32_t issueWidth = 4;
     /** Independent misses that can overlap in the OoO window. */
-    std::uint32_t missOverlap = 8;
+    static constexpr std::uint32_t missOverlap = 8;
     /** Vector lanes of one SIMD register (16 for AVX-512 floats). */
     std::uint32_t vectorLanes = 16;
 };
 
 /** Per-kernel cycle and instruction attribution. */
 struct KernelCounters {
-    std::string name;
-    Cycles cycles = 0;
-    Cycles memStallCycles = 0;
-    std::uint64_t instructions = 0;
+    std::string name;              //!< kernel name, as registered
+    Cycles cycles = 0;             //!< cycles charged to the kernel
+    Cycles memStallCycles = 0;     //!< the part of cycles stalled on memory
+    std::uint64_t instructions = 0;  //!< dynamic instructions retired
     /**
      * CPI stack of this kernel: cycles per CpiCat category. The
      * categories partition `cycles` exactly (sum-to-total invariant,

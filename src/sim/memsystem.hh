@@ -36,10 +36,10 @@ class Uncore;
 struct MemPathParams {
     CacheParams l1;  //!< private first-level cache
     CacheParams l2;  //!< private second-level cache
-    Cycles l3Latency = 45;    //!< shared-L3 hit latency
-    Cycles dramLatency = 200; //!< DRAM access latency beyond L3
+    static constexpr Cycles l3Latency = 45;    //!< shared-L3 hit latency
+    static constexpr Cycles dramLatency = 200; //!< DRAM latency beyond L3
     /** Cycle spacing between queued prefetch fills (DRAM burst model). */
-    Cycles prefetchBurst = 8;
+    static constexpr Cycles prefetchBurst = 8;
 };
 
 /** Traffic and prefetch statistics of one memory path. */

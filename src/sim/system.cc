@@ -47,17 +47,12 @@ System::System(const SysConfig &config) : cfg(config)
     mp.l2.latency = cfg.l2Latency;
     mp.l2.fcp = fcp;
 
-    mp.l3Latency = cfg.l3Latency;
-    mp.dramLatency = cfg.dramLatency;
-
     const std::uint32_t n = cfg.simCores > 0 ? cfg.simCores : 1;
     if (n > 1) {
         // The uncore exists only on a multi-core machine; single-core
         // paths keep a null hook so their walk (and every historical
         // payload) is byte-identical.
-        UncoreParams up = cfg.uncore;
-        up.lineBytes = cfg.lineBytes;
-        uncoreModel = std::make_unique<Uncore>(up, l3Cache.get());
+        uncoreModel = std::make_unique<Uncore>(cfg.uncore, l3Cache.get());
     }
 
     for (std::uint32_t i = 0; i < n; ++i) {

@@ -3,9 +3,14 @@
  * Top-level simulated system: builds the cache hierarchy, memory path
  * and core from one configuration struct.
  *
- * The baseline configuration models the Intel Core i7-10610U of NASA's
- * Valkyrie (paper §III-A): 4 OoO cores, 32 KB L1-D (4 cycles), 256 KB L2
+ * The machine models the Intel Core i7-10610U of NASA's Valkyrie
+ * (paper §III-A): 4 OoO cores, 32 KB L1-D (4 cycles), 256 KB L2
  * (14 cycles), 8 MB shared L3 (45 cycles), dual-channel DDR4-2666.
+ * The fixed machine is a set of constants (`static constexpr` members
+ * of SysConfig, CoreParams, MemPathParams, UncoreParams and the Tartan
+ * unit configs): code reads them, nothing can assign them. Only the
+ * parameters an experiment varies — line size, prefetcher, FCP, core
+ * count and the few uncore knobs — are settable fields.
  */
 
 #ifndef TARTAN_SIM_SYSTEM_HH
@@ -29,23 +34,27 @@ class TraceSession;
 /** Prefetchers constructible by the base simulator (ANL lives above). */
 enum class PrefetcherKind { None, NextLine, Bingo };
 
-/** Whole-system configuration. */
+/**
+ * Whole-system configuration. The Valkyrie cache geometry and latencies
+ * are constants: no experiment varies them, so they are not knobs.
+ */
 struct SysConfig {
     std::uint32_t lineBytes = 64;  //!< cache-line size at every level
 
-    std::uint32_t l1Size = 32 * 1024;  //!< private L1-D capacity (bytes)
-    std::uint32_t l1Assoc = 8;         //!< L1-D associativity (ways)
-    Cycles l1Latency = 4;              //!< L1-D hit latency
+    static constexpr std::uint32_t l1Size = 32 * 1024;  //!< L1-D bytes
+    static constexpr std::uint32_t l1Assoc = 8;         //!< L1-D ways
+    static constexpr Cycles l1Latency = 4;              //!< L1-D hit
 
-    std::uint32_t l2Size = 256 * 1024;  //!< private L2 capacity (bytes)
-    std::uint32_t l2Assoc = 8;          //!< L2 associativity (ways)
-    Cycles l2Latency = 14;              //!< L2 hit latency
+    static constexpr std::uint32_t l2Size = 256 * 1024;  //!< L2 bytes
+    static constexpr std::uint32_t l2Assoc = 8;          //!< L2 ways
+    static constexpr Cycles l2Latency = 14;              //!< L2 hit
 
-    std::uint32_t l3Size = 8 * 1024 * 1024;  //!< shared L3 capacity
-    std::uint32_t l3Assoc = 16;              //!< L3 associativity (ways)
-    Cycles l3Latency = 45;                   //!< L3 hit latency
-
-    Cycles dramLatency = 200;  //!< flat DRAM latency (single-core path)
+    static constexpr std::uint32_t l3Size = 8 * 1024 * 1024;  //!< L3 bytes
+    static constexpr std::uint32_t l3Assoc = 16;              //!< L3 ways
+    /** L3 hit latency (defined with the memory path that charges it). */
+    static constexpr Cycles l3Latency = MemPathParams::l3Latency;
+    /** Flat DRAM latency of the single-core path. */
+    static constexpr Cycles dramLatency = MemPathParams::dramLatency;
 
     /**
      * Cores actually instantiated. 1 builds the historical single-core

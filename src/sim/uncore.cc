@@ -16,8 +16,8 @@ Uncore::Uncore(const UncoreParams &params, Cache *shared_l3)
     : config(params), l3Cache(shared_l3)
 {
     TARTAN_ASSERT(l3Cache, "Uncore requires a shared L3");
-    TARTAN_ASSERT(config.l3Slices > 0 && config.dramBanks > 0 &&
-                      config.dramRowBytes >= config.lineBytes,
+    TARTAN_ASSERT(config.dramBanks > 0 &&
+                      config.dramRowBytes >= l3Cache->params().lineBytes,
                   "uncore geometry must be non-degenerate");
     banks.resize(config.dramBanks);
 }
@@ -33,7 +33,7 @@ std::uint32_t
 Uncore::sliceOf(Addr line_addr) const
 {
     return static_cast<std::uint32_t>(
-        (line_addr / config.lineBytes) % config.l3Slices);
+        (line_addr / l3Cache->params().lineBytes) % config.l3Slices);
 }
 
 Cycles

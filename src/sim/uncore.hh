@@ -36,15 +36,18 @@ namespace tartan::sim {
 class Cache;
 class MemPath;
 
-/** Static configuration of the shared uncore. */
+/**
+ * Static configuration of the shared uncore. Slices route by the shared
+ * L3's own line size; the slice count and DRAM row timing are constants.
+ */
 struct UncoreParams {
-    std::uint32_t lineBytes = 64;     //!< cache line size (slice routing)
-    std::uint32_t l3Slices = 4;       //!< address-interleaved L3 slices
+    static constexpr std::uint32_t l3Slices = 4;  //!< L3 slices
     Cycles xbarHopLatency = 3;        //!< crossbar latency per hop
     std::uint32_t dramBanks = 8;      //!< independent DRAM banks
-    std::uint32_t dramRowBytes = 2048;  //!< open-row (row-buffer) size
-    Cycles dramRowHitLatency = 160;   //!< access hitting the open row
-    Cycles dramRowMissLatency = 230;  //!< activate + precharge + access
+    static constexpr std::uint32_t dramRowBytes = 2048;  //!< row-buffer size
+    static constexpr Cycles dramRowHitLatency = 160;  //!< open-row access
+    /** Activate + precharge + access. */
+    static constexpr Cycles dramRowMissLatency = 230;
     Cycles coherenceLatency = 16;     //!< snoop round / upgrade cost
 };
 

@@ -370,33 +370,21 @@ describeCell(std::string_view robot, const MachineSpec &spec,
     os << "codec=" << kCellCodecVersion
        << ";tax=" << sim::kCpiTaxonomyVersion << ";"
        << describeStream(robot, spec, opt)
-       // Timing-only knobs: every remaining SysConfig field.
-       << ";line=" << sys.lineBytes << ";l1=" << sys.l1Size << "/"
-       << sys.l1Assoc << "/" << sys.l1Latency << ";l2=" << sys.l2Size
-       << "/" << sys.l2Assoc << "/" << sys.l2Latency
-       << ";l3=" << sys.l3Size << "/" << sys.l3Assoc << "/"
-       << sys.l3Latency << ";dram=" << sys.dramLatency
-       << ";issue=" << sys.core.issueWidth
-       << ";overlap=" << sys.core.missOverlap
-       << ";pf=" << int(sys.prefetcher) << ";fcp=" << sys.fcpEnabled
-       << "/" << sys.fcpRegionBytes << "/" << sys.fcpXorBits << "/"
-       << int(sys.fcpFunc) << "/" << sys.fcpAtL3
+       // Timing-only knobs: every remaining settable SysConfig field.
+       << ";line=" << sys.lineBytes << ";pf=" << int(sys.prefetcher)
+       << ";fcp=" << sys.fcpEnabled << "/" << sys.fcpRegionBytes << "/"
+       << sys.fcpXorBits << "/" << int(sys.fcpFunc) << "/" << sys.fcpAtL3
        << ";udm=" << sys.trackUdm
        // Fleet machine: always echoed, because replayFleet() raises
        // simCores itself, so a fleet cell's spec still says 1.
-       << ";simcores=" << sys.simCores << ";uncore=" << sys.uncore.lineBytes
-       << "/" << sys.uncore.l3Slices << "/" << sys.uncore.xbarHopLatency
-       << "/" << sys.uncore.dramBanks << "/" << sys.uncore.dramRowBytes
-       << "/" << sys.uncore.dramRowHitLatency << "/"
-       << sys.uncore.dramRowMissLatency << "/"
-       << sys.uncore.coherenceLatency
-       // Tartan unit sizing and placement.
+       << ";simcores=" << sys.simCores
+       << ";uncore=" << sys.uncore.xbarHopLatency << "/"
+       << sys.uncore.dramBanks << "/" << sys.uncore.coherenceLatency
+       // Tartan unit sizing and placement. The ANL line size is not a
+       // term: Machine gives the ANL the system's line size.
        << ";anl=" << spec.useAnl << "/" << spec.anlCfg.entries << "/"
-       << spec.anlCfg.regionBytes << "/" << spec.anlCfg.lineBytes << "/"
-       << spec.anlCfg.maxDegree << ";npucfg=" << spec.npuCfg.pes << "/"
-       << spec.npuCfg.macDrainLatency << "/" << spec.npuCfg.commLatency
-       << "/" << spec.npuCfg.coprocCommLatency << "/"
-       << int(spec.npuCfg.placement);
+       << spec.anlCfg.regionBytes << ";npucfg=" << spec.npuCfg.pes << "/"
+       << spec.npuCfg.commLatency << "/" << int(spec.npuCfg.placement);
     if (!salt.empty())
         os << ";salt=" << salt;
     return os.str();

@@ -26,8 +26,10 @@
  * describeStream() renders the fields that shape a run's op stream;
  * its FNV-1a 64 hash keys captures. describeCell() renders a cell's
  * complete simulated configuration — describeStream() plus every
- * timing-only field, each field once, hooks excluded — into a
+ * settable timing-only field, each field once, hooks excluded — into a
  * canonical text whose FNV-1a 64 hash is the cell's content address.
+ * The machine's constants (cache geometry, DRAM row timing, ...) are
+ * the same in every cell, so they are not terms.
  */
 
 #ifndef TARTAN_WORKLOADS_CELLCODEC_HH
@@ -97,8 +99,8 @@ std::uint64_t streamConfigHash(std::string_view robot,
 
 /**
  * Canonical configuration text of one cell: codec and taxonomy
- * versions, describeStream(), every timing-only field, and @p salt
- * (extra identity for driver dimensions, e.g. a fault spec).
+ * versions, describeStream(), every settable timing-only field, and
+ * @p salt (extra identity for driver dimensions, e.g. a fault spec).
  */
 std::string describeCell(std::string_view robot, const MachineSpec &spec,
                          const WorkloadOptions &opt,

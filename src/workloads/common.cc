@@ -41,7 +41,6 @@ MachineSpec::tartan()
 {
     MachineSpec spec = baseline();
     spec.useAnl = true;
-    spec.anlCfg.lineBytes = spec.sys.lineBytes;
     spec.ovec = true;
     spec.npu = true;
     spec.sys.fcpEnabled = true;

@@ -353,7 +353,8 @@ TEST(CellCodec, ConfigHashSeparatesLabelsMachinesAndSalt)
     EXPECT_NE(h, cellConfigHash("A", base_spec, opt));
     EXPECT_NE(h, cellConfigHash("A", tartan_spec, opt, "fault:x"));
 
-    // The stream/timing partition. Every field is one knob: a knob
+    // The stream/timing partition. Every settable field is one knob
+    // (the machine's constants cannot differ between cells): a knob
     // that shapes the op stream changes the stream key and the cell
     // address; a timing-only knob changes the cell address alone. Each
     // knob changes exactly one term of describeCell(), so no field is
@@ -388,22 +389,8 @@ TEST(CellCodec, ConfigHashSeparatesLabelsMachinesAndSalt)
         {"oriented", true,
          [](M &, O &o) { o.oriented = OrientedKind::Scalar; }},
         {"softwareNeural", true, [](M &, O &o) { o.softwareNeural = true; }},
-        // Timing-only: cache geometry and line size.
+        // Timing-only: line size, prefetcher, FCP, UDM tracking.
         {"lineBytes", false, [](M &m, O &) { m.sys.lineBytes = 64; }},
-        {"l1Size", false, [](M &m, O &) { m.sys.l1Size *= 2; }},
-        {"l1Assoc", false, [](M &m, O &) { m.sys.l1Assoc *= 2; }},
-        {"l1Latency", false, [](M &m, O &) { ++m.sys.l1Latency; }},
-        {"l2Size", false, [](M &m, O &) { m.sys.l2Size *= 2; }},
-        {"l2Assoc", false, [](M &m, O &) { m.sys.l2Assoc *= 2; }},
-        {"l2Latency", false, [](M &m, O &) { ++m.sys.l2Latency; }},
-        {"l3Size", false, [](M &m, O &) { m.sys.l3Size *= 2; }},
-        {"l3Assoc", false, [](M &m, O &) { m.sys.l3Assoc *= 2; }},
-        {"l3Latency", false, [](M &m, O &) { ++m.sys.l3Latency; }},
-        {"dramLatency", false, [](M &m, O &) { ++m.sys.dramLatency; }},
-        // Core widths.
-        {"issueWidth", false, [](M &m, O &) { ++m.sys.core.issueWidth; }},
-        {"missOverlap", false, [](M &m, O &) { ++m.sys.core.missOverlap; }},
-        // Prefetcher, FCP, UDM tracking.
         {"prefetcher", false,
          [](M &m, O &) { m.sys.prefetcher = PrefetcherKind::Bingo; }},
         {"fcpEnabled", false,
@@ -417,20 +404,10 @@ TEST(CellCodec, ConfigHashSeparatesLabelsMachinesAndSalt)
         {"trackUdm", false, [](M &m, O &) { m.sys.trackUdm = true; }},
         // The fleet machine: the core count and every uncore knob.
         {"simCores", false, [](M &m, O &) { m.sys.simCores = 4; }},
-        {"uncore.lineBytes", false,
-         [](M &m, O &) { m.sys.uncore.lineBytes = 32; }},
-        {"uncore.l3Slices", false,
-         [](M &m, O &) { m.sys.uncore.l3Slices = 8; }},
         {"uncore.xbarHopLatency", false,
          [](M &m, O &) { m.sys.uncore.xbarHopLatency = 5; }},
         {"uncore.dramBanks", false,
          [](M &m, O &) { m.sys.uncore.dramBanks = 16; }},
-        {"uncore.dramRowBytes", false,
-         [](M &m, O &) { m.sys.uncore.dramRowBytes = 4096; }},
-        {"uncore.dramRowHitLatency", false,
-         [](M &m, O &) { m.sys.uncore.dramRowHitLatency = 150; }},
-        {"uncore.dramRowMissLatency", false,
-         [](M &m, O &) { m.sys.uncore.dramRowMissLatency = 240; }},
         {"uncore.coherenceLatency", false,
          [](M &m, O &) { m.sys.uncore.coherenceLatency = 20; }},
         // ANL configuration.
@@ -438,15 +415,9 @@ TEST(CellCodec, ConfigHashSeparatesLabelsMachinesAndSalt)
         {"anl.entries", false, [](M &m, O &) { m.anlCfg.entries *= 2; }},
         {"anl.regionBytes", false,
          [](M &m, O &) { m.anlCfg.regionBytes *= 2; }},
-        {"anl.lineBytes", false, [](M &m, O &) { m.anlCfg.lineBytes *= 2; }},
-        {"anl.maxDegree", false, [](M &m, O &) { --m.anlCfg.maxDegree; }},
         // NPU sizing and placement.
         {"npu.pes", false, [](M &m, O &) { m.npuCfg.pes *= 2; }},
-        {"npu.macDrainLatency", false,
-         [](M &m, O &) { ++m.npuCfg.macDrainLatency; }},
         {"npu.commLatency", false, [](M &m, O &) { ++m.npuCfg.commLatency; }},
-        {"npu.coprocCommLatency", false,
-         [](M &m, O &) { ++m.npuCfg.coprocCommLatency; }},
         {"npu.placement", false,
          [](M &m, O &) { m.npuCfg.placement = NpuPlacement::Coprocessor; }},
     };
@@ -479,12 +450,17 @@ TEST(CellCodec, ConfigHashSeparatesLabelsMachinesAndSalt)
         EXPECT_EQ(differ, 1u);
     }
 
-    // The observation hooks are in neither key.
+    // Neither key holds the observation hooks, nor the ANL line size,
+    // which Machine overwrites with the system's.
     WorkloadOptions hooked = opt;
     tartan::sim::FaultInjector injector(tartan::sim::FaultPlan{}, 1);
     hooked.faults = &injector;
     EXPECT_EQ(cellConfigHash("A", tartan_spec, hooked), h);
     EXPECT_EQ(streamConfigHash("A", tartan_spec, hooked), stream);
+    MachineSpec anl_line = tartan_spec;
+    anl_line.anlCfg.lineBytes *= 2;
+    EXPECT_EQ(cellConfigHash("A", anl_line, opt), h);
+    EXPECT_EQ(streamConfigHash("A", anl_line, opt), stream);
 }
 
 TEST(CellCodec, FleetOutcomeRoundTripsAndRejectsDamage)

@@ -12,9 +12,9 @@
  * reloaded (and re-captured when corrupt) on later runs; (4) the
  * resume-mode mix — stored replayed cells resume byte-identically.
  *
- * The static initializer below pins TARTAN_CAPTURE_DIR for this whole
- * binary: RunEnv snapshots the environment on first use, so the
- * variable must be set before any simulator code runs.
+ * The static captureRoot below pins TARTAN_CAPTURE_DIR to a fresh
+ * per-process directory for this whole binary (RunEnv snapshots the
+ * environment on first use) and removes it at exit.
  */
 
 #include <gtest/gtest.h>
@@ -32,9 +32,11 @@
 #include <vector>
 
 #include "../bench/bench_util.hh"
+#include "process_dir.hh"
 #include "sim/campaign.hh"
 #include "sim/capture.hh"
 #include "sim/checksum.hh"
+#include "sim/env.hh"
 #include "sim/runpool.hh"
 #include "workloads/cellcodec.hh"
 #include "workloads/common.hh"
@@ -58,25 +60,8 @@ using tartan::workloads::streamConfigHash;
 namespace {
 
 /** Capture-dir root for the whole binary (set before RunEnv parses). */
-std::string
-captureRoot()
-{
-    static const std::string root = "/tmp/tartan_capture_test_" +
-                                    std::to_string(::getpid());
-    return root;
-}
-
-/**
- * RunEnv::get() snapshots the environment exactly once; pin the
- * capture directory before any test (or static simulator state) can
- * trigger that parse.
- */
-const bool envPinned = [] {
-    ::setenv("TARTAN_CAPTURE_DIR", captureRoot().c_str(), 1);
-    fs::remove_all(captureRoot());
-    fs::create_directories(captureRoot());
-    return true;
-}();
+const tartan::test::ProcessDir captureRoot("TARTAN_CAPTURE_DIR",
+                                           "capture_test");
 
 std::string
 slurp(const fs::path &path)
@@ -466,27 +451,26 @@ TEST(ReplayEquivalence, ScriptedWallModelReplaysExactly)
 {
     // The robots exercise stage() (DeliBot) and overlap (PatrolBot)
     // one each; this run drives every Pipeline primitive through a
-    // capture, then replays it at the capture config and on a machine
-    // with a quarter of the L1 and L2.
+    // capture, then replays it at the capture config (32 B lines) and
+    // on a machine with 64 B lines.
     const WorkloadOptions opt;
     const MachineSpec spec = MachineSpec::baseline();
-    MachineSpec small = spec;
-    small.sys.l1Size /= 4;
-    small.sys.l2Size /= 4;
+    MachineSpec wide = spec;
+    wide.sys.lineBytes = 64;
     ASSERT_EQ(streamConfigHash("ScriptBot", spec, opt),
-              streamConfigHash("ScriptBot", small, opt));
+              streamConfigHash("ScriptBot", wide, opt));
     const CaptureTrace trace =
         capture("ScriptBot", scriptedRun, spec, opt).trace;
     ASSERT_TRUE(trace.validate());
 
     const RunResult at_spec = scriptedRun(spec, opt);
-    const RunResult at_small = scriptedRun(small, opt);
-    // The discounts bite, and the geometry moves the wall.
+    const RunResult at_wide = scriptedRun(wide, opt);
+    // The discounts bite, and the line size moves the wall.
     EXPECT_LT(at_spec.wallCycles, at_spec.workCycles);
-    EXPECT_NE(at_spec.wallCycles, at_small.wallCycles);
+    EXPECT_NE(at_spec.wallCycles, at_wide.wallCycles);
     for (const auto &[name, machine, direct] :
          {std::tuple{"capture config", spec, at_spec},
-          std::tuple{"small caches", small, at_small}}) {
+          std::tuple{"64 B lines", wide, at_wide}}) {
         SCOPED_TRACE(name);
         const RunResult replayed =
             tartan::workloads::replayTrace(trace, machine, opt);
@@ -630,7 +614,7 @@ TEST(ReplayEquivalence, SequenceShapingChangesAreIncompatible)
 
 TEST(CaptureAccounting, OneExecutionServesManyReplays)
 {
-    ASSERT_TRUE(envPinned);
+    ASSERT_EQ(tartan::sim::RunEnv::get().captureDir, captureRoot.path());
 
     WorkloadOptions opt;
     opt.tier = SoftwareTier::Optimized;
@@ -674,7 +658,7 @@ TEST(CaptureAccounting, OneExecutionServesManyReplays)
 
 TEST(CaptureAccounting, CorruptPersistedCaptureIsRecaptured)
 {
-    ASSERT_TRUE(envPinned);
+    ASSERT_EQ(tartan::sim::RunEnv::get().captureDir, captureRoot.path());
     WorkloadOptions opt;
     opt.tier = SoftwareTier::Optimized;
     opt.scale = 0.25;
@@ -689,7 +673,7 @@ TEST(CaptureAccounting, CorruptPersistedCaptureIsRecaptured)
     // Find the persisted file and flip a body byte: the next source
     // must reject it, warn, and re-execute the robot.
     fs::path victim;
-    for (const auto &e : fs::directory_iterator(captureRoot()))
+    for (const auto &e : fs::directory_iterator(captureRoot.path()))
         if (e.path().string().find("_777.tcap") != std::string::npos)
             victim = e.path();
     ASSERT_FALSE(victim.empty());
@@ -715,7 +699,7 @@ TEST(CaptureAccounting, OtherTimingConfigLoadsTheStreamsCapture)
     // Captures are keyed by stream, not by timing config: a source
     // declared on an ANL machine loads the file a baseline source
     // recorded for the same stream, and its replay is the direct run.
-    ASSERT_TRUE(envPinned);
+    ASSERT_EQ(tartan::sim::RunEnv::get().captureDir, captureRoot.path());
     WorkloadOptions opt;
     opt.tier = SoftwareTier::Optimized;
     opt.scale = 0.25;
@@ -744,7 +728,7 @@ TEST(CaptureAccounting, OtherTimingConfigLoadsTheStreamsCapture)
 
 TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRejectsOthers)
 {
-    ASSERT_TRUE(envPinned);
+    ASSERT_EQ(tartan::sim::RunEnv::get().captureDir, captureRoot.path());
     WorkloadOptions opt;
     opt.tier = SoftwareTier::Optimized;
     opt.scale = 0.25;
@@ -778,7 +762,7 @@ TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRejectsOthers)
 
 TEST(CaptureAccounting, ReplaysAreCountedPerReplayedStream)
 {
-    ASSERT_TRUE(envPinned);
+    ASSERT_EQ(tartan::sim::RunEnv::get().captureDir, captureRoot.path());
     WorkloadOptions opt;
     opt.tier = SoftwareTier::Optimized;
     opt.scale = 0.25;

@@ -239,10 +239,10 @@ TEST(Coherence, RandomTrueSharingKeepsCounterInvariants)
 
 TEST(Uncore, XbarCostIsRingDistanceTimesHopLatency)
 {
-    UncoreParams p;  // 4 slices, hop latency 3, 64 B lines
+    UncoreParams p;  // 4 slices, hop latency 3
     Cache l3(smallCache(4096, 4, 64));
     Uncore u(p, &l3);
-    // Slice = (line / lineBytes) % slices; port = core % slices.
+    // Slice = (line / L3 lineBytes) % slices; port = core % slices.
     EXPECT_EQ(u.xbarCost(0, 0), 3u);        // distance 0: entry hop only
     EXPECT_EQ(u.xbarCost(0, 64), 6u);       // slice 1, distance 1
     EXPECT_EQ(u.xbarCost(0, 128), 9u);      // slice 2, across the ring
@@ -251,6 +251,15 @@ TEST(Uncore, XbarCostIsRingDistanceTimesHopLatency)
     // Deterministic: the same traversal always costs the same.
     EXPECT_EQ(u.xbarCost(2, 192), u.xbarCost(2, 192));
     EXPECT_EQ(u.xbar().traversals, 6u);
+
+    // Slices interleave at the shared L3's own line size: with 32 B
+    // lines, address 64 is line 2 and lives two slices away.
+    Cache l3_32(smallCache(4096, 4, 32));
+    Uncore u32(p, &l3_32);
+    EXPECT_EQ(u32.xbarCost(0, 32), 6u);   // slice 1
+    EXPECT_EQ(u32.xbarCost(0, 64), 9u);   // slice 2
+    EXPECT_EQ(u32.xbarCost(0, 96), 6u);   // slice 3
+    EXPECT_EQ(u32.xbarCost(0, 128), 3u);  // slice 0 again
 }
 
 TEST(Uncore, BankConflictDelaysAndRowHitsJumpTheQueue)

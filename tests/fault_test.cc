@@ -14,9 +14,13 @@
 
 #include "sim/fault.hh"
 #include "sim/report.hh"
+#include "process_dir.hh"
 #include "workloads/robots.hh"
 
 namespace {
+
+/** Where the reporters' BENCH files go (set before RunEnv parses). */
+const tartan::test::ProcessDir benchDir("TARTAN_BENCH_DIR", "fault_test");
 
 using namespace tartan::sim;
 using tartan::workloads::MachineSpec;

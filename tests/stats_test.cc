@@ -7,17 +7,24 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "../bench/bench_util.hh"
 #include "../bench/report_format.hh"
+#include "process_dir.hh"
 #include "sim/json.hh"
 #include "sim/memsystem.hh"
 #include "sim/report.hh"
 #include "sim/system.hh"
 
 using namespace tartan::sim;
+
+namespace {
+
+/** Where the reporters' BENCH files go (set before RunEnv parses). */
+const tartan::test::ProcessDir benchDir("TARTAN_BENCH_DIR", "stats_test");
+
+} // namespace
 
 TEST(Json, ParserHandlesEscapesAndNesting)
 {
@@ -250,11 +257,7 @@ TEST(BenchReporter, EmitsSchemaValidJson)
     const json::Value &row = doc.find("kernels")->array[0];
     EXPECT_EQ(row.find("name")->string, "DeliBot");
     EXPECT_EQ(row.find("metrics")->find("speedup")->number, 2.0);
-
-    // Redirect the destructor's file write away from the test cwd.
-    setenv("TARTAN_BENCH_DIR", "/tmp/tartan_stats_test", 1);
     EXPECT_TRUE(rep.writeFile());
-    unsetenv("TARTAN_BENCH_DIR");
 }
 
 TEST(BenchReporter, NanMetricsPassTheSchema)
@@ -271,11 +274,7 @@ TEST(BenchReporter, NanMetricsPassTheSchema)
     json::Value doc;
     ASSERT_TRUE(json::parse(os.str(), doc, &err)) << err;
     EXPECT_TRUE(doc.find("metrics")->find("worst")->isNull());
-
-    // Redirect the destructor's file write away from the test cwd.
-    setenv("TARTAN_BENCH_DIR", "/tmp/tartan_stats_test", 1);
     EXPECT_TRUE(rep.writeFile());
-    unsetenv("TARTAN_BENCH_DIR");
 }
 
 TEST(BenchReporter, ValidatorRejectsMalformedDocuments)
