@@ -13,10 +13,8 @@
 #include <filesystem>
 #include <fstream>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "sim/logging.hh"
 
@@ -26,16 +24,11 @@ namespace {
 
 /**
  * Flush the directory entry of @p path: fsync its parent directory so
- * a rename into it is durable. No-op (returns true) on platforms
- * without directory fsync.
+ * a rename into it is durable.
  */
 bool
 syncParentDir(const std::string &path)
 {
-#if defined(_WIN32)
-    (void)path;
-    return true;
-#else
     std::string dir = std::filesystem::path(path).parent_path().string();
     if (dir.empty())
         dir = ".";
@@ -45,7 +38,6 @@ syncParentDir(const std::string &path)
     const bool ok = ::fsync(fd) == 0;
     ::close(fd);
     return ok;
-#endif
 }
 
 } // namespace
@@ -64,11 +56,7 @@ writeFileDurable(const std::string &path,
     // Unique within the process (counter) and across processes (pid),
     // and in the same directory so the rename stays atomic.
     static std::atomic<std::uint64_t> serial{0};
-#if defined(_WIN32)
-    const unsigned long pid = 0;
-#else
     const unsigned long pid = static_cast<unsigned long>(::getpid());
-#endif
     const std::string tmp = path + ".tmp." + std::to_string(pid) + "." +
                             std::to_string(serial.fetch_add(1));
 
@@ -93,7 +81,6 @@ writeFileDurable(const std::string &path,
         }
     }
 
-#if !defined(_WIN32)
     // Flush the temporary's *contents* before the rename makes it
     // visible: rename-then-crash must never expose a zero-length or
     // partial file under the final name.
@@ -109,7 +96,6 @@ writeFileDurable(const std::string &path,
         }
         ::close(fd);
     }
-#endif
 
     std::error_code ec;
     std::filesystem::rename(tmp, path, ec);

@@ -31,9 +31,7 @@
 #include <type_traits>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <sys/mman.h>
-#endif
 
 #include "sim/logging.hh"
 
@@ -54,27 +52,18 @@ namespace tartan::sim {
 inline void *
 mapPages(std::size_t bytes)
 {
-#if defined(_WIN32)
-    return ::operator new(bytes);
-#else
     void *mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (mem == MAP_FAILED)
         throw std::bad_alloc();
     return mem;
-#endif
 }
 
 /** Release a mapPages() region of @p bytes. */
 inline void
 unmapPages(void *mem, std::size_t bytes) noexcept
 {
-#if defined(_WIN32)
-    ::operator delete(mem);
-    (void)bytes;
-#else
     ::munmap(mem, bytes);
-#endif
 }
 
 /**

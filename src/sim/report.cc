@@ -30,11 +30,7 @@ isoTimestamp()
     const auto now = std::chrono::system_clock::now();
     const std::time_t t = std::chrono::system_clock::to_time_t(now);
     std::tm tm{};
-#if defined(_WIN32)
-    gmtime_s(&tm, &t);
-#else
     gmtime_r(&t, &tm);
-#endif
     char buf[32];
     std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
     return buf;
@@ -44,9 +40,6 @@ isoTimestamp()
 std::string
 gitDescribe()
 {
-#if defined(_WIN32)
-    return "unknown";
-#else
     FILE *pipe =
         popen("git describe --always --dirty --tags 2>/dev/null", "r");
     if (!pipe)
@@ -61,7 +54,6 @@ gitDescribe()
     if (rc != 0 || out.empty())
         return "unknown";
     return out;
-#endif
 }
 
 } // namespace

@@ -6,11 +6,14 @@
  * each (robot x MachineSpec x tier) cell builds its own Machine, its
  * own arenas and its own RNG streams, so cells share no mutable state
  * beyond the process-wide PcTable (internally synchronised) and the
- * RunEnv snapshot (immutable). RunPool exploits that structure the way
- * ZSim's bound-weave phases exploit core independence: submit each cell
- * as a closure, execute up to N concurrently, and consume the results
- * in submission order so every table, geomean and BENCH manifest is
- * byte-identical to a serial run.
+ * RunEnv snapshot (immutable); a cell's TARTAN_TIMEOUT deadline is
+ * thread-local state of the worker running it (sim/watchdog.hh), and
+ * RunPool's workers are the only threads the simulator starts.
+ * RunPool exploits that structure the way ZSim's bound-weave phases
+ * exploit core independence: submit each cell as a closure, execute up
+ * to N concurrently, and consume the results in submission order so
+ * every table, geomean and BENCH manifest is byte-identical to a
+ * serial run.
  *
  * The worker count defaults to std::thread::hardware_concurrency and
  * is overridable via TARTAN_JOBS. TARTAN_JOBS=1 keeps the pool

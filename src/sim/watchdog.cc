@@ -1,179 +1,64 @@
 /**
  * @file
- * Watchdog implementation: the background deadline scanner and the
- * slow half of the heartbeat.
+ * The slow half of the heartbeat: the deadline check, and the RAII
+ * types that arm, suspend and disarm it.
  */
 
 #include "sim/watchdog.hh"
 
-#include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
-#include <vector>
+#include <utility>
 
 namespace tartan::sim {
 
 thread_local HeartbeatState tlsHeartbeat;
 
-namespace {
-
-/**
- * The process-wide deadline scanner. One background thread wakes every
- * ~20 ms while any watch is registered, compares deadlines against
- * steady_clock::now() and raises the `expired` flag — the watched
- * thread itself does the throwing, from its next heartbeat, so the
- * unwinding always happens on the cell's own stack.
- */
-class Watchdog
-{
-  public:
-    static Watchdog &
-    instance()
-    {
-        static Watchdog dog;
-        return dog;
-    }
-
-    void
-    add(std::shared_ptr<CellWatch> watch)
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        watches.push_back(std::move(watch));
-        if (!scanner.joinable())
-            scanner = std::thread([this] { scanLoop(); });
-        cv.notify_all();
-    }
-
-    /**
-     * Push @p watch's deadline out by @p by (a suspended wait the cell
-     * should not be billed for), un-expiring it when the new deadline
-     * lies in the future again.
-     */
-    void
-    extend(CellWatch *watch, std::chrono::steady_clock::duration by)
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        for (const auto &w : watches) {
-            if (w.get() != watch)
-                continue;
-            w->deadline += by;
-            if (std::chrono::steady_clock::now() < w->deadline)
-                w->expired.store(false, std::memory_order_relaxed);
-        }
-    }
-
-    void
-    remove(const CellWatch *watch)
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        watches.erase(std::remove_if(watches.begin(), watches.end(),
-                                     [watch](const auto &w) {
-                                         return w.get() == watch;
-                                     }),
-                      watches.end());
-    }
-
-    ~Watchdog()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            stopping = true;
-        }
-        cv.notify_all();
-        if (scanner.joinable())
-            scanner.join();
-    }
-
-  private:
-    void
-    scanLoop()
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        while (!stopping) {
-            for (const auto &w : watches)
-                if (!w->expired.load(std::memory_order_relaxed) &&
-                    std::chrono::steady_clock::now() >= w->deadline)
-                    w->expired.store(true, std::memory_order_relaxed);
-            cv.wait_for(lock, std::chrono::milliseconds(20),
-                        [this] { return stopping; });
-        }
-    }
-
-    std::mutex mtx;
-    std::condition_variable cv;
-    std::vector<std::shared_ptr<CellWatch>> watches;
-    std::thread scanner;
-    bool stopping = false;
-};
-
-} // namespace
-
 void
 heartbeatSlow()
 {
-    HeartbeatState &hb = tlsHeartbeat;
-    CellWatch *watch = hb.watch;
-    watch->beats.store(hb.local, std::memory_order_relaxed);
-    if (watch->expired.load(std::memory_order_relaxed))
-        throw CellTimeoutError("cell '" + watch->cell +
+    const HeartbeatState &hb = tlsHeartbeat;
+    if (std::chrono::steady_clock::now() >= hb.deadline)
+        throw CellTimeoutError("cell '" + *hb.cell +
                                "' exceeded its deadline (TARTAN_TIMEOUT)");
 }
 
 ScopedCellWatch::ScopedCellWatch(std::chrono::milliseconds timeout,
                                  std::string cell)
+    : label(std::move(cell)), isArmed(timeout.count() > 0)
 {
-    if (timeout.count() <= 0)
-        return;
-    watch = std::make_shared<CellWatch>();
-    watch->deadline = std::chrono::steady_clock::now() + timeout;
-    watch->cell = std::move(cell);
-    tlsHeartbeat.local = 0;
-    tlsHeartbeat.watch = watch.get();
-    Watchdog::instance().add(watch);
+    if (isArmed)
+        tlsHeartbeat = {0, &label,
+                        std::chrono::steady_clock::now() + timeout};
 }
 
 ScopedCellWatch::~ScopedCellWatch()
 {
-    if (!watch)
-        return;
-    tlsHeartbeat.watch = nullptr;
-    tlsHeartbeat.local = 0;
-    Watchdog::instance().remove(watch.get());
+    if (isArmed)
+        tlsHeartbeat = {};
 }
 
-ScopedWatchSuspend::ScopedWatchSuspend()
-    : saved(tlsHeartbeat.watch), savedLocal(tlsHeartbeat.local)
+ScopedWatchSuspend::ScopedWatchSuspend() : saved(tlsHeartbeat)
 {
-    if (!saved)
+    if (!saved.cell)
         return;
-    tlsHeartbeat.watch = nullptr;
-    tlsHeartbeat.local = 0;
+    tlsHeartbeat = {};
     start = std::chrono::steady_clock::now();
 }
 
 ScopedWatchSuspend::~ScopedWatchSuspend()
 {
-    if (!saved)
+    if (!saved.cell)
         return;
-    Watchdog::instance().extend(saved,
-                                std::chrono::steady_clock::now() - start);
-    tlsHeartbeat.watch = saved;
-    tlsHeartbeat.local = savedLocal;
+    saved.deadline += std::chrono::steady_clock::now() - start;
+    tlsHeartbeat = saved;
 }
 
 void
 hangUntilWatchdog()
 {
     for (;;) {
-        HeartbeatState &hb = tlsHeartbeat;
-        if (hb.watch) {
-            hb.watch->beats.store(hb.local, std::memory_order_relaxed);
-            if (hb.watch->expired.load(std::memory_order_relaxed))
-                throw CellTimeoutError(
-                    "cell '" + hb.watch->cell +
-                    "' exceeded its deadline (TARTAN_TIMEOUT)");
-        }
+        if (tlsHeartbeat.cell)
+            heartbeatSlow();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 }

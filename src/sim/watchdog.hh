@@ -1,33 +1,29 @@
 /**
  * @file
- * Per-cell deadline watchdog for campaign runs.
+ * Per-cell deadlines for campaign runs.
  *
  * A campaign cell (one robot simulation) can hang — a modelled bug, a
  * pathological configuration, an injected `cell:hang` fault — and a
  * hung worker thread cannot be killed portably. Instead the cell
  * *cooperates*: the simulation's cycle sinks (Core::addCycles /
  * addMemStall) tick sim::heartbeat(), a near-free thread-local
- * counter. When a ScopedCellWatch is armed, every 1024th tick
- * publishes the count and checks an `expired` flag that a single
- * background watchdog thread raises once the cell's wall-clock
- * deadline passes; the next heartbeat then throws CellTimeoutError,
- * unwinding the cell cleanly through the campaign's retry/quarantine
- * machinery. With no watch armed the heartbeat is one thread-local
- * pointer test — cheap enough to live on the hot path.
+ * counter. When a ScopedCellWatch is armed, the thread-local state
+ * also holds the cell's label and wall-clock deadline, and every
+ * 1024th tick reads steady_clock and throws CellTimeoutError once the
+ * deadline has passed, unwinding the cell cleanly through the
+ * campaign's retry/quarantine machinery. With no watch armed the
+ * heartbeat is one thread-local pointer test — cheap enough to live
+ * on the hot path.
  *
- * The watchdog thread is started lazily on the first armed watch and
- * scans registered watches every ~20 ms; deadlines are therefore
- * enforced with ~tens-of-milliseconds granularity, which is fine for
- * the seconds-scale TARTAN_TIMEOUT budgets campaigns use.
+ * No thread watches the deadlines: each cell checks its own, so a
+ * deadline is enforced at the first check after it passes.
  */
 
 #ifndef TARTAN_SIM_WATCHDOG_HH
 #define TARTAN_SIM_WATCHDOG_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -47,41 +43,32 @@ class CellCrashError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** One armed deadline: shared between a cell thread and the watchdog. */
-struct CellWatch {
-    /** Wall-clock point after which the watchdog raises `expired`. */
-    std::chrono::steady_clock::time_point deadline;
-    /** Cell label, for the timeout diagnostic. */
-    std::string cell;
-    /** Heartbeat count, published by the cell for liveness telemetry. */
-    std::atomic<std::uint64_t> beats{0};
-    /** Raised by the watchdog thread; the next heartbeat throws. */
-    std::atomic<bool> expired{false};
-};
-
-/** Thread-local heartbeat state: a local counter plus the armed watch. */
+/** Thread-local heartbeat state: a tick counter plus the armed cell. */
 struct HeartbeatState {
-    std::uint64_t local = 0;   //!< ticks since the watch was armed
-    CellWatch *watch = nullptr; //!< armed watch (null = heartbeat off)
+    std::uint64_t local = 0;  //!< ticks since the watch was armed
+    /** Label of the armed cell (null = heartbeat off). */
+    const std::string *cell = nullptr;
+    /** Wall-clock point past which the next check throws. */
+    std::chrono::steady_clock::time_point deadline;
 };
 
 /** The calling thread's heartbeat state (one per worker thread). */
 extern thread_local HeartbeatState tlsHeartbeat;
 
-/** Publish the tick count and throw CellTimeoutError once expired. */
+/** Throw CellTimeoutError once the armed deadline has passed. */
 void heartbeatSlow();
 
 /**
  * One liveness tick. Near-free when no watch is armed (one
  * thread-local pointer test); with a watch armed, every 1024th tick
- * publishes the count and checks the deadline flag. Called from the
- * core's cycle sinks so every simulated cell beats constantly.
+ * checks the deadline. Called from the core's cycle sinks so every
+ * simulated cell beats constantly.
  */
 inline void
 heartbeat()
 {
     HeartbeatState &hb = tlsHeartbeat;
-    if (!hb.watch)
+    if (!hb.cell)
         return;
     if ((++hb.local & 0x3ffu) == 0)
         heartbeatSlow();
@@ -99,30 +86,30 @@ class ScopedCellWatch
     /** Arm: cell @p cell must finish within @p timeout from now. */
     ScopedCellWatch(std::chrono::milliseconds timeout, std::string cell);
 
-    /** Disarm and unregister from the watchdog. */
+    /** Disarm. */
     ~ScopedCellWatch();
 
     ScopedCellWatch(const ScopedCellWatch &) = delete;
     ScopedCellWatch &operator=(const ScopedCellWatch &) = delete;
 
     /** True when a deadline is actually armed (timeout was positive). */
-    bool armed() const { return watch != nullptr; }
+    bool armed() const { return isArmed; }
 
   private:
-    std::shared_ptr<CellWatch> watch;
+    std::string label;  //!< the cell label tlsHeartbeat points at
+    bool isArmed = false;
 };
 
 /**
  * Temporarily exempt the current thread from its armed deadline.
  *
  * A cell that blocks on work outside its own control — the capture
- * sources of the replay engine serialise sibling cells behind one
- * mutex while the first cell records the shared capture — would burn
- * its whole TARTAN_TIMEOUT budget waiting and then time out spuriously
- * at its first post-wait heartbeat. This RAII detaches the thread's
- * watch for the wait; on destruction it re-arms the watch and extends
- * its deadline by the suspended duration (clearing an `expired` flag
- * the scanner raised in the meantime), so the cell's *own* work still
+ * sources of the replay engine make sibling cells wait while the
+ * first cell records the shared capture — would burn its whole
+ * TARTAN_TIMEOUT budget waiting and then time out spuriously at its
+ * first post-wait heartbeat. This RAII detaches the thread's watch for
+ * the wait; on destruction it restores the watch with its deadline
+ * pushed out by the suspended duration, so the cell's *own* work still
  * gets exactly its configured budget. Inert when no watch is armed.
  */
 class ScopedWatchSuspend
@@ -135,8 +122,7 @@ class ScopedWatchSuspend
     ScopedWatchSuspend &operator=(const ScopedWatchSuspend &) = delete;
 
   private:
-    CellWatch *saved = nullptr;
-    std::uint64_t savedLocal = 0;
+    HeartbeatState saved;
     std::chrono::steady_clock::time_point start;
 };
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "../bench/bench_util.hh"
+#include "process_dir.hh"
 #include "sim/campaign.hh"
 #include "sim/capture.hh"
 #include "sim/json.hh"
@@ -57,12 +58,14 @@ using tartan::workloads::WorkloadOptions;
 
 namespace {
 
-/** A fresh, empty scratch directory under the test temp root. */
+/** Scratch root for the whole binary, removed at exit. */
+const tartan::test::ProcessDir scratchRoot("campaign_test");
+
+/** A fresh, empty scratch directory under scratchRoot. */
 fs::path
 scratchDir(const std::string &name)
 {
-    const fs::path dir = fs::path(::testing::TempDir()) /
-                         ("campaign_" + name);
+    const fs::path dir = fs::path(scratchRoot.path()) / name;
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
@@ -718,6 +721,50 @@ TEST(CampaignRunner, StatsAndFailureReportCoverEveryCell)
     EXPECT_EQ(stats.failures[1].index, 2u);
     EXPECT_EQ(stats.failures[1].label, "bad2");
     EXPECT_EQ(stats.failures[1].errorClass, "crash");
+}
+
+TEST(Watchdog, HeartbeatEnforcesItsOwnDeadline)
+{
+    using tartan::sim::heartbeat;
+    using tartan::sim::tlsHeartbeat;
+    const auto beatMany = [] {
+        for (int i = 0; i < 4096; ++i)
+            heartbeat();
+    };
+
+    // Suspending an unarmed thread arms nothing and restores nothing.
+    {
+        tartan::sim::ScopedWatchSuspend suspend;
+        EXPECT_EQ(tlsHeartbeat.cell, nullptr);
+        EXPECT_NO_THROW(beatMany());
+    }
+    EXPECT_EQ(tlsHeartbeat.cell, nullptr);
+    EXPECT_EQ(tlsHeartbeat.local, 0u);
+
+    // A passed deadline throws at the first check, which comes within
+    // one 1024-beat check period.
+    {
+        tartan::sim::ScopedCellWatch watch(std::chrono::milliseconds(1),
+                                           "late");
+        ASSERT_TRUE(watch.armed());
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        unsigned beats = 0;
+        std::string what;
+        try {
+            while (beats < 1024) {
+                ++beats;
+                heartbeat();
+            }
+        } catch (const tartan::sim::CellTimeoutError &e) {
+            what = e.what();
+        }
+        EXPECT_LE(beats, 1024u);
+        EXPECT_NE(what.find("'late'"), std::string::npos) << what;
+    }
+
+    // The watch is gone: its expired deadline never throws again.
+    EXPECT_EQ(tlsHeartbeat.cell, nullptr);
+    EXPECT_NO_THROW(beatMany());
 }
 
 TEST(CampaignRunner, WatchdogTimesOutHungCellsDeterministically)

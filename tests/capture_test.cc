@@ -14,7 +14,8 @@
  *
  * The static captureRoot below pins TARTAN_CAPTURE_DIR to a fresh
  * per-process directory for this whole binary (RunEnv snapshots the
- * environment on first use) and removes it at exit.
+ * environment on first use) and removes it at exit; scratchDir() makes
+ * its directories inside it.
  */
 
 #include <gtest/gtest.h>
@@ -79,11 +80,11 @@ spit(const fs::path &path, const std::string &bytes)
     out.write(bytes.data(), std::streamsize(bytes.size()));
 }
 
+/** A fresh, empty scratch directory under the per-process root. */
 fs::path
 scratchDir(const std::string &name)
 {
-    const fs::path dir = fs::path(::testing::TempDir()) /
-                         ("capture_" + name);
+    const fs::path dir = fs::path(captureRoot.path()) / name;
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
@@ -529,7 +530,6 @@ TEST(ReplayEquivalence, TimingOnlyMachineChangesReplayExactly)
 
     MachineSpec anl = base;
     anl.useAnl = true;
-    anl.anlCfg.lineBytes = anl.sys.lineBytes;
 
     for (const auto &robot : tartan::workloads::robotSuite()) {
         if (std::string(robot.name) != "MoveBot" &&
@@ -635,7 +635,6 @@ TEST(CaptureAccounting, OneExecutionServesManyReplays)
         MachineSpec swept = base;
         swept.useAnl = (i > 0);
         swept.anlCfg.entries = 8u << i;
-        swept.anlCfg.lineBytes = swept.sys.lineBytes;
         auto trace = src.acquire();
         replays.push_back(
             tartan::workloads::replayTrace(*trace, swept, opt));
@@ -707,7 +706,6 @@ TEST(CaptureAccounting, OtherTimingConfigLoadsTheStreamsCapture)
     const MachineSpec base = MachineSpec::baseline();
     MachineSpec anl = base;
     anl.useAnl = true;
-    anl.anlCfg.lineBytes = anl.sys.lineBytes;
 
     auto &stats = tartan::sim::captureStats();
     CaptureSource recorder("MoveBot", tartan::workloads::runMoveBot, base,
@@ -736,7 +734,6 @@ TEST(CaptureAccounting, ReplayCellReplaysCompatibleCellsAndRejectsOthers)
     const MachineSpec base = MachineSpec::baseline();
     MachineSpec anl = base;
     anl.useAnl = true;
-    anl.anlCfg.lineBytes = anl.sys.lineBytes;
     MachineSpec ovec = base;
     ovec.ovec = true;
 
@@ -805,7 +802,6 @@ TEST(ReplayEquivalence, ResumeMixReplaysJournaledCellsByteIdentically)
     const MachineSpec base = MachineSpec::baseline();
     MachineSpec anl = base;
     anl.useAnl = true;
-    anl.anlCfg.lineBytes = anl.sys.lineBytes;
 
     const auto direct_cell = [&] {
         return tartan::workloads::encodeRunResult(

@@ -1,7 +1,8 @@
 /**
  * @file
- * A per-process scratch directory that one TARTAN_* directory variable
- * points at for the whole test binary, removed when the process exits.
+ * A per-process scratch directory for the whole test binary, removed
+ * when the process exits, optionally named by one TARTAN_* directory
+ * variable.
  *
  * RunEnv snapshots the environment on first use, so the variable must
  * be set before any test (or static simulator state) triggers that
@@ -22,20 +23,25 @@
 namespace tartan::test {
 
 /**
- * Points @p env_var at a fresh /tmp/tartan_<tag>_<pid> and removes it
- * at exit. Only the process that made the directory removes it: a
- * forked death-test child inherits this object but has another pid.
+ * Makes a fresh /tmp/tartan_<tag>_<pid> and removes it at exit. Only
+ * the process that made the directory removes it: a forked death-test
+ * child inherits this object but has another pid.
  */
 class ProcessDir
 {
   public:
-    ProcessDir(const char *env_var, std::string_view tag)
+    explicit ProcessDir(std::string_view tag)
         : dir("/tmp/tartan_" + std::string(tag) + "_" +
               std::to_string(::getpid())),
           owner(::getpid())
     {
         std::filesystem::remove_all(dir);
         std::filesystem::create_directories(dir);
+    }
+
+    /** Also points @p env_var at the directory. */
+    ProcessDir(const char *env_var, std::string_view tag) : ProcessDir(tag)
+    {
         ::setenv(env_var, dir.c_str(), 1);
     }
 
