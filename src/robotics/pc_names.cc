@@ -1,6 +1,6 @@
 /**
  * @file
- * PcId site-name registration.
+ * The robotics PcId site table.
  */
 
 #include "robotics/pc_names.hh"
@@ -16,45 +16,42 @@
 
 namespace tartan::robotics {
 
-void
-registerPcSites(sim::PcTable &table)
+namespace {
+
+constexpr sim::PcSite kSites[] = {
+    {raycast_pc::map, "raycast.map", "occupancy-grid cells (DDA ray walk)"},
+    {raycast_pc::interp, "raycast.interp",
+     "occupancy-grid neighbours (bilinear interpolation)"},
+    {collision_pc::footprint, "collision.footprint",
+     "footprint grid cells ((x,y,theta) collision checks)"},
+    {collision_pc::cuboid, "collision.cuboid",
+     "obstacle cuboid array (pairwise checks)"},
+    {nns_pc::brute, "nns.brute", "point store (brute-force NNS scan)"},
+    {nns_pc::kdNode, "nns.kdNode", "k-d tree node (pointer chase)"},
+    {nns_pc::kdPoint, "nns.kdPoint",
+     "k-d tree point payload (distance check)"},
+    {nns_pc::lshProject, "nns.lshProject",
+     "LSH projection vectors (hash computation)"},
+    {nns_pc::lshBucket, "nns.lshBucket", "LSH bucket scan (VLN fast path)"},
+    {astar_pc::gValue, "astar.gValue",
+     "A* g-value array (frontier expansion)"},
+    {astar_pc::parent, "astar.parent",
+     "A* parent array (path reconstruction)"},
+    {astar_pc::stamp, "astar.stamp", "A* generation stamps (lazy reset)"},
+    {mcl_pc::particle, "mcl.particle", "MCL particle state/weight arrays"},
+    {ekf_pc::state, "ekf.state", "EKF state vector and covariance"},
+    {icp_pc::cloud, "icp.cloud", "point cloud / surfel map payload"},
+    {control_pc::path, "control.path", "waypoint path (pure pursuit)"},
+    {control_pc::mpc, "control.mpc", "MPC horizon state"},
+    {control_pc::dmp, "control.dmp", "DMP basis centers and weights"},
+};
+
+} // namespace
+
+std::span<const sim::PcSite>
+pcSites()
 {
-    table.add(raycast_pc::map, "raycast.map",
-              "occupancy-grid cells (DDA ray walk)");
-    table.add(raycast_pc::interp, "raycast.interp",
-              "occupancy-grid neighbours (bilinear interpolation)");
-    table.add(collision_pc::footprint, "collision.footprint",
-              "footprint grid cells ((x,y,theta) collision checks)");
-    table.add(collision_pc::cuboid, "collision.cuboid",
-              "obstacle cuboid array (pairwise checks)");
-    table.add(nns_pc::brute, "nns.brute",
-              "point store (brute-force NNS scan)");
-    table.add(nns_pc::kdNode, "nns.kdNode",
-              "k-d tree node (pointer chase)");
-    table.add(nns_pc::kdPoint, "nns.kdPoint",
-              "k-d tree point payload (distance check)");
-    table.add(nns_pc::lshProject, "nns.lshProject",
-              "LSH projection vectors (hash computation)");
-    table.add(nns_pc::lshBucket, "nns.lshBucket",
-              "LSH bucket scan (VLN fast path)");
-    table.add(astar_pc::gValue, "astar.gValue",
-              "A* g-value array (frontier expansion)");
-    table.add(astar_pc::parent, "astar.parent",
-              "A* parent array (path reconstruction)");
-    table.add(astar_pc::stamp, "astar.stamp",
-              "A* generation stamps (lazy reset)");
-    table.add(mcl_pc::particle, "mcl.particle",
-              "MCL particle state/weight arrays");
-    table.add(ekf_pc::state, "ekf.state",
-              "EKF state vector and covariance");
-    table.add(icp_pc::cloud, "icp.cloud",
-              "point cloud / surfel map payload");
-    table.add(control_pc::path, "control.path",
-              "waypoint path (pure pursuit)");
-    table.add(control_pc::mpc, "control.mpc",
-              "MPC horizon state");
-    table.add(control_pc::dmp, "control.dmp",
-              "DMP basis centers and weights");
+    return kSites;
 }
 
 } // namespace tartan::robotics

@@ -4,24 +4,24 @@
  *
  * Every load/store site the kernels report through robotics::Mem uses a
  * compile-time PcId constant from a `*_pc` namespace; this translation
- * unit names each site and the data structure behind it so the tracing
- * layer's per-PC miss profile (sim/trace) reads as "k-d tree node
- * (pointer chase)" instead of "pc121".
+ * unit names each site and the data structure behind it, once, as a
+ * constant table, so the tracing layer's per-PC miss profile
+ * (sim/trace) reads as "k-d tree node (pointer chase)" instead of
+ * "pc121". workloads::Machine hands the table to an attached
+ * TraceSession.
  */
 
 #ifndef TARTAN_ROBOTICS_PC_NAMES_HH
 #define TARTAN_ROBOTICS_PC_NAMES_HH
 
+#include <span>
+
 #include "sim/trace.hh"
 
 namespace tartan::robotics {
 
-/**
- * Register every robotics PcId site into @p table. Idempotent
- * (re-registration overwrites with identical entries), so callers may
- * invoke it once per machine without coordination.
- */
-void registerPcSites(sim::PcTable &table = sim::PcTable::global());
+/** Every robotics PcId site (constant data, one entry per PcId). */
+std::span<const sim::PcSite> pcSites();
 
 } // namespace tartan::robotics
 

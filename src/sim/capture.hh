@@ -41,6 +41,15 @@
  * Record buffers are MmapVecs (sim/mmapvec): capture runs read host
  * pointers as simulated addresses, so buffers growing inside the malloc
  * arena would perturb the very workload allocations being captured.
+ *
+ * A capture is not byte-reproducible across threads, processes or ASLR,
+ * because it records host addresses. Two captures of one stream differ
+ * only there: the `b` field of Load, Store, VecLoadContiguous,
+ * MapSegment, WriteThroughRange and NoAllocateRange records, and the
+ * lane-address payloads in aux of DeviceLoadLanes and VecLoadLanes.
+ * Every other field and aux byte is equal, and both replay to the same
+ * result, since replay translates host addresses in first-touch order
+ * (ReplayEquivalence.CapturesOnTwoThreadsDifferOnlyInHostAddresses).
  */
 
 #ifndef TARTAN_SIM_CAPTURE_HH

@@ -4,9 +4,9 @@
  *
  * Every bench driver's sweep is a set of embarrassingly-parallel runs:
  * each (robot x MachineSpec x tier) cell builds its own Machine, its
- * own arenas and its own RNG streams, so cells share no mutable state
- * beyond the process-wide PcTable (internally synchronised) and the
- * RunEnv snapshot (immutable); a cell's TARTAN_TIMEOUT deadline is
+ * own arenas and its own RNG streams, so cells share only the RunEnv
+ * snapshot (immutable) and the process-wide capture counters (atomic,
+ * sim/capture.hh); a cell's TARTAN_TIMEOUT deadline is
  * thread-local state of the worker running it (sim/watchdog.hh), and
  * RunPool's workers are the only threads the simulator starts.
  * RunPool exploits that structure the way ZSim's bound-weave phases

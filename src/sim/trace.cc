@@ -23,56 +23,6 @@
 namespace tartan::sim {
 
 // ---------------------------------------------------------------------------
-// PcTable
-// ---------------------------------------------------------------------------
-
-void
-PcTable::add(PcId pc, std::string name, std::string structure)
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    sites[pc] = Site{std::move(name), std::move(structure)};
-}
-
-bool
-PcTable::known(PcId pc) const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    return sites.count(pc) != 0;
-}
-
-std::size_t
-PcTable::size() const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    return sites.size();
-}
-
-std::string
-PcTable::name(PcId pc) const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = sites.find(pc);
-    if (it != sites.end())
-        return it->second.name;
-    return "pc" + std::to_string(pc);
-}
-
-std::string
-PcTable::structure(PcId pc) const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = sites.find(pc);
-    return it != sites.end() ? it->second.structure : std::string();
-}
-
-PcTable &
-PcTable::global()
-{
-    static PcTable table;
-    return table;
-}
-
-// ---------------------------------------------------------------------------
 // TraceSession — event collection
 // ---------------------------------------------------------------------------
 
@@ -88,28 +38,14 @@ setName(char (&dst)[N], const char *src)
 
 } // namespace
 
-void *
-TraceSession::operator new(std::size_t size)
+TraceSession::TraceSession(TraceConfig cfg) : config(std::move(cfg))
 {
-    return mapPages(size);
-}
-
-void
-TraceSession::operator delete(void *ptr, std::size_t size) noexcept
-{
-    unmapPages(ptr, size);
-}
-
-TraceSession::TraceSession(TraceConfig cfg, const PcTable *pc_table)
-    : config(std::move(cfg)), pcTable(pc_table)
-{
-    TARTAN_ASSERT(pcTable, "TraceSession requires a PcTable");
     TARTAN_ASSERT(config.epochCycles > 0, "epochCycles must be positive");
     if (config.bench.empty())
         config.bench = "trace";
     // Pre-size the mmap-backed event buffers so steady-state recording
-    // never allocates (growth, should it happen, also stays off the
-    // workload's malloc arena).
+    // never allocates (growth, should it happen, remaps pages instead
+    // of copying events).
     spans.reserve(1 << 14);
     instants.reserve(1 << 12);
     epochRows.reserve(1 << 14);
@@ -301,8 +237,8 @@ TraceSession::topSites() const
             return a.second->accesses() > b.second->accesses();
         return a.first < b.first;
     });
-    if (rows.size() > config.pcTopN)
-        rows.resize(config.pcTopN);
+    if (rows.size() > kPcTopN)
+        rows.resize(kPcTopN);
     return rows;
 }
 
@@ -335,6 +271,16 @@ TraceSession::epochsPath() const
 }
 
 namespace {
+
+/** The entry of @p sites naming @p pc, or null. */
+const PcSite *
+findSite(std::span<const PcSite> sites, PcId pc)
+{
+    for (const PcSite &site : sites)
+        if (site.pc == pc)
+            return &site;
+    return nullptr;
+}
 
 /** Emit the shared fields of one trace event (ph, ts, pid, tid). */
 void
@@ -417,11 +363,13 @@ TraceSession::writeTraceJson(std::ostream &os)
     os << "\"pcProfile\": [";
     first = true;
     for (const auto &[pc, counters] : topSites()) {
+        const PcSite *site = findSite(sites, pc);
         sep();
         os << "{\"pc\": " << pc << ", \"name\": ";
-        json::writeString(os, pcTable->name(pc));
+        json::writeString(os, site ? std::string(site->name)
+                                   : "pc" + std::to_string(pc));
         os << ", \"structure\": ";
-        json::writeString(os, pcTable->structure(pc));
+        json::writeString(os, site ? site->structure : std::string_view());
         os << ", \"loads\": " << counters->loads
            << ", \"stores\": " << counters->stores
            << ", \"l1Hits\": " << counters->byLevel[0]
@@ -493,17 +441,11 @@ TraceSession::finalize()
 }
 
 std::unique_ptr<TraceSession>
-TraceSession::fromEnv(const std::string &bench, const std::string &run)
-{
-    // RunEnv is a one-shot snapshot: workers can build sessions without
-    // racing on getenv, and the directory cannot change mid-sweep.
-    return fromEnv(bench, run, RunEnv::get());
-}
-
-std::unique_ptr<TraceSession>
 TraceSession::fromEnv(const std::string &bench, const std::string &run,
                       const RunEnv &env)
 {
+    // RunEnv is a one-shot snapshot: workers can build sessions without
+    // racing on getenv, and the directory cannot change mid-sweep.
     if (env.traceDir.empty())
         return nullptr;
     TraceConfig cfg;

@@ -19,14 +19,18 @@
  *     timeliness, IPC) become counter tracks in the trace plus a
  *     TRACE_<bench>_epochs.json document;
  *  3. a per-PC profile — MemPath attributes every demand access to its
- *     static PcId site and servicing level; the PcTable names the data
- *     structure behind each site, and a top-N table is embedded in the
- *     trace file.
+ *     static PcId site and servicing level; a constant PcSite table
+ *     names the data structure behind each site, and a top-N table is
+ *     embedded in the trace file.
  *
  * Sessions are created per simulated machine (one Core per session) and
  * write their files on finalize()/destruction. BenchReporter::makeTrace
  * builds sessions from the TARTAN_TRACE environment variable so every
- * bench driver can emit traces without plumbing.
+ * bench driver can emit traces without plumbing; workloads::Machine
+ * hands an attached session the robotics site table
+ * (robotics::pcSites()), so this layer never names a robotics site
+ * itself. A session is owned by one run and shares nothing with other
+ * sessions: the trace layer holds no process-wide state and no lock.
  */
 
 #ifndef TARTAN_SIM_TRACE_HH
@@ -34,10 +38,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,43 +52,18 @@
 namespace tartan::sim {
 
 /**
- * Registry of symbolic names for PcId load/store sites.
+ * Symbolic name of one PcId load/store site.
  *
- * Instrumentation points pass compile-time PcId constants; the table
- * maps each to a short site name ("nns.kdNode") and a description of
- * the data structure behind it ("k-d tree node (pointer chase)"), so
- * the per-PC miss profile names structures instead of raw integers.
- *
- * Thread safety: every accessor locks an internal mutex. The global()
- * table is registered into by each Machine's constructor and read while
- * concurrent runs finalize their traces, so unsynchronised access would
- * be a data race under RunPool. PcId values are compile-time constants,
- * so registration order never changes a site's identity.
+ * Instrumentation points pass compile-time PcId constants; a site names
+ * one of them ("nns.kdNode") and the data structure behind it ("k-d
+ * tree node (pointer chase)"), so the per-PC miss profile names
+ * structures instead of raw integers. Site tables are constant data
+ * (robotics::pcSites() is one), read without synchronisation.
  */
-class PcTable
-{
-  public:
-    struct Site {
-        std::string name;
-        std::string structure;
-    };
-
-    /** Register (or overwrite) one site. */
-    void add(PcId pc, std::string name, std::string structure = "");
-
-    bool known(PcId pc) const;
-    /** Site name, or "pc<N>" for unregistered sites. */
-    std::string name(PcId pc) const;
-    /** Data-structure description, or "" when unregistered. */
-    std::string structure(PcId pc) const;
-    std::size_t size() const;
-
-    /** Process-wide table used by default (robotics registers into it). */
-    static PcTable &global();
-
-  private:
-    mutable std::mutex mtx;
-    std::map<PcId, Site> sites;
+struct PcSite {
+    PcId pc;                     //!< the instrumentation point's id
+    std::string_view name;       //!< short site name, no '/' or '"'
+    std::string_view structure;  //!< data structure behind the site
 };
 
 /** Static configuration of one trace session. */
@@ -95,16 +73,13 @@ struct TraceConfig {
     std::string run;    //!< run label, e.g. "HomeBot_approx" ("" = none)
     /** Simulated cycles per stats-sampling epoch. */
     Cycles epochCycles = 100000;
-    /** Rows of the per-PC top-N miss table. */
-    std::uint32_t pcTopN = 10;
 };
 
 /** One machine's trace: timeline + epoch samples + per-PC profile. */
 class TraceSession
 {
   public:
-    explicit TraceSession(TraceConfig cfg,
-                          const PcTable *pc_table = &PcTable::global());
+    explicit TraceSession(TraceConfig cfg);
     /** Finalizes (writes the files) unless finalize() already ran. */
     ~TraceSession();
 
@@ -112,12 +87,11 @@ class TraceSession
     TraceSession &operator=(const TraceSession &) = delete;
 
     /**
-     * Sessions are allocated off the malloc arena (same rationale as
-     * MmapVec): the object embeds multi-KB fixed buffers whose
-     * presence on the heap would shift workload addresses.
+     * Name the profile's sites from @p table, which must outlive the
+     * session. A PcId the table lacks is written as "pc<N>" with an
+     * empty structure.
      */
-    static void *operator new(std::size_t size);
-    static void operator delete(void *ptr, std::size_t size) noexcept;
+    void setSites(std::span<const PcSite> table) { sites = table; }
 
     /** @name Timeline (driven by Core; @p now is the core cycle). */
     ///@{
@@ -183,35 +157,28 @@ class TraceSession
      * Build a session from $TARTAN_TRACE (interpreted as the output
      * directory). Returns null when the variable is unset or empty.
      * $TARTAN_TRACE_EPOCH overrides TraceConfig::epochCycles. The
-     * environment is read through the process-wide RunEnv snapshot
-     * (parsed once at first use), never through live getenv probes.
-     */
-    static std::unique_ptr<TraceSession>
-    fromEnv(const std::string &bench, const std::string &run);
-
-    /**
-     * Same, but from an explicit RunEnv value instead of the process
-     * snapshot (tests parse a fresh RunEnv after mutating the host
-     * environment).
+     * environment is read through @p env, by default the process-wide
+     * RunEnv snapshot (parsed once at first use), never through live
+     * getenv probes; tests pass a freshly parsed RunEnv.
      */
     static std::unique_ptr<TraceSession>
     fromEnv(const std::string &bench, const std::string &run,
-            const RunEnv &env);
+            const RunEnv &env = RunEnv::get());
 
   private:
     /**
      * Event names are stored in fixed-size buffers and the event
-     * vectors are reserved generously up front: the simulator treats
-     * host pointers as simulated addresses, so a mid-run malloc from
-     * the trace path would shift workload allocations and perturb the
-     * very cache behaviour being observed. POD events plus up-front
-     * (mmap-backed) reservations keep the recording hot path
-     * allocation-free.
+     * vectors are reserved generously up front, so the recording hot
+     * path never allocates. Results never depend on it: workloads
+     * simulate in the deterministic address space (sim/addrmap), where
+     * host heap layout moves no simulated address.
      */
     static constexpr std::size_t kNameBytes = 48;
     static constexpr std::size_t kMaxProbes = 32;
     static constexpr std::size_t kMaxPhaseDepth = 16;
     static constexpr std::size_t kMaxPcSites = 256;
+    /** Rows of the per-PC top-N miss table. */
+    static constexpr std::size_t kPcTopN = 10;
 
     struct Span {
         char name[kNameBytes];
@@ -271,7 +238,7 @@ class TraceSession
                      const std::function<void(std::ostream &)> &emit);
 
     TraceConfig config;
-    const PcTable *pcTable;
+    std::span<const PcSite> sites;
 
     // Timeline state.
     MmapVec<Span> spans;
@@ -293,7 +260,7 @@ class TraceSession
     MmapVec<EpochRow> epochRows;
 
     // Per-PC state (direct-indexed by PcId; sites above the cap share
-    // the last slot, which registered sites never reach).
+    // the last slot, which named sites never reach).
     PcCounters pcCounts[kMaxPcSites];
     bool pcSeen[kMaxPcSites] = {};
 

@@ -50,12 +50,9 @@ MachineSpec::tartan()
 Machine::Machine(const MachineSpec &spec, const WorkloadOptions &opt)
     : specData(spec)
 {
-    // Registered unconditionally (idempotent) so the traced and
-    // untraced paths perform identical host allocations: the simulator
-    // reads host pointers as simulated addresses, so asymmetric heap
-    // traffic would perturb the measured cache behaviour.
-    robotics::registerPcSites();
     specData.sys.trace = opt.trace;
+    if (opt.trace)
+        opt.trace->setSites(robotics::pcSites());
     specData.sys.faults = opt.faults;
     sys = std::make_unique<tartan::sim::System>(specData.sys);
     // Workload runs always simulate in the deterministic address

@@ -20,11 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <random>
 #include <sstream>
 #include <string>
@@ -606,6 +608,61 @@ TEST(ReplayEquivalence, SequenceShapingChangesAreIncompatible)
     EXPECT_DEATH(capture("MoveBot", tartan::workloads::runMoveBot, base,
                          faulted),
                  "hook replay cannot honour");
+}
+
+TEST(ReplayEquivalence, CapturesOnTwoThreadsDifferOnlyInHostAddresses)
+{
+    // A capture records host addresses, which move with the thread's
+    // malloc arena and stack (and with ASLR), so captures of one stream
+    // on the main thread and on a second thread (std::async) are not
+    // byte-identical. Everything else is: the records differ only in
+    // the address field of the address-bearing ops and the aux bytes
+    // only in lane address payloads, and both replay to the same
+    // result, because replay translates host addresses in first-touch
+    // order.
+    WorkloadOptions opt;
+    opt.scale = 0.25;
+    const MachineSpec spec = MachineSpec::baseline();
+    const CaptureTrace here =
+        capture("HomeBot", tartan::workloads::runHomeBot, spec, opt).trace;
+    const CaptureTrace there =
+        std::async(std::launch::async, [&] {
+            return capture("HomeBot", tartan::workloads::runHomeBot, spec,
+                           opt)
+                .trace;
+        }).get();
+    ASSERT_TRUE(here.validate());
+    ASSERT_TRUE(there.validate());
+    ASSERT_EQ(here.records.size(), there.records.size());
+    ASSERT_EQ(here.aux.size(), there.aux.size());
+
+    std::vector<bool> lane_bytes(here.aux.size(), false);
+    std::size_t record_diffs = 0;
+    for (std::size_t i = 0; i < here.records.size(); ++i) {
+        CapRecord a = here.records[i];
+        CapRecord b = there.records[i];
+        const auto op = CapOp(a.op);
+        if (op == CapOp::Load || op == CapOp::Store ||
+            op == CapOp::VecLoadContiguous || op == CapOp::MapSegment ||
+            op == CapOp::WriteThroughRange || op == CapOp::NoAllocateRange)
+            a.b = b.b = 0; // a host address
+        record_diffs += std::memcmp(&a, &b, sizeof a) != 0;
+        if (op == CapOp::DeviceLoadLanes || op == CapOp::VecLoadLanes)
+            std::fill_n(lane_bytes.begin() + std::ptrdiff_t(a.d),
+                        8 * std::size_t(a.a32), true);
+    }
+    EXPECT_EQ(record_diffs, 0u) << "records differ beyond host addresses";
+    std::size_t aux_diffs = 0;
+    for (std::size_t i = 0; i < here.aux.size(); ++i)
+        aux_diffs += !lane_bytes[i] && here.aux[i] != there.aux[i];
+    EXPECT_EQ(aux_diffs, 0u) << "aux bytes differ beyond lane addresses";
+
+    MachineSpec wide = spec;
+    wide.sys.lineBytes = 64;
+    EXPECT_EQ(tartan::workloads::encodeRunResult(
+                  tartan::workloads::replayTrace(here, wide, opt)),
+              tartan::workloads::encodeRunResult(
+                  tartan::workloads::replayTrace(there, wide, opt)));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@
  * pin down the three properties every driver relies on — results come
  * back in submission order, a worker exception surfaces at the
  * offending job's position, and a parallel sweep is *bit-identical* to
- * the serial (TARTAN_JOBS=1) sweep for every robot — plus the
- * thread-safety of the shared PcTable the workers all touch.
+ * the serial (TARTAN_JOBS=1) sweep for every robot.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +17,8 @@
 #include <vector>
 
 #include "sim/runpool.hh"
-#include "sim/trace.hh"
 #include "workloads/robots.hh"
 
-using tartan::sim::PcId;
-using tartan::sim::PcTable;
 using tartan::sim::RunPool;
 using tartan::workloads::MachineSpec;
 using tartan::workloads::robotSuite;
@@ -215,54 +211,3 @@ TEST(RunPool, ParallelSweepIsBitIdenticalToSerialForAllRobots)
     }
 }
 
-// ---------------------------------------------------------------------------
-// PcTable under concurrency
-// ---------------------------------------------------------------------------
-
-TEST(RunPool, ConcurrentPcTableRegistrationIsSafeAndStable)
-{
-    // Robots register their PC sites from whatever worker thread they
-    // land on; the global table must tolerate concurrent add() of the
-    // *same* sites (idempotent re-registration) as well as concurrent
-    // lookups. PcIds are fixed constants, so values stay stable no
-    // matter which thread wins a race.
-    PcTable table;
-    constexpr int kThreads = 8;
-    constexpr PcId kSites = 64;
-
-    std::vector<std::thread> threads;
-    std::atomic<int> mismatches{0};
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&table, &mismatches]() {
-            for (PcId pc = 0; pc < kSites; ++pc)
-                table.add(pc, "site" + std::to_string(pc), "struct");
-            for (PcId pc = 0; pc < kSites; ++pc) {
-                if (table.known(pc) &&
-                    table.name(pc) != "site" + std::to_string(pc))
-                    mismatches.fetch_add(1);
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-
-    EXPECT_EQ(mismatches.load(), 0);
-    EXPECT_EQ(table.size(), std::size_t(kSites));
-    for (PcId pc = 0; pc < kSites; ++pc) {
-        EXPECT_TRUE(table.known(pc));
-        EXPECT_EQ(table.name(pc), "site" + std::to_string(pc));
-        EXPECT_EQ(table.structure(pc), "struct");
-    }
-
-    // The process-global table takes the same concurrent traffic when
-    // parallel robot runs re-register the robotics sites.
-    std::vector<std::thread> global_threads;
-    for (int t = 0; t < kThreads; ++t)
-        global_threads.emplace_back([]() {
-            const std::size_t before = PcTable::global().size();
-            (void)PcTable::global().name(0);
-            EXPECT_GE(PcTable::global().size(), before);
-        });
-    for (auto &th : global_threads)
-        th.join();
-}

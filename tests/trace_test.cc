@@ -1,16 +1,20 @@
 /**
  * @file
- * Unit tests for the time-resolved tracing subsystem: the PcTable,
- * kernel/phase timelines, the epoch sampler, per-PC attribution, the
- * trace/epochs schema validators, and the no-observer-effect guarantee.
+ * Unit tests for the time-resolved tracing subsystem: the robotics
+ * PcSite table, kernel/phase timelines, the epoch sampler, per-PC
+ * attribution, the trace/epochs schema validators, and the
+ * no-observer-effect guarantee.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -18,6 +22,7 @@
 #include "sim/json.hh"
 #include "sim/system.hh"
 #include "sim/trace.hh"
+#include "workloads/cellcodec.hh"
 #include "workloads/robots.hh"
 
 namespace {
@@ -45,37 +50,22 @@ slurp(const std::string &path)
 }
 
 // ---------------------------------------------------------------------------
-// PcTable
+// Site table
 // ---------------------------------------------------------------------------
 
-TEST(PcTable, NamesAndFallback)
+TEST(PcSites, RoboticsTableIsWellFormed)
 {
-    PcTable table;
-    table.add(7, "nns.kdNode", "k-d tree node");
-    EXPECT_TRUE(table.known(7));
-    EXPECT_EQ(table.name(7), "nns.kdNode");
-    EXPECT_EQ(table.structure(7), "k-d tree node");
-    EXPECT_FALSE(table.known(8));
-    EXPECT_EQ(table.name(8), "pc8");
-    EXPECT_EQ(table.structure(8), "");
-}
-
-TEST(PcTable, RoboticsSitesRegisterIdempotently)
-{
-    PcTable table;
-    tartan::robotics::registerPcSites(table);
-    const std::size_t count = table.size();
-    EXPECT_GT(count, 10u);
-    tartan::robotics::registerPcSites(table);
-    EXPECT_EQ(table.size(), count);
-    // Names must be legal stats-group keys (no '/' or '"').
-    for (PcId pc = 0; pc < 256; ++pc) {
-        if (!table.known(pc))
-            continue;
-        const std::string name = table.name(pc);
+    const std::span<const PcSite> sites = tartan::robotics::pcSites();
+    EXPECT_GT(sites.size(), 10u);
+    std::set<PcId> pcs;
+    for (const PcSite &site : sites) {
+        const std::string name(site.name);
+        EXPECT_TRUE(pcs.insert(site.pc).second) << "duplicate pc " << name;
+        // Names must be legal stats-group keys (no '/' or '"').
+        EXPECT_FALSE(name.empty());
         EXPECT_EQ(name.find('/'), std::string::npos) << name;
         EXPECT_EQ(name.find('"'), std::string::npos) << name;
-        EXPECT_FALSE(table.structure(pc).empty()) << name;
+        EXPECT_FALSE(site.structure.empty()) << name;
     }
 }
 
@@ -218,21 +208,24 @@ TEST(TraceEpochs, DeltasSumToCounterTotals)
 
 TEST(TracePcProfile, AttributesAccessesPerLevelAndRanksByMisses)
 {
-    PcTable table;
-    table.add(7, "hot.site", "pointer chase");
-    table.add(9, "cold.site", "stack scratch");
+    static constexpr PcSite kSites[] = {
+        {7, "hot.site", "pointer chase"},
+        {9, "cold.site", "stack scratch"}};
 
-    TraceSession session(testConfig("pcp"), &table);
+    TraceSession session(testConfig("pcp"));
+    session.setSites(kSites);
     SysConfig cfg;
     cfg.trace = &session;
     System sys(cfg);
     auto &mem = sys.mem();
 
-    // pc 7: two DRAM misses + one L1 hit; pc 9: one L1-resident store.
+    // pc 7: two DRAM misses + one L1 hit; pc 9: one L1-resident store;
+    // pc 8 (not in the table): one L1 hit.
     mem.access(0x10000, AccessType::Load, 4, 7, 0);
     mem.access(0x50000, AccessType::Load, 4, 7, 0);
     mem.access(0x10000, AccessType::Load, 4, 7, 0);
     mem.access(0x10004, AccessType::Store, 4, 9, 0);
+    mem.access(0x10008, AccessType::Load, 4, 8, 0);
 
     session.finalize();
     std::string err;
@@ -242,14 +235,19 @@ TEST(TracePcProfile, AttributesAccessesPerLevelAndRanksByMisses)
     ASSERT_TRUE(json::parse(text, doc, &err)) << err;
     const json::Value *profile = doc.find("pcProfile");
     ASSERT_NE(profile, nullptr);
-    ASSERT_EQ(profile->array.size(), 2u);
+    ASSERT_EQ(profile->array.size(), 3u);
     // Ranked by misses beyond L1: the pointer-chasing site leads.
     EXPECT_EQ(profile->array[0].find("name")->string, "hot.site");
     EXPECT_EQ(profile->array[0].find("structure")->string, "pointer chase");
     EXPECT_EQ(profile->array[0].find("dram")->number, 2.0);
     EXPECT_EQ(profile->array[0].find("l1Hits")->number, 1.0);
     EXPECT_EQ(profile->array[0].find("missesBeyondL1")->number, 2.0);
-    EXPECT_EQ(profile->array[1].find("stores")->number, 1.0);
+    // The two one-access sites tie on misses and accesses: pc order.
+    EXPECT_EQ(profile->array[1].find("name")->string, "pc8");
+    EXPECT_EQ(profile->array[1].find("structure")->string, "");
+    EXPECT_EQ(profile->array[1].find("l1Hits")->number, 1.0);
+    EXPECT_EQ(profile->array[2].find("name")->string, "cold.site");
+    EXPECT_EQ(profile->array[2].find("stores")->number, 1.0);
     std::remove(session.tracePath().c_str());
     std::remove(session.epochsPath().c_str());
 }
@@ -314,8 +312,8 @@ TEST(TraceValidate, RejectsMalformedEpochDocuments)
 TEST(TraceEnv, FromEnvHonoursDirectoryAndEpochOverride)
 {
     // The process-wide RunEnv is a one-shot snapshot, so the test
-    // parses a fresh RunEnv after each environment change and feeds it
-    // to the explicit-env fromEnv overload.
+    // parses a fresh RunEnv after each environment change and passes it
+    // to fromEnv in place of the snapshot.
     unsetenv("TARTAN_TRACE");
     EXPECT_EQ(TraceSession::fromEnv("b", "r",
                                     tartan::sim::RunEnv::parse()),
@@ -354,12 +352,10 @@ struct ScriptStats {
 };
 
 /**
- * Drive a System through a deterministic mix of kernels, phases, loads,
- * stores and compute on *literal* addresses. Unlike the workloads —
- * whose host pointers double as simulated addresses, so heap-layout
- * shifts between runs change their cache behaviour — a literal address
- * stream is bit-reproducible, which is what lets this compare traced
- * against untraced timing exactly.
+ * Drive a bare System (no workload, no address translation) through a
+ * deterministic mix of kernels, phases, loads, stores and compute on
+ * literal addresses, so a traced/untraced comparison isolates the hooks
+ * themselves.
  */
 ScriptStats
 driveScript(TraceSession *trace)
@@ -420,13 +416,12 @@ TEST(TraceObserver, AttachingASessionDoesNotPerturbTiming)
     std::remove(epochs_path.c_str());
 }
 
-TEST(TraceObserver, TracedWorkloadStaysWithinNoiseOfUntraced)
+TEST(TraceObserver, TracedWorkloadMatchesUntracedAndNamesEverySite)
 {
-    // Full workloads use host pointers as simulated addresses, so even
-    // two *untraced* runs in one process differ slightly (the malloc
-    // frontier moves between runs). Tracing must not add more than that
-    // ambient heap-layout noise — the session's buffers live in their
-    // own mmap regions precisely to stay off the workload heap.
+    // Workloads simulate in the deterministic address space, so host
+    // heap layout (the session object included) moves no simulated
+    // address: a traced run's payload equals the untraced run's byte
+    // for byte.
     WorkloadOptions opt;
     opt.scale = 0.5;
     const RunResult plain =
@@ -438,20 +433,34 @@ TEST(TraceObserver, TracedWorkloadStaysWithinNoiseOfUntraced)
         tartan::workloads::runHomeBot(MachineSpec::baseline(), opt);
     EXPECT_GT(session->events(), 0u);
     EXPECT_GT(session->epochs(), 0u);
-
-    EXPECT_EQ(traced.instructions, plain.instructions)
-        << "tracing changed the instruction stream";
-    const double ratio =
-        double(traced.workCycles) / double(plain.workCycles);
-    EXPECT_GT(ratio, 0.95);
-    EXPECT_LT(ratio, 1.05);
+    EXPECT_EQ(tartan::workloads::encodeRunResult(traced),
+              tartan::workloads::encodeRunResult(plain));
 
     const std::string trace_path = session->tracePath();
     const std::string epochs_path = session->epochsPath();
     session.reset();
     std::string err;
-    EXPECT_TRUE(validateTraceJson(slurp(trace_path), &err)) << err;
+    const std::string text = slurp(trace_path);
+    EXPECT_TRUE(validateTraceJson(text, &err)) << err;
     EXPECT_TRUE(validateEpochsJson(slurp(epochs_path), &err)) << err;
+
+    // Machine handed the session the robotics table: every profiled
+    // site is named from it, none falls back to "pc<N>".
+    json::Value doc;
+    ASSERT_TRUE(json::parse(text, doc, &err)) << err;
+    const json::Value *profile = doc.find("pcProfile");
+    ASSERT_NE(profile, nullptr);
+    EXPECT_FALSE(profile->array.empty());
+    const std::span<const PcSite> sites = tartan::robotics::pcSites();
+    for (const json::Value &row : profile->array) {
+        const auto pc = PcId(row.find("pc")->number);
+        const auto site =
+            std::find_if(sites.begin(), sites.end(),
+                         [pc](const PcSite &s) { return s.pc == pc; });
+        ASSERT_NE(site, sites.end()) << "unnamed pc " << pc;
+        EXPECT_EQ(row.find("name")->string, site->name);
+        EXPECT_EQ(row.find("structure")->string, site->structure);
+    }
     std::remove(trace_path.c_str());
     std::remove(epochs_path.c_str());
 }
