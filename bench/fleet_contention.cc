@@ -2,10 +2,13 @@
  * @file
  * Fleet contention study: N robots sharing one coherent multi-core
  * machine. Each roster robot is captured at most once (capture-once /
- * replay-many), then the N op streams replay min-cycle-first
- * interleaved through a machine with N private L1/L2 paths, a shared
- * sliced L3 behind a crossbar, MESI snooping between the private
- * hierarchies, and a banked DRAM controller. For every fleet size the
+ * replay-many), then the N op streams replay through a machine with N
+ * private L1/L2 paths, a shared sliced L3 behind a crossbar, MESI
+ * snooping between the private hierarchies, and a banked DRAM
+ * controller. Shared-hierarchy transactions run in (clock, core)
+ * order; each core runs ahead through the records that stay in its
+ * own L1/L2, which is exact because the cores' simulated spaces are
+ * disjoint (workloads::replayFleet). For every fleet size the
  * driver reports per-core wall cycles, the interference factor versus
  * the same robot running the machine alone, per-core CPI stacks
  * (including the coherence category), and the shared fabric's

@@ -219,6 +219,14 @@ class Cache
     Eviction fill(Addr addr, bool prefetch = false, bool dirty = false,
                   Cycles ready_at = 0);
 
+    /**
+     * The line fill(@p addr) would displace, without changing any
+     * state: Eviction{} when the line is resident or a way is free.
+     * Used off the single-core path (the fleet's private-access proof);
+     * tests/golden_cache_test.cc checks it against every fill.
+     */
+    Eviction victimOf(Addr addr) const;
+
     /** @name MESI coherence hooks (driven by sim/uncore). */
     ///@{
 

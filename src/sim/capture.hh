@@ -38,9 +38,10 @@
  * the file invalid as a whole and force a re-capture — a capture is a
  * cache entry, never a source of truth.
  *
- * Record buffers are MmapVecs (sim/mmapvec): capture runs read host
- * pointers as simulated addresses, so buffers growing inside the malloc
- * arena would perturb the very workload allocations being captured.
+ * Record buffers are MmapVecs (sim/mmapvec), which grow in place
+ * instead of copying every record on each doubling. Heap placement is
+ * not the reason: deterministic addressing makes a run's results
+ * independent of where its buffers live.
  *
  * A capture is not byte-reproducible across threads, processes or ASLR,
  * because it records host addresses. Two captures of one stream differ

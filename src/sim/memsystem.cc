@@ -98,7 +98,10 @@ MemPath::upgradeShared(Addr sim, AccessResult &result)
 {
     // The upgrade invalidates remote copies and clears the local
     // Shared marks, so the L1 access that follows performs the ordinary
-    // silent E -> M transition.
+    // silent E -> M transition. Until some line has been shared there
+    // is no Shared mark to find.
+    if (!uncoreHook->mayHoldShared())
+        return;
     const Addr line = l1Cache.lineAddr(sim);
     if (l1Cache.lineState(line) == MesiState::Shared ||
         l2Cache.lineState(line) == MesiState::Shared) {
@@ -355,6 +358,32 @@ MemPath::accessRange(Addr base, std::uint32_t bytes, PcId pc, Cycles now)
         take(a, sim_line);
     }
     return worst;
+}
+
+bool
+MemPath::staysPrivate(Addr host, AccessType type) const
+{
+    // A hook may be shared between paths, so an access it observes is
+    // never proven private.
+    if (faults || trace)
+        return false;
+    const Addr sim = addrMap ? addrMap->translate(host) : host;
+    if (type == AccessType::Store) {
+        if (!wtRanges.empty() && inRange(wtRanges, host))
+            return true;
+        if (uncoreHook && uncoreHook->mayHoldShared())
+            return false;
+    }
+    if (l1Cache.probe(sim))
+        return true;
+    // Below an L1 miss a prefetcher may fetch through the L3 on any L2
+    // access, and an L2 miss always does.
+    if (pf || !l2Cache.probe(sim))
+        return false;
+    if (inRange(noAllocRanges, host))
+        return true;
+    const Cache::Eviction ev = l1Cache.victimOf(sim);
+    return !ev.dirty || l2Cache.probe(ev.lineAddr);
 }
 
 } // namespace tartan::sim

@@ -106,6 +106,19 @@ class MemPath
                              Cycles now);
 
     /**
+     * True when a demand access to @p host now provably stays inside
+     * this core's L1/L2: it cannot reach the shared L3, the uncore or
+     * a hook. The proof covers an L1 hit, a write-through store and,
+     * with no prefetcher attached, an L2 hit whose L1 victim is clean
+     * or whose write-back hits the L2; a store also needs that no line
+     * is Shared anywhere (Uncore::mayHoldShared). False is always safe.
+     * The only state it touches is the translation of @p host, which
+     * the access itself would perform next: translation is private to
+     * the core and a pure function of its own access sequence.
+     */
+    bool staysPrivate(Addr host, AccessType type) const;
+
+    /**
      * Route all subsequent accesses through an AddrMap: host addresses
      * are translated into a deterministic simulated address space
      * (registered arena segments map linearly; everything else through

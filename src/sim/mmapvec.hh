@@ -3,15 +3,19 @@
  * Growable record buffer in its own anonymous mapping, off the malloc
  * arena.
  *
- * The simulator uses host pointers as simulated addresses, so a buffer
- * growing inside the malloc arena while a workload runs (capture
- * records, trace events) would shift the workload's own allocations
- * and perturb the cache behaviour being observed. MmapVec keeps its
- * elements in a private mapping of whole pages and grows it in place
- * with mremap(MREMAP_MAYMOVE): the kernel moves page-table entries
- * instead of copying records, and the buffer never briefly exists
- * twice. Where mremap is missing, growth maps a fresh region, copies
- * the elements over and unmaps the old one. ThreadSanitizer builds take
+ * Capture records and trace events grow to millions of entries while a
+ * workload runs, and a std::vector pays for each doubling by copying
+ * every element into a fresh allocation while the old one still
+ * exists. MmapVec keeps its elements in a private mapping of whole
+ * pages and grows it in place with mremap(MREMAP_MAYMOVE): the kernel
+ * moves page-table entries instead of copying records, and the buffer
+ * never briefly exists twice. Growth cost is the only reason left:
+ * where the buffer lives does not change results, because
+ * deterministic addressing (sim/addrmap) translates every host address
+ * the workload touches, wherever the allocator placed it.
+ *
+ * Where mremap is missing, growth maps a fresh region, copies the
+ * elements over and unmaps the old one. ThreadSanitizer builds take
  * that path too: TSan does not intercept mremap, so a moved mapping
  * landing on addresses another thread used keeps that thread's stale
  * shadow state and reports a false race.

@@ -19,8 +19,9 @@
  * The uncore is strictly opt-in: a MemPath with no uncore attached
  * runs the exact pre-multi-core code paths, which is what keeps every
  * single-core BENCH payload byte-identical. All state here is driven
- * synchronously from the requesting core's clock, so fleet replays
- * interleaved min-cycle-first stay deterministic.
+ * synchronously from the requesting core's clock, and charges only the
+ * requester, so fleet replays that order shared transactions by
+ * (clock, core) stay deterministic.
  */
 
 #ifndef TARTAN_SIM_UNCORE_HH
@@ -59,12 +60,16 @@ struct CoherenceStats {
     std::uint64_t dirtyForwards = 0; //!< modified lines forwarded via L3
     std::uint64_t upgrades = 0;      //!< local S -> M store upgrades
     std::uint64_t sharedFills = 0;   //!< fills installed in Shared state
+
+    bool operator==(const CoherenceStats &) const = default;
 };
 
 /** Event counters of the crossbar. */
 struct XbarStats {
     std::uint64_t traversals = 0;  //!< core <-> slice crossings
     std::uint64_t hops = 0;        //!< total hops across all traversals
+
+    bool operator==(const XbarStats &) const = default;
 };
 
 /** Event counters of the memory controller. */
@@ -75,6 +80,8 @@ struct MemCtrlStats {
     std::uint64_t rowMisses = 0;      //!< requests opening a new row
     std::uint64_t bankConflicts = 0;  //!< requests that found the bank busy
     std::uint64_t conflictCycles = 0; //!< total cycles spent waiting on banks
+
+    bool operator==(const MemCtrlStats &) const = default;
 };
 
 /**
@@ -163,6 +170,17 @@ class Uncore
      * (2 checks). A violation is a simulator bug.
      */
     void checkInvariants() const;
+
+    /**
+     * False while no line can be in Shared state anywhere: only a
+     * shared fill or a downgrade sets the Shared mark, and both are
+     * counted. O(1), so a store can skip its upgrade probes.
+     */
+    bool
+    mayHoldShared() const
+    {
+        return coherenceData.sharedFills + coherenceData.downgrades != 0;
+    }
 
     /** The configuration this uncore was built from. */
     const UncoreParams &params() const { return config; }

@@ -19,6 +19,7 @@
 
 namespace tartan::workloads {
 
+using tartan::sim::AccessType;
 using tartan::sim::Addr;
 using tartan::sim::CapOp;
 using tartan::sim::CapRecord;
@@ -189,6 +190,49 @@ ReplayStream::finalize()
     return std::move(result);
 }
 
+bool
+ReplayStream::nextStaysPrivate() const
+{
+    const CapRecord &r = traceRef.records[next];
+    tartan::sim::MemPath &mem = machineRef.system().mem(coreIdx);
+    // No default: a new op must state whether it is private.
+    switch (CapOp(r.op)) {
+      case CapOp::Load:
+        return mem.staysPrivate(r.b, AccessType::Load);
+      case CapOp::Store:
+        return mem.staysPrivate(r.b, AccessType::Store);
+      case CapOp::DeviceLoadLanes:
+      case CapOp::VecLoadLanes:
+      case CapOp::VecLoadContiguous:
+      case CapOp::NpuConfigure:
+      case CapOp::NpuInfer:
+      case CapOp::NumOps:
+        return false;
+      case CapOp::RegisterKernel:
+      case CapOp::SetKernel:
+      case CapOp::Exec:
+      case CapOp::Stall:
+      case CapOp::CountInstructions:
+      case CapOp::VecOp:
+      case CapOp::MapSegment:
+      case CapOp::WriteThroughRange:
+      case CapOp::NoAllocateRange:
+      case CapOp::StageBegin:
+      case CapOp::ItemBegin:
+      case CapOp::ItemEnd:
+      case CapOp::StageEnd:
+      case CapOp::SerialBegin:
+      case CapOp::SerialEnd:
+      case CapOp::Metric:
+      case CapOp::RobotName:
+      case CapOp::OverlapBegin:
+      case CapOp::OverlapEnd:
+      case CapOp::Discount:
+        return true;
+    }
+    return false;
+}
+
 RunResult
 replayTrace(const CaptureTrace &trace, const MachineSpec &spec,
             const WorkloadOptions &opt)
@@ -221,25 +265,55 @@ replayFleet(const std::vector<const CaptureTrace *> &traces,
         streams.push_back(
             std::make_unique<ReplayStream>(*traces[i], machine, i));
 
-    // Min-cycle-first: always advance the robot whose core clock is
-    // furthest behind, so cross-core contention (shared L3 capacity,
-    // crossbar slices, DRAM banks) is resolved in approximate global
-    // time order. Ties break toward the lower core index — the
-    // interleave is a pure function of the traces and configuration.
+    // Min-cycle-first: step the stream whose core clock is furthest
+    // behind (ties toward the lower core index), then let it run ahead
+    // through every record that provably stays in its own core. A
+    // stream parked at a record that may touch the shared L3, crossbar
+    // or DRAM banks thus runs it only once it is the (clock, core)
+    // minimum, exactly as if every stream were stepped one record at a
+    // time: stepping a core never moves another core's clock, and a
+    // private record commutes with every other core's records because
+    // the cores' simulated spaces are disjoint.
+    [[maybe_unused]] const auto other_clocks = [&](std::size_t b) {
+        Cycles sum = 0;
+        for (std::size_t i = 0; i < streams.size(); ++i)
+            sum += i == b ? 0 : streams[i]->cycles();
+        return sum;
+    };
     for (;;) {
-        ReplayStream *best = nullptr;
-        for (auto &s : streams)
-            if (!s->done() && (!best || s->cycles() < best->cycles()))
-                best = s.get();
-        if (!best)
+        std::size_t b = streams.size();
+        for (std::size_t i = 0; i < streams.size(); ++i)
+            if (!streams[i]->done() &&
+                (b == streams.size() ||
+                 streams[i]->cycles() < streams[b]->cycles()))
+                b = i;
+        if (b == streams.size())
             break;
-        best->step();
+        ReplayStream &s = *streams[b];
+        do {
+#ifndef NDEBUG
+            const Cycles before = other_clocks(b);
+#endif
+            s.step();
+            // Clocks only grow, so an unchanged sum is unchanged clocks.
+            TARTAN_DCHECK(other_clocks(b) == before,
+                          "stepping core %zu moved another core's clock",
+                          b);
+        } while (!s.done() && s.nextStaysPrivate());
     }
 
     std::vector<RunResult> results;
     results.reserve(streams.size());
     for (auto &s : streams)
         results.push_back(s->finalize());
+
+    // Disjoint spaces mean no core ever holds another core's line, so
+    // no coherence action can fire; that is what lets private records
+    // run ahead. A fleet mode with true sharing must restrict run-ahead
+    // (a private hit can then race a remote store) before it lands.
+    if (const tartan::sim::Uncore *u = machine.system().uncore())
+        TARTAN_ASSERT(u->coherence() == tartan::sim::CoherenceStats{},
+                      "fleet cores shared a line: run-ahead is unsound");
 
     if (uncore) {
         if (tartan::sim::Uncore *u = machine.system().uncore()) {

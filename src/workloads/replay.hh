@@ -42,6 +42,8 @@ struct FleetUncoreSnapshot {
     tartan::sim::CoherenceStats coherence;
     tartan::sim::XbarStats xbar;
     tartan::sim::MemCtrlStats memctrl;
+
+    bool operator==(const FleetUncoreSnapshot &) const = default;
 };
 
 /** True when @p opt wires a trace, fault or capture hook. */
@@ -80,10 +82,11 @@ RunResult replayTrace(const tartan::sim::CaptureTrace &trace,
 /**
  * Incremental replay of one captured op stream against one core of a
  * (possibly multi-core) Machine. replayTrace() is the single-stream
- * convenience wrapper; a fleet run holds one stream per core and
- * interleaves step() calls min-cycle-first, so the cores' clocks
- * advance together and contention in the shared L3 / crossbar / DRAM
- * banks is resolved in (approximate) global time order.
+ * convenience wrapper; a fleet run holds one stream per core and picks
+ * the stream to step by clock, so contention in the shared L3 /
+ * crossbar / DRAM banks is resolved in (approximate) global time
+ * order. nextStaysPrivate() tells the fleet which records need no
+ * place in that order.
  */
 class ReplayStream
 {
@@ -97,6 +100,16 @@ class ReplayStream
 
     /** Replay the next record (must not be done()). */
     void step();
+
+    /**
+     * True when the next record (must not be done()) provably touches
+     * only the bound core's own state: its clock, CPI stack, pipeline,
+     * address translation and private L1/L2. Every non-memory record
+     * except the NPU's qualifies, and a Load or Store when
+     * MemPath::staysPrivate() proves it; the ranged and lane loads
+     * never do. False is always safe.
+     */
+    bool nextStaysPrivate() const;
 
     /** The bound core's current cycle count (interleave key). */
     tartan::sim::Cycles cycles() const;
@@ -119,11 +132,15 @@ class ReplayStream
 /**
  * Replay @p traces as a robot fleet: one core per trace on a single
  * coherent machine built from @p spec (simCores is forced to the fleet
- * size), streams interleaved min-cycle-first so the robots contend for
- * the shared L3, crossbar and DRAM banks in global time order. Returns
- * one RunResult per trace, index-aligned. Results are deterministic:
- * the interleave order is a pure function of the traces and the
- * configuration (ties break toward the lower core index). When
+ * size). Shared-hierarchy transactions run in (clock, core) order, so
+ * the robots contend for the shared L3, crossbar and DRAM banks in
+ * global time order; between them, each core runs ahead through the
+ * records nextStaysPrivate() proves private. That is exact: cores own
+ * disjoint simulated spaces, so a private record commutes with every
+ * other core's records, and the result equals stepping the min-clock
+ * stream one record at a time. Returns one RunResult per trace,
+ * index-aligned. Results are deterministic: the order is a pure
+ * function of the traces and the configuration. When
  * @p uncore is non-null it receives the shared fabric's end-of-run
  * counters (coherence, crossbar, memory controller). As for
  * replayTrace(), @p opt must carry no hook and each trace counts as

@@ -30,6 +30,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -54,6 +55,7 @@ using tartan::sim::CapRecord;
 using tartan::sim::CaptureSession;
 using tartan::sim::CaptureTrace;
 using tartan::workloads::MachineSpec;
+using tartan::workloads::RobotFn;
 using tartan::workloads::RunResult;
 using tartan::workloads::SoftwareTier;
 using tartan::workloads::WorkloadOptions;
@@ -610,31 +612,31 @@ TEST(ReplayEquivalence, SequenceShapingChangesAreIncompatible)
                  "hook replay cannot honour");
 }
 
-TEST(ReplayEquivalence, CapturesOnTwoThreadsDifferOnlyInHostAddresses)
+namespace {
+
+/**
+ * Capture @p robot on the main thread and on a second thread, and
+ * expect the two captures to differ only in host addresses and to
+ * replay to one result. Returns the main-thread capture.
+ */
+CaptureTrace
+expectThreadCapturesDifferOnlyInHostAddresses(std::string_view robot,
+                                              RobotFn run,
+                                              const MachineSpec &spec,
+                                              const WorkloadOptions &opt)
 {
-    // A capture records host addresses, which move with the thread's
-    // malloc arena and stack (and with ASLR), so captures of one stream
-    // on the main thread and on a second thread (std::async) are not
-    // byte-identical. Everything else is: the records differ only in
-    // the address field of the address-bearing ops and the aux bytes
-    // only in lane address payloads, and both replay to the same
-    // result, because replay translates host addresses in first-touch
-    // order.
-    WorkloadOptions opt;
-    opt.scale = 0.25;
-    const MachineSpec spec = MachineSpec::baseline();
-    const CaptureTrace here =
-        capture("HomeBot", tartan::workloads::runHomeBot, spec, opt).trace;
+    CaptureTrace here = capture(robot, run, spec, opt).trace;
     const CaptureTrace there =
         std::async(std::launch::async, [&] {
-            return capture("HomeBot", tartan::workloads::runHomeBot, spec,
-                           opt)
-                .trace;
+            return capture(robot, run, spec, opt).trace;
         }).get();
-    ASSERT_TRUE(here.validate());
-    ASSERT_TRUE(there.validate());
-    ASSERT_EQ(here.records.size(), there.records.size());
-    ASSERT_EQ(here.aux.size(), there.aux.size());
+    EXPECT_TRUE(here.validate());
+    EXPECT_TRUE(there.validate());
+    EXPECT_EQ(here.records.size(), there.records.size());
+    EXPECT_EQ(here.aux.size(), there.aux.size());
+    if (here.records.size() != there.records.size() ||
+        here.aux.size() != there.aux.size())
+        return here;
 
     std::vector<bool> lane_bytes(here.aux.size(), false);
     std::size_t record_diffs = 0;
@@ -663,6 +665,43 @@ TEST(ReplayEquivalence, CapturesOnTwoThreadsDifferOnlyInHostAddresses)
                   tartan::workloads::replayTrace(here, wide, opt)),
               tartan::workloads::encodeRunResult(
                   tartan::workloads::replayTrace(there, wide, opt)));
+    return here;
+}
+
+} // namespace
+
+TEST(ReplayEquivalence, CapturesOnTwoThreadsDifferOnlyInHostAddresses)
+{
+    // A capture records host addresses, which move with the thread's
+    // malloc arena and stack (and with ASLR), so captures of one stream
+    // on the main thread and on a second thread (std::async) are not
+    // byte-identical. Everything else is: the records differ only in
+    // the address field of the address-bearing ops and the aux bytes
+    // only in lane address payloads, and both replay to the same
+    // result, because replay translates host addresses in first-touch
+    // order.
+    WorkloadOptions opt;
+    opt.scale = 0.25;
+    {
+        SCOPED_TRACE("HomeBot on the baseline");
+        expectThreadCapturesDifferOnlyInHostAddresses(
+            "HomeBot", tartan::workloads::runHomeBot,
+            MachineSpec::baseline(), opt);
+    }
+    {
+        // HomeBot emits no lane record; DeliBot's OVEC ray casts on
+        // Tartan emit thousands, so the lane-masking branch runs.
+        SCOPED_TRACE("DeliBot on Tartan");
+        const CaptureTrace deli =
+            expectThreadCapturesDifferOnlyInHostAddresses(
+                "DeliBot", tartan::workloads::runDeliBot,
+                MachineSpec::tartan(), opt);
+        std::size_t lane_records = 0;
+        for (const CapRecord &r : deli.records)
+            lane_records += CapOp(r.op) == CapOp::DeviceLoadLanes ||
+                            CapOp(r.op) == CapOp::VecLoadLanes;
+        EXPECT_GT(lane_records, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@
  * the Cache, snoop invalidation/downgrade and dirty forwarding through
  * the Uncore, crossbar and banked-DRAM latency math, the coherence CPI
  * category, and fleet-replay determinism (serial vs parallel pools,
- * N=1 vs the single-core replay path).
+ * N=1 vs the single-core replay path, run-ahead vs a reference
+ * scheduler that steps one record at a time).
  */
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "sim/cache.hh"
@@ -17,6 +19,7 @@
 #include "sim/runpool.hh"
 #include "sim/system.hh"
 #include "sim/uncore.hh"
+#include "workloads/cellcodec.hh"
 #include "workloads/replay.hh"
 #include "workloads/robots.hh"
 
@@ -301,10 +304,13 @@ TEST(Uncore, BankConflictDelaysAndRowHitsJumpTheQueue)
 
 namespace {
 
+using tartan::workloads::FleetUncoreSnapshot;
 using tartan::workloads::MachineSpec;
+using tartan::workloads::ReplayStream;
 using tartan::workloads::RunResult;
 using tartan::workloads::WorkloadOptions;
 using tartan::workloads::capture;
+using tartan::workloads::encodeRunResult;
 
 void
 expectSameResult(const RunResult &a, const RunResult &b)
@@ -321,6 +327,107 @@ expectSameResult(const RunResult &a, const RunResult &b)
         EXPECT_EQ(a.kernels[i].cycles, b.kernels[i].cycles);
         EXPECT_TRUE(a.kernels[i].cpi == b.kernels[i].cpi);
     }
+}
+
+/**
+ * The reference fleet scheduler: before every record, scan all streams
+ * and step the one whose core clock is lowest, ties toward the lower
+ * core index. replayFleet() must reproduce it exactly while running
+ * private records ahead.
+ */
+std::vector<RunResult>
+referenceFleet(const std::vector<const CaptureTrace *> &traces,
+               const MachineSpec &spec, const WorkloadOptions &opt,
+               FleetUncoreSnapshot *uncore)
+{
+    MachineSpec fspec = spec;
+    fspec.sys.simCores = std::uint32_t(traces.size());
+    tartan::workloads::Machine machine(fspec, opt);
+    std::vector<std::unique_ptr<ReplayStream>> streams;
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        streams.push_back(
+            std::make_unique<ReplayStream>(*traces[i], machine, i));
+    for (;;) {
+        ReplayStream *best = nullptr;
+        for (auto &s : streams)
+            if (!s->done() && (!best || s->cycles() < best->cycles()))
+                best = s.get();
+        if (!best)
+            break;
+        best->step();
+    }
+    std::vector<RunResult> results;
+    for (auto &s : streams)
+        results.push_back(s->finalize());
+    const Uncore *u = machine.system().uncore();
+    *uncore = u ? FleetUncoreSnapshot{u->coherence(), u->xbar(),
+                                      u->memctrl()}
+                : FleetUncoreSnapshot{};
+    return results;
+}
+
+/**
+ * A synthetic stream that makes the fleet's order visible: random
+ * loads and stores over kGroups groups of kDepth lines, each group
+ * 512 KB apart so its lines share one set at every level. The L1 and
+ * L2 sets thrash (dirty L1 victims often miss a non-inclusive L2 that
+ * has already dropped them), and N cores' groups overflow the shared
+ * 16-way L3 set, so dirty L3 victims reach the DRAM banks and every
+ * reordered L3 transaction moves some core's clock.
+ */
+CaptureTrace
+setConflictStream(std::uint64_t seed, int records)
+{
+    constexpr Addr kBase = Addr(1) << 36;  // never dereferenced
+    constexpr Addr kStride = 512 * 1024;
+    constexpr std::uint64_t kGroups = 4, kDepth = 24;
+    CaptureSession session(seed, seed);
+    session.mapSegment(kBase, kDepth * kStride);
+    session.registerKernel("conflict");
+    session.setKernel(0);
+    Rng rng(seed);
+    std::uint64_t hot = 0;
+    for (int i = 0; i < records; ++i) {
+        // Mostly revisit a recent line (L1 and L2 hits), sometimes
+        // jump anywhere in the groups (misses down to the L3).
+        if (rng.uniform() < 0.3)
+            hot = rng.uniformInt(kGroups * kDepth);
+        const std::uint64_t line =
+            rng.uniform() < 0.5 ? hot : (hot + rng.uniformInt(10)) %
+                                            (kGroups * kDepth);
+        const Addr addr =
+            kBase + (line / kGroups) * kStride + (line % kGroups) * 64;
+        if (rng.uniform() < 0.4)
+            session.store(addr, PcId(1), 8);
+        else
+            session.load(addr, PcId(2), std::uint8_t(rng.uniformInt(2)),
+                         8);
+        session.exec(1 + rng.uniformInt(6), 0);
+    }
+    session.setRobot("ConflictBot");
+    return session.take();
+}
+
+/**
+ * replayFleet() equals referenceFleet() on every core and counter.
+ * Returns the reference's uncore counters.
+ */
+FleetUncoreSnapshot
+expectMatchesReference(const std::vector<const CaptureTrace *> &traces,
+                       const MachineSpec &spec, const WorkloadOptions &opt)
+{
+    FleetUncoreSnapshot got, want;
+    const std::vector<RunResult> fleet =
+        tartan::workloads::replayFleet(traces, spec, opt, &got);
+    const std::vector<RunResult> ref =
+        referenceFleet(traces, spec, opt, &want);
+    EXPECT_EQ(fleet.size(), ref.size());
+    for (std::size_t c = 0; c < fleet.size() && c < ref.size(); ++c)
+        EXPECT_EQ(encodeRunResult(fleet[c]), encodeRunResult(ref[c]))
+            << "core " << c;
+    EXPECT_TRUE(got == want) << "uncore counters differ";
+    EXPECT_TRUE(got.coherence == CoherenceStats{});
+    return want;
 }
 
 } // namespace
@@ -378,6 +485,76 @@ TEST(FleetReplay, FleetIsDeterministicAcrossPoolWidths)
     // Contention is real: the fleet run is never faster than solo.
     const RunResult solo = tartan::workloads::replayTrace(d, spec, opt);
     EXPECT_GE(runs[0][0].wallCycles, solo.wallCycles);
+}
+
+TEST(FleetReplay, RunAheadMatchesReferenceOrder)
+{
+    WorkloadOptions opt;
+    opt.scale = 0.05;
+    const MachineSpec base = MachineSpec::baseline();
+    MachineSpec anl = base;
+    anl.useAnl = true;
+    MachineSpec bingo = base;
+    bingo.sys.prefetcher = PrefetcherKind::Bingo;
+    const MachineSpec tartan = MachineSpec::tartan();
+
+    namespace wl = tartan::workloads;
+    const CaptureTrace home =
+        capture("HomeBot", wl::runHomeBot, base, opt).trace;
+    const CaptureTrace deli =
+        capture("DeliBot", wl::runDeliBot, base, opt).trace;
+    const CaptureTrace move =
+        capture("MoveBot", wl::runMoveBot, base, opt).trace;
+    const std::vector<const CaptureTrace *> roster = {&home, &deli, &move};
+    // OVEC's lane records are never proven private: they always wait
+    // for their (clock, core) turn.
+    const CaptureTrace deli_ovec =
+        capture("DeliBot", wl::runDeliBot, tartan, opt).trace;
+    std::size_t lane_records = 0;
+    for (const CapRecord &r : deli_ovec.records)
+        lane_records += CapOp(r.op) == CapOp::VecLoadLanes;
+    ASSERT_GT(lane_records, 0u);
+    std::vector<CaptureTrace> conflict;
+    for (std::uint64_t i = 0; i < 8; ++i)
+        conflict.push_back(setConflictStream(0xc0f1 + i, 10000));
+
+    for (const std::size_t n : {2u, 3u, 4u, 8u}) {
+        std::vector<const CaptureTrace *> same, mixed, ovec, sets;
+        for (std::size_t i = 0; i < n; ++i) {
+            same.push_back(&home);  // equal clocks on nearly every record
+            mixed.push_back(roster[i % roster.size()]);
+            ovec.push_back(&deli_ovec);
+            sets.push_back(&conflict[i]);
+        }
+        SCOPED_TRACE(testing::Message() << "N=" << n);
+        {
+            SCOPED_TRACE("one trace on every core");
+            expectMatchesReference(same, base, opt);
+        }
+        {
+            SCOPED_TRACE("mixed robots");
+            expectMatchesReference(mixed, base, opt);
+        }
+        {
+            SCOPED_TRACE("mixed robots, ANL prefetcher");
+            expectMatchesReference(mixed, anl, opt);
+        }
+        {
+            SCOPED_TRACE("DeliBot on Tartan");
+            expectMatchesReference(ovec, tartan, opt);
+        }
+        {
+            SCOPED_TRACE("set-conflict streams");
+            // Dirty L3 victims reach the banks: the L3 order is visible.
+            EXPECT_GT(expectMatchesReference(sets, base, opt).memctrl.writes,
+                      0u);
+        }
+        {
+            // Bingo prefetches on L2 hits, through the conflicting L3.
+            SCOPED_TRACE("set-conflict streams, Bingo prefetcher");
+            expectMatchesReference(sets, bingo, opt);
+        }
+    }
 }
 
 } // namespace

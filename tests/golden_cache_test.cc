@@ -388,8 +388,7 @@ class CacheReference : public ::testing::Test
                     FAIL() << "probe diverged at step " << step;
                 if (!cache->probe(addr)) {
                     const Cycles ready = now + rng.uniformInt(40);
-                    expectSame(cache->fill(addr, true, false, ready),
-                               ref->fill(addr, true, false, ready), step);
+                    fillBoth(addr, true, false, ready, step);
                 }
                 continue;
             }
@@ -408,8 +407,7 @@ class CacheReference : public ::testing::Test
             ASSERT_EQ(got.latePenalty, want.latePenalty)
                 << "step " << step;
             if (!got.hit)
-                expectSame(cache->fill(addr, false, store),
-                           ref->fill(addr, false, store), step);
+                fillBoth(addr, false, store, 0, step);
         }
     }
 
@@ -445,6 +443,19 @@ class CacheReference : public ::testing::Test
     std::unique_ptr<ReferenceLru> ref;
 
   private:
+    /** fill() both models; Cache::victimOf() must predict the victim. */
+    void
+    fillBoth(Addr addr, bool prefetch, bool dirty, Cycles ready, int step)
+    {
+        const Cache::Eviction predicted = cache->victimOf(addr);
+        const Cache::Eviction got =
+            cache->fill(addr, prefetch, dirty, ready);
+        ASSERT_EQ(predicted.valid, got.valid) << "step " << step;
+        ASSERT_EQ(predicted.lineAddr, got.lineAddr) << "step " << step;
+        ASSERT_EQ(predicted.dirty, got.dirty) << "step " << step;
+        expectSame(got, ref->fill(addr, prefetch, dirty, ready), step);
+    }
+
     static void
     expectSame(const Cache::Eviction &got, const ReferenceLru::Victim &want,
                int step)
