@@ -62,12 +62,6 @@ NpuModel::inferenceCycles(std::span<const std::uint32_t> layers) const
     return cycles;
 }
 
-Cycles
-NpuModel::inferenceCycles(const tartan::nn::Mlp &mlp) const
-{
-    return inferenceCycles(mlp.config().layers);
-}
-
 void
 NpuModel::chargeInfer(Core &core, std::uint64_t in_floats,
                       std::uint64_t out_floats,

@@ -73,8 +73,6 @@ class NpuModel
     void infer(tartan::sim::Core &core, const tartan::nn::Mlp &mlp,
                std::span<const float> input, std::span<float> output);
 
-    /** PE-array cycles for one inference of @p mlp. */
-    tartan::sim::Cycles inferenceCycles(const tartan::nn::Mlp &mlp) const;
     /** PE-array cycles for one inference over raw layer widths. */
     tartan::sim::Cycles
     inferenceCycles(std::span<const std::uint32_t> layers) const;

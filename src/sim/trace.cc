@@ -8,12 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "sim/cpistack.hh"
 #include "sim/env.hh"
@@ -26,29 +21,11 @@ namespace tartan::sim {
 // TraceSession — event collection
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/** Copy a name into a fixed event buffer, truncating with a NUL. */
-template <std::size_t N>
-void
-setName(char (&dst)[N], const char *src)
-{
-    std::snprintf(dst, N, "%s", src);
-}
-
-} // namespace
-
 TraceSession::TraceSession(TraceConfig cfg) : config(std::move(cfg))
 {
     TARTAN_ASSERT(config.epochCycles > 0, "epochCycles must be positive");
     if (config.bench.empty())
         config.bench = "trace";
-    // Pre-size the mmap-backed event buffers so steady-state recording
-    // never allocates (growth, should it happen, remaps pages instead
-    // of copying events).
-    spans.reserve(1 << 14);
-    instants.reserve(1 << 12);
-    epochRows.reserve(1 << 14);
 }
 
 TraceSession::~TraceSession()
@@ -57,22 +34,33 @@ TraceSession::~TraceSession()
         finalize();
 }
 
+std::uint32_t
+TraceSession::intern(const std::string &name)
+{
+    const auto [it, added] =
+        nameIds.try_emplace(name, std::uint32_t(names.size()));
+    if (added)
+        names.push_back(name);
+    return it->second;
+}
+
+void
+TraceSession::closeSpan(std::uint32_t name, std::uint32_t tid,
+                        Cycles begin, Cycles end)
+{
+    if (end > begin)
+        spans.push_back(Span{name, tid, begin, end});
+}
+
 void
 TraceSession::kernelSwitch(const std::string &name, Cycles now)
 {
     lastCycle = std::max(lastCycle, now);
-    if (kernelOpen && name == openKernel)
+    if (kernelOpen && name == names[openKernel])
         return;
-    if (kernelOpen && now > openKernelSince) {
-        Span span;
-        setName(span.name, openKernel);
-        span.cat = "kernel";
-        span.tid = 0;
-        span.begin = openKernelSince;
-        span.end = now;
-        spans.push_back(span);
-    }
-    setName(openKernel, name.c_str());
+    if (kernelOpen)
+        closeSpan(openKernel, 0, openKernelSince, now);
+    openKernel = intern(name);
     openKernelSince = now;
     kernelOpen = true;
 }
@@ -81,44 +69,20 @@ void
 TraceSession::phaseBegin(const std::string &name, Cycles now)
 {
     lastCycle = std::max(lastCycle, now);
-    if (phaseDepth >= kMaxPhaseDepth) {
-        warn("trace: ROI phase nesting deeper than %zu, dropping '%s'",
-             kMaxPhaseDepth, name.c_str());
-        return;
-    }
-    OpenPhase &p = phaseStack[phaseDepth++];
-    setName(p.name, name.c_str());
-    p.since = now;
+    phases.push_back(OpenPhase{intern(name), now});
 }
 
 void
 TraceSession::phaseEnd(Cycles now)
 {
     lastCycle = std::max(lastCycle, now);
-    if (phaseDepth == 0) {
+    if (phases.empty()) {
         warn("trace: phaseEnd without a matching phaseBegin");
         return;
     }
-    const OpenPhase &p = phaseStack[--phaseDepth];
-    if (now > p.since) {
-        Span span;
-        setName(span.name, p.name);
-        span.cat = "roi";
-        span.tid = 1;
-        span.begin = p.since;
-        span.end = now;
-        spans.push_back(span);
-    }
-}
-
-void
-TraceSession::instant(const std::string &name, Cycles now)
-{
-    lastCycle = std::max(lastCycle, now);
-    Instant mark;
-    setName(mark.name, name.c_str());
-    mark.at = now;
-    instants.push_back(mark);
+    const OpenPhase p = phases.back();
+    phases.pop_back();
+    closeSpan(p.name, 1, p.since, now);
 }
 
 void
@@ -126,15 +90,18 @@ TraceSession::addProbe(const std::string &name,
                        const std::uint64_t *counter)
 {
     TARTAN_ASSERT(counter, "addProbe requires a counter");
-    if (probeCount >= kMaxProbes) {
-        warn("trace: more than %zu probes, dropping '%s'", kMaxProbes,
-             name.c_str());
+    const auto bound =
+        std::find_if(probes.begin(), probes.end(),
+                     [&](const Probe &p) { return p.name == name; });
+    if (bound != probes.end()) {
+        bound->counter = counter;
+        bound->last = *counter;
         return;
     }
-    Probe &p = probes[probeCount++];
-    setName(p.name, name.c_str());
-    p.counter = counter;
-    p.last = *counter;
+    TARTAN_ASSERT(epochRows.empty(),
+                  "trace: probe '%s' added after the first epoch sample",
+                  name.c_str());
+    probes.push_back(Probe{name, counter, *counter});
 }
 
 void
@@ -150,15 +117,15 @@ void
 TraceSession::detachProbes()
 {
     flushEpoch(lastCycle);
-    for (std::size_t i = 0; i < probeCount; ++i)
-        probes[i].counter = nullptr;
+    for (Probe &p : probes)
+        p.counter = nullptr;
     instrProbe = nullptr;
 }
 
 void
 TraceSession::flushEpoch(Cycles now)
 {
-    if (now > epochStart && (probeCount > 0 || ipcColumn))
+    if (now > epochStart && (!probes.empty() || ipcColumn))
         sample(now);
 }
 
@@ -170,10 +137,9 @@ TraceSession::sample(Cycles now)
     EpochRow row;
     row.begin = epochStart;
     row.end = now;
-    for (std::size_t i = 0; i < probeCount; ++i) {
-        Probe &p = probes[i];
+    for (Probe &p : probes) {
         const std::uint64_t cur = p.counter ? *p.counter : p.last;
-        row.deltas[i] = cur - p.last;
+        epochDeltas.push_back(cur - p.last);
         p.last = cur;
     }
     if (instrProbe) {
@@ -188,9 +154,9 @@ TraceSession::sample(Cycles now)
 void
 TraceSession::pcAccess(PcId pc, MemLevel level, AccessType type)
 {
-    const std::size_t slot = std::min<std::size_t>(pc, kMaxPcSites - 1);
-    PcCounters &c = pcCounts[slot];
-    pcSeen[slot] = true;
+    if (pc >= pcCounts.size())
+        pcCounts.resize(std::size_t(pc) + 1);
+    PcCounters &c = pcCounts[pc];
     if (type == AccessType::Store)
         ++c.stores;
     else
@@ -204,16 +170,10 @@ void
 TraceSession::closeOpen(Cycles now)
 {
     if (kernelOpen && now > openKernelSince) {
-        Span span;
-        setName(span.name, openKernel);
-        span.cat = "kernel";
-        span.tid = 0;
-        span.begin = openKernelSince;
-        span.end = now;
-        spans.push_back(span);
+        closeSpan(openKernel, 0, openKernelSince, now);
         kernelOpen = false;
     }
-    while (phaseDepth > 0)
+    while (!phases.empty())
         phaseEnd(now);
     // Flush the partial last epoch so no tail activity is dropped.
     flushEpoch(now);
@@ -227,8 +187,8 @@ std::vector<std::pair<PcId, const TraceSession::PcCounters *>>
 TraceSession::topSites() const
 {
     std::vector<std::pair<PcId, const PcCounters *>> rows;
-    for (std::size_t pc = 0; pc < kMaxPcSites; ++pc)
-        if (pcSeen[pc])
+    for (std::size_t pc = 0; pc < pcCounts.size(); ++pc)
+        if (pcCounts[pc].accesses() > 0)
             rows.emplace_back(PcId(pc), &pcCounts[pc]);
     std::sort(rows.begin(), rows.end(), [](const auto &a, const auto &b) {
         if (a.second->missesBeyondL1() != b.second->missesBeyondL1())
@@ -325,28 +285,21 @@ TraceSession::writeTraceJson(std::ostream &os)
         sep();
         eventHead(os, "X", span.begin, span.tid);
         os << ", \"dur\": " << (span.end - span.begin) << ", \"cat\": \""
-           << span.cat << "\", \"name\": ";
-        json::writeString(os, span.name);
-        os << "}";
-    }
-
-    for (const Instant &mark : instants) {
-        sep();
-        eventHead(os, "i", mark.at, 1);
-        os << ", \"s\": \"t\", \"name\": ";
-        json::writeString(os, mark.name);
+           << (span.tid == 0 ? "kernel" : "roi") << "\", \"name\": ";
+        json::writeString(os, names[span.name]);
         os << "}";
     }
 
     // Counter tracks: one series per probe, one point per epoch,
     // stamped at the epoch end.
+    const std::uint64_t *delta = epochDeltas.data();
     for (const EpochRow &row : epochRows) {
-        for (std::size_t p = 0; p < probeCount; ++p) {
+        for (const Probe &probe : probes) {
             sep();
             eventHead(os, "C", row.end, 0);
             os << ", \"name\": ";
-            json::writeString(os, probes[p].name);
-            os << ", \"args\": {\"delta\": " << row.deltas[p] << "}}";
+            json::writeString(os, probe.name);
+            os << ", \"args\": {\"delta\": " << *delta++ << "}}";
         }
         if (ipcColumn) {
             sep();
@@ -392,13 +345,14 @@ TraceSession::writeEpochsJson(std::ostream &os) const
     os << ",\n  \"epochCycles\": " << config.epochCycles
        << ",\n  \"probes\": [";
     bool first = true;
-    for (std::size_t p = 0; p < probeCount; ++p) {
+    for (const Probe &probe : probes) {
         os << (first ? "" : ", ");
         first = false;
-        json::writeString(os, probes[p].name);
+        json::writeString(os, probe.name);
     }
     os << "],\n  \"epochs\": [";
     first = true;
+    const std::uint64_t *delta = epochDeltas.data();
     for (const EpochRow &row : epochRows) {
         os << (first ? "\n" : ",\n");
         first = false;
@@ -406,24 +360,14 @@ TraceSession::writeEpochsJson(std::ostream &os) const
            << ", \"ipc\": ";
         json::writeNumber(os, row.ipc);
         os << ", \"deltas\": {";
-        for (std::size_t p = 0; p < probeCount; ++p) {
+        for (std::size_t p = 0; p < probes.size(); ++p) {
             os << (p ? ", " : "");
             json::writeString(os, probes[p].name);
-            os << ": " << row.deltas[p];
+            os << ": " << *delta++;
         }
         os << "}}";
     }
     os << (first ? "" : "\n  ") << "]\n}\n";
-}
-
-bool
-TraceSession::writeFileChecked(
-    const std::string &path,
-    const std::function<void(std::ostream &)> &emit)
-{
-    // Rename-into-place: concurrent RunPool workers finalizing their
-    // sessions can never interleave bytes in a shared output directory.
-    return json::writeFileDurable(path, emit, "trace");
 }
 
 bool
@@ -433,10 +377,14 @@ TraceSession::finalize()
         return true;
     finalized = true;
     closeOpen(lastCycle);
-    const bool trace_ok = writeFileChecked(
-        tracePath(), [this](std::ostream &os) { writeTraceJson(os); });
-    const bool epochs_ok = writeFileChecked(
-        epochsPath(), [this](std::ostream &os) { writeEpochsJson(os); });
+    // Rename-into-place: concurrent RunPool workers finalizing their
+    // sessions can never interleave bytes in a shared output directory.
+    const bool trace_ok = json::writeFileDurable(
+        tracePath(), [this](std::ostream &os) { writeTraceJson(os); },
+        "trace");
+    const bool epochs_ok = json::writeFileDurable(
+        epochsPath(), [this](std::ostream &os) { writeEpochsJson(os); },
+        "trace");
     return trace_ok && epochs_ok;
 }
 

@@ -37,12 +37,12 @@
 #define TARTAN_SIM_TRACE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/env.hh"
@@ -101,16 +101,16 @@ class TraceSession
     void phaseBegin(const std::string &name, Cycles now);
     /** Close the innermost open phase. */
     void phaseEnd(Cycles now);
-    /** Mark an instantaneous event on the ROI track. */
-    void instant(const std::string &name, Cycles now);
     ///@}
 
     /** @name Epoch sampling. */
     ///@{
     /**
      * Register a live counter to sample (by reference, so sampling
-     * costs the counted component nothing). Register before the run
-     * starts.
+     * costs the counted component nothing). Register before the first
+     * epoch sample. Registering a name again rebinds its column to
+     * @p counter: a retried cell attaches a fresh System to the same
+     * session.
      */
     void addProbe(const std::string &name, const std::uint64_t *counter);
     /** The probe whose per-epoch delta is the IPC numerator. */
@@ -150,7 +150,7 @@ class TraceSession
     bool finalize();
 
     const TraceConfig &params() const { return config; }
-    std::size_t events() const { return spans.size() + instants.size(); }
+    std::size_t events() const { return spans.size(); }
     std::size_t epochs() const { return epochRows.size(); }
 
     /**
@@ -166,48 +166,32 @@ class TraceSession
             const RunEnv &env = RunEnv::get());
 
   private:
-    /**
-     * Event names are stored in fixed-size buffers and the event
-     * vectors are reserved generously up front, so the recording hot
-     * path never allocates. Results never depend on it: workloads
-     * simulate in the deterministic address space (sim/addrmap), where
-     * host heap layout moves no simulated address.
-     */
-    static constexpr std::size_t kNameBytes = 48;
-    static constexpr std::size_t kMaxProbes = 32;
-    static constexpr std::size_t kMaxPhaseDepth = 16;
-    static constexpr std::size_t kMaxPcSites = 256;
     /** Rows of the per-PC top-N miss table. */
     static constexpr std::size_t kPcTopN = 10;
 
+    /** A closed span on track @c tid: 0 = kernels, 1 = ROI phases. */
     struct Span {
-        char name[kNameBytes];
-        const char *cat;     //!< "kernel" or "roi" (static storage)
-        std::uint32_t tid;   //!< trace track
+        std::uint32_t name;  //!< index into names
+        std::uint32_t tid;
         Cycles begin = 0;
         Cycles end = 0;
     };
 
-    struct Instant {
-        char name[kNameBytes];
-        Cycles at = 0;
-    };
-
     struct Probe {
-        char name[kNameBytes];
+        std::string name;
         const std::uint64_t *counter;  //!< null once detached
         std::uint64_t last = 0;
     };
 
+    /** One epoch; its probe deltas live in epochDeltas. */
     struct EpochRow {
         Cycles begin = 0;
         Cycles end = 0;
         double ipc = 0.0;
-        std::uint64_t deltas[kMaxProbes] = {};  //!< parallel to probes
     };
 
     struct OpenPhase {
-        char name[kNameBytes];
+        std::uint32_t name;  //!< index into names
         Cycles since = 0;
     };
 
@@ -226,6 +210,11 @@ class TraceSession
         }
     };
 
+    /** The id of @p name in the names table, adding it if new. */
+    std::uint32_t intern(const std::string &name);
+    /** Record [@p begin, @p end) on track @p tid unless it is empty. */
+    void closeSpan(std::uint32_t name, std::uint32_t tid, Cycles begin,
+                   Cycles end);
     void sample(Cycles now);
     /** Sample the partial epoch ending at @p now, if any probe exists. */
     void flushEpoch(Cycles now);
@@ -233,36 +222,32 @@ class TraceSession
     std::string filePath(const std::string &suffix) const;
     /** Top-N (pc, counters) rows ordered by misses beyond L1. */
     std::vector<std::pair<PcId, const PcCounters *>> topSites() const;
-    bool
-    writeFileChecked(const std::string &path,
-                     const std::function<void(std::ostream &)> &emit);
 
     TraceConfig config;
     std::span<const PcSite> sites;
 
     // Timeline state.
+    std::vector<std::string> names;
+    std::unordered_map<std::string, std::uint32_t> nameIds;
     MmapVec<Span> spans;
-    MmapVec<Instant> instants;
-    char openKernel[kNameBytes] = {};
+    std::uint32_t openKernel = 0;  //!< valid while kernelOpen
     Cycles openKernelSince = 0;
     bool kernelOpen = false;
-    OpenPhase phaseStack[kMaxPhaseDepth];
-    std::size_t phaseDepth = 0;
+    std::vector<OpenPhase> phases;
     Cycles lastCycle = 0;
 
     // Epoch state.
-    Probe probes[kMaxProbes];
-    std::size_t probeCount = 0;
+    std::vector<Probe> probes;
     const std::uint64_t *instrProbe = nullptr;  //!< null once detached
     std::uint64_t instrLast = 0;
     bool ipcColumn = false;  //!< an instruction probe was ever set
     Cycles epochStart = 0;
     MmapVec<EpochRow> epochRows;
+    /** Row-major probe deltas: probes.size() per epoch row. */
+    MmapVec<std::uint64_t> epochDeltas;
 
-    // Per-PC state (direct-indexed by PcId; sites above the cap share
-    // the last slot, which named sites never reach).
-    PcCounters pcCounts[kMaxPcSites];
-    bool pcSeen[kMaxPcSites] = {};
+    /** Per-PC state, indexed by PcId; a site with no access is unseen. */
+    std::vector<PcCounters> pcCounts;
 
     bool finalized = false;
 };

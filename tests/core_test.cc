@@ -499,9 +499,9 @@ TEST(Npu, MorePesFewerCycles)
     two.pes = 2;
     four.pes = 4;
     eight.pes = 8;
-    const auto c2 = NpuModel(two).inferenceCycles(mlp);
-    const auto c4 = NpuModel(four).inferenceCycles(mlp);
-    const auto c8 = NpuModel(eight).inferenceCycles(mlp);
+    const auto c2 = NpuModel(two).inferenceCycles(mlp.config().layers);
+    const auto c4 = NpuModel(four).inferenceCycles(mlp.config().layers);
+    const auto c8 = NpuModel(eight).inferenceCycles(mlp.config().layers);
     EXPECT_GT(c2, c4);
     EXPECT_GT(c4, c8);
     // Near-linear scaling for a large net.

@@ -114,25 +114,57 @@ TEST(TraceTimeline, PhasesNestAndUnmatchedEndIsIgnored)
     session.phaseEnd(25);  // icp [5, 25)
     session.phaseEnd(30);  // frame 0 [0, 30)
     session.phaseEnd(31);  // unmatched: warned and dropped
-    session.instant("replan", 12);
-    EXPECT_EQ(session.events(), 3u);
+    EXPECT_EQ(session.events(), 2u);
+
+    // Nesting has no depth limit: 20 nested phases become 20 spans.
+    for (int d = 0; d < 20; ++d)
+        session.phaseBegin("depth " + std::to_string(d), 100 + d);
+    for (int d = 0; d < 20; ++d)
+        session.phaseEnd(200 + d);
+    EXPECT_EQ(session.events(), 22u);
     session.finalize();
 
     std::string err;
-    EXPECT_TRUE(validateTraceJson(slurp(session.tracePath()), &err)) << err;
+    const std::string text = slurp(session.tracePath());
+    ASSERT_TRUE(validateTraceJson(text, &err)) << err;
+    json::Value doc;
+    ASSERT_TRUE(json::parse(text, doc, &err)) << err;
+    std::set<std::string> roi;
+    for (const json::Value &e : doc.find("traceEvents")->array)
+        if (e.find("ph")->string == "X" && e.find("cat")->string == "roi")
+            roi.insert(e.find("name")->string);
+    EXPECT_EQ(roi.size(), 22u);
+    for (int d = 0; d < 20; ++d)
+        EXPECT_EQ(roi.count("depth " + std::to_string(d)), 1u) << d;
     std::remove(session.tracePath().c_str());
     std::remove(session.epochsPath().c_str());
 }
 
 TEST(TraceTimeline, DanglingPhasesClosedAtFinalize)
 {
+    // 60-character names are stored whole, not truncated.
+    const std::string kernel = "kernel." + std::string(53, 'k');
+    const std::string phase = "phase." + std::string(54, 'p');
+    ASSERT_EQ(kernel.size(), 60u);
+    ASSERT_EQ(phase.size(), 60u);
+
     auto session = std::make_unique<TraceSession>(testConfig("dgl"));
-    session->kernelSwitch("nns", 0);
-    session->phaseBegin("frame 0", 0);
+    session->kernelSwitch(kernel, 0);
+    session->phaseBegin(phase, 0);
     session->tick(500);
     session->finalize();
     // Both the open kernel and the open phase became spans at cycle 500.
     EXPECT_EQ(session->events(), 2u);
+
+    std::string err;
+    json::Value doc;
+    ASSERT_TRUE(json::parse(slurp(session->tracePath()), doc, &err)) << err;
+    std::set<std::pair<std::string, std::string>> spans;
+    for (const json::Value &e : doc.find("traceEvents")->array)
+        if (e.find("ph")->string == "X")
+            spans.emplace(e.find("cat")->string, e.find("name")->string);
+    EXPECT_EQ(spans.count({"kernel", kernel}), 1u);
+    EXPECT_EQ(spans.count({"roi", phase}), 1u);
     std::remove(session->tracePath().c_str());
     std::remove(session->epochsPath().c_str());
 }
@@ -182,8 +214,16 @@ TEST(TraceEpochs, DeltasSumToCounterTotals)
     System sys(cfg);
     auto &core = sys.core();
 
+    // 40 probes beyond System's own: the probe list has no cap.
+    constexpr int kExtra = 40;
+    std::uint64_t extra[kExtra] = {};
+    for (int k = 0; k < kExtra; ++k)
+        session.addProbe("extra." + std::to_string(k), &extra[k]);
+
     // Mix of misses and compute spread over many epochs.
     for (int i = 0; i < 40; ++i) {
+        for (int k = 0; k < kExtra; ++k)
+            extra[k] += std::uint64_t(k);
         core.load(0x100000 + i * 4096, /*pc=*/4);
         core.exec(200);
     }
@@ -195,9 +235,19 @@ TEST(TraceEpochs, DeltasSumToCounterTotals)
     json::Value doc;
     ASSERT_TRUE(json::parse(text, doc, &err)) << err;
     double l1_sum = 0.0;
-    for (const json::Value &row : doc.find("epochs")->array)
+    double extra_sum[kExtra] = {};
+    for (const json::Value &row : doc.find("epochs")->array) {
         l1_sum += row.find("deltas")->find("l1Misses")->number;
+        for (int k = 0; k < kExtra; ++k) {
+            const json::Value *d =
+                row.find("deltas")->find("extra." + std::to_string(k));
+            ASSERT_NE(d, nullptr) << "probe extra." << k << " missing";
+            extra_sum[k] += d->number;
+        }
+    }
     EXPECT_EQ(std::uint64_t(l1_sum), sys.mem().l1().stats().misses);
+    for (int k = 0; k < kExtra; ++k)
+        EXPECT_EQ(std::uint64_t(extra_sum[k]), extra[k]) << k;
     std::remove(session.tracePath().c_str());
     std::remove(session.epochsPath().c_str());
 }
@@ -220,12 +270,14 @@ TEST(TracePcProfile, AttributesAccessesPerLevelAndRanksByMisses)
     auto &mem = sys.mem();
 
     // pc 7: two DRAM misses + one L1 hit; pc 9: one L1-resident store;
-    // pc 8 (not in the table): one L1 hit.
+    // pcs 8, 255 and 300 (not in the table): one L1 hit each.
     mem.access(0x10000, AccessType::Load, 4, 7, 0);
     mem.access(0x50000, AccessType::Load, 4, 7, 0);
     mem.access(0x10000, AccessType::Load, 4, 7, 0);
     mem.access(0x10004, AccessType::Store, 4, 9, 0);
     mem.access(0x10008, AccessType::Load, 4, 8, 0);
+    mem.access(0x1000c, AccessType::Load, 4, 300, 0);
+    mem.access(0x10010, AccessType::Load, 4, 255, 0);
 
     session.finalize();
     std::string err;
@@ -235,19 +287,25 @@ TEST(TracePcProfile, AttributesAccessesPerLevelAndRanksByMisses)
     ASSERT_TRUE(json::parse(text, doc, &err)) << err;
     const json::Value *profile = doc.find("pcProfile");
     ASSERT_NE(profile, nullptr);
-    ASSERT_EQ(profile->array.size(), 3u);
+    ASSERT_EQ(profile->array.size(), 5u);
     // Ranked by misses beyond L1: the pointer-chasing site leads.
     EXPECT_EQ(profile->array[0].find("name")->string, "hot.site");
     EXPECT_EQ(profile->array[0].find("structure")->string, "pointer chase");
     EXPECT_EQ(profile->array[0].find("dram")->number, 2.0);
     EXPECT_EQ(profile->array[0].find("l1Hits")->number, 1.0);
     EXPECT_EQ(profile->array[0].find("missesBeyondL1")->number, 2.0);
-    // The two one-access sites tie on misses and accesses: pc order.
+    // The one-access sites tie on misses and accesses: pc order.
     EXPECT_EQ(profile->array[1].find("name")->string, "pc8");
     EXPECT_EQ(profile->array[1].find("structure")->string, "");
     EXPECT_EQ(profile->array[1].find("l1Hits")->number, 1.0);
     EXPECT_EQ(profile->array[2].find("name")->string, "cold.site");
     EXPECT_EQ(profile->array[2].find("stores")->number, 1.0);
+    // Large PcIds get rows of their own.
+    EXPECT_EQ(profile->array[3].find("name")->string, "pc255");
+    EXPECT_EQ(profile->array[3].find("loads")->number, 1.0);
+    EXPECT_EQ(profile->array[4].find("name")->string, "pc300");
+    EXPECT_EQ(profile->array[4].find("pc")->number, 300.0);
+    EXPECT_EQ(profile->array[4].find("loads")->number, 1.0);
     std::remove(session.tracePath().c_str());
     std::remove(session.epochsPath().c_str());
 }
@@ -406,12 +464,23 @@ TEST(TraceObserver, AttachingASessionDoesNotPerturbTiming)
     EXPECT_EQ(traced.l1Misses, plain.l1Misses);
     EXPECT_EQ(traced.l2Misses, plain.l2Misses);
 
+    // A retried cell drives a second System through the same session:
+    // its probes rebind the existing columns instead of adding more.
+    const ScriptStats retried = driveScript(session.get());
+    EXPECT_EQ(retried.cycles, plain.cycles);
+
     const std::string trace_path = session->tracePath();
     const std::string epochs_path = session->epochsPath();
     session.reset();  // finalize + write
     std::string err;
     EXPECT_TRUE(validateTraceJson(slurp(trace_path), &err)) << err;
-    EXPECT_TRUE(validateEpochsJson(slurp(epochs_path), &err)) << err;
+    const std::string epochs = slurp(epochs_path);
+    EXPECT_TRUE(validateEpochsJson(epochs, &err)) << err;
+    json::Value doc;
+    ASSERT_TRUE(json::parse(epochs, doc, &err)) << err;
+    std::set<std::string> probes;
+    for (const json::Value &p : doc.find("probes")->array)
+        EXPECT_TRUE(probes.insert(p.string).second) << p.string;
     std::remove(trace_path.c_str());
     std::remove(epochs_path.c_str());
 }
