@@ -10,7 +10,7 @@
  *
  * Parallel-run pattern: a driver builds its complete list of campaign
  * cells (each capturing its own MachineSpec / WorkloadOptions / trace
- * session by value), hands them to runAll(rep, pool, cells), and only
+ * config by value), hands them to runAll(rep, pool, cells), and only
  * then formats tables from the in-submission-order results. All
  * printing happens on the main thread after the gather, so stdout and
  * the BENCH manifest are byte-identical whatever TARTAN_JOBS is.
@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -275,27 +276,36 @@ cell(std::string label, RobotFn run, MachineSpec spec, WorkloadOptions opt,
 }
 
 /**
- * Build one *traced* robot-run cell. The TraceSession is created
+ * Run @p run with a fresh TraceSession built from @p trace attached
+ * (none when @p trace is empty); the session writes its files when the
+ * run returns or throws. Call it inside a cell's attempt: every attempt
+ * then traces into a session of its own, and a retry's files replace
+ * the failed attempt's instead of overlaying them.
+ */
+inline RunResult
+tracedRun(const std::optional<sim::TraceConfig> &trace, RobotFn run,
+          const MachineSpec &spec, WorkloadOptions opt)
+{
+    std::optional<sim::TraceSession> session;
+    if (trace)
+        opt.trace = &session.emplace(*trace);
+    return run(spec, opt);
+}
+
+/**
+ * Build one *traced* robot-run cell. The trace paths are registered
  * here, on the calling thread and in submission order, so the
- * reporter's manifest lists trace paths deterministically; the
- * closure owns the session (shared_ptr because std::function must
- * stay copyable) and finalizes it right after the run, exactly where
- * the serial code called t.reset().
+ * reporter's manifest lists them deterministically; each attempt of
+ * the cell builds its own session (tracedRun).
  */
 inline Cell<RunResult>
 cell(BenchReporter &rep, std::string label, RobotFn run, MachineSpec spec,
      WorkloadOptions opt, std::string_view salt = {})
 {
-    std::shared_ptr<sim::TraceSession> trace = rep.makeTrace(label);
+    std::optional<sim::TraceConfig> trace = rep.traceConfig(label);
     Cell<RunResult> c = cell(std::move(label), run, spec, opt, salt);
-    c.fn = [run, spec = std::move(spec), opt,
-            trace = std::move(trace)]() {
-        WorkloadOptions traced_opt = opt;
-        traced_opt.trace = trace.get();
-        RunResult res = run(spec, traced_opt);
-        if (trace)
-            trace->finalize();
-        return res;
+    c.fn = [run, spec = std::move(spec), opt, trace = std::move(trace)]() {
+        return tracedRun(trace, run, spec, opt);
     };
     return c;
 }

@@ -157,12 +157,13 @@ main(int argc, char **argv)
     const MachineSpec spec = MachineSpec::tartan();
 
     // Submit the whole campaign — per selected robot, the clean
-    // baseline followed by one run per fault class. Trace sessions are
-    // created here on the main thread (so manifest order is
-    // deterministic); the fault injector is created *inside* the
-    // closure, so a watchdog retry restarts the fault stream from the
-    // beginning instead of resuming it mid-way — the re-attempt is the
-    // byte-identical re-execution the resilience layer assumes.
+    // baseline followed by one run per fault class. Trace paths are
+    // registered here on the main thread (so manifest order is
+    // deterministic); the fault injector and the trace session are
+    // created *inside* the closure, so a watchdog retry restarts the
+    // fault stream and the trace from the beginning instead of resuming
+    // them mid-way — the re-attempt is the byte-identical re-execution
+    // the resilience layer assumes.
     const auto fault_cell = [&rep, &spec](const std::string &label,
                                           RobotFn run, std::string robot,
                                           std::string fault_spec) {
@@ -175,10 +176,11 @@ main(int argc, char **argv)
             label, spec, options(SoftwareTier::Approximate, 0.5),
             fault_spec);
         c.seed = 42;
-        std::shared_ptr<tartan::sim::TraceSession> trace =
-            rep.makeTrace(label);
+        std::optional<tartan::sim::TraceConfig> trace =
+            rep.traceConfig(label);
         c.fn = [run, spec, robot = std::move(robot),
-                fault_spec = std::move(fault_spec), trace]() {
+                fault_spec = std::move(fault_spec),
+                trace = std::move(trace)]() {
             FaultPlan plan;
             std::string perr;
             if (!FaultPlan::parse(fault_spec, plan, &perr))
@@ -188,11 +190,7 @@ main(int argc, char **argv)
                 plan.makeInjector(robot);
             WorkloadOptions opt = options(SoftwareTier::Approximate, 0.5);
             opt.faults = inj.get();
-            opt.trace = trace.get();
-            RunResult res = run(spec, opt);
-            if (trace)
-                trace->finalize();
-            return res;
+            return tracedRun(trace, run, spec, opt);
         };
         return c;
     };

@@ -41,6 +41,7 @@ rayCastingTime(bool use_ovec, bool accel)
     sim::System sys(sys_cfg);
     Mem mem(&sys.core());
     sim::Arena arena(16 << 20);
+    sys.mem().mapSegment(arena.base(), arena.capacityBytes());
     robotics::OccupancyGrid2D grid(384, 384, arena);
     sim::Rng rng(42);
     grid.makeHeterogeneous(rng, 0.01, 0.04);

@@ -24,14 +24,16 @@ namespace {
 
 /** Cast a full laser scan and return (cycles, instructions). */
 std::pair<sim::Cycles, std::uint64_t>
-scanWith(robotics::OrientedEngine &engine,
+scanWith(robotics::OrientedEngine &engine, const sim::Arena &arena,
          const robotics::OccupancyGrid2D &grid)
 {
     // A simulated machine: 4-wide OoO core, 32 KB L1 / 256 KB L2 /
-    // 8 MB L3 (the paper's upgraded baseline).
+    // 8 MB L3 (the paper's upgraded baseline). The grid's arena maps
+    // linearly into its address space, keeping the grid's layout.
     sim::SysConfig cfg;
     cfg.lineBytes = 32;
     sim::System machine(cfg);
+    machine.mem().mapSegment(arena.base(), arena.capacityBytes());
     robotics::Mem mem(&machine.core());
 
     robotics::RayConfig ray;
@@ -65,8 +67,8 @@ main()
     robotics::ScalarOrientedEngine scalar;  // today's CPUs
     core::OvecEngine ovec;                  // Tartan's O_MOVE
 
-    auto [base_cycles, base_instr] = scanWith(scalar, grid);
-    auto [ovec_cycles, ovec_instr] = scanWith(ovec, grid);
+    auto [base_cycles, base_instr] = scanWith(scalar, arena, grid);
+    auto [ovec_cycles, ovec_instr] = scanWith(ovec, arena, grid);
 
     std::printf("%-22s %14s %14s\n", "", "cycles", "instructions");
     std::printf("%-22s %14llu %14llu\n", "scalar baseline",

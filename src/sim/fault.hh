@@ -76,14 +76,14 @@ struct FaultRate {
 
 /** Injection counters, kept per injector (i.e. per robot run). */
 struct FaultStats {
-    std::uint64_t sensorDrops = 0;
-    std::uint64_t sensorStuck = 0;
-    std::uint64_t sensorNoise = 0;
-    std::uint64_t sensorSpikes = 0;
-    std::uint64_t sensorNans = 0;
-    std::uint64_t surrogateGarbage = 0;
-    std::uint64_t surrogateInflated = 0;
-    std::uint64_t memSpikes = 0;
+    std::uint64_t sensorDrops = 0;   //!< readings or frames dropped
+    std::uint64_t sensorStuck = 0;   //!< readings stuck at a stale value
+    std::uint64_t sensorNoise = 0;   //!< readings with a noise burst
+    std::uint64_t sensorSpikes = 0;  //!< readings with an outlier spike
+    std::uint64_t sensorNans = 0;    //!< readings replaced by NaN
+    std::uint64_t surrogateGarbage = 0;   //!< NPU outputs made garbage
+    std::uint64_t surrogateInflated = 0;  //!< NPU outputs given extra error
+    std::uint64_t memSpikes = 0;            //!< demand-latency spikes
     std::uint64_t memBlackouts = 0;         //!< blackout windows opened
     std::uint64_t memBlackoutAccesses = 0;  //!< accesses inside windows
     std::uint64_t cellCrashes = 0;          //!< injected cell crashes

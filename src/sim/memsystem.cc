@@ -14,7 +14,7 @@ namespace tartan::sim {
 
 MemPath::MemPath(const MemPathParams &params, Cache *shared_l3)
     : config(params), l1Cache(params.l1), l2Cache(params.l2),
-      l3Cache(shared_l3)
+      l3Cache(shared_l3), addrMap(std::make_unique<AddrMap>())
 {
     TARTAN_ASSERT(l3Cache, "MemPath requires a shared L3");
     TARTAN_ASSERT(params.l1.lineBytes == params.l2.lineBytes,
@@ -34,17 +34,8 @@ MemPath::addWriteThroughRange(Addr base, std::size_t bytes)
 }
 
 void
-MemPath::enableDeterministicAddressing()
-{
-    if (!addrMap)
-        addrMap = std::make_unique<AddrMap>();
-}
-
-void
 MemPath::mapSegment(Addr base, std::size_t bytes)
 {
-    TARTAN_ASSERT(addrMap,
-                  "mapSegment requires deterministic addressing");
     if (capture)
         capture->mapSegment(base, bytes);
     addrMap->addSegment(base, bytes);
@@ -316,19 +307,9 @@ MemPath::accessRange(Addr base, std::uint32_t bytes, PcId pc, Cycles now)
         any = true;
     };
 
-    if (!addrMap) {
-        const Addr first = base & ~static_cast<Addr>(line - 1);
-        const Addr last = (base + (bytes ? bytes - 1 : 0)) &
-                          ~static_cast<Addr>(line - 1);
-        for (Addr a = first; a <= last; a += line)
-            take(a, a);
-        return worst;
-    }
-
-    // Deterministic mode: walk the span at translation-grain
-    // granularity and access each distinct simulated line once, so the
-    // line count reflects the span's size rather than the host base's
-    // offset within a line.
+    // Walk the span at translation-grain granularity and access each
+    // distinct simulated line once, so the line count reflects the
+    // span's size rather than the host base's offset within a line.
     const Addr first =
         base & ~static_cast<Addr>(AddrMap::kGrainBytes - 1);
     const Addr end = base + (bytes ? bytes : 1);
@@ -367,7 +348,7 @@ MemPath::staysPrivate(Addr host, AccessType type) const
     // never proven private.
     if (faults || trace)
         return false;
-    const Addr sim = addrMap ? addrMap->translate(host) : host;
+    const Addr sim = addrMap->translate(host);
     if (type == AccessType::Store) {
         if (!wtRanges.empty() && inRange(wtRanges, host))
             return true;

@@ -4,11 +4,13 @@
  * an L2-attached prefetcher, write-through (MTRR-style) ranges, and
  * selective-caching (no-allocate) ranges.
  *
- * One hierarchy walk serves every access. access() is inline: it
- * translates through the AddrMap TLB and resolves an L1 hit with one
- * inline Cache::lookup and no out-of-line call. An L1 miss continues
- * in accessMiss(): L2 lookup, prefetch issue, L3 fetch, fills and the
- * victim write-back chain, in that order. The fault, trace and uncore
+ * One address walk and one hierarchy walk serve every access. Every
+ * path owns an AddrMap from construction, so no host address reaches
+ * a cache untranslated. access() is inline: it translates through the
+ * AddrMap TLB and resolves an L1 hit with one inline Cache::lookup and
+ * no out-of-line call. An L1 miss continues in accessMiss(): L2
+ * lookup, prefetch issue, L3 fetch, fills and the victim write-back
+ * chain, in that order. The fault, trace and uncore
  * hooks are null-checked branches at the points where they act, so a
  * path with none attached pays one predictable branch per hook.
  */
@@ -80,7 +82,8 @@ class MemPath
     MemPath(const MemPathParams &params, Cache *shared_l3);
 
     /**
-     * Perform a demand access and return the observed latency.
+     * Perform a demand access to host address @p addr and return the
+     * observed latency. The caches see addrTranslator()->translate(addr).
      *
      * @param now current core cycle (prefetch timeliness)
      */
@@ -88,19 +91,18 @@ class MemPath
     access(Addr addr, AccessType type, std::uint32_t size, PcId pc,
            Cycles now)
     {
-        const Addr sim = addrMap ? addrMap->translate(addr) : addr;
-        return accessAt(addr, sim, type, size, pc, now);
+        return accessAt(addr, addrMap->translate(addr), type, size, pc,
+                        now);
     }
 
     /**
      * Access every cache line of the contiguous span
      * [base, base+bytes) as independent loads (a wide vector load) and
-     * return the worst per-line result. With deterministic addressing
-     * enabled the line count is derived from the span's translated
-     * grains, so it no longer depends on the host base's offset within
-     * a line. Spans that map linearly through a single arena segment
-     * hoist the segment lookup out of the per-line loop
-     * (AddrMap::linearSpan) and walk host lines directly.
+     * return the worst per-line result. The line count is derived from
+     * the span's translated grains, so it does not depend on the host
+     * base's offset within a line. Spans that map linearly through a
+     * single arena segment hoist the segment lookup out of the
+     * per-line loop (AddrMap::linearSpan) and walk host lines directly.
      */
     AccessResult accessRange(Addr base, std::uint32_t bytes, PcId pc,
                              Cycles now);
@@ -119,18 +121,23 @@ class MemPath
     bool staysPrivate(Addr host, AccessType type) const;
 
     /**
-     * Route all subsequent accesses through an AddrMap: host addresses
-     * are translated into a deterministic simulated address space
-     * (registered arena segments map linearly; everything else through
-     * a 16-byte-grain first-touch table), so cache behaviour is
+     * Does nothing: every path translates from construction. Kept only
+     * because the frozen host-performance benchmark
+     * (perfbench/drilldown.cc) still calls it; delete it with the next
+     * benchmark change.
+     */
+    void enableDeterministicAddressing() {}
+    /** Register an arena as a linearly-mapped AddrMap segment. */
+    void mapSegment(Addr base, std::size_t bytes);
+    /**
+     * The translator every access goes through; never null. Host
+     * addresses map into a deterministic simulated address space
+     * (registered arena segments linearly, everything else through a
+     * 16-byte-grain first-touch table), so cache behaviour is
      * bit-identical across runs regardless of heap ASLR or which
      * thread's malloc arena the workload allocated from. Write-through
      * and no-allocate ranges keep matching on *host* addresses.
      */
-    void enableDeterministicAddressing();
-    /** Register an arena as a linearly-mapped AddrMap segment. */
-    void mapSegment(Addr base, std::size_t bytes);
-    /** The translator, or null when deterministic addressing is off. */
     AddrMap *addrTranslator() { return addrMap.get(); }
 
     /** Attach (or replace) the L2 prefetcher. */
@@ -305,7 +312,7 @@ class MemPath
     Uncore *uncoreHook = nullptr;  //!< shared uncore (not owned)
     std::uint32_t pathId = 0;      //!< this path's core id at the uncore
     std::unique_ptr<Prefetcher> pf;
-    std::unique_ptr<AddrMap> addrMap;  //!< null = host addresses pass through
+    const std::unique_ptr<AddrMap> addrMap;  //!< host -> simulated
     std::vector<Range> wtRanges;
     std::vector<Range> noAllocRanges;
     /**

@@ -157,15 +157,15 @@ BenchReporter::captureStats(std::uint64_t captures,
     captureTotals.replays = replays;
 }
 
-std::unique_ptr<TraceSession>
-BenchReporter::makeTrace(const std::string &run)
+std::optional<TraceConfig>
+BenchReporter::traceConfig(const std::string &run)
 {
-    auto session = TraceSession::fromEnv(benchName, run);
-    if (session) {
-        tracePaths.push_back(session->tracePath());
-        tracePaths.push_back(session->epochsPath());
+    auto cfg = TraceConfig::fromEnv(benchName, run);
+    if (cfg) {
+        tracePaths.push_back(cfg->tracePath());
+        tracePaths.push_back(cfg->epochsPath());
     }
-    return session;
+    return cfg;
 }
 
 void

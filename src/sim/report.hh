@@ -34,7 +34,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -42,10 +42,9 @@
 #include <vector>
 
 #include "sim/cpistack.hh"
+#include "sim/trace.hh"
 
 namespace tartan::sim {
-
-class TraceSession;
 
 /** Collects one bench run's results and emits BENCH_<name>.json. */
 class BenchReporter
@@ -127,13 +126,14 @@ class BenchReporter
     bool hasFailures() const { return !failureRows.empty(); }
 
     /**
-     * Build a TraceSession for one run of this bench, honouring the
-     * TARTAN_TRACE environment variable (output directory). Returns
-     * null when tracing is off; otherwise the session writes
-     * TRACE_<bench>_<run>.json (+ _epochs.json) on destruction, and the
-     * paths are echoed in this reporter's manifest under "traces".
+     * The trace config of one run of this bench, honouring the
+     * TARTAN_TRACE environment variable (output directory), or nullopt
+     * when tracing is off. The run's TRACE_<bench>_<run>.json (+
+     * _epochs.json) paths are echoed in this reporter's manifest under
+     * "traces", in call order; each attempt of the run builds its own
+     * TraceSession from the config.
      */
-    std::unique_ptr<TraceSession> makeTrace(const std::string &run);
+    std::optional<TraceConfig> traceConfig(const std::string &run);
 
     /** Serialize the full document. */
     void writeJson(std::ostream &os) const;

@@ -90,14 +90,9 @@ TraceSession::addProbe(const std::string &name,
                        const std::uint64_t *counter)
 {
     TARTAN_ASSERT(counter, "addProbe requires a counter");
-    const auto bound =
-        std::find_if(probes.begin(), probes.end(),
-                     [&](const Probe &p) { return p.name == name; });
-    if (bound != probes.end()) {
-        bound->counter = counter;
-        bound->last = *counter;
-        return;
-    }
+    TARTAN_ASSERT(std::none_of(probes.begin(), probes.end(),
+                               [&](const Probe &p) { return p.name == name; }),
+                  "trace: probe '%s' added twice", name.c_str());
     TARTAN_ASSERT(epochRows.empty(),
                   "trace: probe '%s' added after the first epoch sample",
                   name.c_str());
@@ -207,27 +202,15 @@ TraceSession::topSites() const
 // ---------------------------------------------------------------------------
 
 std::string
-TraceSession::filePath(const std::string &suffix) const
+TraceConfig::filePath(const std::string &suffix) const
 {
-    std::string dir = config.dir;
+    std::string dir = this->dir;
     if (!dir.empty() && dir.back() != '/')
         dir += '/';
-    std::string name = "TRACE_" + config.bench;
-    if (!config.run.empty())
-        name += "_" + config.run;
+    std::string name = "TRACE_" + bench;
+    if (!run.empty())
+        name += "_" + run;
     return dir + name + suffix;
-}
-
-std::string
-TraceSession::tracePath() const
-{
-    return filePath(".json");
-}
-
-std::string
-TraceSession::epochsPath() const
-{
-    return filePath("_epochs.json");
 }
 
 namespace {
@@ -388,21 +371,21 @@ TraceSession::finalize()
     return trace_ok && epochs_ok;
 }
 
-std::unique_ptr<TraceSession>
-TraceSession::fromEnv(const std::string &bench, const std::string &run,
-                      const RunEnv &env)
+std::optional<TraceConfig>
+TraceConfig::fromEnv(const std::string &bench, const std::string &run,
+                     const RunEnv &env)
 {
     // RunEnv is a one-shot snapshot: workers can build sessions without
     // racing on getenv, and the directory cannot change mid-sweep.
     if (env.traceDir.empty())
-        return nullptr;
+        return std::nullopt;
     TraceConfig cfg;
     cfg.dir = env.traceDir;
     cfg.bench = bench;
     cfg.run = run;
     if (env.traceEpochCycles > 0)
         cfg.epochCycles = env.traceEpochCycles;
-    return std::make_unique<TraceSession>(std::move(cfg));
+    return cfg;
 }
 
 // ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@
  *     embedded in the trace file.
  *
  * Sessions are created per simulated machine (one Core per session) and
- * write their files on finalize()/destruction. BenchReporter::makeTrace
- * builds sessions from the TARTAN_TRACE environment variable so every
- * bench driver can emit traces without plumbing; workloads::Machine
+ * write their files on finalize()/destruction. BenchReporter::traceConfig
+ * reads the TARTAN_TRACE environment variable so every bench driver can
+ * emit traces without plumbing, and every attempt of a cell builds its
+ * own session from that config; workloads::Machine
  * hands an attached session the robotics site table
  * (robotics::pcSites()), so this layer never names a robotics site
  * itself. A session is owned by one run and shares nothing with other
@@ -37,7 +38,7 @@
 #define TARTAN_SIM_TRACE_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -73,6 +74,27 @@ struct TraceConfig {
     std::string run;    //!< run label, e.g. "HomeBot_approx" ("" = none)
     /** Simulated cycles per stats-sampling epoch. */
     Cycles epochCycles = 100000;
+
+    /** Chrome trace-event output path (TRACE_<bench>[_<run>].json). */
+    std::string tracePath() const { return filePath(".json"); }
+    /** Epoch-samples output path (TRACE_<bench>[_<run>]_epochs.json). */
+    std::string epochsPath() const { return filePath("_epochs.json"); }
+
+    /**
+     * The config of one traced run from $TARTAN_TRACE (interpreted as
+     * the output directory), or nullopt when the variable is unset or
+     * empty. $TARTAN_TRACE_EPOCH overrides epochCycles. The environment
+     * is read through @p env, by default the process-wide RunEnv
+     * snapshot (parsed once at first use), never through live getenv
+     * probes; tests pass a freshly parsed RunEnv.
+     */
+    static std::optional<TraceConfig>
+    fromEnv(const std::string &bench, const std::string &run,
+            const RunEnv &env = RunEnv::get());
+
+  private:
+    /** dir/TRACE_<bench>[_<run>]@p suffix. */
+    std::string filePath(const std::string &suffix) const;
 };
 
 /** One machine's trace: timeline + epoch samples + per-PC profile. */
@@ -107,10 +129,9 @@ class TraceSession
     ///@{
     /**
      * Register a live counter to sample (by reference, so sampling
-     * costs the counted component nothing). Register before the first
-     * epoch sample. Registering a name again rebinds its column to
-     * @p counter: a retried cell attaches a fresh System to the same
-     * session.
+     * costs the counted component nothing). Register each name once,
+     * before the first epoch sample (both asserted): a session observes
+     * one System, so a retried run needs a fresh session.
      */
     void addProbe(const std::string &name, const std::uint64_t *counter);
     /** The probe whose per-epoch delta is the IPC numerator. */
@@ -137,9 +158,9 @@ class TraceSession
     void pcAccess(PcId pc, MemLevel level, AccessType type);
 
     /** Chrome trace-event output path. */
-    std::string tracePath() const;
-    /** Epoch-samples output path (TRACE_<bench>[_<run>]_epochs.json). */
-    std::string epochsPath() const;
+    std::string tracePath() const { return config.tracePath(); }
+    /** Epoch-samples output path. */
+    std::string epochsPath() const { return config.epochsPath(); }
 
     /** Serialize the Chrome trace document. */
     void writeTraceJson(std::ostream &os);
@@ -152,18 +173,6 @@ class TraceSession
     const TraceConfig &params() const { return config; }
     std::size_t events() const { return spans.size(); }
     std::size_t epochs() const { return epochRows.size(); }
-
-    /**
-     * Build a session from $TARTAN_TRACE (interpreted as the output
-     * directory). Returns null when the variable is unset or empty.
-     * $TARTAN_TRACE_EPOCH overrides TraceConfig::epochCycles. The
-     * environment is read through @p env, by default the process-wide
-     * RunEnv snapshot (parsed once at first use), never through live
-     * getenv probes; tests pass a freshly parsed RunEnv.
-     */
-    static std::unique_ptr<TraceSession>
-    fromEnv(const std::string &bench, const std::string &run,
-            const RunEnv &env = RunEnv::get());
 
   private:
     /** Rows of the per-PC top-N miss table. */
@@ -219,7 +228,6 @@ class TraceSession
     /** Sample the partial epoch ending at @p now, if any probe exists. */
     void flushEpoch(Cycles now);
     void closeOpen(Cycles now);
-    std::string filePath(const std::string &suffix) const;
     /** Top-N (pc, counters) rows ordered by misses beyond L1. */
     std::vector<std::pair<PcId, const PcCounters *>> topSites() const;
 

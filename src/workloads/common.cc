@@ -55,16 +55,11 @@ Machine::Machine(const MachineSpec &spec, const WorkloadOptions &opt)
         opt.trace->setSites(robotics::pcSites());
     specData.sys.faults = opt.faults;
     sys = std::make_unique<tartan::sim::System>(specData.sys);
-    // Workload runs always simulate in the deterministic address
-    // space: host pointers are translated before they reach the
-    // caches, so results are bit-identical whether the run executes
-    // serially or on a RunPool worker (heap ASLR and per-thread malloc
-    // arenas shift host addresses between the two). On a multi-core
-    // machine every core gets its own translator, biased so the
-    // robots' simulated spaces are disjoint in the shared L3: honest
-    // capacity and bandwidth contention, no fake sharing.
+    // Every core translates through its own AddrMap. On a multi-core
+    // machine each translator is biased so the robots' simulated
+    // spaces are disjoint in the shared L3: honest capacity and
+    // bandwidth contention, no fake sharing.
     for (std::size_t i = 0; i < sys->coreCount(); ++i) {
-        sys->mem(i).enableDeterministicAddressing();
         if (i)
             sys->mem(i).addrTranslator()->setSpaceBias(
                 tartan::sim::Addr(i) << 48);

@@ -92,7 +92,8 @@ TEST(Mesi, SnoopInvalidateRemovesTheLine)
 }
 
 // ---------------------------------------------------------------------------
-// System-level coherence: two cores, true sharing via host addresses
+// System-level coherence: two cores, true sharing through one segment
+// every core maps
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -105,22 +106,40 @@ dualCore()
     return cfg;
 }
 
+/**
+ * Map [host, host+bytes) as a linear segment on every core of @p sys
+ * and return where the caches hold @p host. The cores' translators are
+ * unbiased, so each one maps the span onto the same simulated lines and
+ * the cores truly share them.
+ */
+Addr
+shareSpan(System &sys, Addr host, std::size_t bytes = 64)
+{
+    for (std::size_t i = 0; i < sys.coreCount(); ++i)
+        sys.mem(i).mapSegment(host, bytes);
+    const Addr sim = sys.mem(0).addrTranslator()->translate(host);
+    for (std::size_t i = 1; i < sys.coreCount(); ++i)
+        EXPECT_EQ(sys.mem(i).addrTranslator()->translate(host), sim);
+    return sim;
+}
+
 } // namespace
 
 TEST(Coherence, RemoteReadDowngradesToShared)
 {
     System sys(dualCore());
     ASSERT_NE(sys.uncore(), nullptr);
+    const Addr line = shareSpan(sys, 0x10000);
     // Core 0 brings the line into its private hierarchy (Exclusive).
     sys.mem(0).access(0x10000, AccessType::Load, 4, 1, 0);
-    ASSERT_EQ(sys.mem(0).l1().lineState(0x10000), MesiState::Exclusive);
+    ASSERT_EQ(sys.mem(0).l1().lineState(line), MesiState::Exclusive);
 
     // Core 1 reads the same line: core 0's copies demote to Shared and
     // core 1 pays the snoop round (tagged as coherence latency).
     const auto res = sys.mem(1).access(0x10000, AccessType::Load, 4, 1, 0);
     EXPECT_EQ(res.coherenceCycles, sys.config().uncore.coherenceLatency);
-    EXPECT_EQ(sys.mem(0).l1().lineState(0x10000), MesiState::Shared);
-    EXPECT_EQ(sys.mem(1).l1().lineState(0x10000), MesiState::Shared);
+    EXPECT_EQ(sys.mem(0).l1().lineState(line), MesiState::Shared);
+    EXPECT_EQ(sys.mem(1).l1().lineState(line), MesiState::Shared);
     const CoherenceStats &cs = sys.uncore()->coherence();
     EXPECT_EQ(cs.snoops, 1u);
     EXPECT_EQ(cs.downgrades, 2u);  // core 0's L1 and L2 copies
@@ -131,11 +150,13 @@ TEST(Coherence, RemoteReadDowngradesToShared)
 TEST(Coherence, RemoteWriteInvalidates)
 {
     System sys(dualCore());
+    const Addr line = shareSpan(sys, 0x20000);
     sys.mem(0).access(0x20000, AccessType::Load, 4, 1, 0);
+    ASSERT_EQ(sys.mem(0).l1().lineState(line), MesiState::Exclusive);
     // Core 1 writes the line: core 0's copies must be invalidated.
     sys.mem(1).access(0x20000, AccessType::Store, 4, 1, 0);
-    EXPECT_EQ(sys.mem(0).l1().lineState(0x20000), MesiState::Invalid);
-    EXPECT_EQ(sys.mem(0).l2().lineState(0x20000), MesiState::Invalid);
+    EXPECT_EQ(sys.mem(0).l1().lineState(line), MesiState::Invalid);
+    EXPECT_EQ(sys.mem(0).l2().lineState(line), MesiState::Invalid);
     const CoherenceStats &cs = sys.uncore()->coherence();
     EXPECT_EQ(cs.invalidations, 2u);  // L1 + L2 copy
     // A later read by core 0 misses again (the copy is gone).
@@ -148,9 +169,10 @@ TEST(Coherence, RemoteWriteInvalidates)
 TEST(Coherence, DirtyLineForwardsThroughL3)
 {
     System sys(dualCore());
+    const Addr line = shareSpan(sys, 0x30000);
     // Core 0 dirties the line in its private L1.
     sys.mem(0).access(0x30000, AccessType::Store, 4, 1, 0);
-    ASSERT_EQ(sys.mem(0).l1().lineState(0x30000), MesiState::Modified);
+    ASSERT_EQ(sys.mem(0).l1().lineState(line), MesiState::Modified);
 
     const std::uint64_t dram_before = sys.mem(1).stats.dramReads;
     sys.mem(1).access(0x30000, AccessType::Load, 4, 1, 0);
@@ -160,15 +182,16 @@ TEST(Coherence, DirtyLineForwardsThroughL3)
     // fetch was satisfied there — no DRAM read.
     EXPECT_EQ(sys.mem(1).stats.dramReads, dram_before);
     // The writer's copy survives, demoted to Shared and now clean.
-    EXPECT_EQ(sys.mem(0).l1().lineState(0x30000), MesiState::Shared);
+    EXPECT_EQ(sys.mem(0).l1().lineState(line), MesiState::Shared);
 }
 
 TEST(Coherence, StoreToSharedLineUpgrades)
 {
     System sys(dualCore());
+    const Addr line = shareSpan(sys, 0x40000);
     sys.mem(0).access(0x40000, AccessType::Load, 4, 1, 0);
     sys.mem(1).access(0x40000, AccessType::Load, 4, 1, 0);
-    ASSERT_EQ(sys.mem(0).l1().lineState(0x40000), MesiState::Shared);
+    ASSERT_EQ(sys.mem(0).l1().lineState(line), MesiState::Shared);
 
     // Core 0 stores to its Shared copy: ownership must be acquired
     // (upgrade), and core 1's copies must disappear.
@@ -176,15 +199,16 @@ TEST(Coherence, StoreToSharedLineUpgrades)
         sys.mem(0).access(0x40000, AccessType::Store, 4, 1, 0);
     EXPECT_GE(res.coherenceCycles,
               sys.config().uncore.coherenceLatency);
-    EXPECT_EQ(sys.mem(0).l1().lineState(0x40000), MesiState::Modified);
-    EXPECT_EQ(sys.mem(1).l1().lineState(0x40000), MesiState::Invalid);
-    EXPECT_EQ(sys.mem(1).l2().lineState(0x40000), MesiState::Invalid);
+    EXPECT_EQ(sys.mem(0).l1().lineState(line), MesiState::Modified);
+    EXPECT_EQ(sys.mem(1).l1().lineState(line), MesiState::Invalid);
+    EXPECT_EQ(sys.mem(1).l2().lineState(line), MesiState::Invalid);
     EXPECT_EQ(sys.uncore()->coherence().upgrades, 1u);
 }
 
 TEST(Coherence, DependentLoadChargesTheCoherenceCpiCategory)
 {
     System sys(dualCore());
+    shareSpan(sys, 0x50000);
     sys.core(0).load(0x50000, 1, MemDep::Dependent);
     sys.core(1).load(0x50000, 1, MemDep::Dependent);
     const CpiStack &cpi = sys.core(1).cpiTotals();
@@ -214,6 +238,7 @@ TEST(Coherence, RandomTrueSharingKeepsCounterInvariants)
             cfg.simCores = cores;
             cfg.prefetcher = pf;
             System sys(cfg);
+            shareSpan(sys, kBase, kLines * 64);
             Rng rng(0x5eed + cores);
             std::vector<std::uint64_t> cursor(cores, 0);
             for (int i = 0; i < kAccesses; ++i) {

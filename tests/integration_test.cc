@@ -58,6 +58,7 @@ TEST(Integration, DrainCountsResidentDirtyLinesOnce)
 {
     SysConfig cfg;
     System sys(cfg);
+    sys.mem().mapSegment(0x10000, 0x20000 + 64);
     // Dirty exactly three distinct lines.
     sys.core().store(0x10000, 1);
     sys.core().store(0x20000, 1);

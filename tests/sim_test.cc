@@ -222,6 +222,29 @@ TEST(FcpReplacement, GreedyRegionEvictedFirst)
     EXPECT_TRUE(c.probe(region_b));
 }
 
+/** Where the caches of @p mem hold host address @p host. */
+Addr
+simAddr(MemPath &mem, Addr host)
+{
+    return mem.addrTranslator()->translate(host);
+}
+
+TEST(MemPath, BareSystemTranslatesItsFirstLoad)
+{
+    SysConfig cfg;
+    System sys(cfg);
+    auto &mem = sys.mem();
+    ASSERT_NE(mem.addrTranslator(), nullptr);
+
+    const Addr host = 0x10000;
+    mem.access(host, AccessType::Load, 4, 1, 0);
+    const Addr sim = simAddr(mem, host);
+    EXPECT_NE(sim, host);
+    EXPECT_TRUE(mem.l1().probe(sim));
+    EXPECT_TRUE(mem.l2().probe(sim));
+    EXPECT_TRUE(mem.l3().probe(sim));
+}
+
 TEST(MemPath, HierarchyLatencies)
 {
     SysConfig cfg;
@@ -242,6 +265,8 @@ TEST(MemPath, L2HitAfterL1Eviction)
     SysConfig cfg;
     System sys(cfg);
     auto &mem = sys.mem();
+    // One linear segment keeps the crafted set conflicts.
+    mem.mapSegment(0x10000, 9 * 64 * 64);
 
     mem.access(0x10000, AccessType::Load, 4, 1, 0);
     // Evict 0x10000 from L1 by filling its set (32 KB / 8-way / 64 B =
@@ -264,8 +289,8 @@ TEST(MemPath, WriteThroughRangeBypassesAllocation)
     EXPECT_EQ(res.latency, 1u);
     EXPECT_EQ(mem.stats.wtStores, 1u);
     EXPECT_EQ(mem.stats.dramWrites, 1u);
-    EXPECT_FALSE(mem.l1().probe(0x20100));
-    EXPECT_FALSE(mem.l2().probe(0x20100));
+    EXPECT_FALSE(mem.l1().probe(simAddr(mem, 0x20100)));
+    EXPECT_FALSE(mem.l2().probe(simAddr(mem, 0x20100)));
     // L3 never saw the store.
     EXPECT_EQ(mem.stats.l3Accesses, 0u);
 }
@@ -276,7 +301,7 @@ TEST(MemPath, WriteBackStoreAllocates)
     System sys(cfg);
     auto &mem = sys.mem();
     mem.access(0x30000, AccessType::Store, 4, 1, 0);
-    EXPECT_TRUE(mem.l1().probe(0x30000));
+    EXPECT_TRUE(mem.l1().probe(simAddr(mem, 0x30000)));
     EXPECT_GE(mem.stats.l3Accesses, 1u);
 }
 
@@ -287,8 +312,11 @@ TEST(MemPath, NoAllocateRangeSkipsFills)
     auto &mem = sys.mem();
     mem.addNoAllocateRange(0x40000, 4096);
     mem.access(0x40000, AccessType::Load, 4, 1, 0);
-    EXPECT_FALSE(mem.l1().probe(0x40000));
-    EXPECT_FALSE(mem.l2().probe(0x40000));
+    EXPECT_FALSE(mem.l1().probe(simAddr(mem, 0x40000)));
+    EXPECT_FALSE(mem.l2().probe(simAddr(mem, 0x40000)));
+    // The line did reach the shared L3, so the probes above look at
+    // the address the walk used.
+    EXPECT_TRUE(mem.l3().probe(simAddr(mem, 0x40000)));
 }
 
 TEST(MemPath, NextLinePrefetchCoversSequentialStream)
@@ -297,6 +325,7 @@ TEST(MemPath, NextLinePrefetchCoversSequentialStream)
     cfg.prefetcher = PrefetcherKind::NextLine;
     System sys(cfg);
     auto &mem = sys.mem();
+    mem.mapSegment(0x100000, 64 * 64);
 
     Cycles now = 0;
     for (Addr a = 0x100000; a < 0x100000 + 64 * 64; a += 64) {
@@ -313,6 +342,7 @@ TEST(MemPath, LatePrefetchPaysResidualLatency)
     cfg.prefetcher = PrefetcherKind::NextLine;
     System sys(cfg);
     auto &mem = sys.mem();
+    mem.mapSegment(0x200000, 2 * 64);
 
     // Miss on line 0 issues a prefetch for line 1 that is not yet ready
     // when we access it immediately afterwards.
@@ -329,6 +359,7 @@ TEST(MemPath, TimelyPrefetchIsFree)
     cfg.prefetcher = PrefetcherKind::NextLine;
     System sys(cfg);
     auto &mem = sys.mem();
+    mem.mapSegment(0x200000, 2 * 64);
 
     mem.access(0x200000, AccessType::Load, 4, 7, 0);
     auto res = mem.access(0x200040, AccessType::Load, 4, 7, 100000);
@@ -421,6 +452,8 @@ TEST(Core, VectorLoadChargesWorstLane)
     SysConfig cfg;
     System sys(cfg);
     auto &core = sys.core();
+    // Mapped linearly, the two lanes stay on distinct lines.
+    sys.mem().mapSegment(0x80000, 0x10000 + 64);
     // Warm one lane; leave the other cold.
     core.load(0x80000, 1);
     const Cycles before = core.cycles();

@@ -58,6 +58,7 @@ TEST(MemPathStats, DrainDirtyCountsResidentDirtyLines)
     SysConfig cfg;
     System sys(cfg);
     auto &mem = sys.mem();
+    mem.mapSegment(0x50000, 3 * 64);
 
     // Three write-back stores to distinct lines: dirty in L1 only.
     mem.access(0x50000, AccessType::Store, 4, 1, 0);

@@ -252,6 +252,21 @@ TEST(TraceEpochs, DeltasSumToCounterTotals)
     std::remove(session.epochsPath().c_str());
 }
 
+TEST(TraceEpochs, SecondSystemOnOneSessionAsserts)
+{
+    // A session observes one System. A second one would register the
+    // same probe names; that aborts instead of rebinding the columns,
+    // so a retried run must bring a fresh session.
+    TraceSession session(testConfig("dup"));
+    SysConfig cfg;
+    cfg.trace = &session;
+    System first(cfg);
+    EXPECT_DEATH(System second(cfg), "probe 'l1Misses' added twice");
+    session.finalize();
+    std::remove(session.tracePath().c_str());
+    std::remove(session.epochsPath().c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Per-PC attribution
 // ---------------------------------------------------------------------------
@@ -268,6 +283,7 @@ TEST(TracePcProfile, AttributesAccessesPerLevelAndRanksByMisses)
     cfg.trace = &session;
     System sys(cfg);
     auto &mem = sys.mem();
+    mem.mapSegment(0x10000, 0x40000 + 64);
 
     // pc 7: two DRAM misses + one L1 hit; pc 9: one L1-resident store;
     // pcs 8, 255 and 300 (not in the table): one L1 hit each.
@@ -373,24 +389,27 @@ TEST(TraceEnv, FromEnvHonoursDirectoryAndEpochOverride)
     // parses a fresh RunEnv after each environment change and passes it
     // to fromEnv in place of the snapshot.
     unsetenv("TARTAN_TRACE");
-    EXPECT_EQ(TraceSession::fromEnv("b", "r",
-                                    tartan::sim::RunEnv::parse()),
-              nullptr);
+    EXPECT_FALSE(TraceConfig::fromEnv("b", "r", tartan::sim::RunEnv::parse())
+                     .has_value());
 
     setenv("TARTAN_TRACE", "trace_env_out", 1);
     setenv("TARTAN_TRACE_EPOCH", "12345", 1);
-    auto session =
-        TraceSession::fromEnv("b", "r", tartan::sim::RunEnv::parse());
-    ASSERT_NE(session, nullptr);
-    EXPECT_EQ(session->params().epochCycles, 12345u);
-    EXPECT_EQ(session->tracePath(), "trace_env_out/TRACE_b_r.json");
-    EXPECT_EQ(session->epochsPath(),
-              "trace_env_out/TRACE_b_r_epochs.json");
+    const auto cfg =
+        TraceConfig::fromEnv("b", "r", tartan::sim::RunEnv::parse());
     unsetenv("TARTAN_TRACE");
     unsetenv("TARTAN_TRACE_EPOCH");
-    session->finalize();
-    std::remove(session->tracePath().c_str());
-    std::remove(session->epochsPath().c_str());
+    ASSERT_TRUE(cfg.has_value());
+    EXPECT_EQ(cfg->epochCycles, 12345u);
+    EXPECT_EQ(cfg->tracePath(), "trace_env_out/TRACE_b_r.json");
+    EXPECT_EQ(cfg->epochsPath(), "trace_env_out/TRACE_b_r_epochs.json");
+    // A session built from the config writes to the same paths.
+    TraceSession session(*cfg);
+    EXPECT_EQ(session.params().epochCycles, 12345u);
+    EXPECT_EQ(session.tracePath(), cfg->tracePath());
+    EXPECT_EQ(session.epochsPath(), cfg->epochsPath());
+    session.finalize();
+    std::remove(session.tracePath().c_str());
+    std::remove(session.epochsPath().c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -410,7 +429,7 @@ struct ScriptStats {
 };
 
 /**
- * Drive a bare System (no workload, no address translation) through a
+ * Drive a bare System (no workload, no arena segment) through a
  * deterministic mix of kernels, phases, loads, stores and compute on
  * literal addresses, so a traced/untraced comparison isolates the hooks
  * themselves.
@@ -464,23 +483,12 @@ TEST(TraceObserver, AttachingASessionDoesNotPerturbTiming)
     EXPECT_EQ(traced.l1Misses, plain.l1Misses);
     EXPECT_EQ(traced.l2Misses, plain.l2Misses);
 
-    // A retried cell drives a second System through the same session:
-    // its probes rebind the existing columns instead of adding more.
-    const ScriptStats retried = driveScript(session.get());
-    EXPECT_EQ(retried.cycles, plain.cycles);
-
     const std::string trace_path = session->tracePath();
     const std::string epochs_path = session->epochsPath();
     session.reset();  // finalize + write
     std::string err;
     EXPECT_TRUE(validateTraceJson(slurp(trace_path), &err)) << err;
-    const std::string epochs = slurp(epochs_path);
-    EXPECT_TRUE(validateEpochsJson(epochs, &err)) << err;
-    json::Value doc;
-    ASSERT_TRUE(json::parse(epochs, doc, &err)) << err;
-    std::set<std::string> probes;
-    for (const json::Value &p : doc.find("probes")->array)
-        EXPECT_TRUE(probes.insert(p.string).second) << p.string;
+    EXPECT_TRUE(validateEpochsJson(slurp(epochs_path), &err)) << err;
     std::remove(trace_path.c_str());
     std::remove(epochs_path.c_str());
 }
