@@ -37,7 +37,8 @@ Cache::Cache(const CacheParams &params) : config(params)
     tags.assign(ways, kInvalidTag);
     recency.assign(ways, 0);
     flags.assign(ways, 0);
-    touched.assign(ways, 0);
+    if (config.trackUdm)
+        touched.assign(ways, 0);
     readyAt.assign(ways, 0);
 }
 
@@ -58,11 +59,11 @@ Cache::evictLine(std::size_t idx)
         statsData.udmFetchedBytes += config.lineBytes;
         statsData.udmUsedBytes +=
             4ull * static_cast<std::uint64_t>(std::popcount(touched[idx]));
+        touched[idx] = 0;
     }
     if (evictionListener)
         evictionListener(tags[idx] << lineBits);
     flags[idx] = 0;
-    touched[idx] = 0;
     tags[idx] = kInvalidTag;
     if (memoIdx == idx)
         memoIdx = kNoMemo;
@@ -115,11 +116,11 @@ Cache::fill(Addr addr, bool prefetch, bool dirty, Cycles ready_at)
         // state (no reader looks at it before checking validity), and
         // the victim way's aged value is overwritten by the install
         // below, so neither needs excluding and the saturating
-        // increment vectorises.
-        for (std::uint32_t w = 0; w < config.assoc; ++w) {
-            const std::size_t idx = base + w;
-            recency[idx] += recency[idx] < maxRecency ? 1u : 0u;
-        }
+        // increment is a select. Locals again, as in promote().
+        std::uint32_t *rec = recency.data() + base;
+        const std::uint32_t assoc = config.assoc, max_rec = maxRecency;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            rec[w] += rec[w] < max_rec ? 1u : 0u;
     } else {
         // FCP: age every resident line (saturating at the natural LRU
         // maximum), then pass every same-region line through m(x),
@@ -170,9 +171,11 @@ Cache::findWay(Addr addr) const
     // measured no different on fleet4 (min of 16 timed replays each,
     // 4-core Xeon), so it keeps the early exit.
     const std::uint64_t line_number = addr >> lineBits;
-    const std::size_t base = setIndex(line_number) * config.assoc;
-    for (std::uint32_t way = 0; way < config.assoc; ++way)
-        if (tags[base + way] == line_number)
+    const std::uint32_t assoc = config.assoc;
+    const std::size_t base = setIndex(line_number) * assoc;
+    const std::uint64_t *set_tags = tags.data() + base;
+    for (std::uint32_t way = 0; way < assoc; ++way)
+        if (set_tags[way] == line_number)
             return base + way;
     return kNoMemo;
 }
@@ -263,15 +266,18 @@ Cache::victimOf(Addr addr) const
     // which stays as tuned for the single-core walk: the resident way
     // means no eviction, else the way of maximal key.
     const std::uint64_t line_number = addr >> lineBits;
-    const std::size_t base = setIndex(line_number) * config.assoc;
+    const std::uint32_t assoc = config.assoc;
+    const std::size_t base = setIndex(line_number) * assoc;
+    const std::uint64_t *set_tags = tags.data() + base;
+    const std::uint32_t *set_rec = recency.data() + base;
     std::uint32_t best_key = 0;
-    for (std::uint32_t way = 0; way < config.assoc; ++way) {
-        const std::uint64_t tag = tags[base + way];
+    for (std::uint32_t way = 0; way < assoc; ++way) {
+        const std::uint64_t tag = set_tags[way];
         if (tag == line_number)
             return Eviction{};
         const std::uint32_t rank = tag == kInvalidTag
                                        ? kInvalidRank
-                                       : (recency[base + way] + 1) << 8;
+                                       : (set_rec[way] + 1) << 8;
         best_key = std::max(best_key, rank | (255 - way));
     }
     const std::size_t vidx = base + (255 - (best_key & 0xffu));

@@ -11,15 +11,15 @@
  * through one dense row per set instead of striding across fat line
  * records. The set index is one inline branch: the power-of-two mask,
  * or the FCP permutation. The one lookup (lookup(), fronted by a
- * one-entry MRU memo) is inline, so the owning MemPath resolves a
- * demand hit without an out-of-line call, and the one fill retires the
- * residency check, victim selection, eviction, LRU aging and FCP
- * manipulation in one scan plus one write pass over the set. Both
- * scans are selects over all ways with one branch on the outcome,
- * never a data-dependent early exit or running compare: the ways of a
- * set are few, and a mispredicted branch costs more than scanning them
- * all. (findWay, the residency query of probe and the coherence hooks,
- * keeps its early exit; see cache.cc.)
+ * one-entry MRU memo; out of line in the release build) and the one
+ * fill, which retires the residency check, victim selection, eviction,
+ * LRU aging and FCP manipulation in one scan plus one write pass, both
+ * scan the set as scalar selects over all ways (no way loop
+ * vectorises) with one branch on the outcome, never a data-dependent
+ * early exit or running compare: the ways of a set are few, and a
+ * mispredicted branch costs more than scanning them all. (findWay, the
+ * residency query of probe and the coherence hooks, keeps its early
+ * exit; see cache.cc.)
  * tests/golden_cache_test.cc diffs both against a naive map-of-sets
  * reference model.
  */
@@ -188,12 +188,14 @@ class Cache
         // line, and invalid ways carry kInvalidTag).
         if (memoIdx != kNoMemo && tags[memoIdx] == line_number)
             return hitAt(memoIdx, addr, type, size, now);
-        const std::size_t base = setIndex(line_number) * config.assoc;
+        const std::uint32_t assoc = config.assoc;
+        const std::size_t base = setIndex(line_number) * assoc;
+        const std::uint64_t *set_tags = tags.data() + base;
         // Tag match as a select over every way (at most one matches):
         // no data-dependent early exit, one branch on the outcome.
         std::uint32_t hit_way = kNoWay;
-        for (std::uint32_t way = 0; way < config.assoc; ++way)
-            hit_way = tags[base + way] == line_number ? way : hit_way;
+        for (std::uint32_t way = 0; way < assoc; ++way)
+            hit_way = set_tags[way] == line_number ? way : hit_way;
         if (hit_way == kNoWay) {
             statsData.misses += count_miss ? 1 : 0;
             return LookupResult{};
@@ -345,17 +347,17 @@ class Cache
      * True LRU promotion: lines younger than @p way's age by one. An
      * invalid way's recency is dead state (every reader checks
      * validity before looking at it), so it is aged too and the loop
-     * is a branchless compare-and-add the compiler can vectorise.
+     * is a branchless compare-and-add. Bound and row are locals: a
+     * recency store may alias config.assoc and force a reload per way.
      */
     void
     promote(std::size_t set_base, std::uint32_t way)
     {
-        const std::uint32_t old_rec = recency[set_base + way];
-        for (std::uint32_t w = 0; w < config.assoc; ++w) {
-            const std::size_t idx = set_base + w;
-            recency[idx] += recency[idx] < old_rec ? 1u : 0u;
-        }
-        recency[set_base + way] = 0;
+        std::uint32_t *rec = recency.data() + set_base;
+        const std::uint32_t assoc = config.assoc, old_rec = rec[way];
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            rec[w] += rec[w] < old_rec ? 1u : 0u;
+        rec[way] = 0;
         memoIdx = set_base + way;
     }
 
@@ -401,7 +403,7 @@ class Cache
     std::vector<std::uint32_t> recency;
     /** kValid / kDirty / kPrefetched bits per way. */
     std::vector<std::uint8_t> flags;
-    /** 4-byte-granule touched bitmap per way (UDM tracking). */
+    /** 4-byte-granule touched bitmap per way (empty unless trackUdm). */
     std::vector<std::uint64_t> touched;
     /** Cycle at which a prefetched way's line arrives. */
     std::vector<Cycles> readyAt;

@@ -43,7 +43,7 @@ Core::checkInvariants() const
                       instructions == totalInstructions,
                   "kernel attributions sum to core totals");
     // Cycle accounting is exhaustive and exclusive: every charged
-    // cycle flows through addCycles/addMemStall with exactly one
+    // cycle flows through addCycles/chargeMemStall with exactly one
     // category, so the CPI stacks partition the cycle totals.
     TARTAN_ASSERT(cpiTotal.sum() == totalCycles,
                   "cpi categories sum to total cycles");
@@ -124,21 +124,26 @@ Core::addCycles(Cycles c, CpiCat cat)
 }
 
 void
-Core::addMemStall(Cycles c, const CpiStack &split)
+Core::chargeMemStall(Cycles stall, const StallComponents &comp)
 {
     heartbeat();  // same liveness tick as addCycles
-    TARTAN_DCHECK(split.sum() == c,
+    KernelCounters &k = kernelData[kernelId];
+    [[maybe_unused]] Cycles charged = 0;
+    splitStall(comp, stall, [&](CpiCat cat, Cycles share) {
+        cpiTotal[cat] += share;
+        k.cpi[cat] += share;
+        charged += share;
+    });
+    TARTAN_DCHECK(charged == stall,
                   "CPI stall split (%llu) must sum to the stall (%llu)",
-                  static_cast<unsigned long long>(split.sum()),
-                  static_cast<unsigned long long>(c));
-    cpiTotal.add(split);
-    kernelData[kernelId].cpi.add(split);
-    totalMemStall += c;
-    kernelData[kernelId].memStallCycles += c;
+                  static_cast<unsigned long long>(charged),
+                  static_cast<unsigned long long>(stall));
+    totalMemStall += stall;
+    k.memStallCycles += stall;
     // One cycle advance (not one per category): trace epoch sampling
     // observes the same tick sequence as the pre-accounting model.
-    totalCycles += c;
-    kernelData[kernelId].cycles += c;
+    totalCycles += stall;
+    k.cycles += stall;
     if (trace)
         trace->tick(totalCycles);
 }
@@ -192,13 +197,13 @@ Core::loadStall(const AccessResult &res, MemDep dep)
     return (beyond + config.missOverlap - 1) / config.missOverlap;
 }
 
-Cycles
-Core::stallComponents(const AccessResult &res, CpiStack &comp) const
+void
+Core::stallComponents(const AccessResult &res, StallComponents &comp) const
 {
     const MemPathParams &mp = memPath->params();
     const Cycles l1_lat = mp.l1.latency;
     if (res.latency <= l1_lat)
-        return 0;
+        return;
     const Cycles beyond = res.latency - l1_lat;
     // Tagged components first (injected spikes, late-prefetch
     // residuals); what remains is hierarchy latency split by the level
@@ -210,13 +215,12 @@ Core::stallComponents(const AccessResult &res, CpiStack &comp) const
     rest -= late;
     const Cycles coher = std::min(res.coherenceCycles, rest);
     rest -= coher;
-    Cycles l2 = 0, l3 = 0, dram = 0;
+    Cycles l1 = 0, l2 = 0, l3 = 0, dram = 0;
     switch (res.level) {
       case MemLevel::L1:
         // Only a tagged component can push an L1 hit beyond the L1
         // latency; any untagged remainder is charged to the L1 itself.
-        comp[CpiCat::L1] += rest;
-        rest = 0;
+        l1 = rest;
         break;
       case MemLevel::L2:
         l2 = rest;
@@ -233,13 +237,11 @@ Core::stallComponents(const AccessResult &res, CpiStack &comp) const
       case MemLevel::NumLevels:
         break;
     }
-    comp[CpiCat::L2] += l2;
-    comp[CpiCat::L3] += l3;
-    comp[CpiCat::Dram] += dram;
-    comp[CpiCat::PfLate] += late;
-    comp[CpiCat::Fault] += fault;
-    comp[CpiCat::Coherence] += coher;
-    return beyond;
+    // In kStallCats order.
+    const Cycles add[kNumStallCats] = {l1, l2, l3, dram, late, fault, coher};
+    for (std::size_t i = 0; i < kNumStallCats; ++i)
+        comp.slot[i] += add[i];
+    comp.total += beyond;
 }
 
 void
@@ -252,9 +254,9 @@ Core::load(Addr addr, PcId pc, MemDep dep, std::uint32_t size)
                                totalCycles);
     const Cycles s = loadStall(res, dep);
     if (s) {
-        CpiStack comp;
-        const Cycles beyond = stallComponents(res, comp);
-        addMemStall(s, splitStall(comp, beyond, s));
+        StallComponents comp;
+        stallComponents(res, comp);
+        chargeMemStall(s, comp);
     }
 }
 
@@ -293,17 +295,16 @@ Core::deviceLoadLanes(std::span<const Addr> lanes, PcId pc,
     // components aggregate across lanes first; the compressed stall is
     // then split over the aggregate, so the attribution is independent
     // of lane order within a batch.
-    Cycles total_beyond = 0;
-    CpiStack comp;
+    StallComponents comp;
     for (Addr lane : lanes) {
         auto res = memPath->access(lane, AccessType::Load, 4, pc,
                                    totalCycles);
-        total_beyond += stallComponents(res, comp);
+        stallComponents(res, comp);
     }
     const std::uint32_t overlap = config.missOverlap;
-    const Cycles stall = (total_beyond + overlap - 1) / overlap;
+    const Cycles stall = (comp.total + overlap - 1) / overlap;
     if (stall)
-        addMemStall(stall, splitStall(comp, total_beyond, stall));
+        chargeMemStall(stall, comp);
 }
 
 void
@@ -321,22 +322,18 @@ Core::vecLoadLanes(std::span<const Addr> lanes, PcId pc, Cycles ag_latency,
     // Lanes issue concurrently but remain bandwidth-bound: the stall is
     // the aggregate beyond-L1 latency through the same miss-overlap
     // window a scalar stream enjoys, floored by the slowest lane.
-    Cycles total_beyond = 0;
     Cycles worst = 0;
-    CpiStack comp;
+    StallComponents comp;
     for (Addr lane : lanes) {
         auto res = memPath->access(lane, AccessType::Load, lane_size, pc,
                                    totalCycles);
-        if (res.latency > memPath->params().l1.latency)
-            worst = std::max(worst,
-                             loadStall(res, MemDep::Independent));
-        total_beyond += stallComponents(res, comp);
+        worst = std::max(worst, loadStall(res, MemDep::Independent));
+        stallComponents(res, comp);
     }
     const Cycles stall = std::max(
-        worst, (total_beyond + config.missOverlap - 1) /
-                   config.missOverlap);
+        worst, (comp.total + config.missOverlap - 1) / config.missOverlap);
     if (stall)
-        addMemStall(stall, splitStall(comp, total_beyond, stall));
+        chargeMemStall(stall, comp);
 }
 
 void
@@ -351,9 +348,9 @@ Core::vecLoadContiguous(Addr base, std::uint32_t bytes, PcId pc)
     auto res = memPath->accessRange(base, bytes, pc, totalCycles);
     const Cycles worst = loadStall(res, MemDep::Independent);
     if (worst) {
-        CpiStack comp;
-        const Cycles beyond = stallComponents(res, comp);
-        addMemStall(worst, splitStall(comp, beyond, worst));
+        StallComponents comp;
+        stallComponents(res, comp);
+        chargeMemStall(worst, comp);
     }
 }
 

@@ -168,19 +168,18 @@ class Core
     /** The single chokepoint every charged cycle flows through: adds
      *  @p c to the totals, the current kernel, and category @p cat. */
     void addCycles(Cycles c, CpiCat cat);
-    /** Charge a memory stall whose CPI split is @p split (must sum to
-     *  @p c); one cycle advance, so trace epochs are unchanged. */
-    void addMemStall(Cycles c, const CpiStack &split);
+    /** Charge a memory stall of @p stall cycles, split over @p comp by
+     *  splitStall; one cycle advance, so trace epochs are unchanged. */
+    void chargeMemStall(Cycles stall, const StallComponents &comp);
     void addInstructions(std::uint64_t n);
     /** Stall beyond L1 for one access, applying the MLP hint. */
     Cycles loadStall(const AccessResult &res, MemDep dep);
     /**
-     * Decompose the beyond-L1 latency of @p res into CPI categories
-     * (L2/L3/DRAM by servicing level, pfLate and fault from the tagged
-     * result fields) accumulated into @p comp; returns the beyond-L1
-     * total added.
+     * Decompose the beyond-L1 latency of @p res into stall categories
+     * (L2/L3/DRAM by servicing level, pfLate, fault and coherence from
+     * the tagged result fields) accumulated into @p comp, total too.
      */
-    Cycles stallComponents(const AccessResult &res, CpiStack &comp) const;
+    void stallComponents(const AccessResult &res, StallComponents &comp) const;
 
     CoreParams config;
     MemPath *memPath;

@@ -28,6 +28,7 @@
 #ifndef TARTAN_SIM_CPISTACK_HH
 #define TARTAN_SIM_CPISTACK_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -154,32 +155,47 @@ struct CpiStack {
     }
 };
 
+/** The categories a memory stall can touch: StallComponents' slots. */
+constexpr CpiCat kStallCats[] = {CpiCat::L1, CpiCat::L2, CpiCat::L3,
+    CpiCat::Dram, CpiCat::PfLate, CpiCat::Fault, CpiCat::Coherence};
+static_assert(std::is_sorted(std::begin(kStallCats), std::end(kStallCats)),
+              "stall slots follow CpiCat order, the split's order");
+constexpr std::size_t kNumStallCats = std::size(kStallCats);  //!< slots
+
+/** Uncompressed beyond-L1 latency split over the stall categories. */
+struct StallComponents {
+    Cycles slot[kNumStallCats] = {};  //!< cycles, indexed like kStallCats
+    Cycles total = 0;                 //!< sum of the slots
+};
+
 /**
- * Distribute an MLP-compressed stall of @p stall cycles across the
- * categories of @p comp (whose entries sum to @p total, the
- * uncompressed beyond-L1 latency) by the cumulative-floor method:
- * category i receives floor(cum_i*stall/total) - floor(cum_{i-1}*
- * stall/total) with cum_i the running component sum in enum order. The
- * shares telescope, so they always sum to exactly @p stall; when
- * stall == total (a Dependent, uncompressed stall) each category
- * receives exactly its component. Pure integer arithmetic in a fixed
- * order makes the split bit-reproducible across hosts.
+ * Split an MLP-compressed stall of @p stall cycles over the slots of
+ * @p comp by the cumulative-floor method, calling @p charge(cat, share)
+ * per nonzero slot: category i gets floor(cum_i*stall/total) -
+ * floor(cum_{i-1}*stall/total), cum_i the running slot sum in CpiCat
+ * order, total = comp.total. The shares telescope to exactly @p stall;
+ * a Dependent stall (stall == total) pays each component exactly.
+ * Fixed-order integer arithmetic is bit-reproducible across hosts.
  */
-inline CpiStack
-splitStall(const CpiStack &comp, Cycles total, Cycles stall)
+template <typename Charge>
+inline void
+splitStall(const StallComponents &comp, Cycles stall, Charge &&charge)
 {
-    CpiStack out;
-    if (!total || !stall)
-        return out;
+    const Cycles total = comp.total;
     Cycles cum = 0;
     Cycles prev = 0;
-    for (std::size_t i = 0; i < kNumCpiCats; ++i) {
-        cum += comp.cat[i];
-        const Cycles next = cum * stall / total;
-        out.cat[i] = next - prev;
+    for (std::size_t i = 0; i < kNumStallCats; ++i) {
+        if (!comp.slot[i])
+            continue;  // share 0, prev unchanged
+        cum += comp.slot[i];
+        // No division in the common cases: an uncompressed stall pays
+        // each component; the slot completing the total ends at stall.
+        const Cycles next = stall == total ? cum
+                            : cum == total ? stall
+                                           : cum * stall / total;
+        charge(kStallCats[i], next - prev);
         prev = next;
     }
-    return out;
 }
 
 } // namespace tartan::sim

@@ -6,9 +6,9 @@
  *
  * One address walk and one hierarchy walk serve every access. Every
  * path owns an AddrMap from construction, so no host address reaches
- * a cache untranslated. access() is inline: it translates through the
- * AddrMap TLB and resolves an L1 hit with one inline Cache::lookup and
- * no out-of-line call. An L1 miss continues in accessMiss(): L2
+ * a cache untranslated. access() translates through the AddrMap TLB
+ * and resolves an L1 hit with one Cache::lookup call (out of line in
+ * the release build). An L1 miss continues in accessMiss(): L2
  * lookup, prefetch issue, L3 fetch, fills and the victim write-back
  * chain, in that order. The fault, trace and uncore
  * hooks are null-checked branches at the points where they act, so a

@@ -6,7 +6,7 @@
  * pathological configuration, an injected `cell:hang` fault — and a
  * hung worker thread cannot be killed portably. Instead the cell
  * *cooperates*: the simulation's cycle sinks (Core::addCycles /
- * addMemStall) tick sim::heartbeat(), a near-free thread-local
+ * chargeMemStall) tick sim::heartbeat(), a near-free thread-local
  * counter. When a ScopedCellWatch is armed, the thread-local state
  * also holds the cell's label and wall-clock deadline, and every
  * 1024th tick reads steady_clock and throws CellTimeoutError once the

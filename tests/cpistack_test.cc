@@ -1,15 +1,17 @@
 /**
  * @file
- * CPI-stack accounting tests: the deterministic stall split, the
- * taxonomy name round-trip, the per-kernel and machine-wide
- * sum-to-total invariants on real robot runs, and fault-injection
- * attribution (spikes must land in `fault`, never inflate the DRAM
- * category).
+ * CPI-stack accounting tests: the deterministic stall split (against
+ * the thirteen-wide reference it replaced), the taxonomy name
+ * round-trip, the per-kernel and machine-wide sum-to-total invariants
+ * on real robot runs, and fault-injection attribution (spikes must
+ * land in `fault`, never inflate the DRAM category).
  */
 
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <random>
+#include <vector>
 
 #include "sim/cpistack.hh"
 #include "sim/fault.hh"
@@ -39,6 +41,50 @@ faultCycles(const RunResult &res)
     return total;
 }
 
+/**
+ * The thirteen-wide split the seven-slot splitStall replaced, kept as
+ * its oracle: category i of @p comp receives floor(cum_i*stall/total)
+ * - floor(cum_{i-1}*stall/total), cum_i the running sum in enum order.
+ */
+CpiStack
+referenceSplit(const CpiStack &comp, Cycles total, Cycles stall)
+{
+    CpiStack out;
+    if (!total || !stall)
+        return out;
+    Cycles cum = 0;
+    Cycles prev = 0;
+    for (std::size_t i = 0; i < kNumCpiCats; ++i) {
+        cum += comp.cat[i];
+        const Cycles next = cum * stall / total;
+        out.cat[i] = next - prev;
+        prev = next;
+    }
+    return out;
+}
+
+/** The stall slots of @p comp (whose other categories must be 0). */
+StallComponents
+toSlots(const CpiStack &comp)
+{
+    StallComponents slots;
+    for (std::size_t i = 0; i < kNumStallCats; ++i) {
+        slots.slot[i] = comp[kStallCats[i]];
+        slots.total += slots.slot[i];
+    }
+    return slots;
+}
+
+/** splitStall's shares of @p stall, gathered into a CPI stack. */
+CpiStack
+split(const StallComponents &slots, Cycles stall)
+{
+    CpiStack out;
+    splitStall(slots, stall,
+               [&](CpiCat cat, Cycles share) { out[cat] += share; });
+    return out;
+}
+
 } // namespace
 
 TEST(SplitStall, SumsExactlyToStall)
@@ -47,13 +93,14 @@ TEST(SplitStall, SumsExactlyToStall)
     comp[CpiCat::L2] = 14;
     comp[CpiCat::L3] = 45;
     comp[CpiCat::Dram] = 200;
-    const Cycles total = comp.sum();
+    const StallComponents slots = toSlots(comp);
 
     // Sweep compressed stalls, including awkward non-divisors.
     for (Cycles stall : {Cycles(0), Cycles(1), Cycles(7), Cycles(13),
                          Cycles(100), Cycles(258), Cycles(259)}) {
-        const CpiStack out = splitStall(comp, total, stall);
+        const CpiStack out = split(slots, stall);
         EXPECT_EQ(out.sum(), stall) << "stall=" << stall;
+        EXPECT_TRUE(out == referenceSplit(comp, slots.total, stall));
     }
 }
 
@@ -65,19 +112,18 @@ TEST(SplitStall, UncompressedStallIsExactComponents)
     comp[CpiCat::L2] = 14;
     comp[CpiCat::L3] = 45;
     comp[CpiCat::Dram] = 200;
-    const Cycles total = comp.sum();
+    const StallComponents slots = toSlots(comp);
 
     // A Dependent (uncompressed) stall pays every component exactly.
-    const CpiStack out = splitStall(comp, total, total);
-    EXPECT_TRUE(out == comp);
+    EXPECT_TRUE(split(slots, slots.total) == comp);
 }
 
 TEST(SplitStall, DegenerateInputsYieldZero)
 {
     CpiStack comp;
     comp[CpiCat::Dram] = 200;
-    EXPECT_EQ(splitStall(comp, comp.sum(), 0).sum(), 0u);
-    EXPECT_EQ(splitStall(CpiStack{}, 0, 100).sum(), 0u);
+    EXPECT_EQ(split(toSlots(comp), 0).sum(), 0u);
+    EXPECT_EQ(split(StallComponents{}, 100).sum(), 0u);
 }
 
 TEST(SplitStall, MonotoneNonNegativeShares)
@@ -86,14 +132,65 @@ TEST(SplitStall, MonotoneNonNegativeShares)
     comp[CpiCat::L2] = 3;
     comp[CpiCat::L3] = 1;
     comp[CpiCat::Dram] = 1000;
-    const Cycles total = comp.sum();
-    for (Cycles stall = 0; stall <= total; stall += 17) {
-        const CpiStack out = splitStall(comp, total, stall);
+    const StallComponents slots = toSlots(comp);
+    for (Cycles stall = 0; stall <= slots.total; stall += 17) {
+        const CpiStack out = split(slots, stall);
         for (std::size_t i = 0; i < kNumCpiCats; ++i) {
             EXPECT_LE(out.cat[i], comp.cat[i]);
         }
         EXPECT_EQ(out.sum(), stall);
     }
+}
+
+// The seven-slot split against the thirteen-wide cumulative-floor
+// reference, share by share: every zero/nonzero pattern of the slots,
+// small, mid-range and large components, and stalls of 0, the full
+// total (Dependent), the miss-overlap compression and random points of
+// [0, total].
+TEST(SplitStall, MatchesReferenceOnRandomInputs)
+{
+    std::mt19937_64 rng(0x7a27a2);
+    // Components up to 2^29 keep cum * stall below 2^64 for seven
+    // slots, so the reference's products never wrap.
+    const Cycles ranges[] = {16, 1000, Cycles(1) << 29};
+    constexpr std::size_t kPatterns = std::size_t(1) << kNumStallCats;
+    std::size_t cases = 0;
+    for (std::size_t round = 0; round < 200; ++round) {
+        for (std::size_t pattern = 0; pattern < kPatterns; ++pattern) {
+            const Cycles range = ranges[(round + pattern) % 3];
+            CpiStack comp;
+            for (std::size_t i = 0; i < kNumStallCats; ++i)
+                if (pattern >> i & 1)
+                    comp[kStallCats[i]] = 1 + rng() % range;
+            const StallComponents slots = toSlots(comp);
+            const Cycles total = slots.total;
+            const Cycles stalls[] = {0, total, (total + 7) / 8,
+                                     rng() % (total + 1)};
+            for (Cycles stall : stalls) {
+                ++cases;
+                const CpiStack want = referenceSplit(comp, total, stall);
+                const CpiStack got = split(slots, stall);
+                for (std::size_t c = 0; c < kNumCpiCats; ++c)
+                    ASSERT_EQ(got.cat[c], want.cat[c])
+                        << cpiCatName(CpiCat(c)) << " pattern " << pattern
+                        << " stall " << stall << " total " << total;
+            }
+        }
+    }
+    EXPECT_GE(cases, 100000u);
+}
+
+TEST(SplitStall, ChargesOnlyNonzeroSlotsOnceInOrder)
+{
+    StallComponents slots;
+    slots.slot[1] = 14;  // l2
+    slots.slot[3] = 200;  // dram
+    slots.slot[5] = 9;  // fault
+    slots.total = 223;
+    std::vector<CpiCat> seen;
+    splitStall(slots, 30, [&](CpiCat cat, Cycles) { seen.push_back(cat); });
+    EXPECT_EQ(seen, (std::vector<CpiCat>{CpiCat::L2, CpiCat::Dram,
+                                         CpiCat::Fault}));
 }
 
 TEST(CpiTaxonomy, NamesRoundTrip)
