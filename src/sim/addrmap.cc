@@ -11,12 +11,12 @@
 namespace tartan::sim {
 
 void
-AddrMap::setSpaceBias(Addr bias)
+AddrMap::setSpaceBias(Addr space_bias)
 {
     TARTAN_ASSERT(segments.empty() && grainCount() == 0,
                   "setSpaceBias must precede registrations and "
                   "translations");
-    spaceBias = bias;
+    bias = space_bias;
     nextSegmentBase = kSegmentSpace + bias;
     nextGrain = (kFallbackSpace + bias) >> kGrainBits;
 }
@@ -38,12 +38,27 @@ AddrMap::addSegment(Addr host_base, std::size_t bytes)
     const Addr span = offset + bytes;
     nextSegmentBase +=
         (span + 2 * kSegmentAlign - 1) & ~(kSegmentAlign - 1);
-    TARTAN_ASSERT(nextSegmentBase < kFallbackSpace + spaceBias,
+    TARTAN_ASSERT(nextSegmentBase < kFallbackSpace + bias,
                   "AddrMap segment space exhausted");
     // Grain translations cached before the segment existed would now
     // shadow it through the TLB fast path.
     for (Entry &e : tlb)
         e.hostGrain = ~Addr(0);
+}
+
+SpanImage
+AddrMap::translateSpan(Addr base, std::uint32_t bytes,
+                       std::vector<Addr> &grains)
+{
+    const Addr first = base & ~static_cast<Addr>(kGrainBytes - 1);
+    const Addr end = base + (bytes ? bytes : 1);
+    Addr delta = 0;
+    if (linearSpan(first, end - first, &delta))
+        return {base + delta, {}};
+    grains.clear();
+    for (Addr a = first; a < end; a += kGrainBytes)
+        grains.push_back(translate(a));
+    return {0, grains};
 }
 
 Addr

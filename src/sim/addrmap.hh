@@ -26,7 +26,9 @@
  *
  * Translation is a pure function of the access sequence: two runs that
  * issue the same accesses in the same order see identical simulated
- * addresses, no matter where the host allocator placed the data.
+ * addresses, no matter where the host allocator placed the data. That
+ * is what lets a capture (sim/capture) record the simulated addresses
+ * once and every replay skip translation.
  *
  * Hot path: because a segment's simulated base preserves the host
  * base's offset within a 2 MB tile, *every* translation — segment or
@@ -41,12 +43,27 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/flat_table.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
+
+/**
+ * The simulated image of a host span: linear (every address at one
+ * constant offset from its host address) or given grain by grain.
+ */
+struct SpanImage {
+    /** Simulated address of the span's host base when linear. */
+    Addr base = 0;
+    /**
+     * Simulated address of each 16-byte grain of the span, in address
+     * order; empty when the span is linear.
+     */
+    std::span<const Addr> grains;
+};
 
 /** First-touch deterministic address translator (one per MemPath). */
 class AddrMap
@@ -78,7 +95,7 @@ class AddrMap
      * If every address of [base, base+bytes) maps linearly through one
      * unambiguous segment, store the constant (sim - host) delta in
      * @p delta and return true. Lets a caller translate a whole span
-     * with one lookup (MemPath::accessRange). Returns false when the
+     * with one lookup (translateSpan()). Returns false when the
      * span touches the fallback map, straddles a segment boundary, or
      * overlapping segments make per-address precedence necessary.
      */
@@ -116,19 +133,41 @@ class AddrMap
     }
 
     /**
-     * Offset this map's entire simulated address space by @p bias
-     * (segments land at bias + 1<<40, fallback grains at bias + 1<<44).
-     * A multi-core Machine gives core i the bias i << 48, so the
-     * robots' address spaces stay disjoint in the shared L3 while
+     * Offset this map's entire simulated address space by
+     * @p space_bias (segments land at bias + 1<<40, fallback grains at
+     * bias + 1<<44). A multi-core Machine gives core i the bias i << 48,
+     * so the robots' address spaces stay disjoint in the shared L3 while
      * set-index bits are untouched — honest capacity and bandwidth
      * contention without fake sharing. Must be called before any
      * segment registration or translation (asserted); the default bias
      * of 0 is the historical single-core space.
      */
-    void setSpaceBias(Addr bias);
+    void setSpaceBias(Addr space_bias);
 
+    /** The whole-space offset setSpaceBias() installed (0 by default). */
+    Addr spaceBias() const { return bias; }
+
+    /** Segments registered so far. */
+    std::size_t segmentCount() const { return segments.size(); }
     /** Fallback grains mapped so far (16-byte units). */
     std::size_t grainCount() const { return grains.size(); }
+
+    /**
+     * Translate the span [base, base+bytes) (at least one byte). A span
+     * that linearSpan() proves linear yields its simulated base and no
+     * grains; any other span yields one simulated address per 16-byte
+     * grain, translated in address order into @p grains.
+     */
+    SpanImage translateSpan(Addr base, std::uint32_t bytes,
+                            std::vector<Addr> &grains);
+
+    /** Number of 16-byte grains [base, base+max(bytes, 1)) touches. */
+    static constexpr std::uint64_t
+    grainsSpanned(Addr base, std::uint32_t bytes)
+    {
+        return ((base + (bytes ? bytes : 1) - 1) >> kGrainBits) -
+               (base >> kGrainBits) + 1;
+    }
 
   private:
     static constexpr unsigned kGrainBits = 4;
@@ -157,7 +196,7 @@ class AddrMap
     /** Index of the segment linearSpan matched last (MRU memo). */
     mutable std::size_t spanMemo = 0;
     /** Whole-space offset (setSpaceBias); 0 = historical layout. */
-    Addr spaceBias = 0;
+    Addr bias = 0;
     Addr nextSegmentBase = kSegmentSpace;
     /**
      * First-touch table, host grain -> sim grain: flat open-addressed,

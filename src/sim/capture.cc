@@ -5,11 +5,13 @@
 
 #include "sim/capture.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <ostream>
 
 #include "sim/checksum.hh"
+#include "sim/cpistack.hh"
 #include "sim/json.hh"
 
 namespace tartan::sim {
@@ -54,19 +56,35 @@ bodyCrc(const CaptureTrace &trace)
 bool
 CaptureTrace::validate(std::string *err) const
 {
+    const auto reject = [&](std::size_t i, const std::string &what) {
+        setError(err, "record " + std::to_string(i) + ": " + what);
+        return false;
+    };
     for (std::size_t i = 0; i < records.size(); ++i) {
         const CapRecord &r = records[i];
-        if (r.op == 0 || r.op >= std::uint8_t(CapOp::NumOps)) {
-            setError(err, "record " + std::to_string(i) +
-                              ": unknown op tag " + std::to_string(r.op));
-            return false;
-        }
+        if (r.op == 0 || r.op >= std::uint8_t(CapOp::NumOps))
+            return reject(i, "unknown op tag " + std::to_string(r.op));
+        // Enum arguments replay casts and indexes by (a CpiCat indexes
+        // the CPI stacks): out of range, they were never recorded.
+        const CapOp op = CapOp(r.op);
+        if ((op == CapOp::Stall || op == CapOp::DeviceLoadLanes ||
+             op == CapOp::VecLoadLanes) &&
+            r.a8 >= kNumCpiCats)
+            return reject(i, "CPI category " + std::to_string(r.a8) +
+                                 " out of range");
+        if (op == CapOp::Load && r.a8 > std::uint8_t(MemDep::Dependent))
+            return reject(i, "memory dependence " + std::to_string(r.a8) +
+                                 " out of range");
+        if (op == CapOp::VecLoadContiguous &&
+            (r.a8 > kSpanPerGrain ||
+             r.b > ~std::uint64_t(0) - std::max<std::uint32_t>(r.a32, 1)))
+            return reject(i, "malformed contiguous span");
         // Bytes the record references at aux offset d. The bound is
         // checked as len <= aux.size() - d, never as d + len <=
         // aux.size(): a crafted d near 2^64 would wrap the sum.
         std::uint64_t len = 0;
         bool refs_aux = true;
-        switch (CapOp(r.op)) {
+        switch (op) {
           case CapOp::RegisterKernel:
           case CapOp::Metric:
           case CapOp::RobotName:
@@ -74,26 +92,26 @@ CaptureTrace::validate(std::string *err) const
             break;
           case CapOp::DeviceLoadLanes:
           case CapOp::VecLoadLanes:
+            len = 16 * std::uint64_t(r.a32);  // host, then sim lanes
+            break;
           case CapOp::NpuInfer:
           case CapOp::Discount:
             len = 8 * std::uint64_t(r.a32);
+            break;
+          case CapOp::VecLoadContiguous:
+            refs_aux = r.a8 == kSpanPerGrain;
+            len = 8 * AddrMap::grainsSpanned(r.b, r.a32);
             break;
           default:
             refs_aux = false;
             break;
         }
-        if (refs_aux && (r.d > aux.size() || len > aux.size() - r.d)) {
-            setError(err, "record " + std::to_string(i) +
-                              ": aux reference beyond the aux stream");
-            return false;
-        }
+        if (refs_aux && (r.d > aux.size() || len > aux.size() - r.d))
+            return reject(i, "aux reference beyond the aux stream");
         // Replay keeps a 1/divisor share of the discounted cycles, as
         // the live run did; a zero divisor was never recorded by one.
-        if (CapOp(r.op) == CapOp::Discount && r.b == 0) {
-            setError(err, "record " + std::to_string(i) +
-                              ": wall discount by zero");
-            return false;
-        }
+        if (op == CapOp::Discount && r.b == 0)
+            return reject(i, "wall discount by zero");
     }
     return true;
 }

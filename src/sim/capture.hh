@@ -2,25 +2,33 @@
  * @file
  * Capture-once / replay-many trace engine.
  *
- * PR 4's deterministic addressing made the Core-boundary op stream of a
- * robot run a pure function of the access *sequence*: host addresses
- * are translated through the AddrMap (arena segments map linearly,
- * everything else through a 16-byte-grain first-touch table), so the
- * simulated addresses — and with them every cache/prefetcher/FCP
- * decision — depend only on the order of operations, never on the
- * machine's timing configuration. A capture therefore records that
- * sequence once, at the Core's public API boundary, and a ReplayMachine
- * re-issues it against an arbitrary timing configuration without
- * touching robot code: one robot execution, N machine sweeps.
+ * Deterministic addressing (sim/addrmap) makes the Core-boundary op
+ * stream of a robot run a pure function of the access *sequence*: host
+ * addresses are translated through the AddrMap (arena segments map
+ * linearly, everything else through a 16-byte-grain first-touch
+ * table), so the simulated addresses — and with them every
+ * cache/prefetcher/FCP decision — depend only on the order of
+ * operations, never on the machine's timing configuration. A capture
+ * therefore records that sequence once, at the Core's public API
+ * boundary and *after* translation, and a ReplayStream
+ * (workloads/replay) re-issues it against an arbitrary timing
+ * configuration without touching robot code or translating anything:
+ * one robot execution, N sweeps of the timing model alone.
  *
- * What is captured (all POD, 32 bytes per record, lane addresses and
- * strings in a side "aux" byte stream):
+ * What is captured (all POD, 32 bytes per record, lane addresses,
+ * span grains and strings in a side "aux" byte stream):
  *  - every Core op (exec / stall / load / store / vector and device
- *    loads) with its *host* addresses and static arguments — never its
- *    latencies or timestamps, which replay recomputes;
+ *    loads) with its host *and* simulated addresses and static
+ *    arguments — never its latencies or timestamps, which replay
+ *    recomputes. A run of consecutive execs is one Exec record
+ *    carrying the summed ops and no op class (Core::exec charges every
+ *    class alike): the core's sub-issue-width carry telescopes, so one
+ *    charge of the sum costs exactly what the run did. A suppressed
+ *    exec neither records nor merges;
  *  - MemPath address-space registrations (mapSegment, write-through and
- *    no-allocate ranges) in stream order, because the first-touch
- *    table and the host-address range checks are order-sensitive;
+ *    no-allocate ranges) in stream order. Replay applies the range
+ *    hints, which match host addresses; it skips MapSegment, whose
+ *    effect the simulated addresses already carry;
  *  - Pipeline stage/item/serial markers, so replay reproduces the LPT
  *    makespan wall-clock model exactly;
  *  - semantic NPU events (configure / infer with layer widths) instead
@@ -30,13 +38,29 @@
  *  - the run's functional outputs (robot name, quality metrics), which
  *    replay cannot recompute and which are timing-independent.
  *
+ * Format version 2 layout of the addresses. `b` keeps the host address
+ * (write-through and no-allocate ranges are host ranges, and replay
+ * still checks them); `d` holds the simulated address of a Load or
+ * Store and the simulated base of a linear VecLoadContiguous. A
+ * VecLoadContiguous that is not linear (fallback-mapped, or straddling
+ * a segment's end) sets a8 = kSpanPerGrain and points `d` at one
+ * simulated address per 16-byte grain in aux. Spans record no lines,
+ * because the line size is a timing knob: replay re-walks the grains
+ * at its own line size (MemPath::accessRangeAt). A lane payload in aux
+ * is the a32 host lanes followed by the a32 simulated lanes. Simulated
+ * addresses are recorded without a space bias (Core asserts that the
+ * capturing path has none); replay adds the bias of the core it runs
+ * on.
+ *
  * File format (`capture_<streamhash16>_<seed>.tcap`): a fixed 64-byte
  * header (magic, format version, CRC-32 of the body via checksum.hh,
  * stream key, seed, record/aux counts) followed by the record array
  * and the aux bytes. Corruption policy mirrors the result cache: a
- * truncated tail, a bit-flipped body, or a foreign-version header make
- * the file invalid as a whole and force a re-capture — a capture is a
- * cache entry, never a source of truth.
+ * truncated tail, a bit-flipped body, a foreign-version header or a
+ * record no live run could write (an unknown op, an out-of-range enum
+ * argument, an aux reference past the stream) make the file invalid as
+ * a whole and force a re-capture — a capture is a cache entry, never a
+ * source of truth.
  *
  * Record buffers are MmapVecs (sim/mmapvec), which grow in place
  * instead of copying every record on each doubling. Heap placement is
@@ -47,12 +71,12 @@
  * each, 4-core Xeon container).
  *
  * A capture is not byte-reproducible across threads, processes or ASLR,
- * because it records host addresses. Two captures of one stream differ
- * only there: the `b` field of Load, Store, VecLoadContiguous,
- * MapSegment, WriteThroughRange and NoAllocateRange records, and the
- * lane-address payloads in aux of DeviceLoadLanes and VecLoadLanes.
- * Every other field and aux byte is equal, and both replay to the same
- * result, since replay translates host addresses in first-touch order
+ * because it still records host addresses next to the simulated ones.
+ * Two captures of one stream differ only there: the `b` field of Load,
+ * Store, VecLoadContiguous, MapSegment, WriteThroughRange and
+ * NoAllocateRange records, and the host half of the lane payloads in
+ * aux of DeviceLoadLanes and VecLoadLanes. Every other field and aux
+ * byte, the simulated addresses included, is equal
  * (ReplayEquivalence.CapturesOnTwoThreadsDifferOnlyInHostAddresses).
  */
 
@@ -66,30 +90,39 @@
 #include <string>
 #include <string_view>
 
+#include "sim/addrmap.hh"
 #include "sim/mmapvec.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
 
 /** Bumped whenever the record layout or encoding changes. */
-constexpr std::uint32_t kCaptureFormatVersion = 1;
+constexpr std::uint32_t kCaptureFormatVersion = 2;
+
+/** VecLoadContiguous a8 flag: d is the aux offset of per-grain addresses. */
+constexpr std::uint8_t kSpanPerGrain = 1;
 
 /** Operation tags of the capture stream. */
 enum class CapOp : std::uint8_t {
     RegisterKernel = 1, //!< a32=name len, d=aux off
     SetKernel,          //!< a32=kernel id
-    Exec,               //!< b=ops, a8=OpClass
+    Exec,               //!< b=ops (a whole run of consecutive execs)
     Stall,              //!< b=cycles, a8=CpiCat
     CountInstructions,  //!< b=n
-    Load,               //!< b=host addr, c=pc, a8=MemDep, a32=size
-    Store,              //!< b=host addr, c=pc, a32=size
+    Load,               //!< b=host addr, d=sim addr, c=pc, a8=MemDep,
+                        //!< a32=size
+    Store,              //!< b=host addr, d=sim addr, c=pc, a32=size
     VecOp,              //!< b=n
-    DeviceLoadLanes,    //!< a32=lanes, d=aux off, b=pc, c=device cycles,
+    DeviceLoadLanes,    //!< a32=lanes, d=aux off (a32 u64 host lanes,
+                        //!< then a32 sim lanes), b=pc, c=device
+                        //!< cycles, a8=CpiCat
+    VecLoadLanes,       //!< a32=lanes, d=aux off (as DeviceLoadLanes),
+                        //!< b=pc, c=ag latency, a16=lane size,
                         //!< a8=CpiCat
-    VecLoadLanes,       //!< a32=lanes, d=aux off, b=pc, c=ag latency,
-                        //!< a16=lane size, a8=CpiCat
-    VecLoadContiguous,  //!< b=host base, c=pc, a32=bytes
-    MapSegment,         //!< b=host base, c=bytes
+    VecLoadContiguous,  //!< b=host base, c=pc, a32=bytes; a8=0: d=sim
+                        //!< base (linear span); a8=kSpanPerGrain: d=aux
+                        //!< off of one u64 sim address per 16-byte grain
+    MapSegment,         //!< b=host base, c=bytes (replay skips it)
     WriteThroughRange,  //!< b=host base, c=bytes
     NoAllocateRange,    //!< b=host base, c=bytes
     StageBegin,         //!< a32=threads
@@ -118,7 +151,7 @@ struct CapRecord {
     std::uint32_t a32 = 0; //!< medium scalar (sizes, counts, ids)
     std::uint64_t b = 0;   //!< wide argument 1 (addresses, counts)
     std::uint64_t c = 0;   //!< wide argument 2 (pc, byte counts)
-    std::uint64_t d = 0;   //!< aux-stream byte offset
+    std::uint64_t d = 0;   //!< aux-stream byte offset or sim address
 };
 
 static_assert(sizeof(CapRecord) == 32, "capture records are 32-byte POD");
@@ -134,7 +167,7 @@ struct CaptureTrace {
     std::uint64_t configHash = 0; //!< stream key of the capture
     std::uint64_t seed = 0;       //!< workload seed
     MmapVec<CapRecord> records;   //!< op stream in record order
-    MmapVec<std::uint8_t> aux;    //!< variable payloads (names, ids)
+    MmapVec<std::uint8_t> aux;    //!< names, ids, lanes, span grains
 
     /** A string stored at aux offset @p off with length @p len. */
     std::string_view
@@ -169,7 +202,8 @@ struct CaptureTrace {
      * Load and fully validate a capture file. Every failure mode —
      * unreadable file, bad magic, foreign format version, size
      * mismatch against the header's counts (truncated tail), body CRC
-     * mismatch (bit rot), out-of-range op tags or aux offsets —
+     * mismatch (bit rot), out-of-range op tags, enum arguments or aux
+     * offsets —
      * returns false; @p err stays empty when the file simply does not
      * exist and describes the corruption otherwise. An invalid file is
      * never partially trusted: the caller re-captures.
@@ -177,7 +211,11 @@ struct CaptureTrace {
     static bool load(const std::string &path, CaptureTrace &out,
                      std::string *err = nullptr);
 
-    /** Structural validation of an in-memory trace (op/aux bounds). */
+    /**
+     * Structural validation of an in-memory trace: op tags, the enum
+     * arguments replay indexes by (CpiCat, MemDep, the span flag) and
+     * aux bounds, lane and grain payloads included.
+     */
     bool validate(std::string *err = nullptr) const;
 };
 
@@ -214,12 +252,25 @@ class CaptureSession
         push(r);
     }
 
+    /**
+     * Charge @p ops scalar ops. Merges into the previous record when
+     * that is an Exec: Core::exec's carry floor telescopes, so one
+     * charge of a + b ops equals a charge of a then b. A suppressed
+     * exec records and merges nothing.
+     */
     void
-    exec(std::uint64_t ops, std::uint8_t cls)
+    exec(std::uint64_t ops)
     {
+        if (suppressDepth)
+            return;
+        MmapVec<CapRecord> &records = data.records;
+        if (!records.empty() &&
+            records[records.size() - 1].op == std::uint8_t(CapOp::Exec)) {
+            records[records.size() - 1].b += ops;
+            return;
+        }
         CapRecord r = rec(CapOp::Exec);
         r.b = ops;
-        r.a8 = cls;
         push(r);
     }
 
@@ -241,10 +292,11 @@ class CaptureSession
     }
 
     void
-    load(Addr addr, PcId pc, std::uint8_t dep, std::uint32_t size)
+    load(Addr host, Addr sim, PcId pc, std::uint8_t dep, std::uint32_t size)
     {
         CapRecord r = rec(CapOp::Load);
-        r.b = addr;
+        r.b = host;
+        r.d = sim;
         r.c = pc;
         r.a8 = dep;
         r.a32 = size;
@@ -252,10 +304,11 @@ class CaptureSession
     }
 
     void
-    store(Addr addr, PcId pc, std::uint32_t size)
+    store(Addr host, Addr sim, PcId pc, std::uint32_t size)
     {
         CapRecord r = rec(CapOp::Store);
-        r.b = addr;
+        r.b = host;
+        r.d = sim;
         r.c = pc;
         r.a32 = size;
         push(r);
@@ -270,12 +323,12 @@ class CaptureSession
     }
 
     void
-    deviceLoadLanes(std::span<const Addr> lanes, PcId pc,
-                    Cycles device_cycles, std::uint8_t cat)
+    deviceLoadLanes(std::span<const Addr> host, std::span<const Addr> sim,
+                    PcId pc, Cycles device_cycles, std::uint8_t cat)
     {
         CapRecord r = rec(CapOp::DeviceLoadLanes);
-        r.a32 = std::uint32_t(lanes.size());
-        r.d = auxBytes(lanes.data(), lanes.size_bytes());
+        r.a32 = std::uint32_t(host.size());
+        r.d = auxLanes(host, sim);
         r.b = pc;
         r.c = device_cycles;
         r.a8 = cat;
@@ -283,12 +336,13 @@ class CaptureSession
     }
 
     void
-    vecLoadLanes(std::span<const Addr> lanes, PcId pc, Cycles ag_latency,
-                 std::uint32_t lane_size, std::uint8_t cat)
+    vecLoadLanes(std::span<const Addr> host, std::span<const Addr> sim,
+                 PcId pc, Cycles ag_latency, std::uint32_t lane_size,
+                 std::uint8_t cat)
     {
         CapRecord r = rec(CapOp::VecLoadLanes);
-        r.a32 = std::uint32_t(lanes.size());
-        r.d = auxBytes(lanes.data(), lanes.size_bytes());
+        r.a32 = std::uint32_t(host.size());
+        r.d = auxLanes(host, sim);
         r.b = pc;
         r.c = ag_latency;
         r.a16 = std::uint16_t(lane_size);
@@ -297,12 +351,19 @@ class CaptureSession
     }
 
     void
-    vecLoadContiguous(Addr base, std::uint32_t bytes, PcId pc)
+    vecLoadContiguous(Addr base, std::uint32_t bytes, PcId pc,
+                      const SpanImage &sim)
     {
         CapRecord r = rec(CapOp::VecLoadContiguous);
         r.b = base;
         r.c = pc;
         r.a32 = bytes;
+        if (sim.grains.empty()) {
+            r.d = sim.base;
+        } else {
+            r.a8 = kSpanPerGrain;
+            r.d = auxBytes(sim.grains.data(), sim.grains.size_bytes());
+        }
         push(r);
     }
     /** @} */
@@ -453,6 +514,15 @@ class CaptureSession
     {
         if (!suppressDepth)
             data.records.push_back(r);
+    }
+
+    /** Append host then simulated lanes to aux; returns their offset. */
+    std::uint64_t
+    auxLanes(std::span<const Addr> host, std::span<const Addr> sim)
+    {
+        const std::uint64_t off = auxBytes(host.data(), host.size_bytes());
+        auxBytes(sim.data(), sim.size_bytes());
+        return off;
     }
 
     /** Append raw bytes to the aux stream; returns their offset. */

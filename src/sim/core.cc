@@ -85,6 +85,14 @@ Core::setKernel(std::uint32_t id)
 }
 
 void
+Core::attachCapture(CaptureSession *session)
+{
+    TARTAN_ASSERT(!session || memPath->addrTranslator()->spaceBias() == 0,
+                  "a capture records unbiased simulated addresses");
+    capture = session;
+}
+
+void
 Core::attachTrace(TraceSession *session)
 {
     trace = session;
@@ -158,9 +166,11 @@ Core::addInstructions(std::uint64_t n)
 void
 Core::exec(std::uint64_t ops, OpClass cls)
 {
+    // All scalar classes share the issue width in this model, so the
+    // class is neither charged nor captured.
+    (void)cls;
     if (capture)
-        capture->exec(ops, std::uint8_t(cls));
-    (void)cls;  // all scalar classes share the issue width in this model
+        capture->exec(ops);
     addInstructions(ops);
     opCarry += ops;
     const Cycles whole = opCarry / config.issueWidth;
@@ -244,14 +254,31 @@ Core::stallComponents(const AccessResult &res, StallComponents &comp) const
     comp.total += beyond;
 }
 
+std::span<const Addr>
+Core::translateLanes(std::span<const Addr> lanes)
+{
+    AddrMap &map = *memPath->addrTranslator();
+    simScratch.resize(lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+        simScratch[i] = map.translate(lanes[i]);
+    return simScratch;
+}
+
 void
 Core::load(Addr addr, PcId pc, MemDep dep, std::uint32_t size)
 {
+    const Addr sim = memPath->addrTranslator()->translate(addr);
     if (capture)
-        capture->load(addr, pc, std::uint8_t(dep), size);
+        capture->load(addr, sim, pc, std::uint8_t(dep), size);
+    loadAt(addr, sim, pc, dep, size);
+}
+
+void
+Core::loadAt(Addr host, Addr sim, PcId pc, MemDep dep, std::uint32_t size)
+{
     addInstructions(1);
-    auto res = memPath->access(addr, AccessType::Load, size, pc,
-                               totalCycles);
+    auto res = memPath->accessAt(host, sim, AccessType::Load, size, pc,
+                                 totalCycles);
     const Cycles s = loadStall(res, dep);
     if (s) {
         StallComponents comp;
@@ -263,12 +290,19 @@ Core::load(Addr addr, PcId pc, MemDep dep, std::uint32_t size)
 void
 Core::store(Addr addr, PcId pc, std::uint32_t size)
 {
+    const Addr sim = memPath->addrTranslator()->translate(addr);
     if (capture)
-        capture->store(addr, pc, size);
+        capture->store(addr, sim, pc, size);
+    storeAt(addr, sim, pc, size);
+}
+
+void
+Core::storeAt(Addr host, Addr sim, PcId pc, std::uint32_t size)
+{
     addInstructions(1);
     // Stores retire through the write buffer; cache state is still
     // updated so that later loads and traffic statistics are correct.
-    memPath->access(addr, AccessType::Store, size, pc, totalCycles);
+    memPath->accessAt(host, sim, AccessType::Store, size, pc, totalCycles);
 }
 
 void
@@ -285,9 +319,19 @@ void
 Core::deviceLoadLanes(std::span<const Addr> lanes, PcId pc,
                       Cycles device_cycles, CpiCat device_cat)
 {
+    const std::span<const Addr> sim = translateLanes(lanes);
     if (capture)
-        capture->deviceLoadLanes(lanes, pc, device_cycles,
+        capture->deviceLoadLanes(lanes, sim, pc, device_cycles,
                                  std::uint8_t(device_cat));
+    deviceLoadLanesAt(lanes, sim, pc, device_cycles, device_cat);
+}
+
+void
+Core::deviceLoadLanesAt(std::span<const Addr> host,
+                        std::span<const Addr> sim, PcId pc,
+                        Cycles device_cycles, CpiCat device_cat)
+{
+    TARTAN_DCHECK(host.size() == sim.size(), "one simulated address per lane");
     if (device_cycles)
         addCycles(device_cycles, device_cat);
     // The accelerator streams the lanes through the same bandwidth-
@@ -296,9 +340,9 @@ Core::deviceLoadLanes(std::span<const Addr> lanes, PcId pc,
     // then split over the aggregate, so the attribution is independent
     // of lane order within a batch.
     StallComponents comp;
-    for (Addr lane : lanes) {
-        auto res = memPath->access(lane, AccessType::Load, 4, pc,
-                                   totalCycles);
+    for (std::size_t i = 0; i < host.size(); ++i) {
+        auto res = memPath->accessAt(host[i], sim[i], AccessType::Load, 4,
+                                     pc, totalCycles);
         stallComponents(res, comp);
     }
     const std::uint32_t overlap = config.missOverlap;
@@ -311,22 +355,32 @@ void
 Core::vecLoadLanes(std::span<const Addr> lanes, PcId pc, Cycles ag_latency,
                    std::uint32_t lane_size, CpiCat ag_cat)
 {
+    const std::span<const Addr> sim = translateLanes(lanes);
     if (capture)
-        capture->vecLoadLanes(lanes, pc, ag_latency, lane_size,
+        capture->vecLoadLanes(lanes, sim, pc, ag_latency, lane_size,
                               std::uint8_t(ag_cat));
+    vecLoadLanesAt(lanes, sim, pc, ag_latency, lane_size, ag_cat);
+}
+
+void
+Core::vecLoadLanesAt(std::span<const Addr> host, std::span<const Addr> sim,
+                     PcId pc, Cycles ag_latency, std::uint32_t lane_size,
+                     CpiCat ag_cat)
+{
+    TARTAN_DCHECK(host.size() == sim.size(), "one simulated address per lane");
     addInstructions(1);
     if (ag_latency)
         addCycles(ag_latency, ag_cat);
     // Scattered lanes contend for the L1 ports.
-    addCycles((lanes.size() + 3) / 4, CpiCat::L1);
+    addCycles((host.size() + 3) / 4, CpiCat::L1);
     // Lanes issue concurrently but remain bandwidth-bound: the stall is
     // the aggregate beyond-L1 latency through the same miss-overlap
     // window a scalar stream enjoys, floored by the slowest lane.
     Cycles worst = 0;
     StallComponents comp;
-    for (Addr lane : lanes) {
-        auto res = memPath->access(lane, AccessType::Load, lane_size, pc,
-                                   totalCycles);
+    for (std::size_t i = 0; i < host.size(); ++i) {
+        auto res = memPath->accessAt(host[i], sim[i], AccessType::Load,
+                                     lane_size, pc, totalCycles);
         worst = std::max(worst, loadStall(res, MemDep::Independent));
         stallComponents(res, comp);
     }
@@ -339,13 +393,22 @@ Core::vecLoadLanes(std::span<const Addr> lanes, PcId pc, Cycles ag_latency,
 void
 Core::vecLoadContiguous(Addr base, std::uint32_t bytes, PcId pc)
 {
+    const SpanImage sim =
+        memPath->addrTranslator()->translateSpan(base, bytes, simScratch);
     if (capture)
-        capture->vecLoadContiguous(base, bytes, pc);
+        capture->vecLoadContiguous(base, bytes, pc, sim);
+    vecLoadContiguousAt(base, bytes, sim, pc);
+}
+
+void
+Core::vecLoadContiguousAt(Addr base, std::uint32_t bytes,
+                          const SpanImage &sim, PcId pc)
+{
     addInstructions(1);
     addCycles(1, CpiCat::Issue);
     // The path walks the span line by line; the worst per-line latency
     // bounds the stall (lines issue concurrently).
-    auto res = memPath->accessRange(base, bytes, pc, totalCycles);
+    auto res = memPath->accessRangeAt(base, bytes, sim, pc, totalCycles);
     const Cycles worst = loadStall(res, MemDep::Independent);
     if (worst) {
         StallComponents comp;

@@ -82,10 +82,13 @@ class Core
 
     /**
      * Attach (or detach, with nullptr) a capture session: every public
-     * op of this core is recorded for later replay (sim/capture).
-     * Purely observational — recording never changes simulated timing.
+     * op of this core is recorded for later replay (sim/capture), with
+     * the simulated addresses its memory path translated. Purely
+     * observational — recording never changes simulated timing. The
+     * path must have no space bias (asserted): a capture holds the
+     * unbiased addresses, and replay adds its own core's bias.
      */
-    void attachCapture(CaptureSession *session) { capture = session; }
+    void attachCapture(CaptureSession *session);
     /** The attached capture session, or null (NPU/Pipeline hooks). */
     CaptureSession *captureSession() const { return capture; }
 
@@ -110,6 +113,28 @@ class Core
               std::uint32_t size = 4);
     /** Scalar store of @p size bytes. */
     void store(Addr addr, PcId pc, std::uint32_t size = 4);
+
+    /**
+     * @{ The memory ops after translation. Each public memory op
+     * translates its host addresses through the memory path's AddrMap,
+     * records them, and calls its *At form, which replay calls with
+     * the captured simulated addresses: one implementation, and replay
+     * translates nothing. Host addresses drive only the write-through
+     * and no-allocate range checks; simulated ones reach the caches.
+     */
+    void loadAt(Addr host, Addr sim, PcId pc, MemDep dep,
+                std::uint32_t size);
+    void storeAt(Addr host, Addr sim, PcId pc, std::uint32_t size);
+    void deviceLoadLanesAt(std::span<const Addr> host,
+                           std::span<const Addr> sim, PcId pc,
+                           Cycles device_cycles, CpiCat device_cat);
+    void vecLoadLanesAt(std::span<const Addr> host,
+                        std::span<const Addr> sim, PcId pc,
+                        Cycles ag_latency, std::uint32_t lane_size,
+                        CpiCat ag_cat);
+    void vecLoadContiguousAt(Addr base, std::uint32_t bytes,
+                             const SpanImage &sim, PcId pc);
+    /** @} */
 
     /** One vector ALU instruction. */
     void vecOp(std::uint64_t n = 1);
@@ -172,6 +197,8 @@ class Core
      *  splitStall; one cycle advance, so trace epochs are unchanged. */
     void chargeMemStall(Cycles stall, const StallComponents &comp);
     void addInstructions(std::uint64_t n);
+    /** Translate @p lanes into simScratch; returns the result. */
+    std::span<const Addr> translateLanes(std::span<const Addr> lanes);
     /** Stall beyond L1 for one access, applying the MLP hint. */
     Cycles loadStall(const AccessResult &res, MemDep dep);
     /**
@@ -194,6 +221,8 @@ class Core
 
     std::uint32_t kernelId = 0;
     std::vector<KernelCounters> kernelData;
+    /** Simulated lanes or span grains of the op being issued (reused). */
+    std::vector<Addr> simScratch;
 };
 
 /** RAII helper that scopes cycle attribution to a kernel. */

@@ -296,59 +296,60 @@ MemPath::checkInvariants() const
 AccessResult
 MemPath::accessRange(Addr base, std::uint32_t bytes, PcId pc, Cycles now)
 {
+    std::vector<Addr> grains;  // stays empty, unallocated, when linear
+    return accessRangeAt(base, bytes,
+                         addrMap->translateSpan(base, bytes, grains), pc,
+                         now);
+}
+
+AccessResult
+MemPath::accessRangeAt(Addr base, std::uint32_t bytes, const SpanImage &sim,
+                       PcId pc, Cycles now)
+{
     const std::uint32_t line = config.l1.lineBytes;
+    const Addr line_mask = ~static_cast<Addr>(line - 1);
     AccessResult worst;
     bool any = false;
-    const auto take = [&](Addr host, Addr sim) {
+    const auto take = [&](Addr host, Addr sim_line) {
         const AccessResult res =
-            accessAt(host, sim, AccessType::Load, line, pc, now);
+            accessAt(host, sim_line, AccessType::Load, line, pc, now);
         if (!any || res.latency > worst.latency)
             worst = res;
         any = true;
     };
 
-    // Walk the span at translation-grain granularity and access each
-    // distinct simulated line once, so the line count reflects the
-    // span's size rather than the host base's offset within a line.
     const Addr first =
         base & ~static_cast<Addr>(AddrMap::kGrainBytes - 1);
-    const Addr end = base + (bytes ? bytes : 1);
-
-    // Hoisted segment lookup: a span that maps linearly through one
-    // unambiguous arena segment has a constant (sim - host) delta that
-    // is a multiple of 2 MB, so simulated line boundaries coincide with
-    // host line boundaries and the grain walk collapses to one access
-    // per host line — same access sequence, one segment lookup instead
-    // of one translation per grain.
-    Addr delta = 0;
-    if (addrMap->linearSpan(first, end - first, &delta)) {
-        const Addr line_mask = ~static_cast<Addr>(line - 1);
+    if (sim.grains.empty()) {
+        // Linear: one access per host line at the constant delta.
+        const Addr delta = sim.base - base;
+        const Addr end = base + (bytes ? bytes : 1);
         take(first, (first & line_mask) + delta);
         for (Addr al = (first & line_mask) + line; al < end; al += line)
             take(al, al + delta);
         return worst;
     }
 
+    Addr host = first;
     Addr prev_line = ~Addr(0);
-    for (Addr a = first; a < end; a += AddrMap::kGrainBytes) {
-        const Addr sim_line =
-            addrMap->translate(a) & ~static_cast<Addr>(line - 1);
-        if (sim_line == prev_line)
-            continue;
-        prev_line = sim_line;
-        take(a, sim_line);
+    for (const Addr grain : sim.grains) {
+        const Addr sim_line = grain & line_mask;
+        if (sim_line != prev_line) {
+            prev_line = sim_line;
+            take(host, sim_line);
+        }
+        host += AddrMap::kGrainBytes;
     }
     return worst;
 }
 
 bool
-MemPath::staysPrivate(Addr host, AccessType type) const
+MemPath::staysPrivate(Addr host, Addr sim, AccessType type) const
 {
     // A hook may be shared between paths, so an access it observes is
     // never proven private.
     if (faults || trace)
         return false;
-    const Addr sim = addrMap->translate(host);
     if (type == AccessType::Store) {
         if (!wtRanges.empty() && inRange(wtRanges, host))
             return true;

@@ -6,9 +6,11 @@
  *
  * One address walk and one hierarchy walk serve every access. Every
  * path owns an AddrMap from construction, so no host address reaches
- * a cache untranslated. access() translates through the AddrMap TLB
- * and resolves an L1 hit with one Cache::lookup call (out of line in
- * the release build). An L1 miss continues in accessMiss(): L2
+ * a cache untranslated. The Core translates each host address once
+ * through the AddrMap TLB and hands both addresses to accessAt(), which
+ * resolves an L1 hit with one Cache::lookup call (out of line in the
+ * release build); replay hands it the simulated address its capture
+ * recorded and translates nothing. An L1 miss continues in accessMiss(): L2
  * lookup, prefetch issue, L3 fetch, fills and the victim write-back
  * chain, in that order. The fault, trace and uncore
  * hooks are null-checked branches at the points where they act, so a
@@ -83,7 +85,7 @@ class MemPath
 
     /**
      * Perform a demand access to host address @p addr and return the
-     * observed latency. The caches see addrTranslator()->translate(addr).
+     * observed latency: accessAt() at addrTranslator()->translate(addr).
      *
      * @param now current core cycle (prefetch timeliness)
      */
@@ -96,29 +98,84 @@ class MemPath
     }
 
     /**
-     * Access every cache line of the contiguous span
+     * A demand access whose translation is already known: @p host
+     * drives the write-through and no-allocate range checks, @p sim is
+     * what the caches see. The one hierarchy walk; every hook acts
+     * here or in accessMiss() at the point it models. Replay calls it
+     * with the simulated address its capture recorded, so it never
+     * translates.
+     */
+    AccessResult
+    accessAt(Addr host, Addr sim, AccessType type, std::uint32_t size,
+             PcId pc, Cycles now)
+    {
+        if (faults) {
+            // Cell-layer faults first: an injected crash/hang models
+            // the whole run dying *at* this access, so no further state
+            // of this access should be mutated when it fires.
+            faults->cellFault();
+        }
+        AccessResult result;
+        if (type == AccessType::Store && !wtRanges.empty() &&
+            inRange(wtRanges, host)) {
+            writeThroughStore(sim, size, now, result);
+        } else {
+            result.latency = config.l1.latency;
+            if (uncoreHook && type == AccessType::Store)
+                upgradeShared(sim, result);
+            if (l1Cache.access(sim, type, size, now).hit)
+                result.level = MemLevel::L1;
+            else
+                accessMiss(host, sim, type, size, pc, now, result);
+        }
+        if (faults) {
+            // Tagged as well as added: the CPI stack must charge
+            // injected spikes to the fault category, not to the
+            // hierarchy level the access happened to be serviced from.
+            const Cycles penalty = faults->memPenalty();
+            result.latency += penalty;
+            result.faultCycles += penalty;
+        }
+        if (trace)
+            trace->pcAccess(pc, result.level, type);
+        return result;
+    }
+
+    /**
+     * Access every cache line of the contiguous host span
      * [base, base+bytes) as independent loads (a wide vector load) and
-     * return the worst per-line result. The line count is derived from
-     * the span's translated grains, so it does not depend on the host
-     * base's offset within a line. Spans that map linearly through a
-     * single arena segment hoist the segment lookup out of the
-     * per-line loop (AddrMap::linearSpan) and walk host lines directly.
+     * return the worst per-line result: accessRangeAt() at the span's
+     * translation (AddrMap::translateSpan). The Core translates spans
+     * itself; this form serves callers that hold only host addresses.
      */
     AccessResult accessRange(Addr base, std::uint32_t bytes, PcId pc,
                              Cycles now);
 
     /**
-     * True when a demand access to @p host now provably stays inside
-     * this core's L1/L2: it cannot reach the shared L3, the uncore or
-     * a hook. The proof covers an L1 hit, a write-through store and,
-     * with no prefetcher attached, an L2 hit whose L1 victim is clean
-     * or whose write-back hits the L2; a store also needs that no line
-     * is Shared anywhere (Uncore::mayHoldShared). False is always safe.
-     * The only state it touches is the translation of @p host, which
-     * the access itself would perform next: translation is private to
-     * the core and a pure function of its own access sequence.
+     * accessRange() with the span's simulated image @p sim already
+     * known. A linear span (no grains) walks host lines, one access
+     * per line: its (sim - host) offset is a multiple of 2 MB, so
+     * simulated and host line boundaries coincide. Any other span
+     * walks its grains and accesses each distinct simulated line once.
+     * Either way the line count follows from the span's size and the
+     * replay machine's line size, not from the host base's offset
+     * within a line, so a span captured at one line size replays
+     * exactly at another.
      */
-    bool staysPrivate(Addr host, AccessType type) const;
+    AccessResult accessRangeAt(Addr base, std::uint32_t bytes,
+                               const SpanImage &sim, PcId pc, Cycles now);
+
+    /**
+     * True when a demand access to @p host, which translates to
+     * @p sim, now provably stays inside this core's L1/L2: it cannot
+     * reach the shared L3, the uncore or a hook. The proof covers an
+     * L1 hit, a write-through store and, with no prefetcher attached,
+     * an L2 hit whose L1 victim is clean or whose write-back hits the
+     * L2; a store also needs that no line is Shared anywhere
+     * (Uncore::mayHoldShared). False is always safe. It changes no
+     * state.
+     */
+    bool staysPrivate(Addr host, Addr sim, AccessType type) const;
 
     /**
      * Does nothing: every path translates from construction. Kept only
@@ -130,13 +187,15 @@ class MemPath
     /** Register an arena as a linearly-mapped AddrMap segment. */
     void mapSegment(Addr base, std::size_t bytes);
     /**
-     * The translator every access goes through; never null. Host
+     * The translator of this path's host addresses; never null. Host
      * addresses map into a deterministic simulated address space
      * (registered arena segments linearly, everything else through a
      * 16-byte-grain first-touch table), so cache behaviour is
      * bit-identical across runs regardless of heap ASLR or which
      * thread's malloc arena the workload allocated from. Write-through
-     * and no-allocate ranges keep matching on *host* addresses.
+     * and no-allocate ranges keep matching on *host* addresses. A
+     * replay leaves it empty and reads only its space bias: the
+     * capture already holds the simulated addresses.
      */
     AddrMap *addrTranslator() { return addrMap.get(); }
 
@@ -229,47 +288,6 @@ class MemPath
             if (r.contains(addr))
                 return true;
         return false;
-    }
-
-    /**
-     * access() after translation: @p host drives the range checks,
-     * @p sim is what the caches see. The one hierarchy walk; every
-     * hook acts here or in accessMiss() at the point it models.
-     */
-    AccessResult
-    accessAt(Addr host, Addr sim, AccessType type, std::uint32_t size,
-             PcId pc, Cycles now)
-    {
-        if (faults) {
-            // Cell-layer faults first: an injected crash/hang models
-            // the whole run dying *at* this access, so no further state
-            // of this access should be mutated when it fires.
-            faults->cellFault();
-        }
-        AccessResult result;
-        if (type == AccessType::Store && !wtRanges.empty() &&
-            inRange(wtRanges, host)) {
-            writeThroughStore(sim, size, now, result);
-        } else {
-            result.latency = config.l1.latency;
-            if (uncoreHook && type == AccessType::Store)
-                upgradeShared(sim, result);
-            if (l1Cache.access(sim, type, size, now).hit)
-                result.level = MemLevel::L1;
-            else
-                accessMiss(host, sim, type, size, pc, now, result);
-        }
-        if (faults) {
-            // Tagged as well as added: the CPI stack must charge
-            // injected spikes to the fault category, not to the
-            // hierarchy level the access happened to be serviced from.
-            const Cycles penalty = faults->memPenalty();
-            result.latency += penalty;
-            result.faultCycles += penalty;
-        }
-        if (trace)
-            trace->pcAccess(pc, result.level, type);
-        return result;
     }
 
     /**

@@ -58,7 +58,9 @@ Machine::Machine(const MachineSpec &spec, const WorkloadOptions &opt)
     // Every core translates through its own AddrMap. On a multi-core
     // machine each translator is biased so the robots' simulated
     // spaces are disjoint in the shared L3: honest capacity and
-    // bandwidth contention, no fake sharing.
+    // bandwidth contention, no fake sharing. Replay translates nothing
+    // but adds the same bias, read from the AddrMap, to the captured
+    // addresses.
     for (std::size_t i = 0; i < sys->coreCount(); ++i) {
         if (i)
             sys->mem(i).addrTranslator()->setSpaceBias(

@@ -21,13 +21,13 @@ namespace tartan::workloads {
 
 using tartan::sim::AccessType;
 using tartan::sim::Addr;
+using tartan::sim::AddrMap;
 using tartan::sim::CapOp;
 using tartan::sim::CapRecord;
 using tartan::sim::CaptureTrace;
 using tartan::sim::CpiCat;
 using tartan::sim::Cycles;
 using tartan::sim::MemDep;
-using tartan::sim::OpClass;
 using tartan::sim::PcId;
 
 bool
@@ -61,8 +61,19 @@ ReplayStream::ReplayStream(const CaptureTrace &trace, Machine &machine,
     : traceRef(trace),
       machineRef(machine),
       coreIdx(core_idx),
+      bias(machine.system().mem(core_idx).addrTranslator()->spaceBias()),
       pipeline(machine.core(core_idx))
 {
+}
+
+std::span<const Addr>
+ReplayStream::auxAddrs(std::uint64_t off, std::uint32_t host,
+                       std::uint32_t sim)
+{
+    traceRef.auxU64s(off, host + sim, addrs);
+    for (std::size_t i = host; i < addrs.size(); ++i)
+        addrs[i] += bias;
+    return addrs;
 }
 
 Cycles
@@ -89,7 +100,7 @@ ReplayStream::step()
         core.setKernel(r.a32);
         break;
       case CapOp::Exec:
-        core.exec(r.b, OpClass(r.a8));
+        core.exec(r.b);
         break;
       case CapOp::Stall:
         core.stall(r.b, CpiCat(r.a8));
@@ -98,27 +109,40 @@ ReplayStream::step()
         core.countInstructions(r.b);
         break;
       case CapOp::Load:
-        core.load(r.b, PcId(r.c), MemDep(r.a8), r.a32);
+        core.loadAt(r.b, r.d + bias, PcId(r.c), MemDep(r.a8), r.a32);
         break;
       case CapOp::Store:
-        core.store(r.b, PcId(r.c), r.a32);
+        core.storeAt(r.b, r.d + bias, PcId(r.c), r.a32);
         break;
       case CapOp::VecOp:
         core.vecOp(r.b);
         break;
-      case CapOp::DeviceLoadLanes:
-        traceRef.auxU64s(r.d, r.a32, lanes);
-        core.deviceLoadLanes(lanes, PcId(r.b), r.c, CpiCat(r.a8));
+      case CapOp::DeviceLoadLanes: {
+        const std::span<const Addr> both = auxAddrs(r.d, r.a32, r.a32);
+        core.deviceLoadLanesAt(both.first(r.a32), both.subspan(r.a32),
+                               PcId(r.b), r.c, CpiCat(r.a8));
         break;
-      case CapOp::VecLoadLanes:
-        traceRef.auxU64s(r.d, r.a32, lanes);
-        core.vecLoadLanes(lanes, PcId(r.b), r.c, r.a16, CpiCat(r.a8));
+      }
+      case CapOp::VecLoadLanes: {
+        const std::span<const Addr> both = auxAddrs(r.d, r.a32, r.a32);
+        core.vecLoadLanesAt(both.first(r.a32), both.subspan(r.a32),
+                            PcId(r.b), r.c, r.a16, CpiCat(r.a8));
         break;
+      }
       case CapOp::VecLoadContiguous:
-        core.vecLoadContiguous(r.b, r.a32, PcId(r.c));
+        if (r.a8 == tartan::sim::kSpanPerGrain) {
+            const std::uint32_t grains =
+                std::uint32_t(AddrMap::grainsSpanned(r.b, r.a32));
+            core.vecLoadContiguousAt(r.b, r.a32,
+                                     {0, auxAddrs(r.d, 0, grains)},
+                                     PcId(r.c));
+        } else {
+            core.vecLoadContiguousAt(r.b, r.a32, {r.d + bias, {}},
+                                     PcId(r.c));
+        }
         break;
       case CapOp::MapSegment:
-        mem.mapSegment(r.b, r.c);
+        // The recorded simulated addresses already carry the map.
         break;
       case CapOp::WriteThroughRange:
         mem.addWriteThroughRange(r.b, r.c);
@@ -198,9 +222,9 @@ ReplayStream::nextStaysPrivate() const
     // No default: a new op must state whether it is private.
     switch (CapOp(r.op)) {
       case CapOp::Load:
-        return mem.staysPrivate(r.b, AccessType::Load);
+        return mem.staysPrivate(r.b, r.d + bias, AccessType::Load);
       case CapOp::Store:
-        return mem.staysPrivate(r.b, AccessType::Store);
+        return mem.staysPrivate(r.b, r.d + bias, AccessType::Store);
       case CapOp::DeviceLoadLanes:
       case CapOp::VecLoadLanes:
       case CapOp::VecLoadContiguous:

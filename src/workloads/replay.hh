@@ -12,18 +12,26 @@
  *
  * The soundness argument: deterministic addressing makes every
  * cache/prefetcher/FCP decision a pure function of the op *sequence*,
- * which the capture preserves exactly; all timing is recomputed by the
- * replay machine, and the only config-dependent op *arguments* (the
- * NPU's stall amounts) are captured as semantic events and re-expanded
- * against the replay-side NpuConfig. The wall clock is recomputed the
- * same way: each captured stage, serial, overlap and discount marker
- * becomes the matching call into the stream's own Pipeline, the class
- * the robot drove when it was captured. The stream key
- * (streamConfigHash(), workloads/cellcodec) marks the boundary of that
- * argument: knobs that change the op sequence itself (vector lanes,
- * tier, scale, seed, NPU presence, ...) are in it and must match the
- * capture; knobs that only change timing (cache geometry, prefetcher,
- * FCP, issue width, NPU sizing) are not and may differ freely.
+ * so a capture translates each address once, while recording, and
+ * stores the simulated address next to the host one. Replay translates
+ * nothing: it hands the recorded simulated address, plus the space bias
+ * of the core it drives, to the caches, and the host address only to
+ * the write-through and no-allocate range checks, which are host
+ * ranges; its AddrMaps stay empty. Line boundaries depend on the line
+ * size, a timing knob, so a contiguous span is recorded as addresses,
+ * never as lines, and re-walked at the replay machine's line size. All
+ * timing is recomputed by the replay machine, and the only
+ * config-dependent op *arguments* (the NPU's stall amounts) are
+ * captured as semantic events and re-expanded against the replay-side
+ * NpuConfig. The wall clock is recomputed the same way: each captured
+ * stage, serial, overlap and discount marker becomes the matching call
+ * into the stream's own Pipeline, the class the robot drove when it
+ * was captured. The stream key (streamConfigHash(), workloads/cellcodec)
+ * marks the boundary of that argument: knobs that change the op
+ * sequence itself (vector lanes, tier, scale, seed, NPU presence, ...)
+ * are in it and must match the capture; knobs that only change timing
+ * (cache geometry, prefetcher, FCP, issue width, NPU sizing) are not
+ * and may differ freely.
  * capture() records a stream under that key.
  */
 
@@ -103,8 +111,8 @@ class ReplayStream
 
     /**
      * True when the next record (must not be done()) provably touches
-     * only the bound core's own state: its clock, CPI stack, pipeline,
-     * address translation and private L1/L2. Every non-memory record
+     * only the bound core's own state: its clock, CPI stack, pipeline
+     * and private L1/L2. Every non-memory record
      * except the NPU's qualifies, and a Load or Store when
      * MemPath::staysPrivate() proves it; the ranged and lane loads
      * never do. False is always safe.
@@ -118,12 +126,26 @@ class ReplayStream
     RunResult finalize();
 
   private:
+    /**
+     * Copy @p host host addresses, then @p sim simulated ones, from aux
+     * offset @p off into `addrs`, adding the space bias to the
+     * simulated ones. Lane payloads are both halves; span grains are
+     * simulated only.
+     */
+    std::span<const tartan::sim::Addr>
+    auxAddrs(std::uint64_t off, std::uint32_t host, std::uint32_t sim);
+
     const tartan::sim::CaptureTrace &traceRef;
     Machine &machineRef;
     std::size_t coreIdx;
+    /**
+     * The bound core's space bias (read once from its AddrMap), added to
+     * every captured simulated address.
+     */
+    tartan::sim::Addr bias;
     std::size_t next = 0;
     Pipeline pipeline;  //!< the run's wall clock, driven by the markers
-    std::vector<tartan::sim::Addr> lanes;    //!< reused aux scratch
+    std::vector<tartan::sim::Addr> addrs;    //!< reused aux scratch
     std::vector<std::uint32_t> layers;       //!< reused aux scratch
     std::vector<std::uint64_t> ids;          //!< reused aux scratch
     RunResult result;

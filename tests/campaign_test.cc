@@ -804,9 +804,12 @@ TEST(CampaignRunner, WatchdogUnwindsHungReplayWorkers)
     cfg.timeoutSec = 0.05;
     cfg.retries = 0;
 
+    // 64 records that charge no cycle, so no Core heartbeat fires and
+    // only the drain loop's own per-record beat can end the replay.
+    // (64 consecutive execs would merge into one Exec record.)
     tartan::sim::CaptureSession session(1, 1);
     for (int i = 0; i < 64; ++i)
-        session.exec(10, 0);
+        session.countInstructions(10);
     const tartan::sim::CaptureTrace trace = session.take();
     const MachineSpec spec = MachineSpec::baseline();
     WorkloadOptions opt;

@@ -32,6 +32,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -94,6 +95,9 @@ scratchDir(const std::string &name)
     return dir;
 }
 
+/** Simulated addresses of sampleTrace()'s memory records. */
+constexpr std::uint64_t kSimBase = std::uint64_t(1) << 44;
+
 /** A small synthetic capture exercising every aux-bearing record. */
 CaptureTrace
 sampleTrace()
@@ -101,16 +105,23 @@ sampleTrace()
     CaptureSession session(0xfeedc0de, 7);
     session.registerKernel("raycast");
     session.setKernel(0);
-    session.exec(120, 1);
+    session.exec(120);
     session.stall(35, 2);
     session.countInstructions(99);
-    session.load(0x1000, 3, 1, 8);
-    session.store(0x2000, 4, 16);
+    session.load(0x1000, kSimBase + 0x10, 3, 1, 8);
+    session.store(0x2000, kSimBase + 0x20, 4, 16);
     session.vecOp(5);
     const std::uint64_t lanes[] = {0x3000, 0x3040, 0x3080};
-    session.vecLoadLanes(lanes, 5, 2, 4, 1);
-    session.deviceLoadLanes(lanes, 6, 10, 1);
+    const std::uint64_t sim_lanes[] = {kSimBase + 0x30, kSimBase + 0x40,
+                                       kSimBase + 0x50};
+    session.vecLoadLanes(lanes, sim_lanes, 5, 2, 4, 1);
+    session.deviceLoadLanes(lanes, sim_lanes, 6, 10, 1);
     session.mapSegment(0x4000, 4096);
+    // A linear span and one given grain by grain (3 grains).
+    session.vecLoadContiguous(0x4000, 64, 7, {kSimBase + 0x60, {}});
+    const std::uint64_t grains[] = {kSimBase + 0x70, kSimBase + 0x90,
+                                    kSimBase + 0x80};
+    session.vecLoadContiguous(0x5008, 40, 7, {0, grains});
     session.serialBegin();
     session.serialEnd();
     session.overlapBegin();
@@ -344,9 +355,10 @@ TEST(CaptureFile, WrappingAuxOffsetRejectedDespiteValidCrc)
             if (CapOp(r.op) == op && !target)
                 target = &r;
         ASSERT_NE(target, nullptr);
+        // A lane payload is the host lanes, then the simulated ones.
         const std::uint64_t len = op == CapOp::RegisterKernel
                                       ? target->a32
-                                      : 8 * std::uint64_t(target->a32);
+                                      : 16 * std::uint64_t(target->a32);
         ASSERT_GT(len, 0u);
         target->d = ~std::uint64_t(0) - len + 2;  // d + len == 1
         std::string err;
@@ -396,6 +408,90 @@ TEST(CaptureTrace, ValidateRejectsBadOpsAndAuxOverruns)
         err.clear();
         EXPECT_FALSE(bad_divisor.validate(&err)) << int(kind);
         EXPECT_NE(err.find("discount by zero"), std::string::npos) << err;
+    }
+
+    // Set field @p field of the first @p op record of a fresh sample
+    // to @p value; expect validate() to fail with @p what, or to pass
+    // when @p what is null.
+    const auto expect_field = [](CapOp op, auto CapRecord::*field,
+                                 std::uint64_t value, const char *what) {
+        CaptureTrace bad = sampleTrace();
+        CapRecord *target = nullptr;
+        for (CapRecord &r : bad.records)
+            if (CapOp(r.op) == op && !target)
+                target = &r;
+        ASSERT_NE(target, nullptr) << int(op);
+        using Field = std::remove_reference_t<decltype(target->*field)>;
+        target->*field = Field(value);
+        std::string why;
+        SCOPED_TRACE(testing::Message() << "op " << int(op) << " = "
+                                        << value);
+        if (!what) {
+            EXPECT_TRUE(bad.validate(&why)) << why;
+            return;
+        }
+        EXPECT_FALSE(bad.validate(&why));
+        EXPECT_NE(why.find(what), std::string::npos) << why;
+    };
+
+    // Enum arguments replay casts and indexes by: a CpiCat past the
+    // last category (it indexes the CPI stacks), a MemDep past
+    // Dependent, a span flag other than linear or per-grain.
+    const std::uint64_t cats = tartan::sim::kNumCpiCats;
+    for (const CapOp op : {CapOp::Stall, CapOp::DeviceLoadLanes,
+                           CapOp::VecLoadLanes}) {
+        expect_field(op, &CapRecord::a8, cats - 1, nullptr);
+        expect_field(op, &CapRecord::a8, cats, "CPI category");
+        expect_field(op, &CapRecord::a8, 200, "CPI category");
+    }
+    expect_field(CapOp::Load, &CapRecord::a8, 1, nullptr);
+    expect_field(CapOp::Load, &CapRecord::a8, 2, "memory dependence");
+    expect_field(CapOp::VecLoadContiguous, &CapRecord::a8, 2,
+                 "malformed contiguous span");
+    // A span whose end wraps past 2^64.
+    expect_field(CapOp::VecLoadContiguous, &CapRecord::b,
+                 ~std::uint64_t(0) - 8, "malformed contiguous span");
+
+    // Lane payloads hold 2 * a32 addresses (host, then simulated): one
+    // that ends at the aux stream's end is valid, one that ends a word
+    // past it is not.
+    for (const auto &[past, valid] : {std::pair{0, true}, {8, false}}) {
+        CaptureTrace tail = sampleTrace();
+        for (CapRecord &r : tail.records)
+            if (CapOp(r.op) == CapOp::VecLoadLanes)
+                r.d = tail.aux.size() - 16 * std::uint64_t(r.a32) +
+                      std::uint64_t(past);
+        err.clear();
+        EXPECT_EQ(tail.validate(&err), valid) << past;
+        if (!valid) {
+            EXPECT_NE(err.find("aux"), std::string::npos) << err;
+        }
+    }
+
+    // A per-grain span holds one address per 16-byte grain: 40 bytes
+    // at 0x5008 cover 3 grains, 41 cover a fourth. Moved to the aux
+    // stream's last 3 words, the span is valid; one byte longer, it
+    // reads past the end.
+    expect_field(CapOp::VecLoadContiguous, &CapRecord::a8, 0, nullptr);
+    for (const auto &[extra, valid] : {std::pair{0u, true}, {1u, false}}) {
+        CaptureTrace span = sampleTrace();
+        bool found = false;
+        for (CapRecord &r : span.records) {
+            if (CapOp(r.op) == CapOp::VecLoadContiguous &&
+                r.a8 == tartan::sim::kSpanPerGrain) {
+                ASSERT_EQ(tartan::sim::AddrMap::grainsSpanned(r.b, r.a32),
+                          3u);
+                r.d = span.aux.size() - 3 * 8;
+                r.a32 += extra;
+                found = true;
+            }
+        }
+        ASSERT_TRUE(found);
+        err.clear();
+        EXPECT_EQ(span.validate(&err), valid) << extra;
+        if (!valid) {
+            EXPECT_NE(err.find("aux"), std::string::npos) << err;
+        }
     }
 }
 
@@ -481,6 +577,298 @@ TEST(ReplayEquivalence, ScriptedWallModelReplaysExactly)
             tartan::workloads::replayTrace(trace, machine, opt);
         EXPECT_EQ(replayed.wallCycles, direct.wallCycles);
         expectIdentical(direct, replayed);
+    }
+}
+
+namespace {
+
+/**
+ * A scripted run whose contiguous spans translate grain by grain: some
+ * straddle the end of a mapped segment, the rest lie in unmapped
+ * memory (the first-touch fallback map). It also issues lane loads
+ * over both regions, loads and stores, and a write-through and a
+ * no-allocate range that the spans and lanes cross, so replay needs
+ * the host addresses for the range checks and the simulated ones for
+ * the caches. The buffers are static, so every run sees the same host
+ * addresses.
+ */
+RunResult
+spanRun(const MachineSpec &spec, const WorkloadOptions &opt)
+{
+    using tartan::sim::Addr;
+    using tartan::sim::CpiCat;
+    using tartan::sim::ScopedKernel;
+    tartan::workloads::Machine machine(spec, opt);
+    tartan::sim::Core &core = machine.core();
+    tartan::sim::MemPath &mem = machine.system().mem();
+    tartan::workloads::Pipeline pipeline(core);
+    alignas(64) static std::uint8_t mapped[96 * 1024];
+    alignas(64) static std::uint8_t unmapped[96 * 1024];
+    const auto at = [](std::uint8_t *buf, std::size_t off) {
+        return reinterpret_cast<Addr>(buf) + off;
+    };
+    // An odd segment size puts its end inside a grain and a line.
+    constexpr std::size_t kSegment = 64 * 1024 + 40;
+    mem.mapSegment(at(mapped, 0), kSegment);
+    mem.addNoAllocateRange(at(unmapped, 16 * 1024), 8 * 1024);
+    mem.addWriteThroughRange(at(unmapped, 40 * 1024), 4 * 1024);
+    const auto k_span = core.registerKernel("span");
+    const auto k_lane = core.registerKernel("lane");
+
+    Addr lanes[8];
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+        {
+            ScopedKernel scope(core, k_span);
+            // Straddles the segment's end by 1..120 bytes.
+            const std::size_t tail = 8 + 24 * (i % 5);
+            core.vecLoadContiguous(at(mapped, kSegment - tail),
+                                   std::uint32_t(tail + 1 + i % 120), 3);
+            // Wholly in the fallback map, at every grain offset.
+            core.vecLoadContiguous(at(unmapped, (977 * i) % 60000 + i % 16),
+                                   std::uint32_t(17 + (i * 7) % 200), 4);
+            // Linear, inside the segment.
+            core.vecLoadContiguous(at(mapped, (613 * i) % 60000), 64, 5);
+            core.exec(3 + i % 4, i % 2 ? tartan::sim::OpClass::FpAlu
+                                       : tartan::sim::OpClass::IntAlu);
+        }
+        ScopedKernel scope(core, k_lane);
+        for (std::size_t l = 0; l < std::size(lanes); ++l)
+            lanes[l] = l % 2 ? at(mapped, (4099 * (i + l)) % kSegment)
+                             : at(unmapped, (5003 * (i + l)) % 90000);
+        if (i % 3 == 0)
+            core.deviceLoadLanes(lanes, 6, 2);
+        else
+            core.vecLoadLanes(lanes, 7, 1, 4, CpiCat::Ovec);
+        core.load(at(unmapped, (331 * i) % 90000), 8);
+        core.store(at(unmapped, 40 * 1024 + (i * 8) % 4096), 9);
+        core.store(at(mapped, (i * 72) % kSegment), 10);
+        core.exec(1);
+    }
+
+    RunResult result;
+    result.robot = "SpanBot";
+    summarize(machine, pipeline, result);
+    return result;
+}
+
+} // namespace
+
+TEST(ReplayEquivalence, NonLinearSpansAndLanesReplayExactly)
+{
+    // The robots' contiguous spans are all linear, so this scripted
+    // run covers the per-grain span records and the lane payloads. The
+    // capture records no lines: at 64 B lines replay re-walks the same
+    // grains into half as many lines, as the direct run does.
+    const WorkloadOptions opt;
+    const MachineSpec spec = MachineSpec::baseline();
+    MachineSpec wide = spec;
+    wide.sys.lineBytes = 64;
+    const CaptureTrace trace = capture("SpanBot", spanRun, spec, opt).trace;
+    ASSERT_TRUE(trace.validate());
+
+    std::size_t per_grain = 0, linear = 0, lane_ops = 0;
+    for (const CapRecord &r : trace.records) {
+        if (CapOp(r.op) == CapOp::VecLoadContiguous)
+            (r.a8 == tartan::sim::kSpanPerGrain ? per_grain : linear) += 1;
+        lane_ops += CapOp(r.op) == CapOp::DeviceLoadLanes ||
+                    CapOp(r.op) == CapOp::VecLoadLanes;
+    }
+    EXPECT_EQ(per_grain, 6000u);
+    EXPECT_EQ(linear, 3000u);
+    EXPECT_EQ(lane_ops, 3000u);
+
+    const RunResult at_spec = spanRun(spec, opt);
+    const RunResult at_wide = spanRun(wide, opt);
+    EXPECT_NE(at_spec.l1Accesses, at_wide.l1Accesses);
+    for (const auto &[name, machine, direct] :
+         {std::tuple{"capture config", spec, at_spec},
+          std::tuple{"64 B lines", wide, at_wide}}) {
+        SCOPED_TRACE(name);
+        const RunResult replayed =
+            tartan::workloads::replayTrace(trace, machine, opt);
+        expectIdentical(direct, replayed);
+        EXPECT_EQ(tartan::workloads::encodeRunResult(replayed),
+                  tartan::workloads::encodeRunResult(direct));
+    }
+
+    // On a fleet, core 1 adds its space bias to every recorded address,
+    // span grains and lanes included, so two copies of the stream never
+    // share a line (replayFleet also asserts that no coherence action
+    // fired).
+    tartan::workloads::FleetUncoreSnapshot fabric;
+    const std::vector<RunResult> fleet =
+        tartan::workloads::replayFleet({&trace, &trace}, spec, opt, &fabric);
+    ASSERT_EQ(fleet.size(), 2u);
+    EXPECT_EQ(fabric.coherence, tartan::sim::CoherenceStats{});
+    EXPECT_EQ(fleet[0].l1Accesses, at_spec.l1Accesses);
+    EXPECT_EQ(fleet[1].l1Accesses, at_spec.l1Accesses);
+}
+
+TEST(ReplayEquivalence, ReplayNeverTranslates)
+{
+    // replayTrace() and replayFleet() build their machines inside, so
+    // this test runs their two loops on machines it owns: one
+    // ReplayStream drained alone, and one stream per core of a fleet,
+    // each run ahead while nextStaysPrivate() holds. Afterwards no
+    // replay core's AddrMap holds a segment or a grain: replay sends
+    // the captured simulated addresses straight to the caches.
+    WorkloadOptions opt;
+    opt.scale = 0.1;
+    namespace wl = tartan::workloads;
+    const MachineSpec base = MachineSpec::baseline();
+    const MachineSpec tartan = MachineSpec::tartan();
+    std::vector<CaptureTrace> traces;
+    traces.push_back(capture("HomeBot", wl::runHomeBot, base, opt).trace);
+    traces.push_back(capture("DeliBot", wl::runDeliBot, tartan, opt).trace);
+    traces.push_back(capture("SpanBot", spanRun, base, opt).trace);
+    traces.push_back(capture("MoveBot", wl::runMoveBot, base, opt).trace);
+    for (const CaptureTrace &t : traces) {
+        std::size_t maps = 0, memory = 0;
+        for (const CapRecord &r : t.records) {
+            maps += CapOp(r.op) == CapOp::MapSegment;
+            memory += CapOp(r.op) == CapOp::Load ||
+                      CapOp(r.op) == CapOp::Store;
+        }
+        // A replay that translated would map these.
+        EXPECT_GT(maps, 0u);
+        EXPECT_GT(memory, 0u);
+    }
+
+    const auto expect_untranslated = [](wl::Machine &machine) {
+        for (std::size_t c = 0; c < machine.system().coreCount(); ++c) {
+            const tartan::sim::AddrMap &map =
+                *machine.system().mem(c).addrTranslator();
+            EXPECT_EQ(map.segmentCount(), 0u) << "core " << c;
+            EXPECT_EQ(map.grainCount(), 0u) << "core " << c;
+        }
+    };
+    for (const CaptureTrace &t : traces) {
+        wl::Machine machine(base, opt);
+        wl::ReplayStream stream(t, machine);
+        while (!stream.done())
+            stream.step();
+        stream.finalize();
+        expect_untranslated(machine);
+    }
+
+    MachineSpec fleet = base;
+    fleet.sys.simCores = std::uint32_t(traces.size());
+    wl::Machine machine(fleet, opt);
+    std::vector<std::unique_ptr<wl::ReplayStream>> streams;
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        streams.push_back(
+            std::make_unique<wl::ReplayStream>(traces[i], machine, i));
+    for (bool any = true; any;) {
+        any = false;
+        for (auto &s : streams) {
+            if (s->done())
+                continue;
+            any = true;
+            do
+                s->step();
+            while (!s->done() && s->nextStaysPrivate());
+        }
+    }
+    for (auto &s : streams)
+        s->finalize();
+    expect_untranslated(machine);
+}
+
+namespace {
+
+/** Exec runs in execRun(): run i issues 1 + i % 5 execs. */
+constexpr std::uint32_t kExecRuns = 4000;
+
+/**
+ * A scripted run of exec runs: integer and floating-point execs of
+ * uneven sizes, back to back, each run ended by a load and followed by
+ * a kernel switch.
+ */
+RunResult
+execRun(const MachineSpec &spec, const WorkloadOptions &opt)
+{
+    using tartan::sim::Addr;
+    using tartan::sim::OpClass;
+    tartan::workloads::Machine machine(spec, opt);
+    tartan::sim::Core &core = machine.core();
+    tartan::workloads::Pipeline pipeline(core);
+    const auto k_a = core.registerKernel("a");
+    const auto k_b = core.registerKernel("b");
+    static std::uint64_t data[1 << 14];
+    for (std::uint32_t i = 0; i < kExecRuns; ++i) {
+        core.setKernel(i % 7 == 0 ? k_a : k_b);
+        for (std::uint32_t j = 0; j < 1 + i % 5; ++j)
+            core.exec(1 + (i + j) % 6,
+                      j % 2 ? OpClass::FpAlu : OpClass::IntAlu);
+        core.load(reinterpret_cast<Addr>(&data[(i * 37) % std::size(data)]),
+                  1);
+    }
+    RunResult result;
+    result.robot = "ExecBot";
+    summarize(machine, pipeline, result);
+    return result;
+}
+
+} // namespace
+
+TEST(CaptureSession, ConsecutiveExecsMergeButNeverWhileSuppressed)
+{
+    CaptureSession session(1, 1);
+    session.exec(3);
+    session.exec(5);
+    ASSERT_EQ(session.trace().records.size(), 1u);
+    EXPECT_EQ(session.trace().records[0].b, 8u);
+    // A suppressed exec neither records nor merges.
+    session.pushSuppress();
+    session.exec(100);
+    session.popSuppress();
+    ASSERT_EQ(session.trace().records.size(), 1u);
+    EXPECT_EQ(session.trace().records[0].b, 8u);
+    session.exec(1);
+    EXPECT_EQ(session.trace().records[0].b, 9u);
+    // Any other record ends the run.
+    session.vecOp(2);
+    session.exec(4);
+    ASSERT_EQ(session.trace().records.size(), 3u);
+    EXPECT_EQ(CapOp(session.trace().records[2].op), CapOp::Exec);
+    EXPECT_EQ(session.trace().records[2].b, 4u);
+    EXPECT_EQ(session.trace().records[2].a8, 0u);
+}
+
+TEST(ReplayEquivalence, MergedExecRunsReplayExactly)
+{
+    // One record per run of execs: fewer records than exec calls, and
+    // the replay still equals the direct run, at the capture config and
+    // at 64 B lines, because the core's issue carry telescopes.
+    const WorkloadOptions opt;
+    const MachineSpec spec = MachineSpec::baseline();
+    MachineSpec wide = spec;
+    wide.sys.lineBytes = 64;
+    const CaptureTrace trace =
+        capture("ExecBot", execRun, spec, opt).trace;
+    std::size_t execs = 0;
+    for (std::size_t i = 0; i < trace.records.size(); ++i) {
+        const bool exec = CapOp(trace.records[i].op) == CapOp::Exec;
+        execs += exec;
+        if (i && exec) {
+            EXPECT_NE(CapOp(trace.records[i - 1].op), CapOp::Exec) << i;
+        }
+    }
+    // One record per run, where the run issued 1 + i % 5 exec calls.
+    std::size_t calls = 0;
+    for (std::uint32_t i = 0; i < kExecRuns; ++i)
+        calls += 1 + i % 5;
+    EXPECT_EQ(execs, kExecRuns);
+    EXPECT_EQ(calls, 3 * execs);
+
+    for (const MachineSpec &machine : {spec, wide}) {
+        const RunResult direct = execRun(machine, opt);
+        const RunResult replayed =
+            tartan::workloads::replayTrace(trace, machine, opt);
+        SCOPED_TRACE(machine.sys.lineBytes);
+        expectIdentical(direct, replayed);
+        EXPECT_EQ(tartan::workloads::encodeRunResult(replayed),
+                  tartan::workloads::encodeRunResult(direct));
     }
 }
 
@@ -638,8 +1026,12 @@ expectThreadCapturesDifferOnlyInHostAddresses(std::string_view robot,
         here.aux.size() != there.aux.size())
         return here;
 
-    std::vector<bool> lane_bytes(here.aux.size(), false);
-    std::size_t record_diffs = 0;
+    // Only the host fields are masked: the b of the address-bearing
+    // records and the host half of each lane payload. The simulated
+    // addresses (d of Load, Store and VecLoadContiguous, the grain
+    // lists and the simulated half of each lane payload) must match.
+    std::vector<bool> host_bytes(here.aux.size(), false);
+    std::size_t record_diffs = 0, sim_fields = 0;
     for (std::size_t i = 0; i < here.records.size(); ++i) {
         CapRecord a = here.records[i];
         CapRecord b = there.records[i];
@@ -649,15 +1041,18 @@ expectThreadCapturesDifferOnlyInHostAddresses(std::string_view robot,
             op == CapOp::WriteThroughRange || op == CapOp::NoAllocateRange)
             a.b = b.b = 0; // a host address
         record_diffs += std::memcmp(&a, &b, sizeof a) != 0;
+        sim_fields += op == CapOp::Load || op == CapOp::Store ||
+                      op == CapOp::VecLoadContiguous;
         if (op == CapOp::DeviceLoadLanes || op == CapOp::VecLoadLanes)
-            std::fill_n(lane_bytes.begin() + std::ptrdiff_t(a.d),
+            std::fill_n(host_bytes.begin() + std::ptrdiff_t(a.d),
                         8 * std::size_t(a.a32), true);
     }
+    EXPECT_GT(sim_fields, 0u);
     EXPECT_EQ(record_diffs, 0u) << "records differ beyond host addresses";
     std::size_t aux_diffs = 0;
     for (std::size_t i = 0; i < here.aux.size(); ++i)
-        aux_diffs += !lane_bytes[i] && here.aux[i] != there.aux[i];
-    EXPECT_EQ(aux_diffs, 0u) << "aux bytes differ beyond lane addresses";
+        aux_diffs += !host_bytes[i] && here.aux[i] != there.aux[i];
+    EXPECT_EQ(aux_diffs, 0u) << "aux bytes differ beyond host lanes";
 
     MachineSpec wide = spec;
     wide.sys.lineBytes = 64;
@@ -672,14 +1067,15 @@ expectThreadCapturesDifferOnlyInHostAddresses(std::string_view robot,
 
 TEST(ReplayEquivalence, CapturesOnTwoThreadsDifferOnlyInHostAddresses)
 {
-    // A capture records host addresses, which move with the thread's
-    // malloc arena and stack (and with ASLR), so captures of one stream
-    // on the main thread and on a second thread (std::async) are not
+    // A capture still records host addresses next to the simulated
+    // ones, and host addresses move with the thread's malloc arena and
+    // stack (and with ASLR), so captures of one stream on the main
+    // thread and on a second thread (std::async) are not
     // byte-identical. Everything else is: the records differ only in
-    // the address field of the address-bearing ops and the aux bytes
-    // only in lane address payloads, and both replay to the same
-    // result, because replay translates host addresses in first-touch
-    // order.
+    // the host address field of the address-bearing ops and the aux
+    // bytes only in the host half of the lane payloads. The simulated
+    // addresses, which are all replay sends to the caches, are equal,
+    // and both captures replay to the same result.
     WorkloadOptions opt;
     opt.scale = 0.25;
     {

@@ -407,6 +407,9 @@ setConflictStream(std::uint64_t seed, int records)
     constexpr Addr kStride = 512 * 1024;
     constexpr std::uint64_t kGroups = 4, kDepth = 24;
     CaptureSession session(seed, seed);
+    // A capture records what the capturing core's AddrMap translated.
+    tartan::sim::AddrMap map;
+    map.addSegment(kBase, kDepth * kStride);
     session.mapSegment(kBase, kDepth * kStride);
     session.registerKernel("conflict");
     session.setKernel(0);
@@ -422,12 +425,13 @@ setConflictStream(std::uint64_t seed, int records)
                                             (kGroups * kDepth);
         const Addr addr =
             kBase + (line / kGroups) * kStride + (line % kGroups) * 64;
+        const Addr sim = map.translate(addr);
         if (rng.uniform() < 0.4)
-            session.store(addr, PcId(1), 8);
+            session.store(addr, sim, PcId(1), 8);
         else
-            session.load(addr, PcId(2), std::uint8_t(rng.uniformInt(2)),
-                         8);
-        session.exec(1 + rng.uniformInt(6), 0);
+            session.load(addr, sim, PcId(2),
+                         std::uint8_t(rng.uniformInt(2)), 8);
+        session.exec(1 + rng.uniformInt(6));
     }
     session.setRobot("ConflictBot");
     return session.take();
