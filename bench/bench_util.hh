@@ -448,7 +448,7 @@ reportCaptureStats(BenchReporter &rep)
     const std::uint64_t file_hits = st.fileHits.load();
     const std::uint64_t replays = st.replays.load();
     if (captures || file_hits || replays)
-        rep.captureStats(captures, file_hits, replays);
+        rep.captureStats(captures, file_hits, replays, st.l1Replays.load());
 }
 
 /**

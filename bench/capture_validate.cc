@@ -29,11 +29,12 @@ main(int argc, char **argv)
         std::string err;
         if (tartan::sim::CaptureTrace::load(path, trace, &err)) {
             std::printf("%s: ok (config %s, seed %llu, %zu records, "
-                        "%zu aux bytes)\n",
+                        "%zu aux bytes, %llu L1 lookups)\n",
                         path.c_str(),
                         tartan::sim::hex64(trace.configHash).c_str(),
                         static_cast<unsigned long long>(trace.seed),
-                        trace.records.size(), trace.aux.size());
+                        trace.records.size(), trace.aux.size(),
+                        static_cast<unsigned long long>(trace.l1.lookups));
         } else {
             std::fprintf(stderr, "%s: INVALID: %s\n", path.c_str(),
                          err.empty() ? "cannot open" : err.c_str());

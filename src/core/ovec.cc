@@ -75,7 +75,7 @@ GatherEngine::load(Mem &mem, const float *data, std::size_t size,
     // Software index generation: for each lane, multiply, floor,
     // convert and insert into the index register (paper §VIII-A: these
     // added instructions offset the vectorisation benefit).
-    mem.exec(8ull * lanes, tartan::sim::OpClass::FpAlu);
+    mem.exec(8ull * lanes);
     Addr addrs[64];
     for (std::uint32_t i = 0; i < lanes; ++i)
         addrs[i] = reinterpret_cast<Addr>(cells[i]);

@@ -173,11 +173,11 @@ Mlp::forwardTraced(std::span<const float> input, std::span<float> output,
             for (std::uint32_t i = 0; i < in_n; ++i) {
                 core.load(reinterpret_cast<tartan::sim::Addr>(row + i), pc,
                           MemDep::Independent);
-                core.exec(3, tartan::sim::OpClass::FpAlu);
+                core.exec(3);
                 acc += row[i] * cur[i];
             }
             // Library-call and activation overhead per neuron.
-            core.exec(12, tartan::sim::OpClass::FpAlu);
+            core.exec(12);
             next[o] = (!last || cfg.sigmoidOutput) ? sigmoid(acc) : acc;
         }
         cur.swap(next);

@@ -167,7 +167,7 @@ weightedAStar(Mem &mem, SearchArrays &arrays, std::uint32_t start,
         expand(mem, top.state, succs);
         for (const Successor &sc : succs) {
             const float cand = top.g + sc.cost;
-            mem.execFp(2);
+            mem.exec(2);
             if (cand < arrays.gValue(mem, sc.state)) {
                 arrays.setG(mem, sc.state, cand, top.state);
                 const double f = cand + epsilon * h(mem, sc.state);

@@ -54,7 +54,7 @@ bool
 footprintCollides(Mem &mem, const OccupancyGrid2D &grid, const Pose2 &pose,
                   const Footprint &fp, OrientedEngine &engine)
 {
-    mem.execFp(10);  // pose trig and line setup
+    mem.exec(10);  // pose trig and line setup
     const std::size_t size = grid.cells();
     float batch[64];
     for (std::uint32_t line = 0; line < fp.sweepLines; ++line) {
@@ -107,7 +107,7 @@ cuboidsCollide(Mem &mem, const Cuboid *robot, std::size_t robot_count,
         mem.loadv(&obstacles[o].halfExtent.x, collision_pc::cuboid,
                   MemDep::Independent);
         for (std::size_t r = 0; r < robot_count; ++r) {
-            mem.execFp(9);  // three axis tests, three abs, three adds
+            mem.exec(9);  // three axis tests, three abs, three adds
             if (robot[r].overlaps(obstacles[o]))
                 hit = true;  // CCCD scans all pairs (speed over accuracy)
         }

@@ -17,7 +17,7 @@ PurePursuit::steer(Mem &mem, const Pose2 &pose)
         const Vec2 &wp = waypoints[targetIdx];
         mem.loadv(&wp.x, control_pc::path);
         const double d = dist2(pose.x, pose.y, wp.x, wp.y);
-        mem.execFp(6);
+        mem.exec(6);
         if (d >= lookahead)
             break;
         ++targetIdx;
@@ -29,7 +29,7 @@ PurePursuit::steer(Mem &mem, const Pose2 &pose)
     const double lx = std::cos(pose.theta) * dx + std::sin(pose.theta) * dy;
     const double ly =
         -std::sin(pose.theta) * dx + std::cos(pose.theta) * dy;
-    mem.execFp(12);
+    mem.exec(12);
     const double l2 = lx * lx + ly * ly;
     if (l2 < 1e-9)
         return 0.0;
@@ -52,7 +52,7 @@ Mpc::rollout(Mem &mem, const std::vector<Vec3> &controls, const Vec3 &pos,
         const Vec3 err = p - target;
         cost += err.dot(err) +
                 cfg.effortWeight * controls[k].dot(controls[k]);
-        mem.execFp(30);
+        mem.exec(30);
     }
     if (grad) {
         // Backward sweep: dCost/du_k via the linear dynamics chain.
@@ -65,7 +65,7 @@ Mpc::rollout(Mem &mem, const std::vector<Vec3> &controls, const Vec3 &pos,
             // of control u_k; fold into a running sum.
             (*grad)[k] = carry * (cfg.dt * cfg.dt) +
                          controls[k] * (2.0 * cfg.effortWeight);
-            mem.execFp(18);
+            mem.exec(18);
         }
     }
     return cost;
@@ -82,7 +82,7 @@ Mpc::solve(Mem &mem, const Vec3 &pos, const Vec3 &vel, const Vec3 &target,
         cost = rollout(mem, controls, pos, vel, target, &grad);
         for (std::uint32_t k = 0; k < cfg.horizon; ++k) {
             controls[k] = controls[k] - grad[k] * cfg.learningRate;
-            mem.execFp(6);
+            mem.exec(6);
         }
     }
     if (predicted_cost)
@@ -112,7 +112,7 @@ Dmp::forcing(Mem &mem, double phase) const
         const double psi = std::exp(-h * (phase - c) * (phase - c));
         num += psi * mem.loadv(&weights[b], control_pc::dmp);
         den += psi;
-        mem.execFp(8);
+        mem.exec(8);
     }
     return num / den * phase;
 }
@@ -142,10 +142,10 @@ Dmp::learn(Mem &mem, const std::vector<double> &demo, double dt)
                 -widths[b] * (phase - centers[b]) * (phase - centers[b]));
             num[b] += psi * f_norm;
             den[b] += psi;
-            mem.execFp(7);
+            mem.exec(7);
         }
         phase += dt * (-alphaPhase * phase) / tau;
-        mem.execFp(16);
+        mem.exec(16);
     }
     for (std::uint32_t b = 0; b < basisCount; ++b)
         weights[b] = num[b] / den[b];
@@ -168,7 +168,7 @@ Dmp::rollout(Mem &mem, double start, double goal, double dt,
         y += v * dt / tau;
         phase += dt * (-alphaPhase * phase) / tau;
         out.push_back(y);
-        mem.execFp(16);
+        mem.exec(16);
     }
     return out;
 }
@@ -178,7 +178,7 @@ greedyStep(Mem &mem, const Vec2 &pos, const Vec2 &goal, double step_len)
 {
     const Vec2 diff = goal - pos;
     const double n = diff.norm();
-    mem.execFp(8);
+    mem.exec(8);
     if (n < 1e-9 || n < step_len)
         return goal;
     return pos + diff * (step_len / n);

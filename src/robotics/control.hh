@@ -35,7 +35,7 @@ class Pid
         integral += error * dt;
         const double derivative = (error - previous) / dt;
         previous = error;
-        mem.execFp(8);
+        mem.exec(8);
         return kp * error + ki * integral + kd * derivative;
     }
 

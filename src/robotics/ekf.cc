@@ -48,7 +48,7 @@ Ekf::predict(Mem &mem, double v, double w, double dt)
 
     for (double &v2 : cov)
         mem.storev(&v2, v2, ekf_pc::state);
-    mem.execFp(40);
+    mem.exec(40);
 }
 
 void
@@ -151,7 +151,7 @@ Ekf::correct(Mem &mem, std::size_t id, double range, double bearing)
     repairDivergence();
     for (double &v : cov)
         mem.storev(&v, v, ekf_pc::state);
-    mem.execFp(90);
+    mem.exec(90);
 }
 
 } // namespace tartan::robotics

@@ -84,7 +84,7 @@ class OccupancyGrid2D
         float v = mem.loadv(cell, pc) + delta;
         v = v < 0.0f ? 0.0f : (v > 1.0f ? 1.0f : v);
         mem.storev(cell, v, pc);
-        mem.execFp(3);
+        mem.exec(3);
     }
 
     // --- Environment generators -----------------------------------

@@ -153,7 +153,7 @@ icpAlign(Mem &mem, std::vector<float> &src, std::size_t count,
                 const double diff = q[d] - dp[d];
                 d2 += diff * diff;
             }
-            mem.execFp(10);
+            mem.exec(10);
             if (d2 > max_d2)
                 continue;
             pairs.emplace_back(p, near);
@@ -186,14 +186,14 @@ icpAlign(Mem &mem, std::vector<float> &src, std::size_t count,
                     cc[i * 3 + j] += s[i] * d[j];
             residual += dist3(Vec3{sp[0], sp[1], sp[2]},
                               Vec3{dp[0], dp[1], dp[2]});
-            mem.execFp(30);
+            mem.exec(30);
         }
         result.meanResidual = residual * inv;
         result.correspondences = pairs.size();
 
         Transform3 step;
         hornRotation(cc, step.r);
-        mem.execFp(900);  // 4x4 power iteration, 50 rounds
+        mem.exec(900);  // 4x4 power iteration, 50 rounds
         const Vec3 rc = step.apply(Vec3{cs[0], cs[1], cs[2]});
         step.t = Vec3{cd[0] - rc.x, cd[1] - rc.y, cd[2] - rc.z};
 
@@ -216,7 +216,7 @@ icpAlign(Mem &mem, std::vector<float> &src, std::size_t count,
             mem.storev(sp + 0, static_cast<float>(moved.x), icp_pc::cloud);
             mem.storev(sp + 1, static_cast<float>(moved.y), icp_pc::cloud);
             mem.storev(sp + 2, static_cast<float>(moved.z), icp_pc::cloud);
-            mem.execFp(18);
+            mem.exec(18);
         }
         result.transform = step.compose(result.transform);
         stepped = true;
@@ -263,7 +263,7 @@ fusePoints(Mem &mem, std::vector<float> &map_points,
                     const double diff = q[d] - mp[d];
                     d2 += diff * diff;
                 }
-                mem.execFp(9);
+                mem.exec(9);
                 if (d2 < best_d) {
                     best_d = d2;
                     best = id;
@@ -276,7 +276,7 @@ fusePoints(Mem &mem, std::vector<float> &map_points,
                 mem.storev(mp + d, merged, icp_pc::cloud);
             }
             mem.storev(&confidence[best], c + 1.0f, icp_pc::cloud);
-            mem.execFp(12);
+            mem.exec(12);
         } else {
             const std::uint32_t id = static_cast<std::uint32_t>(
                 map_points.size() / map_stride);

@@ -87,7 +87,7 @@ KdTreeNns::nearestRec(Mem &mem, std::int32_t node, const float *query,
 
     const float split_val = point(n->id)[n->splitDim];
     const float diff = query[n->splitDim] - split_val;
-    mem.execFp(3);
+    mem.exec(3);
     const std::int32_t near_child = diff < 0.0f ? n->left : n->right;
     const std::int32_t far_child = diff < 0.0f ? n->right : n->left;
     nearestRec(mem, near_child, query, best, best_d);
@@ -121,7 +121,7 @@ KdTreeNns::radiusRec(Mem &mem, std::int32_t node, const float *query,
 
     const float split_val = point(n->id)[n->splitDim];
     const float diff = query[n->splitDim] - split_val;
-    mem.execFp(3);
+    mem.exec(3);
     const std::int32_t near_child = diff < 0.0f ? n->left : n->right;
     const std::int32_t far_child = diff < 0.0f ? n->right : n->left;
     radiusRec(mem, near_child, query, eps_sq, out);

@@ -56,7 +56,7 @@ LshNns::chargeScan(Mem &mem, const float *base, std::size_t floats,
         // plus the per-iteration conditional branch.
         for (std::size_t i = 0; i < floats; ++i)
             mem.loadv(base + i, pc);
-        mem.execFp(3 * floats);
+        mem.exec(3 * floats);
         mem.exec(floats);
         return;
     }
@@ -92,7 +92,7 @@ LshNns::hashPoint(Mem &mem, const float *p, std::uint32_t table,
             std::floor(acc / cfg.bucketWidth));
         // Projection cost: a dot product over the projection vector.
         chargeScan(mem, r, dimension, nns_pc::lshProject);
-        mem.execFp(4);
+        mem.exec(4);
     }
 }
 

@@ -46,7 +46,7 @@ Mcl::predict(Mem &mem, double dx, double dy, double dtheta,
         mem.storev(px + i, nx, mcl_pc::particle);
         mem.storev(py + i, ny, mcl_pc::particle);
         mem.storev(ptheta + i, nt, mcl_pc::particle);
-        mem.execFp(12);
+        mem.exec(12);
     }
 }
 
@@ -85,14 +85,14 @@ Mcl::weighParticle(Mem &mem, const OccupancyGrid2D &grid,
             castRay(mem, grid, hyp.x, hyp.y, theta, cfg.ray, engine);
         const double err = predicted - observed[r];
         log_w -= err * err * inv2s2;
-        mem.execFp(5);
+        mem.exec(5);
     }
     double w =
         mem.loadv(weight + i, mcl_pc::particle) * std::exp(log_w);
     if (!std::isfinite(w))
         w = 0.0;
     mem.storev(weight + i, w, mcl_pc::particle);
-    mem.execFp(8);
+    mem.exec(8);
 }
 
 void
@@ -101,7 +101,7 @@ Mcl::normalizeWeights(Mem &mem)
     double total = 0.0;
     for (std::uint32_t i = 0; i < cfg.particles; ++i) {
         total += mem.loadv(weight + i, mcl_pc::particle);
-        mem.execFp(1);
+        mem.exec(1);
     }
     if (total <= 0.0 || !std::isfinite(total)) {
         // Weight collapse: no particle explains the observation. Reset
@@ -114,7 +114,7 @@ Mcl::normalizeWeights(Mem &mem)
     }
     for (std::uint32_t i = 0; i < cfg.particles; ++i) {
         mem.storev(weight + i, weight[i] / total, mcl_pc::particle);
-        mem.execFp(1);
+        mem.exec(1);
     }
 }
 
@@ -140,13 +140,13 @@ Mcl::resample(Mem &mem, tartan::sim::Rng &rng)
         while (cum < u && j + 1 < cfg.particles) {
             ++j;
             cum += mem.loadv(weight + j, mcl_pc::particle);
-            mem.execFp(2);
+            mem.exec(2);
         }
         nx[i] = px[j];
         ny[i] = py[j];
         nt[i] = ptheta[j];
         u += step;
-        mem.execFp(2);
+        mem.exec(2);
     }
     for (std::uint32_t i = 0; i < cfg.particles; ++i) {
         mem.storev(px + i, nx[i], mcl_pc::particle);
@@ -166,7 +166,7 @@ Mcl::estimate(Mem &mem) const
         sy += w * mem.loadv(py + i, mcl_pc::particle);
         sc += w * std::cos(ptheta[i]);
         ss += w * std::sin(ptheta[i]);
-        mem.execFp(8);
+        mem.exec(8);
     }
     return Pose2{sx, sy, std::atan2(ss, sc)};
 }

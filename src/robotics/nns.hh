@@ -82,7 +82,7 @@ class NnsBackend
             const float diff = v - query[d];
             acc += diff * diff;
         }
-        mem.execFp(3ull * dimension + 2);
+        mem.exec(3ull * dimension + 2);
         return acc;
     }
 

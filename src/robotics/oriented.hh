@@ -67,7 +67,7 @@ class ScalarOrientedEngine : public OrientedEngine
     {
         double idx = start;
         for (std::uint32_t i = 0; i < lanes; ++i) {
-            mem.execFp(3);  // index advance, round, bounds
+            mem.exec(3);  // index advance, round, bounds
             if (mem.attached())
                 mem.core()->stall(2);  // FP address-chain latency
             std::int64_t cell = static_cast<std::int64_t>(idx);

@@ -33,7 +33,7 @@ castRay(Mem &mem, const OccupancyGrid2D &grid, double ox, double oy,
     const double dy = cfg.step * std::sin(theta);
     const double stride = dy * grid.width() + dx;
     double start = oy * grid.width() + ox;
-    mem.execFp(8);  // trig + stride setup (sin/cos table lookup)
+    mem.exec(8);  // trig + stride setup (sin/cos table lookup)
 
     const std::uint32_t lanes =
         engine.preferredLanes() > 64 ? 64 : engine.preferredLanes();
@@ -101,7 +101,7 @@ castRay(Mem &mem, const OccupancyGrid2D &grid, double ox, double oy,
                     mem.loadv(grid.data() + right, raycast_pc::interp);
                     mem.loadv(grid.data() + down, raycast_pc::interp);
                     mem.loadv(grid.data() + diag, raycast_pc::interp);
-                    mem.execFp(25);
+                    mem.exec(25);
                     idx += stride;
                 }
             }

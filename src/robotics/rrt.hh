@@ -94,7 +94,7 @@ class RrtPlanner
                 sample[d] = to_goal
                                 ? goal[d]
                                 : static_cast<float>(rng.uniform());
-            mem.execFp(2 * cfg.dim);
+            mem.exec(2 * cfg.dim);
 
             const std::int32_t near = nns.nearest(mem, sample.data());
             if (near < 0)
@@ -109,7 +109,7 @@ class RrtPlanner
                 norm += diff * diff;
             }
             norm = std::sqrt(norm);
-            mem.execFp(3 * cfg.dim + 4);
+            mem.exec(3 * cfg.dim + 4);
             if (norm < 1e-9)
                 continue;
             const double scale =
@@ -131,7 +131,7 @@ class RrtPlanner
                 const double diff = fresh[d] - goal[d];
                 to_goal_d += diff * diff;
             }
-            mem.execFp(3 * cfg.dim);
+            mem.exec(3 * cfg.dim);
             if (!result.reachedGoal &&
                 std::sqrt(to_goal_d) <= cfg.goalTolerance) {
                 result.reachedGoal = true;

@@ -21,7 +21,6 @@ namespace tartan::robotics {
 
 using tartan::sim::Addr;
 using tartan::sim::MemDep;
-using tartan::sim::OpClass;
 using tartan::sim::PcId;
 
 /** Instrumented-memory handle passed into every kernel. */
@@ -51,20 +50,15 @@ class Mem
         *ptr = value;
     }
 
-    /** Report @p ops executed instructions. */
+    /**
+     * Report @p ops executed scalar instructions, integer or
+     * floating-point alike (every op has the same issue cost).
+     */
     void
-    exec(std::uint64_t ops, OpClass cls = OpClass::IntAlu)
+    exec(std::uint64_t ops)
     {
         if (coreModel)
-            coreModel->exec(ops, cls);
-    }
-
-    /** Report floating-point work. */
-    void
-    execFp(std::uint64_t ops)
-    {
-        if (coreModel)
-            coreModel->exec(ops, OpClass::FpAlu);
+            coreModel->exec(ops);
     }
 
     tartan::sim::Core *core() { return coreModel; }

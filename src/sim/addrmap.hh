@@ -135,10 +135,11 @@ class AddrMap
     /**
      * Offset this map's entire simulated address space by
      * @p space_bias (segments land at bias + 1<<40, fallback grains at
-     * bias + 1<<44). A multi-core Machine gives core i the bias i << 48,
-     * so the robots' address spaces stay disjoint in the shared L3 while
-     * set-index bits are untouched — honest capacity and bandwidth
-     * contention without fake sharing. Must be called before any
+     * bias + 1<<44). A multi-core Machine gives core i the bias
+     * i << kSpaceBits, so the robots' address spaces stay disjoint in
+     * the shared L3 while set-index bits are untouched — honest
+     * capacity and bandwidth contention without fake sharing. Must be
+     * called before any
      * segment registration or translation (asserted); the default bias
      * of 0 is the historical single-core space.
      */
@@ -146,6 +147,12 @@ class AddrMap
 
     /** The whole-space offset setSpaceBias() installed (0 by default). */
     Addr spaceBias() const { return bias; }
+
+    /** Address bits of one core's space: core i's bias is i << kSpaceBits. */
+    static constexpr unsigned kSpaceBits = 48;
+
+    /** True when simulated address @p sim lies in this map's space. */
+    bool inSpace(Addr sim) const { return (sim - bias) >> kSpaceBits == 0; }
 
     /** Segments registered so far. */
     std::size_t segmentCount() const { return segments.size(); }

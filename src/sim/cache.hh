@@ -121,6 +121,8 @@ struct CacheStats {
 
     /** Demand accesses (hits + misses). */
     std::uint64_t accesses() const { return hits + misses; }
+
+    bool operator==(const CacheStats &) const = default;
 };
 
 /**

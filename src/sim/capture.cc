@@ -6,9 +6,12 @@
 #include "sim/capture.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <ostream>
+#include <type_traits>
+#include <vector>
 
 #include "sim/checksum.hh"
 #include "sim/cpistack.hh"
@@ -27,10 +30,31 @@ struct CaptureHeader {
     std::uint64_t seed;       //!< workload seed
     std::uint64_t recordCount;
     std::uint64_t auxBytes;
-    std::uint64_t reserved[2];
+    std::uint64_t l1Bytes;    //!< L1 section bytes after aux (0: none)
+    std::uint64_t reserved;
 };
 
 static_assert(sizeof(CaptureHeader) == 64, "capture header is 64 bytes");
+
+/**
+ * Fixed head of the L1 section. It is followed by the hit words, the
+ * dirty-fill words and the victim line addresses, all u64.
+ */
+struct L1SectionHead {
+    std::uint32_t sizeBytes;
+    std::uint32_t assoc;
+    std::uint32_t lineBytes;
+    std::uint32_t trackUdm;
+    std::uint64_t lookups;
+    std::uint64_t fills;
+    std::uint64_t victims;
+    CacheStats stats;
+    std::uint64_t dirtyLines;
+};
+
+static_assert(sizeof(L1SectionHead) == 120 &&
+                  std::is_trivially_copyable_v<L1SectionHead>,
+              "the L1 section head is 120 bytes of POD");
 
 constexpr char kMagic[8] = {'T', 'A', 'R', 'T', 'A', 'N', 'C', '\0'};
 
@@ -41,14 +65,132 @@ setError(std::string *err, const std::string &message)
         *err = message;
 }
 
-/** CRC-32 of the body: the record bytes chained with the aux bytes. */
+/** The bytes of @p n elements at @p p. */
+template <typename T>
+std::string_view
+bytesOf(const T *p, std::size_t n)
+{
+    return {reinterpret_cast<const char *>(p), n * sizeof(T)};
+}
+
+/** The L1 section's fixed head; meaningful when it is recorded. */
+L1SectionHead
+l1Head(const L1Outcomes &l1)
+{
+    return L1SectionHead{l1.sizeBytes,       l1.assoc,   l1.lineBytes,
+                         l1.trackUdm,        l1.lookups, l1.fills,
+                         l1.victims.size(), l1.stats,   l1.dirtyLines};
+}
+
+/**
+ * The on-disk L1 section in write order: its head, the hit words, the
+ * dirty-fill words and the victims. Empty when no section was recorded.
+ */
+std::vector<std::string_view>
+l1Pieces(const L1Outcomes &l1, const L1SectionHead &head)
+{
+    if (!l1.recorded())
+        return {};
+    return {bytesOf(&head, 1), bytesOf(l1.hits.data(), l1.hits.size()),
+            bytesOf(l1.dirtyFills.data(), l1.dirtyFills.size()),
+            bytesOf(l1.victims.data(), l1.victims.size())};
+}
+
+/**
+ * CRC-32 of the body: the record bytes chained with the aux bytes and
+ * then the L1 section's.
+ */
 std::uint32_t
 bodyCrc(const CaptureTrace &trace)
 {
-    const auto *records = reinterpret_cast<const char *>(trace.records.data());
-    const auto *aux = reinterpret_cast<const char *>(trace.aux.data());
-    return crc32({aux, trace.aux.size()},
-                 crc32({records, trace.records.size() * sizeof(CapRecord)}));
+    std::uint32_t crc = crc32(
+        bytesOf(trace.aux.data(), trace.aux.size()),
+        crc32(bytesOf(trace.records.data(), trace.records.size())));
+    const L1SectionHead head = l1Head(trace.l1);
+    for (const std::string_view piece : l1Pieces(trace.l1, head))
+        crc = crc32(piece, crc);
+    return crc;
+}
+
+/**
+ * Read an L1 section of @p bytes bytes from @p f into @p out. False
+ * when the head's counts do not frame exactly @p bytes bytes; counts
+ * are checked before anything is allocated.
+ */
+bool
+readL1Section(std::FILE *f, std::uint64_t bytes, L1Outcomes &out)
+{
+    if (bytes == 0)
+        return true;
+    L1SectionHead head{};
+    if (bytes < sizeof(head) || (bytes - sizeof(head)) % 8 != 0 ||
+        std::fread(&head, sizeof(head), 1, f) != 1)
+        return false;
+    const std::uint64_t words = (bytes - sizeof(head)) / 8;
+    const std::uint64_t hit_words = L1Outcomes::wordsFor(head.lookups);
+    const std::uint64_t dirty_words = L1Outcomes::wordsFor(head.fills);
+    // A written section is a recorded one (save() writes none else).
+    if (head.sizeBytes == 0 || hit_words > words ||
+        dirty_words > words - hit_words ||
+        head.victims != words - hit_words - dirty_words)
+        return false;
+    out.sizeBytes = head.sizeBytes;
+    out.assoc = head.assoc;
+    out.lineBytes = head.lineBytes;
+    out.trackUdm = head.trackUdm;
+    out.lookups = head.lookups;
+    out.fills = head.fills;
+    out.stats = head.stats;
+    out.dirtyLines = head.dirtyLines;
+    out.hits.resize(hit_words);
+    out.dirtyFills.resize(dirty_words);
+    out.victims.resize(head.victims);
+    const auto read = [&](auto &vec) {
+        return vec.empty() ||
+               std::fread(vec.data(), 8, vec.size(), f) == vec.size();
+    };
+    return read(out.hits) && read(out.dirtyFills) && read(out.victims);
+}
+
+/** Set bits among the first @p bits bits of @p words. */
+std::uint64_t
+popcountPrefix(const MmapVec<std::uint64_t> &words, std::uint64_t bits)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t w = 0; w < L1Outcomes::wordsFor(bits); ++w) {
+        const std::uint64_t left = bits - 64 * w;
+        const std::uint64_t mask =
+            left >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << left) - 1;
+        n += std::uint64_t(std::popcount(words[w] & mask));
+    }
+    return n;
+}
+
+/** Why @p l1 is inconsistent, or empty when it is consistent. */
+std::string
+l1SectionError(const L1Outcomes &l1)
+{
+    if (!l1.recorded())
+        return l1.lookups || l1.fills || !l1.hits.empty() ||
+                       !l1.dirtyFills.empty() || !l1.victims.empty()
+                   ? "L1 outcomes without an L1 configuration"
+                   : "";
+    if (!std::has_single_bit(l1.lineBytes))
+        return "L1 line size " + std::to_string(l1.lineBytes) +
+               " is not a power of two";
+    if (l1.assoc == 0 || l1.trackUdm > 1)
+        return "malformed L1 configuration";
+    if (l1.hits.size() != L1Outcomes::wordsFor(l1.lookups) ||
+        l1.dirtyFills.size() != L1Outcomes::wordsFor(l1.fills))
+        return "L1 bit vectors do not match their counts";
+    if (l1.victims.size() != popcountPrefix(l1.dirtyFills, l1.fills))
+        return "L1 victim count differs from the dirty fills";
+    // Every demand lookup that missed counted one miss, and every
+    // dirty victim one dirty eviction (nothing snoops a capture's L1).
+    if (l1.stats.misses != l1.lookups - popcountPrefix(l1.hits, l1.lookups) ||
+        l1.stats.dirtyEvictions != l1.victims.size())
+        return "L1 counters disagree with the recorded outcomes";
+    return "";
 }
 
 } // namespace
@@ -113,6 +255,10 @@ CaptureTrace::validate(std::string *err) const
         if (op == CapOp::Discount && r.b == 0)
             return reject(i, "wall discount by zero");
     }
+    if (const std::string why = l1SectionError(l1); !why.empty()) {
+        setError(err, why);
+        return false;
+    }
     return true;
 }
 
@@ -127,6 +273,10 @@ CaptureTrace::save(const std::string &path, std::string *err) const
     hdr.seed = seed;
     hdr.recordCount = records.size();
     hdr.auxBytes = aux.size();
+    const L1SectionHead l1_head = l1Head(l1);
+    const std::vector<std::string_view> l1_pieces = l1Pieces(l1, l1_head);
+    for (const std::string_view piece : l1_pieces)
+        hdr.l1Bytes += piece.size();
 
     // The durable writer renames an fsynced, process-unique temp
     // sibling into place: the content-addressed name never points at a
@@ -143,6 +293,8 @@ CaptureTrace::save(const std::string &path, std::string *err) const
             if (!aux.empty())
                 os.write(reinterpret_cast<const char *>(aux.data()),
                          std::streamsize(aux.size()));
+            for (const std::string_view piece : l1_pieces)
+                os.write(piece.data(), std::streamsize(piece.size()));
         },
         "capture");
     if (!ok)
@@ -189,13 +341,19 @@ CaptureTrace::load(const std::string &path, CaptureTrace &out,
         file_size >= long(sizeof(CaptureHeader))
             ? std::uint64_t(file_size) - sizeof(CaptureHeader)
             : 0;
-    if (file_size < long(sizeof(CaptureHeader)) ||
-        hdr.recordCount > body / sizeof(CapRecord) ||
-        hdr.auxBytes != body - hdr.recordCount * sizeof(CapRecord)) {
-        setError(err, "truncated or oversized body (header claims " +
-                          std::to_string(hdr.recordCount) +
-                          " records + " + std::to_string(hdr.auxBytes) +
-                          " aux bytes)");
+    const std::string claim =
+        "truncated or oversized body (header claims " +
+        std::to_string(hdr.recordCount) + " records + " +
+        std::to_string(hdr.auxBytes) + " aux bytes + " +
+        std::to_string(hdr.l1Bytes) + " L1 section bytes)";
+    const std::uint64_t record_bytes =
+        hdr.recordCount <= body / sizeof(CapRecord)
+            ? hdr.recordCount * sizeof(CapRecord)
+            : ~std::uint64_t(0);
+    if (file_size < long(sizeof(CaptureHeader)) || record_bytes > body ||
+        hdr.auxBytes > body - record_bytes ||
+        hdr.l1Bytes != body - record_bytes - hdr.auxBytes) {
+        setError(err, claim);
         std::fclose(f);
         return false;
     }
@@ -213,16 +371,15 @@ CaptureTrace::load(const std::string &path, CaptureTrace &out,
     if (ok && hdr.auxBytes)
         ok = std::fread(trace.aux.data(), 1, hdr.auxBytes, f) ==
              hdr.auxBytes;
-    // A capture must be exactly header + records + aux: trailing bytes
-    // mean the header lies about the body it frames.
+    if (ok)
+        ok = readL1Section(f, hdr.l1Bytes, trace.l1);
+    // A capture must be exactly header + records + aux + L1 section:
+    // trailing bytes mean the header lies about the body it frames.
     if (ok && std::fgetc(f) != EOF)
         ok = false;
     std::fclose(f);
     if (!ok) {
-        setError(err, "truncated or oversized body (header claims " +
-                          std::to_string(hdr.recordCount) +
-                          " records + " + std::to_string(hdr.auxBytes) +
-                          " aux bytes)");
+        setError(err, claim);
         return false;
     }
     if (bodyCrc(trace) != hdr.bodyCrc) {

@@ -21,9 +21,9 @@
  *    loads) with its host *and* simulated addresses and static
  *    arguments — never its latencies or timestamps, which replay
  *    recomputes. A run of consecutive execs is one Exec record
- *    carrying the summed ops and no op class (Core::exec charges every
- *    class alike): the core's sub-issue-width carry telescopes, so one
- *    charge of the sum costs exactly what the run did. A suppressed
+ *    carrying the summed ops (every op costs the same issue slot): the
+ *    core's sub-issue-width carry telescopes, so one charge of the sum
+ *    costs exactly what the run did. A suppressed
  *    exec neither records nor merges;
  *  - MemPath address-space registrations (mapSegment, write-through and
  *    no-allocate ranges) in stream order. Replay applies the range
@@ -36,9 +36,14 @@
  *    depend on NpuConfig — the one sweepable knob that shapes op
  *    *arguments* — and must be recomputed from the replay config;
  *  - the run's functional outputs (robot name, quality metrics), which
- *    replay cannot recompute and which are timing-independent.
+ *    replay cannot recompute and which are timing-independent;
+ *  - the L1's outcomes (L1Outcomes, recorded by the capturing MemPath):
+ *    one hit bit per demand lookup, one dirty bit per fill with each
+ *    dirty victim's simulated line address, and at the drain the L1's
+ *    config, counters and dirty-line count. A replay at the same L1
+ *    config reads them instead of running its L1 (MemPath::replayL1).
  *
- * Format version 2 layout of the addresses. `b` keeps the host address
+ * Format version 3 layout of the addresses. `b` keeps the host address
  * (write-through and no-allocate ranges are host ranges, and replay
  * still checks them); `d` holds the simulated address of a Load or
  * Store and the simulated base of a linear VecLoadContiguous. A
@@ -54,13 +59,15 @@
  *
  * File format (`capture_<streamhash16>_<seed>.tcap`): a fixed 64-byte
  * header (magic, format version, CRC-32 of the body via checksum.hh,
- * stream key, seed, record/aux counts) followed by the record array
- * and the aux bytes. Corruption policy mirrors the result cache: a
- * truncated tail, a bit-flipped body, a foreign-version header or a
- * record no live run could write (an unknown op, an out-of-range enum
- * argument, an aux reference past the stream) make the file invalid as
- * a whole and force a re-capture — a capture is a cache entry, never a
- * source of truth.
+ * stream key, seed, record/aux counts, L1 section length) followed by
+ * the record array, the aux bytes and the L1 section (a 120-byte head
+ * of config, counts and counters, then the hit words, the dirty-fill
+ * words and the victims, all u64). Corruption policy mirrors the result
+ * cache: a truncated tail, a bit-flipped body, a foreign-version header,
+ * a record no live run could write (an unknown op, an out-of-range enum
+ * argument, an aux reference past the stream) or an inconsistent L1
+ * section make the file invalid as a whole and force a re-capture — a
+ * capture is a cache entry, never a source of truth.
  *
  * Record buffers are MmapVecs (sim/mmapvec), which grow in place
  * instead of copying every record on each doubling. Heap placement is
@@ -76,8 +83,8 @@
  * Store, VecLoadContiguous, MapSegment, WriteThroughRange and
  * NoAllocateRange records, and the host half of the lane payloads in
  * aux of DeviceLoadLanes and VecLoadLanes. Every other field and aux
- * byte, the simulated addresses included, is equal
- * (ReplayEquivalence.CapturesOnTwoThreadsDifferOnlyInHostAddresses).
+ * byte, the simulated addresses included, is equal, and so is the L1
+ * section (ReplayEquivalence.CapturesOnTwoThreadsDifferOnlyInHostAddresses).
  */
 
 #ifndef TARTAN_SIM_CAPTURE_HH
@@ -91,13 +98,15 @@
 #include <string_view>
 
 #include "sim/addrmap.hh"
+#include "sim/cache.hh"
+#include "sim/logging.hh"
 #include "sim/mmapvec.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
 
 /** Bumped whenever the record layout or encoding changes. */
-constexpr std::uint32_t kCaptureFormatVersion = 2;
+constexpr std::uint32_t kCaptureFormatVersion = 3;
 
 /** VecLoadContiguous a8 flag: d is the aux offset of per-grain addresses. */
 constexpr std::uint8_t kSpanPerGrain = 1;
@@ -146,7 +155,7 @@ enum class CapOp : std::uint8_t {
 /** One captured operation. POD, fixed 32 bytes, zero-padded. */
 struct CapRecord {
     std::uint8_t op = 0;   //!< CapOp tag
-    std::uint8_t a8 = 0;   //!< small enum argument (dep / cat / class)
+    std::uint8_t a8 = 0;   //!< small enum argument (dep / cat / flag)
     std::uint16_t a16 = 0; //!< small scalar (lane size)
     std::uint32_t a32 = 0; //!< medium scalar (sizes, counts, ids)
     std::uint64_t b = 0;   //!< wide argument 1 (addresses, counts)
@@ -155,6 +164,172 @@ struct CapRecord {
 };
 
 static_assert(sizeof(CapRecord) == 32, "capture records are 32-byte POD");
+
+/**
+ * What the capture run's L1 did (format version 3). Only demand fills
+ * touch a single-core L1, and nothing snoops the L1 of a fleet core
+ * whose space is disjoint, so for a fixed op stream the L1's hit, miss
+ * and dirty-victim sequence depends only on the L1 config. The capture
+ * records it once; a replay at the same config reads it back instead
+ * of running an L1 (MemPath::replayL1). A section with sizeBytes 0
+ * holds nothing: the capture never drained its path, and replay runs
+ * the real L1.
+ */
+struct L1Outcomes {
+    std::uint32_t sizeBytes = 0; //!< L1 capacity; 0 = no section
+    std::uint32_t assoc = 0;     //!< L1 ways
+    std::uint32_t lineBytes = 0; //!< L1 line size
+    std::uint32_t trackUdm = 0;  //!< L1 UDM tracking (0 or 1)
+    std::uint64_t lookups = 0;   //!< demand lookups: bits of `hits`
+    std::uint64_t fills = 0;     //!< L1 fills: bits of `dirtyFills`
+    /** Bit i of word i / 64: demand lookup i hit. */
+    MmapVec<std::uint64_t> hits;
+    /** Bit i of word i / 64: fill i displaced a dirty line. */
+    MmapVec<std::uint64_t> dirtyFills;
+    /** Each dirty victim's unbiased simulated line address, in order. */
+    MmapVec<Addr> victims;
+    CacheStats stats;            //!< the L1's counters at the drain
+    std::uint64_t dirtyLines = 0; //!< its resident dirty lines then
+
+    /** True when a section was recorded. */
+    bool recorded() const { return sizeBytes != 0; }
+
+    /**
+     * True when a replay on an L1 of configuration @p l1 may read this
+     * section instead of running it: a section was recorded at the
+     * same size, ways, line size and UDM tracking, and @p l1 is not
+     * FCP-indexed (no machine builds an FCP L1).
+     */
+    bool
+    matches(const CacheParams &l1) const
+    {
+        return recorded() && !l1.fcp && sizeBytes == l1.sizeBytes &&
+               assoc == l1.assoc && lineBytes == l1.lineBytes &&
+               trackUdm == std::uint32_t(l1.trackUdm);
+    }
+
+    /** Words a bit vector of @p bits bits occupies. */
+    static constexpr std::uint64_t
+    wordsFor(std::uint64_t bits)
+    {
+        return bits / 64 + (bits % 64 != 0);
+    }
+
+    /** Bit @p i of the packed vector @p words. */
+    static bool
+    bitAt(const std::uint64_t *words, std::uint64_t i)
+    {
+        return (words[i / 64] >> (i % 64)) & 1;
+    }
+};
+
+/**
+ * Reads an L1Outcomes section back in stream order: the replaying
+ * MemPath's stand-in for its L1. Every read is bounds-checked, so a
+ * replay whose records ask for more lookups, fills or victims than the
+ * capture recorded panics instead of reading past the section.
+ */
+class L1OutcomeReader
+{
+  public:
+    L1OutcomeReader() = default;
+
+    /** Read @p src, adding @p bias to every victim line address. */
+    L1OutcomeReader(const L1Outcomes &src, Addr bias)
+        : section(&src), hitWords(src.hits.data()), lookups(src.lookups),
+          spaceBias(bias)
+    {
+    }
+
+    /** The section read, or null when none is attached. */
+    const L1Outcomes *source() const { return section; }
+
+    /** The outcome of the next demand lookup; consumes it. */
+    bool
+    nextHit()
+    {
+        const bool hit = peekHit();
+        ++hitPos;
+        return hit;
+    }
+
+    /** The outcome of the next demand lookup, not consumed. */
+    bool
+    peekHit() const
+    {
+        TARTAN_ASSERT(hitPos < lookups,
+                      "replay asks for more L1 lookups than the capture "
+                      "recorded (%llu)",
+                      static_cast<unsigned long long>(lookups));
+        return L1Outcomes::bitAt(hitWords, hitPos);
+    }
+
+    /**
+     * True when each of the next @p n demand lookups hits. False, not
+     * a panic, when fewer than @p n remain: the lookups themselves then
+     * fail loudly.
+     */
+    bool
+    nextHitsAll(std::uint64_t n) const
+    {
+        if (n > lookups - hitPos)
+            return false;
+        for (std::uint64_t i = hitPos; i < hitPos + n; ++i)
+            if (!L1Outcomes::bitAt(hitWords, i))
+                return false;
+        return true;
+    }
+
+    /**
+     * The line the next L1 fill displaces, reported as the L1 would
+     * report it to the walk: a valid dirty Eviction at the biased line
+     * address, or Eviction{} when the victim was clean or absent (the
+     * walk acts on dirty victims only). Consumes the fill.
+     */
+    Cache::Eviction
+    nextFill()
+    {
+        const Cache::Eviction ev = peekFill();
+        ++fillPos;
+        victimPos += ev.dirty;
+        return ev;
+    }
+
+    /** nextFill() without consuming the fill. */
+    Cache::Eviction
+    peekFill() const
+    {
+        TARTAN_ASSERT(fillPos < section->fills,
+                      "replay asks for more L1 fills than the capture "
+                      "recorded (%llu)",
+                      static_cast<unsigned long long>(section->fills));
+        if (!L1Outcomes::bitAt(section->dirtyFills.data(), fillPos))
+            return Cache::Eviction{};
+        TARTAN_ASSERT(victimPos < section->victims.size(),
+                      "replay asks for more L1 dirty victims than the "
+                      "capture recorded (%zu)",
+                      section->victims.size());
+        return Cache::Eviction{true, section->victims[victimPos] + spaceBias,
+                               true};
+    }
+
+    /** True when every lookup, fill and victim has been read. */
+    bool
+    consumed() const
+    {
+        return hitPos == lookups && fillPos == section->fills &&
+               victimPos == section->victims.size();
+    }
+
+  private:
+    const L1Outcomes *section = nullptr;
+    const std::uint64_t *hitWords = nullptr;  //!< section->hits.data()
+    std::uint64_t lookups = 0;                //!< section->lookups
+    Addr spaceBias = 0;
+    std::uint64_t hitPos = 0;
+    std::uint64_t fillPos = 0;
+    std::uint64_t victimPos = 0;
+};
 
 /**
  * One finished capture: the op stream, its aux bytes, and the identity
@@ -168,6 +343,7 @@ struct CaptureTrace {
     std::uint64_t seed = 0;       //!< workload seed
     MmapVec<CapRecord> records;   //!< op stream in record order
     MmapVec<std::uint8_t> aux;    //!< names, ids, lanes, span grains
+    L1Outcomes l1;                //!< the capture run's L1 outcomes
 
     /** A string stored at aux offset @p off with length @p len. */
     std::string_view
@@ -190,7 +366,7 @@ struct CaptureTrace {
     }
 
     /**
-     * Write header + records + aux to @p path through
+     * Write header + records + aux + the L1 section to @p path through
      * json::writeFileDurable (an fsynced, process-unique temp file
      * renamed into place, so a crashed save never leaves a torn file
      * under the content address and concurrent savers never collide).
@@ -214,7 +390,11 @@ struct CaptureTrace {
     /**
      * Structural validation of an in-memory trace: op tags, the enum
      * arguments replay indexes by (CpiCat, MemDep, the span flag) and
-     * aux bounds, lane and grain payloads included.
+     * aux bounds, lane and grain payloads included; and the L1 section's
+     * consistency: a power-of-two line size, bit vectors exactly as long
+     * as their counts, one victim per dirty-fill bit, and counters that
+     * agree with the bits (misses are the lookups that missed, dirty
+     * evictions the dirty victims).
      */
     bool validate(std::string *err = nullptr) const;
 };
@@ -496,9 +676,67 @@ class CaptureSession
     void popSuppress() { --suppressDepth; }
     bool suppressed() const { return suppressDepth != 0; }
 
+    /**
+     * @{ The L1 outcome section, appended by the capturing MemPath.
+     * Suppression does not apply: the section records what the L1 did,
+     * not which ops the stream holds.
+     */
+    void
+    l1Lookup(bool hit)
+    {
+        L1Outcomes &s = data.l1;
+        if (s.lookups % 64 == 0)
+            s.hits.push_back(0);
+        s.hits[s.lookups / 64] |= std::uint64_t(hit) << (s.lookups % 64);
+        ++s.lookups;
+    }
+
+    /** One L1 fill, which displaced @p ev. */
+    void
+    l1Fill(const Cache::Eviction &ev)
+    {
+        L1Outcomes &s = data.l1;
+        const bool dirty = ev.valid && ev.dirty;
+        if (s.fills % 64 == 0)
+            s.dirtyFills.push_back(0);
+        s.dirtyFills[s.fills / 64] |= std::uint64_t(dirty) << (s.fills % 64);
+        ++s.fills;
+        if (dirty)
+            s.victims.push_back(ev.lineAddr);
+    }
+
+    /**
+     * The drain: the L1's configuration, final counters and resident
+     * dirty lines. Completes the section; without it take() drops the
+     * section and replay runs the real L1.
+     */
+    void
+    l1Drain(const CacheParams &l1, const CacheStats &stats,
+            std::uint64_t dirty_lines)
+    {
+        TARTAN_ASSERT(!l1.fcp, "no machine builds an FCP L1");
+        L1Outcomes &s = data.l1;
+        s.sizeBytes = l1.sizeBytes;
+        s.assoc = l1.assoc;
+        s.lineBytes = l1.lineBytes;
+        s.trackUdm = l1.trackUdm;
+        s.stats = stats;
+        s.dirtyLines = dirty_lines;
+    }
+    /** @} */
+
     const CaptureTrace &trace() const { return data; }
-    /** Move the finished trace out; the session is then spent. */
-    CaptureTrace take() { return std::move(data); }
+    /**
+     * Move the finished trace out; the session is then spent. An L1
+     * section that never drained is dropped.
+     */
+    CaptureTrace
+    take()
+    {
+        if (!data.l1.recorded())
+            data.l1 = L1Outcomes{};
+        return std::move(data);
+    }
 
   private:
     CapRecord
@@ -566,7 +804,8 @@ class CaptureSuppress
 /**
  * Process-wide capture accounting, surfaced in the BENCH manifest's
  * capture block: robot executions recorded, captures served from
- * TARTAN_CAPTURE_DIR files, and replays performed. The 1-execution +
+ * TARTAN_CAPTURE_DIR files, replays performed, and how many of those
+ * read their L1 from the capture. The 1-execution +
  * N-replays property of a converted sweep is asserted on exactly these
  * counters.
  */
@@ -576,6 +815,9 @@ struct CaptureStats {
     /** Op streams replayed: one per replayTrace(), one per replayFleet()
      *  core. */
     std::atomic<std::uint64_t> replays{0};
+    /** Of those, the streams whose L1 replayed from the capture's L1
+     *  section instead of running (MemPath::replayL1). */
+    std::atomic<std::uint64_t> l1Replays{0};
 };
 
 /** The process-wide capture counters. */

@@ -164,11 +164,8 @@ Core::addInstructions(std::uint64_t n)
 }
 
 void
-Core::exec(std::uint64_t ops, OpClass cls)
+Core::exec(std::uint64_t ops)
 {
-    // All scalar classes share the issue width in this model, so the
-    // class is neither charged nor captured.
-    (void)cls;
     if (capture)
         capture->exec(ops);
     addInstructions(ops);

@@ -97,8 +97,11 @@ class Core
     /** Close the innermost ROI phase (no-op when untraced). */
     void phaseEnd();
 
-    /** Execute @p ops instructions of class @p cls. */
-    void exec(std::uint64_t ops, OpClass cls = OpClass::IntAlu);
+    /**
+     * Execute @p ops scalar instructions. Every op, integer or
+     * floating-point, costs the same issue slot.
+     */
+    void exec(std::uint64_t ops);
     /**
      * Charge raw cycles (e.g. a long-latency divide or NPU wait),
      * attributed to @p cat in the CPI stack (issue/compute unless the

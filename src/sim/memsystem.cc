@@ -50,6 +50,48 @@ MemPath::addNoAllocateRange(Addr base, std::size_t bytes)
 }
 
 void
+MemPath::setCapture(CaptureSession *session)
+{
+    capture = session;
+    // Outcomes recorded from a cold L1 are what a replay's cold L1
+    // would produce; a path that has run already records none.
+    l1Mode = session && l1Cache.stats().accesses() == 0 ? L1Mode::Record
+                                                        : L1Mode::Live;
+}
+
+bool
+MemPath::replayL1(const L1Outcomes &outcomes)
+{
+    TARTAN_ASSERT(l1Mode == L1Mode::Live &&
+                      l1Cache.stats().accesses() == 0,
+                  "an L1 replays only from cold and unrecorded");
+    if (!outcomes.matches(config.l1))
+        return false;
+    l1Mode = L1Mode::Replay;
+    l1Replay = L1OutcomeReader(outcomes, addrMap->spaceBias());
+    return true;
+}
+
+Cache::Eviction
+MemPath::l1Fill(Addr sim, bool store)
+{
+    if (l1Mode != L1Mode::Replay) {
+        const Cache::Eviction ev = l1Cache.fill(sim, false, store);
+        if (l1Mode == L1Mode::Record)
+            capture->l1Fill(ev);
+        return ev;
+    }
+    const Cache::Eviction ev = l1Replay.nextFill();
+    if constexpr (kCheckReplayedL1) {
+        const Cache::Eviction real = l1Cache.fill(sim, false, store);
+        TARTAN_ASSERT((real.valid && real.dirty) == ev.dirty &&
+                          (!ev.dirty || real.lineAddr == ev.lineAddr),
+                      "replayed L1 victim disagrees with the L1");
+    }
+    return ev;
+}
+
+void
 MemPath::drainDirty()
 {
     // Latched rather than clearing dirty bits: the caches keep their
@@ -58,7 +100,21 @@ MemPath::drainDirty()
     if (drainAccounted)
         return;
     drainAccounted = true;
-    stats.l3Writebacks += l1Cache.dirtyLines() + l2Cache.dirtyLines();
+    std::uint64_t l1_dirty = l1Cache.dirtyLines();
+    if (l1Mode == L1Mode::Replay) {
+        const L1Outcomes &src = *l1Replay.source();
+        TARTAN_ASSERT(l1Replay.consumed(),
+                      "replay ended before the L1 outcomes did");
+        if constexpr (kCheckReplayedL1)
+            TARTAN_ASSERT(l1Cache.stats() == src.stats &&
+                              l1_dirty == src.dirtyLines,
+                          "replayed L1 counters disagree with the L1");
+        l1Cache.stats() = src.stats;
+        l1_dirty = src.dirtyLines;
+    } else if (l1Mode == L1Mode::Record) {
+        capture->l1Drain(config.l1, l1Cache.stats(), l1_dirty);
+    }
+    stats.l3Writebacks += l1_dirty + l2Cache.dirtyLines();
 }
 
 void
@@ -74,8 +130,10 @@ MemPath::writeThroughStore(Addr sim, std::uint32_t size, Cycles now,
     ++stats.wtStores;
     ++stats.dramWrites;
     // count_miss=false: updating a resident copy is not a demand
-    // access, so an absent line changes no state at all.
-    l1Cache.lookup(sim, AccessType::Load, size, now, false);
+    // access, so an absent line changes no state at all. A replayed L1
+    // has the update in its recorded counters already.
+    if (l1Mode != L1Mode::Replay || kCheckReplayedL1)
+        l1Cache.lookup(sim, AccessType::Load, size, now, false);
     // A WT update landing on a prefetched-unused L2 line consumes the
     // prefetch off the demand path.
     if (l2Cache.lookup(sim, AccessType::Load, size, now, false).prefetched)
@@ -93,6 +151,8 @@ MemPath::upgradeShared(Addr sim, AccessResult &result)
     // is no Shared mark to find.
     if (!uncoreHook->mayHoldShared())
         return;
+    TARTAN_ASSERT(l1Mode != L1Mode::Replay,
+                  "a store upgrade reached a path replaying its L1");
     const Addr line = l1Cache.lineAddr(sim);
     if (l1Cache.lineState(line) == MesiState::Shared ||
         l2Cache.lineState(line) == MesiState::Shared) {
@@ -138,7 +198,7 @@ MemPath::accessMiss(Addr host, Addr sim, AccessType type,
             }
         }
         if (!no_alloc) {
-            const auto ev = l1Cache.fill(sim, false, store);
+            const auto ev = l1Fill(sim, store);
             if (ev.valid && ev.dirty)
                 writebackToL2(ev.lineAddr, now);
         }
@@ -170,10 +230,12 @@ MemPath::accessMiss(Addr host, Addr sim, AccessType type,
     const auto l2_ev = l2Cache.fill(sim);
     if (l2_ev.valid && l2_ev.dirty)
         writebackToL3(l2_ev.lineAddr, now);
-    const auto l1_ev = l1Cache.fill(sim, false, store);
+    const auto l1_ev = l1Fill(sim, store);
     if (l1_ev.valid && l1_ev.dirty)
         writebackToL2(l1_ev.lineAddr, now);
     if (fill_shared) {
+        TARTAN_ASSERT(l1Mode != L1Mode::Replay,
+                      "a shared fill reached a path replaying its L1");
         l2Cache.markShared(sim);
         l1Cache.markShared(sim);
     }
@@ -321,7 +383,8 @@ MemPath::accessRangeAt(Addr base, std::uint32_t bytes, const SpanImage &sim,
     const Addr first =
         base & ~static_cast<Addr>(AddrMap::kGrainBytes - 1);
     if (sim.grains.empty()) {
-        // Linear: one access per host line at the constant delta.
+        // Linear: one access per host line at the constant delta
+        // (spanLines() counts them).
         const Addr delta = sim.base - base;
         const Addr end = base + (bytes ? bytes : 1);
         take(first, (first & line_mask) + delta);
@@ -356,7 +419,8 @@ MemPath::staysPrivate(Addr host, Addr sim, AccessType type) const
         if (uncoreHook && uncoreHook->mayHoldShared())
             return false;
     }
-    if (l1Cache.probe(sim))
+    const bool replayed = l1Mode == L1Mode::Replay;
+    if (replayed ? l1Replay.peekHit() : l1Cache.probe(sim))
         return true;
     // Below an L1 miss a prefetcher may fetch through the L3 on any L2
     // access, and an L2 miss always does.
@@ -364,8 +428,18 @@ MemPath::staysPrivate(Addr host, Addr sim, AccessType type) const
         return false;
     if (inRange(noAllocRanges, host))
         return true;
-    const Cache::Eviction ev = l1Cache.victimOf(sim);
+    // The access misses the L1 and allocates, so its fill is the next.
+    const Cache::Eviction ev =
+        replayed ? l1Replay.peekFill() : l1Cache.victimOf(sim);
     return !ev.dirty || l2Cache.probe(ev.lineAddr);
+}
+
+bool
+MemPath::spanStaysPrivate(Addr base, std::uint32_t bytes) const
+{
+    if (faults || trace || l1Mode != L1Mode::Replay)
+        return false;
+    return l1Replay.nextHitsAll(spanLines(base, bytes));
 }
 
 } // namespace tartan::sim

@@ -15,6 +15,13 @@
  * chain, in that order. The fault, trace and uncore
  * hooks are null-checked branches at the points where they act, so a
  * path with none attached pays one predictable branch per hook.
+ *
+ * The L1 has three modes, one predictable branch on a plain run. A path
+ * with a capture attached records the L1's outcomes into the capture
+ * (every demand lookup's hit bit, every fill's dirty victim, and at the
+ * drain its config and counters). A replay path whose L1 config matches
+ * a capture's runs no L1 at all: replayL1() reads those outcomes back,
+ * because for a fixed op stream they depend only on the L1 config.
  */
 
 #ifndef TARTAN_SIM_MEMSYSTEM_HH
@@ -26,14 +33,15 @@
 
 #include "sim/addrmap.hh"
 #include "sim/cache.hh"
+#include "sim/capture.hh"
 #include "sim/fault.hh"
+#include "sim/logging.hh"
 #include "sim/prefetcher.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
 
-class CaptureSession;
 class Uncore;
 
 /** Configuration of one core's memory path. */
@@ -123,7 +131,10 @@ class MemPath
             result.latency = config.l1.latency;
             if (uncoreHook && type == AccessType::Store)
                 upgradeShared(sim, result);
-            if (l1Cache.access(sim, type, size, now).hit)
+            const bool hit = l1Mode == L1Mode::Live
+                                 ? l1Cache.access(sim, type, size, now).hit
+                                 : l1LoggedAccess(sim, type, size, now);
+            if (hit)
                 result.level = MemLevel::L1;
             else
                 accessMiss(host, sim, type, size, pc, now, result);
@@ -173,9 +184,53 @@ class MemPath
      * an L2 hit whose L1 victim is clean or whose write-back hits the
      * L2; a store also needs that no line is Shared anywhere
      * (Uncore::mayHoldShared). False is always safe. It changes no
-     * state.
+     * state. A path replaying its L1 answers the L1 questions (hit,
+     * dirty victim) from the next recorded outcomes.
      */
     bool staysPrivate(Addr host, Addr sim, AccessType type) const;
+
+    /**
+     * staysPrivate() for the linear span accessRangeAt(@p base,
+     * @p bytes, ...) would walk: true when every line of it hits the
+     * L1. Only a path replaying its L1 can tell without probing, from
+     * the next recorded hit bits; any other path says false.
+     */
+    bool spanStaysPrivate(Addr base, std::uint32_t bytes) const;
+
+    /**
+     * Replay the L1 from @p outcomes (a capture's L1 section) instead
+     * of running it, when the section matches this path's L1 config
+     * (L1Outcomes::matches); returns whether it does. Demand lookups
+     * then read the next hit bit, fills take their dirty victims from
+     * the section (plus this path's space bias), the write-through
+     * update skips its L1 lookup, and the drain installs the capture's
+     * final L1 counters, so l1().stats() reads them after drainDirty().
+     * Exact while nothing but this path's own demand fills touches the
+     * L1: a coherence action that reaches it panics (coherentL1()).
+     * Builds with TARTAN_DCHECK active also run the L1 and check every
+     * outcome, and at the drain its counters and that the section was
+     * consumed exactly. @p outcomes must outlive the path.
+     */
+    bool replayL1(const L1Outcomes &outcomes);
+
+    /** True when this path replays its L1 (replayL1()). */
+    bool replaysL1() const { return l1Mode == L1Mode::Replay; }
+
+    /**
+     * The L1 a coherence action on @p line_addr inspects. A path
+     * replaying its L1 holds no lines, so it may be asked only about
+     * lines outside its own simulated space, which none of its accesses
+     * cached; anything else panics, since only true sharing brings a
+     * core's line to another core.
+     */
+    Cache &
+    coherentL1(Addr line_addr)
+    {
+        TARTAN_ASSERT(l1Mode != L1Mode::Replay ||
+                          !addrMap->inSpace(line_addr),
+                      "a snoop reached a path replaying its L1");
+        return l1Cache;
+    }
 
     /**
      * Does nothing: every path translates from construction. Kept only
@@ -222,9 +277,12 @@ class MemPath
     /**
      * Attach (or detach, with nullptr) a capture session: address-space
      * registrations (mapSegment, write-through and no-allocate ranges)
-     * are recorded in stream order for replay. Purely observational.
+     * are recorded in stream order for replay and, when the L1 has not
+     * been accessed yet, the L1's outcomes (every demand lookup's hit
+     * bit, every fill's dirty victim, and at the drain its config and
+     * counters) into the session's L1 section. Purely observational.
      */
-    void setCapture(CaptureSession *session) { capture = session; }
+    void setCapture(CaptureSession *session);
 
     /**
      * Attach this path to a shared uncore as core @p core_id (must
@@ -255,7 +313,10 @@ class MemPath
     /** Declare a no-allocate (streaming load) range. */
     void addNoAllocateRange(Addr base, std::size_t bytes);
 
-    /** Private first-level data cache. */
+    /**
+     * Private first-level data cache. On a path replaying its L1 it
+     * holds no lines, and its counters are zero until the drain.
+     */
     Cache &l1() { return l1Cache; }
     /** Private second-level cache (prefetcher fill target). */
     Cache &l2() { return l2Cache; }
@@ -275,6 +336,40 @@ class MemPath
     const MemPathParams &params() const { return config; }
 
   private:
+    /** Where the L1's outcomes come from. */
+    enum class L1Mode : std::uint8_t {
+        Live,    //!< the L1 runs
+        Record,  //!< the L1 runs; a capture records its outcomes
+        Replay,  //!< a capture's outcomes stand in for the L1
+    };
+
+    /** TARTAN_DCHECK builds run a replayed L1 too and check it. */
+#ifdef NDEBUG
+    static constexpr bool kCheckReplayedL1 = false;
+#else
+    static constexpr bool kCheckReplayedL1 = true;
+#endif
+
+    /** A demand L1 lookup on a path that records or replays its L1. */
+    bool
+    l1LoggedAccess(Addr sim, AccessType type, std::uint32_t size,
+                   Cycles now)
+    {
+        if (l1Mode == L1Mode::Replay) {
+            const bool hit = l1Replay.nextHit();
+            if constexpr (kCheckReplayedL1)
+                TARTAN_ASSERT(l1Cache.access(sim, type, size, now).hit == hit,
+                              "replayed L1 hit bit disagrees with the L1");
+            return hit;
+        }
+        const bool hit = l1Cache.access(sim, type, size, now).hit;
+        capture->l1Lookup(hit);
+        return hit;
+    }
+
+    /** Fill the L1 with a demand line; returns the displaced line. */
+    Cache::Eviction l1Fill(Addr sim, bool store);
+
     struct Range {
         Addr base;
         Addr limit;
@@ -309,6 +404,16 @@ class MemPath
     void accessMiss(Addr host, Addr sim, AccessType type,
                     std::uint32_t size, PcId pc, Cycles now,
                     AccessResult &result);
+    /** Lines a linear accessRangeAt(@p base, @p bytes, ...) walks. */
+    std::uint64_t
+    spanLines(Addr base, std::uint32_t bytes) const
+    {
+        const unsigned line_bits = log2u(config.l1.lineBytes);
+        const Addr first =
+            base & ~static_cast<Addr>(AddrMap::kGrainBytes - 1);
+        const Addr last = base + (bytes ? bytes : 1) - 1;
+        return (last >> line_bits) - (first >> line_bits) + 1;
+    }
     /** Issue the prefetch candidates collected in pfTargets. */
     void issuePrefetches(Cycles now);
     /** Write a dirty L1 victim back into the L2. */
@@ -339,6 +444,8 @@ class MemPath
      * after warm-up.
      */
     std::vector<Addr> pfTargets;
+    L1Mode l1Mode = L1Mode::Live;
+    L1OutcomeReader l1Replay;  //!< the outcomes read in L1Mode::Replay
     bool drainAccounted = false;  //!< drainDirty already ran (idempotence)
 };
 

@@ -149,12 +149,14 @@ BenchReporter::faultPlan(const std::string &spec, std::uint64_t seed)
 
 void
 BenchReporter::captureStats(std::uint64_t captures,
-                            std::uint64_t file_hits, std::uint64_t replays)
+                            std::uint64_t file_hits, std::uint64_t replays,
+                            std::uint64_t l1_replays)
 {
     captureTotals.recorded = true;
     captureTotals.captures = captures;
     captureTotals.fileHits = file_hits;
     captureTotals.replays = replays;
+    captureTotals.l1Replays = l1_replays;
 }
 
 std::optional<TraceConfig>
@@ -221,7 +223,8 @@ BenchReporter::writeJson(std::ostream &os) const
         os << ",\n    \"capture\": {\"captures\": "
            << captureTotals.captures
            << ", \"fileHits\": " << captureTotals.fileHits
-           << ", \"replays\": " << captureTotals.replays << "}";
+           << ", \"replays\": " << captureTotals.replays
+           << ", \"l1Replays\": " << captureTotals.l1Replays << "}";
     }
     if (!failureRows.empty()) {
         os << ",\n    \"failures\": [";
@@ -420,6 +423,11 @@ validateBenchJson(std::string_view text, std::string *err)
                 return schemaFail(err, std::string("manifest.capture.") +
                                            key + " missing or non-number");
         }
+        // Payloads written before the L1 section carry no l1Replays.
+        if (const json::Value *field = v->find("l1Replays");
+            field && !field->isNumber())
+            return schemaFail(err, "manifest.capture.l1Replays is not a "
+                                   "number");
     }
     if (const json::Value *v = manifest->find("failures")) {
         if (!v->isArray())

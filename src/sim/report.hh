@@ -108,12 +108,13 @@ class BenchReporter
     /**
      * Record the capture-replay accounting (manifest.capture block):
      * robot executions recorded, captures served from TARTAN_CAPTURE_DIR
-     * files, cells replayed. Like the campaign block, it lives in the
+     * files, cells replayed, and of those the ones whose L1 replayed
+     * from the capture. Like the campaign block, it lives in the
      * manifest so bench_diff never compares it — a replayed sweep's
      * payload stays byte-comparable to a direct one.
      */
     void captureStats(std::uint64_t captures, std::uint64_t file_hits,
-                      std::uint64_t replays);
+                      std::uint64_t replays, std::uint64_t l1_replays);
 
     /**
      * Echo the fault plan this run applied (manifest.faults and
@@ -180,6 +181,7 @@ class BenchReporter
         std::uint64_t captures = 0;
         std::uint64_t fileHits = 0;
         std::uint64_t replays = 0;
+        std::uint64_t l1Replays = 0;
     };
 
     std::string benchName;

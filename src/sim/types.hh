@@ -48,15 +48,6 @@ enum class AccessType : std::uint8_t { Load, Store, Prefetch };
  */
 enum class MemDep : std::uint8_t { Independent, Dependent };
 
-/** Instruction classes tracked by the core model. */
-enum class OpClass : std::uint8_t {
-    IntAlu = 0,
-    FpAlu,
-    Branch,
-    VectorAlu,
-    NumClasses
-};
-
 /** Outcome of a memory-system access. */
 struct AccessResult {
     Cycles latency = 0;       //!< total latency observed by the core

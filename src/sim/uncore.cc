@@ -110,7 +110,7 @@ Uncore::resolveMiss(std::uint32_t core, Addr line_addr, bool is_write,
         if (i == core)
             continue;
         MemPath *p = paths[i];
-        for (Cache *c : {&p->l1(), &p->l2()}) {
+        for (Cache *c : {&p->coherentL1(line_addr), &p->l2()}) {
             if (c->lineState(line_addr) == MesiState::Invalid)
                 continue;
             any_remote = true;
@@ -155,14 +155,14 @@ Uncore::storeUpgrade(std::uint32_t core, Addr line_addr)
         if (i == core)
             continue;
         MemPath *p = paths[i];
-        for (Cache *c : {&p->l1(), &p->l2()}) {
+        for (Cache *c : {&p->coherentL1(line_addr), &p->l2()}) {
             if (c->lineState(line_addr) == MesiState::Invalid)
                 continue;
             c->snoopInvalidate(line_addr, nullptr);
             ++coherenceData.invalidations;
         }
     }
-    paths[core]->l1().clearShared(line_addr);
+    paths[core]->coherentL1(line_addr).clearShared(line_addr);
     paths[core]->l2().clearShared(line_addr);
     return config.coherenceLatency;
 }

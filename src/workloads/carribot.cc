@@ -152,7 +152,7 @@ runCarriBot(const MachineSpec &spec, const WorkloadOptions &opt)
             const std::int64_t ny =
                 y + static_cast<std::int64_t>(
                         std::lround(p.len * step_len * std::sin(ang)));
-            m.execFp(10);
+            m.exec(10);
             if (!grid.inBounds(nx, ny))
                 continue;
             const Pose2 pose{static_cast<double>(nx),
@@ -171,7 +171,7 @@ runCarriBot(const MachineSpec &spec, const WorkloadOptions &opt)
     HeuristicFn heuristic = [&](Mem &m, std::uint32_t s) {
         std::uint32_t x, y, th;
         lattice.decode(s, x, y, th);
-        m.execFp(6);
+        m.exec(6);
         return dist2(x, y, gx, gy);
     };
 
@@ -217,7 +217,7 @@ runCarriBot(const MachineSpec &spec, const WorkloadOptions &opt)
                     }
                     grid.update(mem, cx, cy, 0.0f,
                                 collision_pc::footprint);
-                    mem.execFp(4);
+                    mem.exec(4);
                 }
             }
         });

@@ -64,7 +64,7 @@ Machine::Machine(const MachineSpec &spec, const WorkloadOptions &opt)
     for (std::size_t i = 0; i < sys->coreCount(); ++i) {
         if (i)
             sys->mem(i).addrTranslator()->setSpaceBias(
-                tartan::sim::Addr(i) << 48);
+                tartan::sim::Addr(i) << tartan::sim::AddrMap::kSpaceBits);
         if (spec.useAnl) {
             core::AnlConfig anl = spec.anlCfg;
             anl.lineBytes = spec.sys.lineBytes;

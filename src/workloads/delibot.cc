@@ -114,7 +114,7 @@ runDeliBot(const MachineSpec &spec, const WorkloadOptions &opt)
                               std::clamp(target.y + (n / 3) - 1.0, 1.0,
                                          dim - 2.0)),
                           mcl_pc::particle);
-                mem.execFp(6);
+                mem.exec(6);
             }
         });
 
@@ -126,7 +126,7 @@ runDeliBot(const MachineSpec &spec, const WorkloadOptions &opt)
             const double steer = heading_pid.step(
                 mem, wrapAngle(desired - truth.theta), 0.1);
             truth.theta = wrapAngle(truth.theta + 0.4 * steer);
-            mem.execFp(10);
+            mem.exec(10);
         });
 
         // Advance the true pose; stay off obstacles.

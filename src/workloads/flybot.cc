@@ -85,9 +85,9 @@ struct Airspace {
                          static_cast<double>(heuristicSamples);
             // Adaptive-quadrature bookkeeping: Simpson weights and the
             // local error estimate evaluated per sample.
-            mem.execFp(14);
+            mem.exec(14);
         }
-        mem.execFp(14);
+        mem.exec(14);
         return dist * (1.0 + windFloor) + climb;
     }
 
@@ -109,7 +109,7 @@ struct Airspace {
             const float drag = dragFloor[bz];
             cost += (bz - az) * (drag + 0.05);
         }
-        mem.execFp(12);
+        mem.exec(12);
         return cost;
     }
 };
@@ -303,7 +303,7 @@ runFlyBot(const MachineSpec &spec, const WorkloadOptions &opt)
                 else
                     hnet->forwardTraced(in, out, core,
                                         astar_pc::gValue);
-                m.execFp(8);
+                m.exec(8);
                 // Plausibility gate: normalised heuristics live in
                 // ~[0, 1]; a glitched surrogate output falls back to
                 // the exact drag integral (AXAR's safety net catches
@@ -327,7 +327,7 @@ runFlyBot(const MachineSpec &spec, const WorkloadOptions &opt)
         for (int obs = 0; obs < 24; ++obs) {
             mem.loadv(air.wind + (obs * 97) % grid.cells(),
                       raycast_pc::map);
-            mem.execFp(30);
+            mem.exec(30);
         }
     });
 

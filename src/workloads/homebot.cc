@@ -238,7 +238,7 @@ runHomeBot(const MachineSpec &spec, const WorkloadOptions &opt)
                                     ref * kSurfelStride + d,
                                 icp_pc::cloud);
                         }
-                        mem.execFp(6);  // normalisation
+                        mem.exec(6);  // normalisation
                     }
                     float out[6];
                     if (use_npu) {
@@ -260,7 +260,7 @@ runHomeBot(const MachineSpec &spec, const WorkloadOptions &opt)
                     }
                     for (int k = 0; k < 6; ++k)
                         avg[k] += out[k] / float(blocks);
-                    mem.execFp(12);
+                    mem.exec(12);
                 }
                 // Apply the averaged predicted correction.
                 const Transform3 t = makeTransform(
@@ -276,7 +276,7 @@ runHomeBot(const MachineSpec &spec, const WorkloadOptions &opt)
                                icp_pc::cloud);
                     mem.storev(sp + 2, static_cast<float>(moved.z),
                                icp_pc::cloud);
-                    mem.execFp(18);
+                    mem.exec(18);
                 }
             });
         } else {
@@ -303,19 +303,19 @@ runHomeBot(const MachineSpec &spec, const WorkloadOptions &opt)
             auto seq = std::make_unique<BtSequence>("clean");
             seq->add(std::make_unique<BtAction>(
                 "spiral", [&](Mem &m) {
-                    m.execFp(40);
+                    m.exec(40);
                     return BtStatus::Success;
                 }));
             seq->add(std::make_unique<BtAction>(
                 "edge", [&](Mem &m) {
-                    m.execFp(40);
+                    m.exec(40);
                     return frame % 2 ? BtStatus::Success
                                      : BtStatus::Failure;
                 }));
             root.add(std::move(seq));
             root.add(std::make_unique<BtAction>(
                 "dock", [&](Mem &m) {
-                    m.execFp(20);
+                    m.exec(20);
                     return BtStatus::Success;
                 }));
             root.tick(mem);
@@ -326,7 +326,7 @@ runHomeBot(const MachineSpec &spec, const WorkloadOptions &opt)
             ScopedKernel scope(core, k_control);
             Pid wheel(0.9, 0.02, 0.05);
             wheel.step(mem, 0.1 * (frame % 3), 0.05);
-            mem.execFp(16);
+            mem.exec(16);
         });
     }
 

@@ -38,7 +38,7 @@ configToLinks(Mem &mem, const float *q, Cuboid *links)
         links[link].halfExtent = Vec3{0.05, 0.05, 0.05};
         yaw += (q[2 + link > 4 ? 4 : 2 + link] - 0.5) * kPi;
         pitch *= 0.7;
-        mem.execFp(20);
+        mem.exec(20);
     }
 }
 

@@ -171,7 +171,7 @@ runPatrolBot(const MachineSpec &spec, const WorkloadOptions &opt)
                 pca->transform(img, reduced);
                 for (int c = 0; c < 50; ++c)
                     mem.loadv(img.data() + c * 5, icp_pc::cloud);
-                mem.execFp(50 * 256 * 2 / 16);  // vectorised projection
+                mem.exec(50 * 256 * 2 / 16);  // vectorised projection
                 if (use_npu) {
                     machine.npu()->infer(core, *classifier, reduced,
                                          score);
@@ -220,7 +220,7 @@ runPatrolBot(const MachineSpec &spec, const WorkloadOptions &opt)
             truth.theta = wrapAngle(truth.theta + 0.5 * curvature);
             truth.x += 2.0 * std::cos(truth.theta) * 0.5;
             truth.y += 2.0 * std::sin(truth.theta) * 0.5;
-            mem.execFp(12);
+            mem.exec(12);
         });
     }
 

@@ -64,6 +64,7 @@ ReplayStream::ReplayStream(const CaptureTrace &trace, Machine &machine,
       bias(machine.system().mem(core_idx).addrTranslator()->spaceBias()),
       pipeline(machine.core(core_idx))
 {
+    machine.system().mem(core_idx).replayL1(trace.l1);
 }
 
 std::span<const Addr>
@@ -225,9 +226,11 @@ ReplayStream::nextStaysPrivate() const
         return mem.staysPrivate(r.b, r.d + bias, AccessType::Load);
       case CapOp::Store:
         return mem.staysPrivate(r.b, r.d + bias, AccessType::Store);
+      case CapOp::VecLoadContiguous:
+        return r.a8 != tartan::sim::kSpanPerGrain &&
+               mem.spanStaysPrivate(r.b, r.a32);
       case CapOp::DeviceLoadLanes:
       case CapOp::VecLoadLanes:
-      case CapOp::VecLoadContiguous:
       case CapOp::NpuConfigure:
       case CapOp::NpuInfer:
       case CapOp::NumOps:
@@ -266,6 +269,8 @@ replayTrace(const CaptureTrace &trace, const MachineSpec &spec,
 
     Machine machine(spec, opt);
     ReplayStream stream(trace, machine);
+    if (machine.system().mem().replaysL1())
+        ++tartan::sim::captureStats().l1Replays;
     while (!stream.done())
         stream.step();
     return stream.finalize();
@@ -285,9 +290,12 @@ replayFleet(const std::vector<const CaptureTrace *> &traces,
     Machine machine(fspec, opt);
     std::vector<std::unique_ptr<ReplayStream>> streams;
     streams.reserve(traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i)
+    for (std::size_t i = 0; i < traces.size(); ++i) {
         streams.push_back(
             std::make_unique<ReplayStream>(*traces[i], machine, i));
+        if (machine.system().mem(i).replaysL1())
+            ++tartan::sim::captureStats().l1Replays;
+    }
 
     // Min-cycle-first: step the stream whose core clock is furthest
     // behind (ties toward the lower core index), then let it run ahead

@@ -133,7 +133,43 @@ sampleTrace()
     session.npuInfer(50, 1, layers);
     session.addMetric("planCost", 2.5);
     session.setRobot("TestBot");
+    // An L1 section: 70 lookups (two hit words, every third a miss)
+    // and three fills, the second of which displaced a dirty line.
+    for (int i = 0; i < 70; ++i)
+        session.l1Lookup(i % 3 != 0);
+    session.l1Fill({});
+    session.l1Fill({true, kSimBase + 0x40, true});
+    session.l1Fill({true, kSimBase + 0x80, false});
+    tartan::sim::CacheStats l1_stats;
+    l1_stats.hits = 50;  // 46 demand hits, 4 write-through updates
+    l1_stats.misses = 24;
+    l1_stats.evictions = 2;
+    l1_stats.dirtyEvictions = 1;
+    session.l1Drain(tartan::sim::CacheParams{}, l1_stats, 5);
     return session.take();
+}
+
+/** Expect @p a and @p b to hold the same L1 outcome section. */
+void
+expectSameL1(const tartan::sim::L1Outcomes &a,
+             const tartan::sim::L1Outcomes &b)
+{
+    EXPECT_EQ(a.sizeBytes, b.sizeBytes);
+    EXPECT_EQ(a.assoc, b.assoc);
+    EXPECT_EQ(a.lineBytes, b.lineBytes);
+    EXPECT_EQ(a.trackUdm, b.trackUdm);
+    EXPECT_EQ(a.lookups, b.lookups);
+    EXPECT_EQ(a.fills, b.fills);
+    EXPECT_TRUE(a.stats == b.stats);
+    EXPECT_EQ(a.dirtyLines, b.dirtyLines);
+    const auto same = [](const auto &x, const auto &y) {
+        return x.size() == y.size() &&
+               (x.empty() ||
+                std::memcmp(x.data(), y.data(), 8 * x.size()) == 0);
+    };
+    EXPECT_TRUE(same(a.hits, b.hits));
+    EXPECT_TRUE(same(a.dirtyFills, b.dirtyFills));
+    EXPECT_TRUE(same(a.victims, b.victims));
 }
 
 void
@@ -211,6 +247,8 @@ TEST(CaptureFile, RoundTripsExactly)
     EXPECT_EQ(std::memcmp(back.aux.data(), trace.aux.data(),
                           trace.aux.size()),
               0);
+    ASSERT_TRUE(trace.l1.recorded());
+    expectSameL1(back.l1, trace.l1);
 }
 
 TEST(CaptureFile, BodyCrcIsOneCrc32OverRecordsThenAux)
@@ -222,8 +260,8 @@ TEST(CaptureFile, BodyCrcIsOneCrc32OverRecordsThenAux)
     EXPECT_EQ(crc32("", crc32("abc")), crc32("abc"));
 
     // The header's body CRC (bytes 12..15) is the CRC-32 of the record
-    // bytes followed by the aux bytes, so the format is unchanged by how
-    // the CRC is computed.
+    // bytes followed by the aux bytes and then the L1 section, so the
+    // format is unchanged by how the CRC is computed.
     const fs::path path = scratchDir("crc") / "t.tcap";
     const CaptureTrace trace = sampleTrace();
     ASSERT_TRUE(trace.save(path.string()));
@@ -231,6 +269,24 @@ TEST(CaptureFile, BodyCrcIsOneCrc32OverRecordsThenAux)
     std::uint32_t stored = 0;
     std::memcpy(&stored, bytes.data() + 12, 4);
     EXPECT_EQ(stored, crc32(std::string_view(bytes).substr(64)));
+
+    // The L1 section is the body's tail (header bytes 48..55 hold its
+    // length): a 120-byte head, the hit and dirty-fill words, then the
+    // victims, which the CRC covers like the rest.
+    std::uint64_t l1_bytes = 0;
+    std::memcpy(&l1_bytes, bytes.data() + 48, 8);
+    const tartan::sim::L1Outcomes &l1 = trace.l1;
+    EXPECT_EQ(l1_bytes, 120 + 8 * (l1.hits.size() + l1.dirtyFills.size() +
+                                   l1.victims.size()));
+    EXPECT_EQ(bytes.size(), 64 + trace.records.size() * sizeof(CapRecord) +
+                                trace.aux.size() + l1_bytes);
+    std::string rotted = bytes;
+    rotted[rotted.size() - 3] ^= 0x40;  // inside the last victim
+    spit(path, rotted);
+    CaptureTrace out;
+    std::string err;
+    EXPECT_FALSE(CaptureTrace::load(path.string(), out, &err));
+    EXPECT_NE(err.find("CRC"), std::string::npos) << err;
 }
 
 TEST(CaptureFile, AbsentFileIsAMissNotCorruption)
@@ -279,7 +335,10 @@ TEST(CaptureFile, BitFlippedBodyRejectedByCrc)
     ASSERT_TRUE(sampleTrace().save(path.string()));
 
     std::string bytes = slurp(path);
-    bytes[bytes.size() - 3] ^= 0x40; // bit rot inside the aux stream
+    // Bit rot inside the aux stream, which the L1 section follows.
+    const CaptureTrace trace = sampleTrace();
+    bytes[64 + trace.records.size() * sizeof(CapRecord) + trace.aux.size() -
+          3] ^= 0x40;
     spit(path, bytes);
 
     CaptureTrace out;
@@ -493,6 +552,80 @@ TEST(CaptureTrace, ValidateRejectsBadOpsAndAuxOverruns)
             EXPECT_NE(err.find("aux"), std::string::npos) << err;
         }
     }
+
+    // The L1 section: each inconsistency replay could trip over.
+    using tartan::sim::L1Outcomes;
+    const auto expect_l1 = [](const char *what, auto mutate) {
+        CaptureTrace bad = sampleTrace();
+        mutate(bad.l1);
+        std::string why;
+        SCOPED_TRACE(what);
+        EXPECT_FALSE(bad.validate(&why));
+        EXPECT_NE(why.find(what), std::string::npos) << why;
+    };
+    // Bit vectors shorter than their counts (70 lookups, 3 fills).
+    expect_l1("bit vectors", [](L1Outcomes &l1) { l1.lookups = 129; });
+    expect_l1("bit vectors", [](L1Outcomes &l1) { l1.fills = 65; });
+    // Victims that do not pair with the dirty-fill bits.
+    expect_l1("victim count", [](L1Outcomes &l1) {
+        l1.victims.push_back(kSimBase);
+    });
+    expect_l1("victim count", [](L1Outcomes &l1) { l1.dirtyFills[0] |= 1; });
+    expect_l1("power of two", [](L1Outcomes &l1) { l1.lineBytes = 48; });
+    expect_l1("power of two", [](L1Outcomes &l1) { l1.lineBytes = 0; });
+    // Counters that disagree with the bits: a flipped hit bit, a miss
+    // count off by one, a dirty eviction with no victim.
+    expect_l1("counters", [](L1Outcomes &l1) { l1.hits[0] ^= 2; });
+    expect_l1("counters", [](L1Outcomes &l1) { ++l1.stats.misses; });
+    expect_l1("counters", [](L1Outcomes &l1) { ++l1.stats.dirtyEvictions; });
+    expect_l1("without an L1 configuration",
+              [](L1Outcomes &l1) { l1.sizeBytes = 0; });
+    // Bits past the counts are never read.
+    CaptureTrace slack = sampleTrace();
+    slack.l1.dirtyFills[0] |= std::uint64_t(1) << 40;
+    EXPECT_TRUE(slack.validate(&err)) << err;
+}
+
+TEST(CaptureFile, CrcValidInconsistentL1SectionRejected)
+{
+    // Files whose CRC is right but whose L1 section is not: load()
+    // must reject them structurally, before replay could read past it.
+    const fs::path path = scratchDir("l1crafted") / "t.tcap";
+    const auto rewrite_crc = [](std::string &bytes) {
+        const std::uint32_t crc =
+            tartan::sim::crc32(std::string_view(bytes).substr(64));
+        std::memcpy(bytes.data() + 12, &crc, 4);
+    };
+    const CaptureTrace sample = sampleTrace();
+    const std::size_t head = 64 +
+                             sample.records.size() * sizeof(CapRecord) +
+                             sample.aux.size();
+
+    // The head's counts claim more words than the section holds (its
+    // lookup count at head byte 16, then its fill count).
+    for (const std::size_t field : {16u, 24u}) {
+        ASSERT_TRUE(sample.save(path.string()));
+        std::string bytes = slurp(path);
+        const std::uint64_t huge = std::uint64_t(1) << 40;
+        std::memcpy(bytes.data() + head + field, &huge, 8);
+        rewrite_crc(bytes);
+        spit(path, bytes);
+        CaptureTrace out;
+        std::string err;
+        EXPECT_FALSE(CaptureTrace::load(path.string(), out, &err)) << field;
+        EXPECT_NE(err.find("truncated or oversized"), std::string::npos)
+            << err;
+    }
+
+    // A well-framed section whose victims do not match its dirty fills:
+    // save() writes a valid CRC over it.
+    CaptureTrace bad = sampleTrace();
+    bad.l1.victims.push_back(kSimBase + 0x100);
+    ASSERT_TRUE(bad.save(path.string()));
+    CaptureTrace out;
+    std::string err;
+    EXPECT_FALSE(CaptureTrace::load(path.string(), out, &err));
+    EXPECT_NE(err.find("victim count"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +761,7 @@ spanRun(const MachineSpec &spec, const WorkloadOptions &opt)
                                    std::uint32_t(17 + (i * 7) % 200), 4);
             // Linear, inside the segment.
             core.vecLoadContiguous(at(mapped, (613 * i) % 60000), 64, 5);
-            core.exec(3 + i % 4, i % 2 ? tartan::sim::OpClass::FpAlu
-                                       : tartan::sim::OpClass::IntAlu);
+            core.exec(3 + i % 4);
         }
         ScopedKernel scope(core, k_lane);
         for (std::size_t l = 0; l < std::size(lanes); ++l)
@@ -780,15 +912,13 @@ namespace {
 constexpr std::uint32_t kExecRuns = 4000;
 
 /**
- * A scripted run of exec runs: integer and floating-point execs of
- * uneven sizes, back to back, each run ended by a load and followed by
- * a kernel switch.
+ * A scripted run of exec runs: execs of uneven sizes, back to back,
+ * each run ended by a load and followed by a kernel switch.
  */
 RunResult
 execRun(const MachineSpec &spec, const WorkloadOptions &opt)
 {
     using tartan::sim::Addr;
-    using tartan::sim::OpClass;
     tartan::workloads::Machine machine(spec, opt);
     tartan::sim::Core &core = machine.core();
     tartan::workloads::Pipeline pipeline(core);
@@ -798,8 +928,7 @@ execRun(const MachineSpec &spec, const WorkloadOptions &opt)
     for (std::uint32_t i = 0; i < kExecRuns; ++i) {
         core.setKernel(i % 7 == 0 ? k_a : k_b);
         for (std::uint32_t j = 0; j < 1 + i % 5; ++j)
-            core.exec(1 + (i + j) % 6,
-                      j % 2 ? OpClass::FpAlu : OpClass::IntAlu);
+            core.exec(1 + (i + j) % 6);
         core.load(reinterpret_cast<Addr>(&data[(i * 37) % std::size(data)]),
                   1);
     }
@@ -939,6 +1068,176 @@ TEST(ReplayEquivalence, TimingOnlyMachineChangesReplayExactly)
     }
 }
 
+namespace {
+
+/** The four prefetcher variants fig10 sweeps, on @p spec. */
+std::vector<MachineSpec>
+prefetcherVariants(const MachineSpec &spec)
+{
+    using tartan::sim::PrefetcherKind;
+    std::vector<MachineSpec> out(4, spec);
+    for (MachineSpec &m : out) {
+        m.useAnl = false;
+        m.sys.prefetcher = PrefetcherKind::None;
+    }
+    out[1].useAnl = true;
+    out[2].sys.prefetcher = PrefetcherKind::NextLine;
+    out[3].sys.prefetcher = PrefetcherKind::Bingo;
+    return out;
+}
+
+/** Streams whose L1 replayed from the capture so far. */
+std::uint64_t
+l1Replays()
+{
+    return tartan::sim::captureStats().l1Replays.load();
+}
+
+} // namespace
+
+TEST(ReplayEquivalence, L1OutcomesMatchTheRealL1)
+{
+    // A replay at the capture's L1 config reads the L1 from the
+    // capture's outcome section; with the section cleared it runs the
+    // real L1. Both must agree on every counter, CPI stack and payload
+    // byte: for every robot on both machines at all four prefetchers
+    // (only the L2 and below differ), and for a 4-core fleet.
+    WorkloadOptions opt;
+    opt.tier = SoftwareTier::Optimized;
+    opt.scale = 0.25;
+    opt.seed = 31;
+    for (const MachineSpec &spec :
+         {MachineSpec::baseline(), MachineSpec::tartan()}) {
+        const auto &suite = tartan::workloads::robotSuite();
+        std::vector<CaptureTrace> traces;
+        for (const auto &robot : suite) {
+            traces.push_back(capture(robot.name, robot.run, spec, opt).trace);
+            ASSERT_TRUE(traces.back().l1.recorded()) << robot.name;
+            ASSERT_TRUE(traces.back().validate()) << robot.name;
+        }
+        const std::vector<MachineSpec> variants = prefetcherVariants(spec);
+        const auto replay_all = [&] {
+            std::vector<RunResult> out;
+            for (const CaptureTrace &trace : traces)
+                for (const MachineSpec &m : variants)
+                    out.push_back(
+                        tartan::workloads::replayTrace(trace, m, opt));
+            return out;
+        };
+        tartan::workloads::FleetUncoreSnapshot fabric_read, fabric_run;
+        const auto fleet = [&](tartan::workloads::FleetUncoreSnapshot &f) {
+            return tartan::workloads::replayFleet(
+                {&traces[0], &traces[1], &traces[2], &traces[3]}, spec,
+                opt, &f);
+        };
+
+        std::uint64_t before = l1Replays();
+        const std::vector<RunResult> read = replay_all();
+        const std::vector<RunResult> fleet_read = fleet(fabric_read);
+        EXPECT_EQ(l1Replays() - before, read.size() + 4);
+
+        for (CaptureTrace &trace : traces)
+            trace.l1 = tartan::sim::L1Outcomes{};
+        before = l1Replays();
+        const std::vector<RunResult> run = replay_all();
+        const std::vector<RunResult> fleet_run = fleet(fabric_run);
+        EXPECT_EQ(l1Replays(), before);
+
+        ASSERT_EQ(read.size(), run.size());
+        for (std::size_t i = 0; i < read.size(); ++i) {
+            SCOPED_TRACE(std::string(suite[i / 4].name) + " prefetcher " +
+                         std::to_string(i % 4) + " on " +
+                         (spec.npu ? "tartan" : "baseline"));
+            expectIdentical(run[i], read[i]);
+            EXPECT_EQ(tartan::workloads::encodeRunResult(read[i]),
+                      tartan::workloads::encodeRunResult(run[i]));
+        }
+        ASSERT_EQ(fleet_read.size(), fleet_run.size());
+        for (std::size_t i = 0; i < fleet_read.size(); ++i) {
+            SCOPED_TRACE("fleet core " + std::to_string(i));
+            expectIdentical(fleet_run[i], fleet_read[i]);
+            EXPECT_EQ(tartan::workloads::encodeRunResult(fleet_read[i]),
+                      tartan::workloads::encodeRunResult(fleet_run[i]));
+        }
+        EXPECT_TRUE(fabric_read == fabric_run);
+    }
+}
+
+TEST(ReplayEquivalence, OtherL1ConfigsRunTheRealL1)
+{
+    // The section is read only at the L1 config it was recorded on.
+    // Line size and UDM tracking are the L1 knobs a machine spec sets;
+    // a replay at either runs the real L1 and equals a direct run.
+    WorkloadOptions opt;
+    opt.tier = SoftwareTier::Optimized;
+    opt.scale = 0.25;
+    opt.seed = 57;
+    const MachineSpec spec = MachineSpec::baseline();
+    const CaptureTrace trace =
+        capture("CarriBot", tartan::workloads::runCarriBot, spec, opt).trace;
+    ASSERT_TRUE(trace.l1.recorded());
+    MachineSpec wide = spec;
+    wide.sys.lineBytes = 64;
+    MachineSpec udm = spec;
+    udm.sys.trackUdm = !spec.sys.trackUdm;
+    for (const MachineSpec &m : {wide, udm}) {
+        const std::uint64_t before = l1Replays();
+        const RunResult replayed =
+            tartan::workloads::replayTrace(trace, m, opt);
+        EXPECT_EQ(l1Replays(), before);
+        expectIdentical(tartan::workloads::runCarriBot(m, opt), replayed);
+    }
+
+    // Size and ways are machine constants, so no spec can change them:
+    // the match itself must still tell them apart, as must FCP.
+    tartan::sim::CacheParams l1;
+    l1.sizeBytes = trace.l1.sizeBytes;
+    l1.assoc = trace.l1.assoc;
+    l1.lineBytes = trace.l1.lineBytes;
+    l1.trackUdm = trace.l1.trackUdm != 0;
+    EXPECT_TRUE(trace.l1.matches(l1));
+    tartan::sim::CacheParams other = l1;
+    other.sizeBytes *= 2;
+    EXPECT_FALSE(trace.l1.matches(other));
+    other = l1;
+    other.assoc /= 2;
+    EXPECT_FALSE(trace.l1.matches(other));
+    other = l1;
+    other.fcp = tartan::sim::FcpParams{};
+    EXPECT_FALSE(trace.l1.matches(other));
+}
+
+TEST(ReplayEquivalence, ReplayPastTheL1SectionPanics)
+{
+    // A replay whose records ask for more lookups, fills or dirty
+    // victims than the section holds fails loudly, and so does one
+    // that ends before the section does.
+    const WorkloadOptions opt;
+    const MachineSpec spec = MachineSpec::baseline();
+    const auto replay = [&](const CaptureTrace &t) {
+        tartan::workloads::replayTrace(t, spec, opt);
+    };
+    CaptureTrace trace = capture("ExecBot", execRun, spec, opt).trace;
+    ASSERT_TRUE(trace.l1.recorded());
+    ASSERT_GT(trace.l1.fills, 0u);
+    ASSERT_TRUE(trace.l1.victims.empty());  // ExecBot never stores
+
+    --trace.l1.lookups;
+    EXPECT_DEATH(replay(trace), "more L1 lookups");
+    trace.l1.lookups += 2;
+    if (trace.l1.hits.size() < tartan::sim::L1Outcomes::wordsFor(
+                                   trace.l1.lookups))
+        trace.l1.hits.push_back(0);
+    EXPECT_DEATH(replay(trace), "replay ended before the L1 outcomes");
+    --trace.l1.lookups;
+
+    --trace.l1.fills;
+    EXPECT_DEATH(replay(trace), "more L1 fills");
+    ++trace.l1.fills;
+    trace.l1.dirtyFills[0] |= 1;
+    EXPECT_DEATH(replay(trace), "more L1 dirty victims");
+}
+
 TEST(ReplayEquivalence, NpuConfigSweepsReplayExactly)
 {
     // NPU stall charges depend on NpuConfig, the one sweepable knob
@@ -1020,6 +1319,9 @@ expectThreadCapturesDifferOnlyInHostAddresses(std::string_view robot,
         }).get();
     EXPECT_TRUE(here.validate());
     EXPECT_TRUE(there.validate());
+    // The L1 outcome section holds simulated addresses only: equal.
+    EXPECT_TRUE(here.l1.recorded());
+    expectSameL1(here.l1, there.l1);
     EXPECT_EQ(here.records.size(), there.records.size());
     EXPECT_EQ(here.aux.size(), there.aux.size());
     if (here.records.size() != there.records.size() ||
@@ -1075,7 +1377,8 @@ TEST(ReplayEquivalence, CapturesOnTwoThreadsDifferOnlyInHostAddresses)
     // the host address field of the address-bearing ops and the aux
     // bytes only in the host half of the lane payloads. The simulated
     // addresses, which are all replay sends to the caches, are equal,
-    // and both captures replay to the same result.
+    // so are the L1 outcome sections, and both captures replay to the
+    // same result.
     WorkloadOptions opt;
     opt.scale = 0.25;
     {
